@@ -1,12 +1,22 @@
-"""Jitted jump-chain kernels.
+"""Jump-chain kernels.
 
 The hot loops of trajectory simulation, bridge rejection sampling and
 whole-path completion live here.  Every kernel draws from a
-``numpy.random.Generator`` handed in by the caller; numba consumes the
-underlying bit stream exactly like pure numpy does, so jitted and
-non-jitted runs produce bitwise-identical paths.  Without numba the
-decorated functions run as plain Python with the same semantics, just
-slower.
+``numpy.random.Generator`` handed in by the caller.  Three backends run
+them, tried in this order:
+
+- numba, when importable: the bodies below, jitted;
+- C: ``_ckernels.c``, compiled on the first import and cached in this
+  package's ``__pycache__`` under a name keyed by the source, the
+  compiler flags, the interpreter's extension suffix and the numpy
+  version (see ``build``);
+- pure Python: the bodies below as they are, if compiling or loading
+  the C file fails for any reason.
+
+``BACKEND`` names the one in use.  All three consume the generator's bit
+stream exactly like the Python bodies do, so every backend produces
+bitwise-identical paths; the compiled kernels expose their Python body
+as ``py_func``.
 
 Conventions inside this module only: states are 0-based, the absorbing
 state has index n, and ``cum[x]`` holds the cumulative rates out of x over
@@ -17,6 +27,14 @@ one uniform draw.
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sysconfig
+import tempfile
 
 import numpy as np
 
@@ -197,3 +215,75 @@ def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, s
         if nxt == n:
             return 0, m, count, t
         state = nxt
+
+
+# the Python bodies, as numba's dispatchers keep them
+_PY_KERNELS = tuple(
+    getattr(f, "py_func", f) for f in (sim_path, bridge_attempts, complete_panel_path)
+)
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_C_SOURCE = os.path.join(_HERE, "_ckernels.c")
+# no -ffast-math or -march: the arithmetic must round as the Python bodies do
+_C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
+    """The kernels compiled from ``_ckernels.c``: ``("c", kernels)``.
+
+    ``kernels`` is ``(sim_path, bridge_attempts, complete_panel_path)``.
+    The shared library is built with the compiler ``cc`` unless
+    ``cache_dir`` already holds it under its key; concurrent builds each
+    write their own temporary file and rename it into place.  If the
+    source is missing, the compiler is absent or fails, or the library
+    does not load, returns ``("pure-python", <the Python bodies>)``.
+    """
+    try:
+        module = _load_c(cc, cache_dir)
+    except (OSError, ImportError, subprocess.SubprocessError):
+        return "pure-python", _PY_KERNELS
+    return "c", tuple(
+        functools.update_wrapper(module.kernel(f.__name__, f), f) for f in _PY_KERNELS
+    )
+
+
+def _load_c(cc: str, cache_dir: str):
+    with open(_C_SOURCE, "rb") as f:
+        source = f.read()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    key = hashlib.sha256(
+        b"\0".join(
+            [source, " ".join(_C_FLAGS).encode(), suffix.encode(), np.__version__.encode()]
+        )
+    ).hexdigest()[:16]
+    path = os.path.join(cache_dir, f"_ckernels.{key}{suffix}")
+    if not os.path.exists(path):
+        _compile_c(cc, path, suffix)
+    spec = importlib.util.spec_from_file_location(f"{__package__}._ckernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _compile_c(cc: str, path: str, suffix: str) -> None:
+    includes = [sysconfig.get_paths()["include"], np.get_include()]
+    library = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        prefix=".ckernels-build-", suffix=suffix, dir=os.path.dirname(path)
+    )
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *_C_FLAGS, *(f"-I{d}" for d in includes), _C_SOURCE, library, "-lm", "-o", tmp],
+            check=True, capture_output=True, timeout=300,
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+if HAVE_NUMBA:  # pragma: no cover - numba is not installed in every environment
+    BACKEND = "numba"
+else:
+    BACKEND, (sim_path, bridge_attempts, complete_panel_path) = build()

@@ -46,17 +46,33 @@ class StarvedStateError(EstimationError):
 
 
 class BridgeBudgetError(EstimationError):
-    """Rejection sampling exhausted its attempt budget for one bridge."""
+    """Rejection sampling exhausted its attempt budget for one bridge.
 
-    def __init__(self, start: int, end: int, duration: float, attempts: int):
+    When the bridge belongs to a panel path, ``path_id`` names the path and
+    ``segment`` the interval, counted from 0: segment k runs from the
+    path's observation k to observation k + 1.
+    """
+
+    def __init__(
+        self,
+        start: int,
+        end: int,
+        duration: float,
+        attempts: int,
+        path_id: str | None = None,
+        segment: int | None = None,
+    ):
+        where = "" if path_id is None else f"path {path_id}, segment {segment}: "
         super().__init__(
-            f"bridge from state {start} to state {end} over duration "
+            f"{where}bridge from state {start} to state {end} over duration "
             f"{duration:g} not accepted after {attempts} attempts"
         )
         self.start = start
         self.end = end
         self.duration = duration
         self.attempts = attempts
+        self.path_id = path_id
+        self.segment = segment
 
 
 class StructuralError(EstimationError):

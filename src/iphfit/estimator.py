@@ -131,6 +131,7 @@ class _PanelArrays:
         if len(data) == 0:
             raise ValidationError("cannot fit an empty panel")
         self.n = data.n
+        self.ids = [p.path_id for p in data.paths]
         self.times = [p.times for p in data.paths]
         self.states0 = [p.states.astype(np.int64) - 1 for p in data.paths]
         self.absorbed = np.array([p.absorbed(data.n) for p in data.paths])
@@ -228,9 +229,12 @@ def _init_absorption_times(
                     cfg.max_attempts,
                 )
                 break
-            except BridgeBudgetError:
+            except BridgeBudgetError as err:
                 if round_ == 1:
-                    raise
+                    raise BridgeBudgetError(
+                        err.start, err.end, err.duration, err.attempts,
+                        path_id=panel.ids[k], segment=len(t) - 2,
+                    ) from None
         out.append(seg.jump_times[-1])
     return np.asarray(out, dtype=float)
 
@@ -288,14 +292,16 @@ def _complete_all(
                         int(obs_x[seg + 1]) + 1,
                         float(obs_s[seg + 1] - obs_s[seg]),
                         int(cfg.max_attempts),
+                        path_id=panel.ids[k],
+                        segment=seg,
                     )
                 if status == 3:
                     raise StructuralError(
-                        f"path {k}: dead-end state {int(obs_x[-1]) + 1} cannot "
-                        "reach absorption"
+                        f"path {panel.ids[k]}: dead-end state {int(obs_x[-1]) + 1} "
+                        "cannot reach absorption"
                     )
                 raise NumericalError(
-                    f"path {k}: completion exceeded {_PATH_CAP} jumps"
+                    f"path {panel.ids[k]}: completion exceeded {_PATH_CAP} jumps"
                 )
             completed.append(path)
             absorption.append(path.end_time)

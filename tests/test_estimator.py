@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from iphfit import (
+    BridgeBudgetError,
     EstimationError,
     FitConfig,
     GOMPERTZ,
@@ -21,6 +22,7 @@ from iphfit import (
     sem_iteration,
     validate_generator,
 )
+from iphfit import estimator
 from iphfit.studies import cohort_panel, simulate_cohort, uniform_grid
 
 
@@ -126,6 +128,26 @@ def test_fit_rejects_degenerate_panel():
     data = _panel(2, [("a", [0.0], [1])])
     with pytest.raises(EstimationError):
         fit(data, GOMPERTZ_CFG)
+
+
+def test_bridge_budget_errors_name_path_and_segment():
+    """Segment k of a path runs from its observation k to k + 1."""
+    cfg = FitConfig(family=IDENTITY, homogeneous_mode=True, max_attempts=5)
+    # no transient-to-transient rates: path b cannot go from 1 to 2
+    no_moves = SubIntensityMatrix(np.array([[-1.0, 0.0], [0.0, -1.0]]))
+    data = _panel(2, [("a", [0, 1], [1, 3]), ("b", [0, 1, 2, 3], [1, 1, 2, 3])])
+    pi = InitialDistribution(np.array([1.0, 0.0]))
+    with pytest.raises(BridgeBudgetError, match="^iteration 1: path b, segment 1: ") as exc:
+        sem_iteration(data, pi, no_moves, None, cfg, RandomStream(1), 1)
+    assert (exc.value.path_id, exc.value.segment, exc.value.attempts) == ("b", 1, 5)
+    # initialization bridges the final segment; state 2 cannot exit
+    stuck = SubIntensityMatrix(np.array([[-1.0, 0.0], [0.0, 0.0]]))
+    data = _panel(2, [("a", [0, 1], [1, 3]), ("b", [0, 1, 2], [1, 2, 3])])
+    with pytest.raises(BridgeBudgetError, match="^path b, segment 1: ") as exc:
+        estimator._init_absorption_times(
+            estimator._PanelArrays(data), stuck, cfg, RandomStream(1)
+        )
+    assert (exc.value.start, exc.value.end) == (2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,334 @@
+"""The compiled jump-chain kernels against their Python bodies.
+
+Each compiled kernel must return the same tuple, write the same buffers
+and leave its generator in the same state as its ``py_func``, and a CLI
+run must write the same bytes either way.  The build tests check the C
+backend's compile-once cache and its fallback to the Python bodies.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import _cli
+from iphfit import _kernels
+from iphfit.cli import main
+
+from conftest import GOMPERTZ_LAM
+
+KERNELS = ("sim_path", "bridge_attempts", "complete_panel_path")
+
+compiled = pytest.mark.skipif(
+    _kernels.BACKEND == "pure-python",
+    reason="no compiled kernel backend loaded (no numba, and the C build failed)",
+)
+
+
+def _model(rates):
+    """(cum, total) from an (n, n + 1) table of off-diagonal and exit rates."""
+    cum = np.cumsum(np.asarray(rates, dtype=float), axis=1)
+    return cum, cum[:, -1].copy()
+
+
+def _gompertz_model():
+    lam = np.array(GOMPERTZ_LAM)
+    rates = np.column_stack([np.where(np.eye(3, dtype=bool), 0.0, lam), -lam.sum(axis=1)])
+    return _model(rates)
+
+
+GOMPERTZ = _gompertz_model()
+# state 1 (0-based) has no exit rate: a dead end for a censored path
+DEAD_END = _model([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
+SINGLE = _model([[0.0, 1.0]])
+
+
+def _run_both(name, seed, *args, cap=256):
+    """Call the compiled kernel and its Python body on equal inputs;
+    assert equal results, buffers and generator states, and return the
+    result with the buffers."""
+    kernel = getattr(_kernels, name)
+    outs = []
+    for f in (kernel, kernel.py_func):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        times = np.full(cap, -1.0)
+        states = np.full(cap, -7, dtype=np.int64)
+        result = f(gen, *args, times, states)
+        outs.append((result, times, states, gen.bit_generator.state))
+    (r_c, t_c, s_c, g_c), (r_py, t_py, s_py, g_py) = outs
+    assert tuple(r_c) == tuple(r_py)
+    assert [isinstance(v, float) for v in r_c] == [isinstance(v, float) for v in r_py]
+    assert np.array_equal(t_c, t_py, equal_nan=True)
+    assert np.array_equal(s_c, s_py)
+    assert g_c == g_py
+    return r_c, t_c, s_c
+
+
+@compiled
+@pytest.mark.parametrize("name", KERNELS)
+def test_compiled_kernels_expose_python_bodies(name):
+    kernel = getattr(_kernels, name)
+    assert kernel is not kernel.py_func
+    assert kernel.py_func.__name__ == name
+    assert kernel.__doc__ == kernel.py_func.__doc__
+
+
+@compiled
+def test_sim_path_parity():
+    cum, total = GOMPERTZ
+    statuses = set()
+    for seed in range(300):
+        state = seed % 3
+        horizon = [np.inf, 5.0, 40.0][seed % 3]
+        cap = [256, 2][seed % 2]
+        result, _, _ = _run_both("sim_path", seed, state, 0.5, horizon, cum, total, 3, cap=cap)
+        statuses.add(result[0])
+    assert statuses == {0, 1, 2}  # buffer full, absorbed, horizon reached
+    # a state without exit rate ends the path at the horizon
+    cum, total = DEAD_END
+    assert _run_both("sim_path", 1, 1, 0.0, 9.0, cum, total, 2)[0] == (2, 0, 1, 9.0)
+    # numpy scalars for the state and time; a horizon passed as an int
+    cum, total = GOMPERTZ
+    _run_both("sim_path", 2, np.int64(1), np.float64(3.0), 50.0, cum, total, np.int64(3))
+    _run_both("sim_path", 2, 1, 3.0, 50, cum, total, 3)
+
+
+@compiled
+def test_sim_path_parity_over_many_draws():
+    """About 10^5 exponential and uniform draws through one generator each."""
+    cum, total = GOMPERTZ
+    kernel = _kernels.sim_path
+    gens = [np.random.Generator(np.random.PCG64(99)) for _ in range(2)]
+    bufs = [(np.empty(64), np.empty(64, dtype=np.int64)) for _ in range(2)]
+    jumps = 0
+    for k in range(3000):
+        results = [
+            f(g, k % 3, 0.0, np.inf, cum, total, 3, *b)
+            for f, g, b in zip((kernel, kernel.py_func), gens, bufs)
+        ]
+        assert tuple(results[0]) == tuple(results[1])
+        count = results[0][1]
+        assert np.array_equal(bufs[0][0][:count], bufs[1][0][:count])
+        assert np.array_equal(bufs[0][1][:count], bufs[1][1][:count])
+        jumps += count
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+    assert jumps > 30_000
+
+
+@compiled
+def test_bridge_attempts_parity():
+    cum, total = GOMPERTZ
+    statuses = set()
+    for seed in range(200):
+        x, y = seed % 3, (seed // 3) % 4
+        duration = [0.3, 2.0, 15.0][seed % 3]
+        result, _, _ = _run_both("bridge_attempts", seed, x, y, duration, cum, total, 3, 40)
+        statuses.add(result[0])
+    assert statuses == {0, 1}
+    # overflow within an attempt
+    assert _run_both("bridge_attempts", 5, 0, 0, 500.0, cum, total, 3, 50, cap=3)[0][0] == 2
+    # an accepted bridge without jumps
+    result, _, _ = _run_both("bridge_attempts", 6, 1, 1, 1e-6, cum, total, 3, 10)
+    assert result == (0, 1, 0)
+    # n = 1, the criterion 5 bridge; and a budget below one attempt
+    cum, total = SINGLE
+    for seed in range(50):
+        _run_both("bridge_attempts", seed, 0, 1, 1.0, cum, total, 1, 3)
+    assert _run_both("bridge_attempts", 7, 0, 1, 1.0, cum, total, 1, 0)[0] == (1, 0, 0)
+
+
+def _panel_path(gen, n_obs, absorbed):
+    """Random increasing observation epochs and states for the 3-state model."""
+    obs_s = np.cumsum(np.concatenate(([0.0], gen.uniform(0.2, 3.0, n_obs - 1))))
+    obs_x = gen.integers(0, 3, n_obs).astype(np.int64)
+    if absorbed:
+        obs_x[-1] = 3
+    return obs_s, obs_x
+
+
+@compiled
+def test_complete_panel_path_parity():
+    cum, total = GOMPERTZ
+    gen = np.random.Generator(np.random.PCG64(12))
+    statuses = {}
+    for seed in range(300):
+        obs_s, obs_x = _panel_path(gen, 1 + seed % 4, absorbed=seed % 2 == 1 and seed % 4 > 0)
+        result, times, states = _run_both(
+            "complete_panel_path", seed, obs_s, obs_x, cum, total, 3, 200
+        )
+        statuses[result[0]] = statuses.get(result[0], 0) + 1
+        if result[0] == 0:
+            count = result[2]
+            assert states[count - 1] == 3 and times[count - 1] == result[3]
+    assert set(statuses) == {0, 1}  # accepted and budget exhausted
+    # buffer overflow with a small buffer, in a bridge and while censored
+    obs_s, obs_x = np.array([0.0, 30.0]), np.array([0, 3])
+    assert _run_both("complete_panel_path", 3, obs_s, obs_x, cum, total, 3, 99, cap=2)[0][0] == 2
+    obs_s, obs_x = np.array([0.0]), np.array([1])
+    assert _run_both("complete_panel_path", 3, obs_s, obs_x, cum, total, 3, 99, cap=2)[0][0] == 2
+    # a lone censored observation: the chain runs on to absorption
+    result, _, _ = _run_both("complete_panel_path", 4, obs_s, obs_x, cum, total, 3, 99)
+    assert result[:2] == (0, 0)
+    # dead end during the censored continuation
+    cum, total = DEAD_END
+    obs_s, obs_x = np.array([0.0, 2.0]), np.array([0, 1])
+    assert _run_both("complete_panel_path", 8, obs_s, obs_x, cum, total, 2, 500)[0][0] == 3
+
+
+@compiled
+def test_compiled_kernel_hands_other_inputs_to_python_body():
+    """A generator subclass, int32 buffers or keywords run the Python body."""
+    cum, total = GOMPERTZ
+
+    class Logged(np.random.Generator):
+        def random(self, *args, **kwargs):
+            self.uniforms = getattr(self, "uniforms", 0) + 1
+            return super().random(*args, **kwargs)
+
+    gen = Logged(np.random.PCG64(3))
+    times, states = np.empty(64), np.empty(64, dtype=np.int64)
+    status, count, _, _ = _kernels.sim_path(gen, 0, 0.0, np.inf, cum, total, 3, times, states)
+    assert status == 1 and gen.uniforms == count
+
+    narrow = np.empty(64, dtype=np.int32)
+    gens = [np.random.Generator(np.random.PCG64(4)) for _ in range(2)]
+    a = _kernels.sim_path(gens[0], 0, 0.0, np.inf, cum, total, 3, np.empty(64), narrow)
+    b = _kernels.sim_path.py_func(gens[1], 0, 0.0, np.inf, cum, total, 3, times, states)
+    assert tuple(a) == tuple(b) and np.array_equal(narrow[: a[1]], states[: a[1]])
+
+    with pytest.raises(IndexError):  # the Python body's own error
+        _kernels.sim_path(gens[0], 5, 0.0, np.inf, cum, total, 3, times, states)
+    c = _kernels.bridge_attempts(
+        gens[0], 0, 3, 4.0, cum, total, 3, max_attempts=50, times=times, states=states
+    )
+    d = _kernels.bridge_attempts.py_func(gens[1], 0, 3, 4.0, cum, total, 3, 50, times, states)
+    assert tuple(c) == tuple(d)
+
+
+CLI_INI = """[model]
+n = 3
+family = gompertz
+beta0 = 1.0
+beta = 0.1019
+pi = 0.0451, 0.1303, 0.8246
+lambda = -0.1357, 0.1214, 0.0; 0.0130, -0.0421, 0.0288; 0.1415, 0.0184, -0.1620
+
+[estimation]
+eta = 1e-6
+e_ell = 0.01
+seed = 5
+
+[study]
+paths = 30
+horizon = 25
+delta = 1
+"""
+
+
+def _cli_run(root):
+    root.mkdir()
+    config = root / "run.ini"
+    config.write_text(CLI_INI)
+    panel = root / "panel.csv"
+    fitdir = root / "fit"
+    assert main(["simulate", "--config", str(config), "--out", str(panel)]) == 0
+    assert main(
+        ["fit", "--panel", str(panel), "--config", str(config), "--out", str(fitdir),
+         "--dump-paths"]
+    ) == 0
+    assert main(
+        ["gof", "--panel", str(panel), "--fit", str(fitdir), "--config", str(config),
+         "--out", str(root / "gof.csv"), "--seed", "3"]
+    ) == 0
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+@compiled
+def test_cli_bytes_match_python_bodies(tmp_path, monkeypatch):
+    fast = _cli_run(tmp_path / "compiled")
+    for name in KERNELS:
+        monkeypatch.setattr(_kernels, name, getattr(_kernels, name).py_func)
+    slow = _cli_run(tmp_path / "python")
+    assert sorted(fast) == sorted(slow)
+    assert len(fast) >= 5
+    for name in fast:
+        assert fast[name] == slow[name], name
+
+
+# ---------------------------------------------------------------------------
+# building the C backend
+
+
+def test_build_without_compiler_falls_back(tmp_path):
+    backend, kernels = _kernels.build(
+        cc=str(tmp_path / "no-such-cc"), cache_dir=str(tmp_path / "cache")
+    )
+    assert backend == "pure-python"
+    assert [k.__name__ for k in kernels] == list(KERNELS)
+    for k in kernels:
+        assert not hasattr(k, "py_func")  # the plain Python bodies
+    assert not os.listdir(tmp_path / "cache")  # no temporary file left behind
+
+
+@compiled
+def test_build_compiles_once_into_its_cache(tmp_path):
+    cache = tmp_path / "cache"
+    backend, first = _kernels.build(cc="cc", cache_dir=str(cache))
+    if backend == "pure-python":
+        pytest.skip("the C kernels do not build here")
+    assert [p.name.startswith("_ckernels.") for p in cache.iterdir()] == [True]  # no temporary
+    # a warm cache needs no compiler
+    backend, again = _kernels.build(cc=str(tmp_path / "no-such-cc"), cache_dir=str(cache))
+    assert backend == "c" and len(list(cache.iterdir())) == 1
+    cum, total = GOMPERTZ
+    results = []
+    for kernel in (first[0], again[0]):
+        gen = np.random.Generator(np.random.PCG64(1))
+        results.append(kernel(gen, 0, 0.0, np.inf, cum, total, 3, np.empty(99),
+                              np.empty(99, dtype=np.int64)))
+    assert results[0] == results[1]
+
+
+CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import iphfit
+from iphfit import _kernels
+assert iphfit.__file__.startswith(sys.argv[1]), iphfit.__file__
+leaked = sorted(m for m in ("setuptools", "cffi", "distutils") if m in sys.modules)
+result = iphfit.run_study(iphfit.WEIBULL_STUDY, 0, paths=40)
+print(_kernels.BACKEND, leaked, repr(result))
+"""
+
+
+@compiled
+def test_cold_cache_import_from_two_processes(tmp_path):
+    """Two interpreters import a fresh copy of the package at once: both
+    build or load the same library, and neither imports a build tool."""
+    package = os.path.dirname(os.path.abspath(_kernels.__file__))
+    shutil.copytree(package, tmp_path / "iphfit", ignore=shutil.ignore_patterns("__pycache__"))
+    env = _cli.env()
+    env.pop("PYTHONPATH")
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", CHILD, str(tmp_path)], env=env, cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    outs = []
+    for child in children:
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(f"{_kernels.BACKEND} [] ")
+    if _kernels.BACKEND == "c":  # one library, no temporary file left
+        built = os.listdir(tmp_path / "iphfit" / "__pycache__")
+        assert len([name for name in built if "ckernels" in name]) == 1
