@@ -8,6 +8,12 @@
  * and Generator.random() compute, so both forms leave the generator in the
  * same state.  The bit generator comes from gen.bit_generator.capsule.
  *
+ * complete_sweep runs complete_panel_path over a whole panel without a
+ * Python object per path: it seeds each path's stream itself, with
+ * numpy's SeedSequence pool mix and PCG64 seeding, and draws through a
+ * local bitgen_t that steps PCG64 as numpy does.  The paths and the
+ * sufficient statistics come back as flat arrays.
+ *
  * Each kernel is a Kernel object holding its Python body as py_func, as a
  * numba dispatcher does.  A call this file does not take as is (a
  * generator other than numpy.random.Generator, another dtype or layout,
@@ -26,6 +32,8 @@
 #include <structmember.h>
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
@@ -116,6 +124,189 @@ bridge_attempt(bitgen_t *bg, const Model *m, npy_intp x, double s1, double durat
     }
 }
 
+/* Complete one path observed at obs_s[0..last] in obs_x[0..last], as
+   complete_panel_path does: bridge each segment by rejection, then run a
+   censored path on to absorption.  Returns the status (0 completed, 1
+   budget exhausted, 2 buffers full, 3 dead end) and sets *info to the
+   segment it ended in; on status 0, *count is the number of jumps written
+   and *end the absorption epoch.  Adds the bridge attempts started to
+   *attempts. */
+static int
+complete_path(bitgen_t *bg, const Model *m, const double *obs_s, const npy_int64 *obs_x,
+              npy_intp last, npy_intp max_attempts, const Buffers *out,
+              npy_intp *info, npy_intp *count, double *end, npy_intp *attempts)
+{
+    npy_intp k;
+    *count = 0;
+    for (npy_intp seg = 0; seg < last; seg++) {
+        *info = seg;
+        const double s1 = obs_s[seg];
+        const double duration = obs_s[seg + 1] - s1;
+        int accepted = 0;
+        for (npy_intp a = 0; a < max_attempts && !accepted; a++) {
+            (*attempts)++;
+            const npy_intp state = bridge_attempt(bg, m, obs_x[seg], s1, duration, out, *count, &k);
+            if (state < 0)
+                return 2;
+            if (state == obs_x[seg + 1]) {
+                *count += k;
+                accepted = 1;
+            }
+        }
+        if (!accepted)
+            return 1;
+    }
+    *info = last;
+    if (obs_x[last] == m->n) {
+        *end = out->times[*count - 1];
+        return 0;
+    }
+    /* censored: continue unconditioned from the last observed state */
+    npy_intp state = obs_x[last];
+    double t = obs_s[last];
+    switch (run_chain(bg, m, &state, &t, INFINITY, out, count)) {
+    case 1:
+        *end = t;
+        return 0;
+    case 2: /* no exit rate: a dead end */
+        return 3;
+    default: /* buffers full */
+        return 2;
+    }
+}
+
+/* ---- numpy's SeedSequence and PCG64, for the streams of complete_sweep ---- */
+
+#ifndef __SIZEOF_INT128__
+#error "complete_sweep steps PCG64 in 128-bit integer arithmetic"
+#endif
+
+typedef __uint128_t u128;
+
+/* the state of numpy's PCG64 (XSL-RR output) */
+typedef struct {
+    u128 state;
+    u128 inc;
+    int has_uint32;
+    uint32_t uinteger;
+} Pcg64;
+
+#define PCG_MULTIPLIER (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+static inline uint64_t
+pcg64_next64(void *st)
+{
+    Pcg64 *s = (Pcg64 *)st;
+    s->state = s->state * PCG_MULTIPLIER + s->inc;
+    const uint64_t x = (uint64_t)(s->state >> 64) ^ (uint64_t)s->state;
+    const unsigned rot = (unsigned)(s->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static uint32_t
+pcg64_next32(void *st)
+{
+    Pcg64 *s = (Pcg64 *)st;
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return s->uinteger;
+    }
+    const uint64_t next = pcg64_next64(s);
+    s->has_uint32 = 1;
+    s->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double
+pcg64_next_double(void *st)
+{
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* SeedSequence's hash constants (pool of 4 words) */
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_MULT_L 0xca01f9ddu
+#define SS_MIX_MULT_R 0x4973f715u
+#define SS_POOL 4
+
+static inline uint32_t
+hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static inline uint32_t
+mix(uint32_t x, uint32_t y)
+{
+    const uint32_t result = SS_MIX_MULT_L * x - SS_MIX_MULT_R * y;
+    return result ^ (result >> 16);
+}
+
+/* s = PCG64(SeedSequence(words)): the pool mix, generate_state(4, uint64)
+   and PCG64's set_seed. */
+static void
+pcg64_seed(Pcg64 *s, const uint32_t *words, npy_intp len)
+{
+    uint32_t pool[SS_POOL], hash_const = SS_INIT_A;
+    for (int i = 0; i < SS_POOL; i++)
+        pool[i] = hashmix(i < len ? words[i] : 0, &hash_const);
+    for (int src = 0; src < SS_POOL; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    for (npy_intp src = SS_POOL; src < len; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(words[src], &hash_const));
+    uint64_t seed[4];
+    hash_const = SS_INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % SS_POOL] ^ hash_const;
+        hash_const *= SS_MULT_B;
+        v *= hash_const;
+        v ^= v >> 16;
+        if (i % 2 == 0)
+            seed[i / 2] = v;
+        else
+            seed[i / 2] |= (uint64_t)v << 32;
+    }
+    const u128 initstate = ((u128)seed[0] << 64) | seed[1];
+    const u128 initseq = ((u128)seed[2] << 64) | seed[3];
+    s->inc = (initseq << 1) | 1;
+    s->state = 0;
+    pcg64_next64(s);
+    s->state += initstate;
+    pcg64_next64(s);
+    s->has_uint32 = 0;
+    s->uinteger = 0;
+}
+
+/* a bitgen_t drawing from s, for numpy's distribution functions */
+static bitgen_t
+pcg64_bitgen(Pcg64 *s)
+{
+    bitgen_t bg = {s, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
+    return bg;
+}
+
+/* Appends SeedSequence's words for v (little-endian 32-bit words, [0]
+   for 0); returns how many. */
+static npy_intp
+put_words(uint32_t *out, npy_uint64 v)
+{
+    npy_intp i = 0;
+    do {
+        out[i++] = (uint32_t)v;
+        v >>= 32;
+    } while (v);
+    return i;
+}
+
 /* ---- argument checks: each returns 0, with no error set, to decline ---- */
 
 static int
@@ -185,7 +376,8 @@ as_buffers(PyObject *times_obj, PyObject *states_obj, Buffers *out)
     return 1;
 }
 
-/* ---- the kernels: args are those of the Python body, gen first ---- */
+/* ---- the kernels: args are those of the Python body; bg draws from its
+   generator, or is NULL for a kernel that makes its own streams ---- */
 
 typedef PyObject *(*kernel_body)(bitgen_t *bg, PyObject *const *args);
 
@@ -229,70 +421,187 @@ bridge_attempts(bitgen_t *bg, PyObject *const *args)
     return Py_BuildValue("(inn)", 1, max_attempts, (npy_intp)0);
 }
 
+/* Every observed state but the last is transient; a lone observation is
+   too (the Python body would read times[-1]). */
+static int
+valid_path(const npy_int64 *obs_x, npy_intp len, npy_intp n)
+{
+    const npy_intp last = len - 1;
+    if (last < 0 || obs_x[last] < 0 || obs_x[last] > n || (last == 0 && obs_x[0] == n))
+        return 0;
+    for (npy_intp i = 0; i < last; i++)
+        if (obs_x[i] < 0 || obs_x[i] >= n)
+            return 0;
+    return 1;
+}
+
 /* complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states)
-   -> (status, info, count, end_time) */
+   -> (status, info, count, end_time, attempts) */
 static PyObject *
 complete_panel_path(bitgen_t *bg, PyObject *const *args)
 {
     PyArrayObject *s_arr = as_array(args[1], NPY_FLOAT64, 1, 0);
     PyArrayObject *x_arr = as_array(args[2], NPY_INT64, 1, 0);
-    npy_intp max_attempts, k, count = 0;
+    npy_intp max_attempts, info, count, attempts = 0;
+    double end = 0.0;
     Model m;
     Buffers out;
     if (s_arr == NULL || x_arr == NULL || !as_model(args[3], args[4], args[5], &m)
-        || !as_index(args[6], &max_attempts) || !as_buffers(args[7], args[8], &out))
+        || !as_index(args[6], &max_attempts) || !as_buffers(args[7], args[8], &out)
+        || PyArray_DIM(x_arr, 0) != PyArray_DIM(s_arr, 0)
+        || !valid_path((const npy_int64 *)PyArray_DATA(x_arr), PyArray_DIM(x_arr, 0), m.n))
+        return NULL;
+    const int status = complete_path(
+        bg, &m, (const double *)PyArray_DATA(s_arr), (const npy_int64 *)PyArray_DATA(x_arr),
+        PyArray_DIM(s_arr, 0) - 1, max_attempts, &out, &info, &count, &end, &attempts);
+    if (status != 0) {
+        count = 0;
+        end = 0.0;
+    }
+    return Py_BuildValue("(inndn)", status, info, count, end, attempts);
+}
+
+/* Resizes a 1-d array this file owns alone. */
+static int
+resize(PyArrayObject *a, npy_intp size)
+{
+    PyArray_Dims shape = {&size, 1};
+    PyObject *res = PyArray_Resize(a, &shape, 0, NPY_CORDER);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
+}
+
+/* complete_sweep(words, iteration, replications, obs_s, obs_x, starts, cum, total, n,
+                  max_attempts, cap)
+   -> (status, path, info, attempts, retries, stats, paths) */
+static PyObject *
+complete_sweep(bitgen_t *Py_UNUSED(unused), PyObject *const *args)
+{
+    PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1, 0);
+    PyArrayObject *s_arr = as_array(args[3], NPY_FLOAT64, 1, 0);
+    PyArrayObject *x_arr = as_array(args[4], NPY_INT64, 1, 0);
+    PyArrayObject *k_arr = as_array(args[5], NPY_INT64, 1, 0);
+    npy_intp iteration, replications, max_attempts, cap;
+    Model m;
+    if (w_arr == NULL || s_arr == NULL || x_arr == NULL || k_arr == NULL
+        || !as_index(args[1], &iteration) || !as_index(args[2], &replications)
+        || !as_model(args[6], args[7], args[8], &m) || !as_index(args[9], &max_attempts)
+        || !as_index(args[10], &cap) || iteration < 0 || replications < 1 || cap < 0
+        || PyArray_DIM(x_arr, 0) != PyArray_DIM(s_arr, 0) || PyArray_DIM(k_arr, 0) < 2)
         return NULL;
     const double *obs_s = (const double *)PyArray_DATA(s_arr);
     const npy_int64 *obs_x = (const npy_int64 *)PyArray_DATA(x_arr);
-    const npy_intp last = PyArray_DIM(s_arr, 0) - 1;
-    /* every observed state but the last is transient; a lone observation
-       is too (the Python body would read times[-1]) */
-    if (last < 0 || PyArray_DIM(x_arr, 0) != last + 1 || obs_x[last] < 0 || obs_x[last] > m.n
-        || (last == 0 && obs_x[0] == m.n))
+    const npy_int64 *starts = (const npy_int64 *)PyArray_DATA(k_arr);
+    const npy_intp K = PyArray_DIM(k_arr, 0) - 1;
+    if (starts[0] != 0 || starts[K] != PyArray_DIM(s_arr, 0))
         return NULL;
-    for (npy_intp i = 0; i < last; i++)
-        if (obs_x[i] < 0 || obs_x[i] >= m.n)
+    for (npy_intp k = 0; k < K; k++)
+        if (starts[k + 1] <= starts[k]
+            || !valid_path(obs_x + starts[k], starts[k + 1] - starts[k], m.n))
             return NULL;
 
-    for (npy_intp seg = 0; seg < last; seg++) {
-        const double s1 = obs_s[seg];
-        const double duration = obs_s[seg + 1] - s1;
-        int accepted = 0;
-        for (npy_intp a = 0; a < max_attempts && !accepted; a++) {
-            const npy_intp end = bridge_attempt(bg, &m, obs_x[seg], s1, duration, &out, count, &k);
-            if (end < 0)
-                return Py_BuildValue("(innd)", 2, seg, (npy_intp)0, 0.0);
-            if (end == obs_x[seg + 1]) {
-                count += k;
-                accepted = 1;
+    const npy_intp n = m.n, nwords = PyArray_DIM(w_arr, 0);
+    npy_intp dims[2] = {n, n}, paths = replications * K + 1;
+    npy_intp capacity = PyArray_DIM(s_arr, 0) * replications + cap + 1;
+    PyArrayObject *b = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_INT64, 0);
+    PyArrayObject *nt = (PyArrayObject *)PyArray_ZEROS(2, dims, NPY_INT64, 0);
+    PyArrayObject *na = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_INT64, 0);
+    PyArrayObject *r = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_FLOAT64, 0);
+    PyArrayObject *bounds = (PyArrayObject *)PyArray_EMPTY(1, &paths, NPY_INT64, 0);
+    PyArrayObject *times = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_FLOAT64, 0);
+    PyArrayObject *states = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_INT64, 0);
+    /* the stream's words, then those of (iteration, k, round[, rep]) */
+    uint32_t *words = PyMem_Malloc((nwords + 8) * sizeof(uint32_t));
+    PyObject *result = NULL;
+    if (b == NULL || nt == NULL || na == NULL || r == NULL || bounds == NULL || times == NULL
+        || states == NULL || words == NULL) {
+        if (words == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    memcpy(words, PyArray_DATA(w_arr), nwords * sizeof(uint32_t));
+    const npy_intp at_k = nwords + put_words(words + nwords, (npy_uint64)iteration);
+    npy_int64 *B = (npy_int64 *)PyArray_DATA(b), *N = (npy_int64 *)PyArray_DATA(nt);
+    npy_int64 *NA = (npy_int64 *)PyArray_DATA(na), *bound = (npy_int64 *)PyArray_DATA(bounds);
+    double *R = (double *)PyArray_DATA(r);
+    npy_intp used = 0, path = 0, attempts = 0, retries = 0;
+    bound[0] = 0;
+    for (npy_intp rep = 0; rep < replications; rep++) {
+        for (npy_intp k = 0; k < K; k++) {
+            if (used + 1 + cap > capacity) {
+                capacity = Py_MAX(2 * capacity, used + 1 + cap);
+                if (resize(times, capacity) < 0 || resize(states, capacity) < 0)
+                    goto done;
             }
+            double *t = (double *)PyArray_DATA(times) + used;
+            npy_int64 *x = (npy_int64 *)PyArray_DATA(states) + used;
+            const Buffers out = {t + 1, x + 1, cap};
+            const npy_intp a = starts[k], last = starts[k + 1] - a - 1;
+            npy_intp info = 0, count = 0;
+            double end;
+            int status = 0;
+            const npy_intp at_round = at_k + put_words(words + at_k, (npy_uint64)k);
+            for (int round = 0; round < 2; round++) {
+                npy_intp len = at_round + put_words(words + at_round, (npy_uint64)round);
+                if (replications > 1)
+                    len += put_words(words + len, (npy_uint64)rep);
+                Pcg64 stream;
+                pcg64_seed(&stream, words, len);
+                bitgen_t bg = pcg64_bitgen(&stream);
+                status = complete_path(&bg, &m, obs_s + a, obs_x + a, last, max_attempts, &out,
+                                       &info, &count, &end, &attempts);
+                if (status != 1 || round == 1)
+                    break;
+                retries++;
+            }
+            if (status != 0) {
+                result = Py_BuildValue("(innnnOO)", status, k, info, attempts, retries,
+                                       Py_None, Py_None);
+                goto done;
+            }
+            /* the entry into the first state, then the jumps: tallied as
+               accumulate_statistics does, in path order, then jump order */
+            t[0] = 0.0;
+            x[0] = obs_x[a];
+            B[x[0]]++;
+            for (npy_intp j = 1; j <= count; j++) {
+                R[x[j - 1]] += t[j] - t[j - 1];
+                if (x[j] < n)
+                    N[x[j - 1] * n + x[j]]++;
+                else
+                    NA[x[j - 1]]++;
+            }
+            used += 1 + count;
+            bound[++path] = used;
         }
-        if (!accepted)
-            return Py_BuildValue("(innd)", 1, seg, (npy_intp)0, 0.0);
     }
-    if (obs_x[last] == m.n)
-        return Py_BuildValue("(innd)", 0, last, count, out.times[count - 1]);
-    /* censored: continue unconditioned from the last observed state */
-    npy_intp state = obs_x[last];
-    double t = obs_s[last];
-    switch (run_chain(bg, &m, &state, &t, INFINITY, &out, &count)) {
-    case 1:
-        return Py_BuildValue("(innd)", 0, last, count, t);
-    case 2: /* no exit rate: a dead end */
-        return Py_BuildValue("(innd)", 3, last, (npy_intp)0, 0.0);
-    default: /* buffers full */
-        return Py_BuildValue("(innd)", 2, last, (npy_intp)0, 0.0);
-    }
+    if (resize(times, used) < 0 || resize(states, used) < 0)
+        goto done;
+    result = Py_BuildValue("(innnn(OOOO)(OOO))", 0, (npy_intp)0, (npy_intp)0, attempts, retries,
+                           b, nt, na, r, times, states, bounds);
+done:
+    PyMem_Free(words);
+    Py_XDECREF(b);
+    Py_XDECREF(nt);
+    Py_XDECREF(na);
+    Py_XDECREF(r);
+    Py_XDECREF(bounds);
+    Py_XDECREF(times);
+    Py_XDECREF(states);
+    return result;
 }
 
+/* uses_generator: args[0] is the Generator to draw from */
 static const struct {
     const char *name;
     kernel_body body;
     Py_ssize_t nargs;
+    int uses_generator;
 } BODIES[] = {
-    {"sim_path", sim_path, 9},
-    {"bridge_attempts", bridge_attempts, 10},
-    {"complete_panel_path", complete_panel_path, 9},
+    {"sim_path", sim_path, 9, 1},
+    {"bridge_attempts", bridge_attempts, 10, 1},
+    {"complete_panel_path", complete_panel_path, 9, 1},
+    {"complete_sweep", complete_sweep, 11, 0},
 };
 
 /* ---- the Kernel type ---- */
@@ -306,6 +615,7 @@ typedef struct {
     vectorcallfunc vectorcall;
     kernel_body body;
     Py_ssize_t nargs;
+    int uses_generator;
     PyObject *py_func;
     PyObject *dict;
 } Kernel;
@@ -315,8 +625,13 @@ Kernel_vectorcall(PyObject *self, PyObject *const *args, size_t nargsf, PyObject
 {
     Kernel *kernel = (Kernel *)self;
     const Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    if (kwnames == NULL && nargs == kernel->nargs
-        && (PyObject *)Py_TYPE(args[0]) == generator_type) {
+    if (kwnames == NULL && nargs == kernel->nargs && !kernel->uses_generator) {
+        PyObject *result = kernel->body(NULL, args);
+        if (result != NULL || PyErr_Occurred())
+            return result;
+    }
+    else if (kwnames == NULL && nargs == kernel->nargs
+             && (PyObject *)Py_TYPE(args[0]) == generator_type) {
         /* held until the body returns: it owns the bit generator's state */
         PyObject *bit_generator = PyObject_GetAttr(args[0], str_bit_generator);
         PyObject *capsule = bit_generator ? PyObject_GetAttr(bit_generator, str_capsule) : NULL;
@@ -403,6 +718,7 @@ make_kernel(PyObject *Py_UNUSED(module), PyObject *args)
         self->vectorcall = Kernel_vectorcall;
         self->body = BODIES[i].body;
         self->nargs = BODIES[i].nargs;
+        self->uses_generator = BODIES[i].uses_generator;
         Py_INCREF(py_func);
         self->py_func = py_func;
         self->dict = NULL;
@@ -412,9 +728,69 @@ make_kernel(PyObject *Py_UNUSED(module), PyObject *args)
     return PyErr_Format(PyExc_ValueError, "no compiled kernel named %s", name);
 }
 
+static PyObject *
+u128_to_long(u128 v)
+{
+    PyObject *hi = PyLong_FromUnsignedLongLong((unsigned long long)(v >> 64));
+    PyObject *lo = PyLong_FromUnsignedLongLong((unsigned long long)v);
+    PyObject *shift = PyLong_FromLong(64);
+    PyObject *high = hi && shift ? PyNumber_Lshift(hi, shift) : NULL;
+    PyObject *out = high && lo ? PyNumber_Or(high, lo) : NULL;
+    Py_XDECREF(hi);
+    Py_XDECREF(lo);
+    Py_XDECREF(shift);
+    Py_XDECREF(high);
+    return out;
+}
+
+/* stream_draws(words, count): count draws each of next_uint64, next_uint32,
+   random_standard_exponential and next_double, in that order, from the
+   stream complete_sweep seeds with the uint32 array words, and the final
+   (state, inc, has_uint32, uinteger). */
+static PyObject *
+stream_draws(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *w_obj;
+    Py_ssize_t count;
+    if (!PyArg_ParseTuple(args, "On:stream_draws", &w_obj, &count))
+        return NULL;
+    PyArrayObject *w_arr = as_array(w_obj, NPY_UINT32, 1, 0);
+    if (w_arr == NULL || count < 0)
+        return PyErr_Format(PyExc_ValueError, "need a uint32 vector and a count >= 0");
+    Pcg64 stream;
+    pcg64_seed(&stream, (const uint32_t *)PyArray_DATA(w_arr), PyArray_DIM(w_arr, 0));
+    bitgen_t bg = pcg64_bitgen(&stream);
+    npy_intp dims[1] = {count};
+    PyArrayObject *raw = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_UINT64, 0);
+    PyArrayObject *u32 = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_UINT32, 0);
+    PyArrayObject *exp = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_FLOAT64, 0);
+    PyArrayObject *dbl = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_FLOAT64, 0);
+    PyObject *result = NULL;
+    if (raw != NULL && u32 != NULL && exp != NULL && dbl != NULL) {
+        for (Py_ssize_t i = 0; i < count; i++)
+            ((npy_uint64 *)PyArray_DATA(raw))[i] = bg.next_uint64(bg.state);
+        for (Py_ssize_t i = 0; i < count; i++)
+            ((npy_uint32 *)PyArray_DATA(u32))[i] = bg.next_uint32(bg.state);
+        for (Py_ssize_t i = 0; i < count; i++)
+            ((double *)PyArray_DATA(exp))[i] = random_standard_exponential(&bg);
+        for (Py_ssize_t i = 0; i < count; i++)
+            ((double *)PyArray_DATA(dbl))[i] = bg.next_double(bg.state);
+        result = Py_BuildValue("(OOOO(NNik))", raw, u32, exp, dbl, u128_to_long(stream.state),
+                               u128_to_long(stream.inc), stream.has_uint32,
+                               (unsigned long)stream.uinteger);
+    }
+    Py_XDECREF(raw);
+    Py_XDECREF(u32);
+    Py_XDECREF(exp);
+    Py_XDECREF(dbl);
+    return result;
+}
+
 static PyMethodDef module_methods[] = {
     {"kernel", make_kernel, METH_VARARGS,
      "kernel(name, py_func): the compiled kernel `name`, with py_func as its Python body."},
+    {"stream_draws", stream_draws, METH_VARARGS,
+     "stream_draws(words, count): draws from complete_sweep's stream for these entropy words."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,11 +1,15 @@
 """Jump-chain kernels.
 
-The hot loops of trajectory simulation, bridge rejection sampling and
-whole-path completion live here.  Every kernel draws from a
-``numpy.random.Generator`` handed in by the caller.  Three backends run
+The hot loops of trajectory simulation, bridge rejection sampling,
+whole-path completion and the SE-step sweep over a panel live here.  The
+first three kernels draw from a ``numpy.random.Generator`` handed in by
+the caller; ``complete_sweep`` derives one stream per path and round from
+entropy words, as ``RandomStream.generator()`` does.  Three backends run
 them, tried in this order:
 
-- numba, when importable: the bodies below, jitted;
+- numba, when importable: the bodies below, jitted, except
+  ``complete_sweep``, which stays a Python loop over the jitted
+  ``complete_panel_path``;
 - C: ``_ckernels.c``, compiled on the first import and cached in this
   package's ``__pycache__`` under a name keyed by the source, the
   compiler flags, the interpreter's extension suffix and the numpy
@@ -13,8 +17,8 @@ them, tried in this order:
 - pure Python: the bodies below as they are, if compiling or loading
   the C file fails for any reason.
 
-``BACKEND`` names the one in use.  All three consume the generator's bit
-stream exactly like the Python bodies do, so every backend produces
+``BACKEND`` names the one in use.  All three consume each bit stream
+exactly like the Python bodies do, so every backend produces
 bitwise-identical paths; the compiled kernels expose their Python body
 as ``py_func``.
 
@@ -143,13 +147,15 @@ def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, s
     ``obs_x`` the observed 0-based states (absorbing = n).  Every
     inter-observation segment is bridged by rejection; if the final
     observed state is transient the chain is then simulated to absorption.
-    Jump epochs are absolute.  Returns ``(status, info, count, end_time)``
-    with status 0 = completed (``end_time`` is the absorption epoch),
-    1 = bridge budget exhausted on segment ``info``, 2 = buffer overflow,
-    3 = dead-end state reached during the censored continuation.
+    Jump epochs are absolute.  Returns ``(status, info, count, end_time,
+    attempts)`` with status 0 = completed (``end_time`` is the absorption
+    epoch), 1 = bridge budget exhausted on segment ``info``, 2 = buffer
+    overflow, 3 = dead-end state reached during the censored continuation;
+    ``attempts`` counts the bridge attempts started.
     """
     cap = times.shape[0]
     count = 0
+    attempts = 0
     m = obs_s.shape[0] - 1
     for seg in range(m):
         x = obs_x[seg]
@@ -158,6 +164,7 @@ def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, s
         duration = obs_s[seg + 1] - s1
         accepted = False
         for _attempt in range(max_attempts):
+            attempts += 1
             k = 0
             state = x
             t = 0.0
@@ -185,24 +192,24 @@ def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, s
                 if nxt == n:
                     break
             if overflow:
-                return 2, seg, 0, 0.0
+                return 2, seg, 0, 0.0, attempts
             if state == y:
                 count += k
                 accepted = True
                 break
         if not accepted:
-            return 1, seg, 0, 0.0
+            return 1, seg, 0, 0.0, attempts
     if obs_x[m] == n:
-        return 0, m, count, times[count - 1]
+        return 0, m, count, times[count - 1], attempts
     # censored: continue unconditioned from the last observed state
     state = obs_x[m]
     t = obs_s[m]
     while True:
         if count == cap:
-            return 2, m, 0, 0.0
+            return 2, m, 0, 0.0, attempts
         rate = total[state]
         if rate <= 0.0:
-            return 3, m, 0, 0.0
+            return 3, m, 0, 0.0, attempts
         t = t + gen.exponential(1.0 / rate)
         u = gen.random() * rate
         row = cum[state]
@@ -213,13 +220,98 @@ def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, s
         states[count] = nxt
         count += 1
         if nxt == n:
-            return 0, m, count, t
+            return 0, m, count, t, attempts
         state = nxt
+
+
+def stream_words(*ints):
+    """The uint32 entropy words ``numpy.random.SeedSequence`` makes of
+    these non-negative ints: each int's little-endian 32-bit words, and
+    ``[0]`` for 0."""
+    words = []
+    for v in ints:
+        v = int(v)
+        if v < 0:
+            raise ValueError("stream keys must be non-negative")
+        words.append(v & 0xFFFFFFFF)
+        v >>= 32
+        while v:
+            words.append(v & 0xFFFFFFFF)
+            v >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
+def complete_sweep(
+    words, iteration, replications, obs_s, obs_x, starts, cum, total, n, max_attempts, cap
+):
+    """One SE-step: complete every panel path ``replications`` times.
+
+    Path k is observed at the homogeneous epochs ``obs_s[starts[k]:starts[k
+    + 1]]`` in the 0-based states ``obs_x[...]``, and ``complete_panel_path``
+    completes it with ``cap`` jumps of room.  Its stream in round r is the
+    PCG64 generator of ``SeedSequence(words + stream_words(iteration, k,
+    r))``, with ``rep`` appended when ``replications > 1``; round 1 runs
+    only when round 0 exhausts a bridge budget.  Paths are completed with
+    ``rep`` outer and ``k`` inner.
+
+    Returns ``(status, path, info, attempts, retries, stats, paths)``.
+    Status 0: ``stats`` is ``(B, N_xy, N_x, R_x)`` summed in path order,
+    then jump order, and ``paths`` is ``(times, states, bounds)``: path i
+    is ``times[bounds[i]:bounds[i + 1]]``, starting with its entry into
+    its first observed state at 0.0 and ending with its absorption.
+    Otherwise ``status`` is that of the failing ``complete_panel_path``
+    call (1 only after both rounds), ``path`` its k and ``info`` its
+    segment, and ``stats`` and ``paths`` are None.  ``attempts`` counts
+    the bridge attempts started and ``retries`` the paths that needed
+    round 1.
+    """
+    tbuf = np.empty(cap, dtype=np.float64)
+    sbuf = np.empty(cap, dtype=np.int64)
+    pieces_t, pieces_s = [], []
+    attempts = retries = 0
+    for rep in range(replications):
+        for k in range(starts.shape[0] - 1):
+            a, z = starts[k], starts[k + 1]
+            for round_ in (0, 1):
+                key = (iteration, k, round_) if replications == 1 else (
+                    iteration, k, round_, rep
+                )
+                seed = np.random.SeedSequence(np.concatenate((words, stream_words(*key))))
+                status, info, count, _end, tried = complete_panel_path(
+                    np.random.default_rng(seed), obs_s[a:z], obs_x[a:z], cum, total, n,
+                    max_attempts, tbuf, sbuf,
+                )
+                attempts += tried
+                if status != 1 or round_ == 1:
+                    break
+                retries += 1
+            if status != 0:
+                return status, k, info, attempts, retries, None, None
+            pieces_t.append(np.concatenate(([0.0], tbuf[:count])))
+            pieces_s.append(np.concatenate((obs_x[a:a + 1], sbuf[:count])))
+    times = np.concatenate(pieces_t)
+    states = np.concatenate(pieces_s)
+    bounds = np.concatenate(([0], np.cumsum([p.size for p in pieces_t]))).astype(np.int64)
+    # one step per jump: drop the steps from a path's last entry to the next path
+    within = np.ones(times.size - 1, dtype=bool)
+    within[bounds[1:-1] - 1] = False
+    src, dst, hold = states[:-1][within], states[1:][within], np.diff(times)[within]
+    b = np.zeros(n, dtype=np.int64)
+    nt = np.zeros((n, n), dtype=np.int64)
+    na = np.zeros(n, dtype=np.int64)
+    r = np.zeros(n)
+    np.add.at(b, states[bounds[:-1]], 1)
+    np.add.at(r, src, hold)
+    into = dst < n
+    np.add.at(nt, (src[into], dst[into]), 1)
+    np.add.at(na, src[~into], 1)
+    return 0, 0, 0, attempts, retries, (b, nt, na, r), (times, states, bounds)
 
 
 # the Python bodies, as numba's dispatchers keep them
 _PY_KERNELS = tuple(
-    getattr(f, "py_func", f) for f in (sim_path, bridge_attempts, complete_panel_path)
+    getattr(f, "py_func", f)
+    for f in (sim_path, bridge_attempts, complete_panel_path, complete_sweep)
 )
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _C_SOURCE = os.path.join(_HERE, "_ckernels.c")
@@ -230,7 +322,8 @@ _C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
     """The kernels compiled from ``_ckernels.c``: ``("c", kernels)``.
 
-    ``kernels`` is ``(sim_path, bridge_attempts, complete_panel_path)``.
+    ``kernels`` is ``(sim_path, bridge_attempts, complete_panel_path,
+    complete_sweep)``.
     The shared library is built with the compiler ``cc`` unless
     ``cache_dir`` already holds it under its key; concurrent builds each
     write their own temporary file and rename it into place.  If the
@@ -286,4 +379,4 @@ def _compile_c(cc: str, path: str, suffix: str) -> None:
 if HAVE_NUMBA:  # pragma: no cover - numba is not installed in every environment
     BACKEND = "numba"
 else:
-    BACKEND, (sim_path, bridge_attempts, complete_panel_path) = build()
+    BACKEND, (sim_path, bridge_attempts, complete_panel_path, complete_sweep) = build()

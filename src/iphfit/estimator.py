@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,26 +116,84 @@ class FitResult:
     completed: tuple[ContinuousPath, ...] | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class CompletedPaths:
+    """The trajectories of one SE-step, flat, on the homogeneous timeline.
+
+    Path i is entries ``bounds[i]:bounds[i + 1]`` of ``times`` and
+    ``states`` (0-based): its entry into its first state at 0.0, then its
+    jumps, the last one into the absorbing state n.
+    """
+
+    n: int
+    times: np.ndarray
+    states: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def absorption(self) -> np.ndarray:
+        """The absorption epoch of each path."""
+        return self.times[self.bounds[1:] - 1]
+
+
+@dataclass(frozen=True)
+class SweepWork:
+    """Deterministic work counters of one SE-step: bridge attempts started,
+    paths that needed a second round, and jumps in the completed paths."""
+
+    bridge_attempts: int
+    retries: int
+    jumps_kept: int
+
+
 @dataclass(frozen=True)
 class SemIterationResult:
     lam_hat: SubIntensityMatrix
     beta_hat: float | None
     gd_updates: int
     absorption_times: np.ndarray  # calendar timeline
-    completed: tuple[ContinuousPath, ...]
+    paths: CompletedPaths
+    work: SweepWork
+
+    @cached_property
+    def completed(self) -> tuple[ContinuousPath, ...]:
+        """The completed trajectories, built on first access."""
+        p = self.paths
+        return tuple(
+            ContinuousPath(
+                n=p.n,
+                times=p.times[a:b],
+                states=p.states[a:b] + 1,
+                end_time=float(p.times[b - 1]),
+                timeline=HOMOGENEOUS,
+            )
+            for a, b in zip(p.bounds[:-1], p.bounds[1:])
+        )
 
 
 class _PanelArrays:
-    """Panel data unpacked once into kernel-friendly arrays (0-based)."""
+    """Panel data unpacked once into kernel-friendly arrays (0-based).
+
+    ``flat_times``/``flat_states0`` hold every path's observations end to
+    end, path k at ``starts[k]:starts[k + 1]``; ``times`` and ``states0``
+    are per-path views of them.
+    """
 
     def __init__(self, data: PanelObservationSet):
         if len(data) == 0:
             raise ValidationError("cannot fit an empty panel")
         self.n = data.n
         self.ids = [p.path_id for p in data.paths]
-        self.times = [p.times for p in data.paths]
-        self.states0 = [p.states.astype(np.int64) - 1 for p in data.paths]
+        self.flat_times = np.concatenate([p.times for p in data.paths])
+        self.flat_states0 = np.concatenate([p.states for p in data.paths]) - 1
+        sizes = [p.times.size for p in data.paths]
+        self.starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        self.times = np.split(self.flat_times, self.starts[1:-1])
+        self.states0 = np.split(self.flat_states0, self.starts[1:-1])
         self.absorbed = np.array([p.absorbed(data.n) for p in data.paths])
+        self.censored_last = sorted(
+            {int(s[-1]) for s, a in zip(self.states0, self.absorbed) if not a}
+        )
         self.K = len(data)
 
 
@@ -246,67 +305,46 @@ def _complete_all(
     cfg: FitConfig,
     rng: RandomStream,
     iteration: int,
-) -> tuple[SufficientStatistics, np.ndarray, list[ContinuousPath]]:
+) -> tuple[SufficientStatistics, CompletedPaths, SweepWork]:
     """SE-step: reconstruct every path on the homogeneous timeline.
 
-    Returns pooled statistics, the homogeneous absorption epochs (one per
-    path per replication, panel order) and the completed trajectories.
+    One ``complete_sweep`` call completes every path once per
+    replication (replications outer, panel order inner), path k in round
+    r drawing from ``rng.substream(iteration, k, r[, rep]).generator()``.
+    Returns the pooled statistics, the completed trajectories and the
+    work counters.
     """
-    if np.any(~panel.absorbed):
-        last = {int(s[-1]) for s, a in zip(panel.states0, panel.absorbed) if not a}
-        check_absorbable(lam, sorted(last))
+    if panel.censored_last:
+        check_absorbable(lam, panel.censored_last)
     cum, total = jump_model(lam)
-    tbuf = np.empty(_PATH_CAP, dtype=np.float64)
-    sbuf = np.empty(_PATH_CAP, dtype=np.int64)
-    completed: list[ContinuousPath] = []
-    absorption: list[float] = []
-    for rep in range(cfg.bridge_replications):
-        for k in range(panel.K):
-            obs_s = np.asarray(family.g_inv(panel.times[k]), dtype=float)
-            obs_x = panel.states0[k]
-            path = None
-            for round_ in (0, 1):
-                key = (iteration, k, round_) if cfg.bridge_replications == 1 else (
-                    iteration, k, round_, rep
-                )
-                gen = rng.substream(*key).generator()
-                status, info, count, end = _kernels.complete_panel_path(
-                    gen, obs_s, obs_x, cum, total, panel.n,
-                    int(cfg.max_attempts), tbuf, sbuf,
-                )
-                if status == 0:
-                    path = ContinuousPath(
-                        n=panel.n,
-                        times=np.concatenate(([0.0], tbuf[:count])),
-                        states=np.concatenate(([obs_x[0]], sbuf[:count])) + 1,
-                        end_time=float(end),
-                        timeline=HOMOGENEOUS,
-                    )
-                    break
-                if status == 1 and round_ == 0:
-                    continue
-                if status == 1:
-                    seg = int(info)
-                    raise BridgeBudgetError(
-                        int(obs_x[seg]) + 1,
-                        int(obs_x[seg + 1]) + 1,
-                        float(obs_s[seg + 1] - obs_s[seg]),
-                        int(cfg.max_attempts),
-                        path_id=panel.ids[k],
-                        segment=seg,
-                    )
-                if status == 3:
-                    raise StructuralError(
-                        f"path {panel.ids[k]}: dead-end state {int(obs_x[-1]) + 1} "
-                        "cannot reach absorption"
-                    )
-                raise NumericalError(
-                    f"path {panel.ids[k]}: completion exceeded {_PATH_CAP} jumps"
-                )
-            completed.append(path)
-            absorption.append(path.end_time)
-    stats = accumulate_statistics(completed, panel.n)
-    return stats, np.asarray(absorption), completed
+    obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+    status, k, seg, attempts, retries, stats, flat = _kernels.complete_sweep(
+        _kernels.stream_words(rng.seed, *rng.key), iteration, cfg.bridge_replications,
+        obs_s, panel.flat_states0, panel.starts, cum, total, panel.n,
+        int(cfg.max_attempts), _PATH_CAP,
+    )
+    if status == 1:
+        at = panel.starts[k] + seg
+        raise BridgeBudgetError(
+            int(panel.flat_states0[at]) + 1,
+            int(panel.flat_states0[at + 1]) + 1,
+            float(obs_s[at + 1] - obs_s[at]),
+            int(cfg.max_attempts),
+            path_id=panel.ids[k],
+            segment=seg,
+        )
+    if status == 3:
+        raise StructuralError(
+            f"path {panel.ids[k]}: dead-end state {int(panel.states0[k][-1]) + 1} "
+            "cannot reach absorption"
+        )
+    if status != 0:
+        raise NumericalError(
+            f"path {panel.ids[k]}: completion exceeded {_PATH_CAP} jumps"
+        )
+    paths = CompletedPaths(panel.n, *flat)
+    work = SweepWork(attempts, retries, paths.times.size - paths.bounds.size + 1)
+    return SufficientStatistics(*stats), paths, work
 
 
 def sem_iteration(
@@ -335,22 +373,22 @@ def sem_iteration(
         else ScalingFamily(cfg.family, beta_hat)
     )
     try:
-        stats, abs_hom, completed = _complete_all(
+        stats, paths, work = _complete_all(
             panel, lam_hat, family, cfg, rng, iteration_index
         )
         new_lam = mle_generator(stats, panel.K * cfg.bridge_replications)[1]
         if not update_beta:
             return SemIterationResult(
-                new_lam, None, 0, family.g(abs_hom), tuple(completed)
+                new_lam, None, 0, family.g(paths.absorption), paths, work
             )
-        abs_cal = np.asarray(family.g(abs_hom), dtype=float)
+        abs_cal = np.asarray(family.g(paths.absorption), dtype=float)
         obj = BetaObjective(cfg.family, pi_hat, new_lam, abs_cal)
         new_beta, gd_updates = gd_solve(
             obj, beta_hat, cfg.eta, cfg.e_ell, cfg.beta_min, cfg.gd_max_steps,
             trace=beta_trace,
         )
         return SemIterationResult(
-            new_lam, new_beta, gd_updates, abs_cal, tuple(completed)
+            new_lam, new_beta, gd_updates, abs_cal, paths, work
         )
     except EstimationError as err:
         err.args = (f"iteration {iteration_index}: {err.args[0]}",) + err.args[1:]
@@ -382,7 +420,6 @@ def fit(
     trace: list[IterationRecord] = []
     termination = "max-iterations"
     iterations_used = cfg.max_sem_iterations
-    completed = None
     for it in range(1, cfg.max_sem_iterations + 1):
         step = sem_iteration(
             panel, pi_hat, lam_hat, beta_hat, cfg, rng, it, beta_trace=beta_trace
@@ -391,8 +428,6 @@ def fit(
         trace.append(
             IterationRecord(it, step.gd_updates, absorbed_paths, beta_hat, lam_hat)
         )
-        if keep_completed:
-            completed = step.completed
         if step.gd_updates == 1:
             termination = "single-update-converged"
             iterations_used = it
@@ -405,7 +440,7 @@ def fit(
         termination=termination,
         trace=tuple(trace),
         config=cfg,
-        completed=completed,
+        completed=step.completed if keep_completed else None,
     )
 
 
@@ -438,13 +473,10 @@ def fit_homogeneous(
     absorbed_paths = int(panel.absorbed.sum())
     pi_hat, lam_hat, _beta = initialize(data, cfg, rng)
     trace: list[IterationRecord] = []
-    completed = None
     for it in range(1, cfg.homog_iterations + 1):
         step = sem_iteration(panel, pi_hat, lam_hat, None, cfg, rng, it)
         lam_hat = step.lam_hat
         trace.append(IterationRecord(it, 0, absorbed_paths, None, lam_hat))
-        if keep_completed:
-            completed = step.completed
     lam_avg = _tail_average(trace, cfg.homog_tail_average)
     return FitResult(
         pi_hat=pi_hat,
@@ -454,5 +486,5 @@ def fit_homogeneous(
         termination="max-iterations",
         trace=tuple(trace),
         config=cfg,
-        completed=completed,
+        completed=step.completed if keep_completed else None,
     )

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from iphfit import (
     sem_iteration,
     validate_generator,
 )
-from iphfit import estimator
+from iphfit import _kernels, estimator
+from iphfit.errors import NumericalError, StarvedStateError, StructuralError
 from iphfit.studies import cohort_panel, simulate_cohort, uniform_grid
 
 
@@ -130,8 +133,17 @@ def test_fit_rejects_degenerate_panel():
         fit(data, GOMPERTZ_CFG)
 
 
-def test_bridge_budget_errors_name_path_and_segment():
-    """Segment k of a path runs from its observation k to k + 1."""
+def test_bridge_budget_errors_name_path_and_segment(monkeypatch):
+    """Segment k of a path runs from its observation k to k + 1.  The
+    sweep's kernel and its Python body name the same path and segment."""
+    sweep = _kernels.complete_sweep
+    for body in (sweep, getattr(sweep, "py_func", sweep)):
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "complete_sweep", body)
+            _check_errors_name_path(patch)
+
+
+def _check_errors_name_path(monkeypatch):
     cfg = FitConfig(family=IDENTITY, homogeneous_mode=True, max_attempts=5)
     # no transient-to-transient rates: path b cannot go from 1 to 2
     no_moves = SubIntensityMatrix(np.array([[-1.0, 0.0], [0.0, -1.0]]))
@@ -140,6 +152,7 @@ def test_bridge_budget_errors_name_path_and_segment():
     with pytest.raises(BridgeBudgetError, match="^iteration 1: path b, segment 1: ") as exc:
         sem_iteration(data, pi, no_moves, None, cfg, RandomStream(1), 1)
     assert (exc.value.path_id, exc.value.segment, exc.value.attempts) == ("b", 1, 5)
+    assert (exc.value.start, exc.value.end, exc.value.duration) == (1, 2, 1.0)
     # initialization bridges the final segment; state 2 cannot exit
     stuck = SubIntensityMatrix(np.array([[-1.0, 0.0], [0.0, 0.0]]))
     data = _panel(2, [("a", [0, 1], [1, 3]), ("b", [0, 1, 2], [1, 2, 3])])
@@ -148,6 +161,26 @@ def test_bridge_budget_errors_name_path_and_segment():
             estimator._PanelArrays(data), stuck, cfg, RandomStream(1)
         )
     assert (exc.value.start, exc.value.end) == (2, 3)
+    # a path needing more jumps than the per-path buffer holds (a
+    # NumericalError carries no iteration)
+    flips = SubIntensityMatrix(np.array([[-50.0, 49.99], [49.99, -50.0]]))
+    data = _panel(2, [("b", [0, 1], [1, 1]), ("a", [0, 1], [2, 3])])
+    monkeypatch.setattr(estimator, "_PATH_CAP", 8)
+    cfg = FitConfig(family=IDENTITY, homogeneous_mode=True, max_attempts=10**6)
+    with pytest.raises(NumericalError, match="^path b: completion exceeded 8 jumps$"):
+        sem_iteration(data, pi, flips, None, cfg, RandomStream(1), 2)
+    # a censored path running into a state without exit, past the
+    # reachability check
+    monkeypatch.setattr(estimator, "_PATH_CAP", 1 << 16)
+    monkeypatch.setattr(estimator, "check_absorbable", lambda lam, states: None)
+    trap = SubIntensityMatrix(np.array([[-1.0, 0.5], [0.0, 0.0]]))
+    data = _panel(2, [("a", [0, 1], [1, 3]), ("b", [0, 1], [1, 1])])
+    with pytest.raises(
+        StructuralError, match="^iteration 3: path b: dead-end state 1 cannot reach absorption$"
+    ):
+        for seed in range(50):  # until path b jumps to state 2 before absorbing
+            with contextlib.suppress(StarvedStateError):  # absorbed from state 1
+                sem_iteration(data, pi, trap, None, cfg, RandomStream(seed), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Each compiled kernel must return the same tuple, write the same buffers
 and leave its generator in the same state as its ``py_func``, and a CLI
-run must write the same bytes either way.  The build tests check the C
-backend's compile-once cache and its fallback to the Python bodies.
+run must write the same bytes either way.  The SE-step sweep must seed
+each path's stream as ``RandomStream.generator()`` does and give the
+statistics, paths and counters of a per-path loop over
+``complete_panel_path``.  The build tests check the C backend's
+compile-once cache and its fallback to the Python bodies.
 """
 
 import os
@@ -15,12 +18,17 @@ import numpy as np
 import pytest
 
 import _cli
-from iphfit import _kernels
+from iphfit import ContinuousPath, RandomStream, ScalingFamily, SubIntensityMatrix, _kernels
+from iphfit import estimator
 from iphfit.cli import main
+from iphfit.likelihood import accumulate_statistics
+from iphfit.paths import HOMOGENEOUS
+from iphfit.simulate import jump_model
+from iphfit.studies import cohort_panel, simulate_cohort, uniform_grid
 
-from conftest import GOMPERTZ_LAM
+from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI
 
-KERNELS = ("sim_path", "bridge_attempts", "complete_panel_path")
+KERNELS = ("sim_path", "bridge_attempts", "complete_panel_path", "complete_sweep")
 
 compiled = pytest.mark.skipif(
     _kernels.BACKEND == "pure-python",
@@ -70,6 +78,8 @@ def _run_both(name, seed, *args, cap=256):
 @compiled
 @pytest.mark.parametrize("name", KERNELS)
 def test_compiled_kernels_expose_python_bodies(name):
+    if name == "complete_sweep" and _kernels.BACKEND == "numba":
+        pytest.skip("the numba backend runs the sweep's Python loop")
     kernel = getattr(_kernels, name)
     assert kernel is not kernel.py_func
     assert kernel.py_func.__name__ == name
@@ -206,6 +216,165 @@ def test_compiled_kernel_hands_other_inputs_to_python_body():
     )
     d = _kernels.bridge_attempts.py_func(gens[1], 0, 3, 4.0, cum, total, 3, 50, times, states)
     assert tuple(c) == tuple(d)
+
+
+# ---------------------------------------------------------------------------
+# the SE-step sweep
+
+
+@pytest.fixture(scope="module")
+def ckernels():
+    """The compiled module, for its stream check."""
+    if _kernels.BACKEND != "c":
+        pytest.skip("the C kernels are not in use")
+    return _kernels._load_c("cc", os.path.join(os.path.dirname(_kernels.__file__), "__pycache__"))
+
+
+def test_stream_words_match_seed_sequence():
+    for ints in [(0,), (1, 0, 0), (2**32 - 1,), (2**32,), (2**64 + 5, 7), (5, 2**40, 0, 3)]:
+        ours = np.random.SeedSequence(_kernels.stream_words(*ints)).generate_state(8)
+        assert ours.tolist() == np.random.SeedSequence(list(ints)).generate_state(8).tolist()
+    assert _kernels.stream_words(0, 2**32 + 3).tolist() == [0, 3, 1]
+    with pytest.raises(ValueError):
+        _kernels.stream_words(-1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+def test_sweep_streams_match_random_stream(ckernels, seed):
+    """Entropy shorter and longer than SeedSequence's 4-word pool."""
+    keys = [(), (0,), (3, 0), (1, 2, 0), (0, 0, 0, 0), (1, 4, 17, 0, 1), (2**33, 0, 5, 1, 0, 9)]
+    for key in keys:
+        draws = ckernels.stream_draws(_kernels.stream_words(seed, *key), 101)
+        gen = RandomStream(seed, key).generator()
+        bits = gen.bit_generator
+        assert np.array_equal(draws[0], bits.random_raw(101))
+        u32 = [bits.ctypes.next_uint32(bits.ctypes.state) for _ in range(101)]
+        assert draws[1].tolist() == u32
+        assert np.array_equal(draws[2], gen.exponential(size=101))
+        assert np.array_equal(draws[3], gen.random(101))
+        state = bits.state
+        assert draws[4] == (
+            state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
+        )
+
+
+def _study_panel(count, horizon, seed):
+    """A Gompertz panel with absorbed and censored paths."""
+    family = ScalingFamily.gompertz(GOMPERTZ_BETA)
+    stream = RandomStream(seed)
+    cohort = simulate_cohort(GOMPERTZ_PI, SubIntensityMatrix(GOMPERTZ_LAM), family, horizon,
+                             count, stream)
+    return family, estimator._PanelArrays(cohort_panel(cohort, uniform_grid(horizon, 1.0)))
+
+
+def _reference_sweep(panel, lam, family, cfg, rng, iteration):
+    """The per-path SE-step: a generator, a ContinuousPath and the statistics
+    of ``accumulate_statistics`` for each path."""
+    cum, total = jump_model(lam)
+    complete = getattr(_kernels.complete_panel_path, "py_func", _kernels.complete_panel_path)
+    tbuf, sbuf = np.empty(estimator._PATH_CAP), np.empty(estimator._PATH_CAP, dtype=np.int64)
+    completed, attempts, retries = [], 0, 0
+    for rep in range(cfg.bridge_replications):
+        for k in range(panel.K):
+            obs_s = np.asarray(family.g_inv(panel.times[k]), dtype=float)
+            obs_x = panel.states0[k].copy()
+            for round_ in (0, 1):
+                key = (iteration, k, round_) if cfg.bridge_replications == 1 else (
+                    iteration, k, round_, rep
+                )
+                status, _, count, end, tried = complete(
+                    rng.substream(*key).generator(), obs_s, obs_x, cum, total, panel.n,
+                    cfg.max_attempts, tbuf, sbuf,
+                )
+                attempts += tried
+                if status == 0:
+                    break
+                assert (status, round_) == (1, 0)
+                retries += 1
+            completed.append(ContinuousPath(
+                n=panel.n,
+                times=np.concatenate(([0.0], tbuf[:count])),
+                states=np.concatenate(([obs_x[0]], sbuf[:count])) + 1,
+                end_time=float(end),
+                timeline=HOMOGENEOUS,
+            ))
+    return accumulate_statistics(completed, panel.n), completed, (attempts, retries)
+
+
+def _stats_bytes(stats):
+    return [np.asarray(a).tobytes() for a in (
+        stats.start_counts, stats.jump_counts, stats.absorption_counts, stats.occupation
+    )]
+
+
+@pytest.mark.parametrize("replications", [1, 2])
+def test_sweep_matches_per_path_loop(monkeypatch, replications):
+    family, panel = _study_panel(60, 8.0, 41)
+    assert 0 < panel.absorbed.sum() < panel.K  # absorbed and censored paths
+    lam = SubIntensityMatrix(GOMPERTZ_LAM)
+    # a small budget makes some paths need their second round
+    cfg = estimator.FitConfig(family="gompertz", max_attempts=60,
+                              bridge_replications=replications)
+    rng = RandomStream(2**32 + 1, (1, 3))  # a study fit's key prefix
+    stats, paths, (attempts, retries) = _reference_sweep(panel, lam, family, cfg, rng, 6)
+    assert retries > 0
+    bodies = [_kernels.complete_sweep, getattr(_kernels.complete_sweep, "py_func", None)]
+    for body in bodies:
+        if body is None:
+            continue
+        monkeypatch.setattr(_kernels, "complete_sweep", body)
+        got, flat, work = estimator._complete_all(panel, lam, family, cfg, rng, 6)
+        assert _stats_bytes(got) == _stats_bytes(stats)
+        assert len(paths) == panel.K * replications
+        assert flat.absorption.tolist() == [p.end_time for p in paths]
+        assert flat.times.tobytes() == np.concatenate([p.times for p in paths]).tobytes()
+        assert (flat.states + 1).tolist() == np.concatenate([p.states for p in paths]).tolist()
+        assert flat.bounds.tolist() == np.cumsum([0] + [p.times.size for p in paths]).tolist()
+        assert (work.bridge_attempts, work.retries) == (attempts, retries)
+        assert work.jumps_kept == sum(p.times.size - 1 for p in paths)
+
+
+@compiled
+def test_sweep_overflows_where_python_body_does():
+    """Per-path buffers of 0 to 127 jumps: the same path overflows, after
+    the same attempts, or every path fits."""
+    family, panel = _study_panel(30, 10.0, 5)
+    cum, total = jump_model(SubIntensityMatrix(GOMPERTZ_LAM))
+    obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+    args = (_kernels.stream_words(4, 1, 2), 3, 2, obs_s, panel.flat_states0, panel.starts,
+            cum, total, 3, 10**4)
+    statuses = set()
+    for cap in range(128):
+        got = _kernels.complete_sweep(*args, cap)
+        want = _kernels.complete_sweep.py_func(*args, cap)
+        assert got[:5] == want[:5]
+        statuses.add(got[0])
+        if got[0] == 0:
+            for a, b in zip(got[5] + got[6], want[5] + want[6]):
+                assert a.tobytes() == b.tobytes()
+    assert statuses == {0, 2}
+
+
+@compiled
+def test_sweep_hands_other_inputs_to_python_body():
+    """Other dtypes or an offset vector past the panel run the Python body."""
+    family, panel = _study_panel(5, 10.0, 3)
+    cum, total = jump_model(SubIntensityMatrix(GOMPERTZ_LAM))
+    obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+    words = _kernels.stream_words(9)
+    past = panel.starts.copy()
+    past[-1] += 1
+    for args in [
+        (words.astype(np.int64), panel.flat_states0, panel.starts),  # SeedSequence takes these
+        (words, panel.flat_states0.astype(np.int32), panel.starts),
+        (words, panel.flat_states0, past),
+    ]:
+        rest = (cum, total, 3, 50, 64)
+        got = _kernels.complete_sweep(args[0], 1, 1, obs_s, *args[1:], *rest)
+        want = _kernels.complete_sweep.py_func(args[0], 1, 1, obs_s, *args[1:], *rest)
+        assert got[:5] == want[:5] and got[0] == 0
+        for a, b in zip(got[5] + got[6], want[5] + want[6]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 CLI_INI = """[model]
