@@ -40,7 +40,6 @@ from .paths import (
 from .simulate import (
     bridge_sample,
     check_absorbable,
-    complete_censored,
     discretize,
     simulate_homogeneous,
     simulate_inhomogeneous,
@@ -132,7 +131,6 @@ __all__ = [
     "beta_loglik",
     "bridge_sample",
     "check_absorbable",
-    "complete_censored",
     "discretize",
     "ecdf",
     "empirical_pi",

@@ -2,17 +2,22 @@
  * The jump-chain kernels of _kernels.py, compiled.
  *
  * sim_path, bridge_attempts and complete_panel_path keep the signatures,
- * return tuples, buffer writes and draw order of their Python bodies.  A
- * jump draws (1/rate) * random_standard_exponential and, when it lands
- * inside the horizon, next_double * rate: what Generator.exponential(1/rate)
- * and Generator.random() compute, so both forms leave the generator in the
+ * return tuples, buffer writes and draw order of their Python bodies,
+ * and the helpers below (jump, run_chain, bridge_attempt, complete_path)
+ * mirror the Python ones (_jump, _run_chain, _bridge_attempt,
+ * _complete_path) step for step.  A jump draws (1/rate) *
+ * random_standard_exponential and, when it lands inside the horizon,
+ * next_double * rate: what Generator.exponential(1/rate) and
+ * Generator.random() compute, so both forms leave the generator in the
  * same state.  The bit generator comes from gen.bit_generator.capsule.
  *
- * complete_sweep runs complete_panel_path over a whole panel without a
- * Python object per path: it seeds each path's stream itself, with
- * numpy's SeedSequence pool mix and PCG64 seeding, and draws through a
- * local bitgen_t that steps PCG64 as numpy does.  The paths and the
- * sufficient statistics come back as flat arrays.
+ * complete_sweep runs complete_path over a whole panel without a Python
+ * object per path; the estimator calls it for each SE-step and for the
+ * final-segment bridges of initialization.  It seeds each path's stream
+ * itself from the path's key, with numpy's SeedSequence pool mix and
+ * PCG64 seeding, and draws through a local bitgen_t that steps PCG64 as
+ * numpy does.  The paths and the sufficient statistics come back as flat
+ * arrays.
  *
  * Each kernel is a Kernel object holding its Python body as py_func, as a
  * numba dispatcher does.  A call this file does not take as is (a
@@ -471,32 +476,35 @@ resize(PyArrayObject *a, npy_intp size)
     return res == NULL ? -1 : 0;
 }
 
-/* complete_sweep(words, iteration, replications, obs_s, obs_x, starts, cum, total, n,
+/* complete_sweep(words, iteration, replications, keys, obs_s, obs_x, starts, cum, total, n,
                   max_attempts, cap)
    -> (status, path, info, attempts, retries, stats, paths) */
 static PyObject *
 complete_sweep(bitgen_t *Py_UNUSED(unused), PyObject *const *args)
 {
     PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1, 0);
-    PyArrayObject *s_arr = as_array(args[3], NPY_FLOAT64, 1, 0);
-    PyArrayObject *x_arr = as_array(args[4], NPY_INT64, 1, 0);
-    PyArrayObject *k_arr = as_array(args[5], NPY_INT64, 1, 0);
+    PyArrayObject *key_arr = as_array(args[3], NPY_INT64, 1, 0);
+    PyArrayObject *s_arr = as_array(args[4], NPY_FLOAT64, 1, 0);
+    PyArrayObject *x_arr = as_array(args[5], NPY_INT64, 1, 0);
+    PyArrayObject *k_arr = as_array(args[6], NPY_INT64, 1, 0);
     npy_intp iteration, replications, max_attempts, cap;
     Model m;
-    if (w_arr == NULL || s_arr == NULL || x_arr == NULL || k_arr == NULL
+    if (w_arr == NULL || key_arr == NULL || s_arr == NULL || x_arr == NULL || k_arr == NULL
         || !as_index(args[1], &iteration) || !as_index(args[2], &replications)
-        || !as_model(args[6], args[7], args[8], &m) || !as_index(args[9], &max_attempts)
-        || !as_index(args[10], &cap) || iteration < 0 || replications < 1 || cap < 0
-        || PyArray_DIM(x_arr, 0) != PyArray_DIM(s_arr, 0) || PyArray_DIM(k_arr, 0) < 2)
+        || !as_model(args[7], args[8], args[9], &m) || !as_index(args[10], &max_attempts)
+        || !as_index(args[11], &cap) || iteration < 0 || replications < 1 || cap < 0
+        || PyArray_DIM(x_arr, 0) != PyArray_DIM(s_arr, 0) || PyArray_DIM(k_arr, 0) < 2
+        || PyArray_DIM(key_arr, 0) != PyArray_DIM(k_arr, 0) - 1)
         return NULL;
     const double *obs_s = (const double *)PyArray_DATA(s_arr);
     const npy_int64 *obs_x = (const npy_int64 *)PyArray_DATA(x_arr);
     const npy_int64 *starts = (const npy_int64 *)PyArray_DATA(k_arr);
+    const npy_int64 *keys = (const npy_int64 *)PyArray_DATA(key_arr);
     const npy_intp K = PyArray_DIM(k_arr, 0) - 1;
     if (starts[0] != 0 || starts[K] != PyArray_DIM(s_arr, 0))
         return NULL;
     for (npy_intp k = 0; k < K; k++)
-        if (starts[k + 1] <= starts[k]
+        if (keys[k] < 0 || starts[k + 1] <= starts[k]
             || !valid_path(obs_x + starts[k], starts[k + 1] - starts[k], m.n))
             return NULL;
 
@@ -510,7 +518,7 @@ complete_sweep(bitgen_t *Py_UNUSED(unused), PyObject *const *args)
     PyArrayObject *bounds = (PyArrayObject *)PyArray_EMPTY(1, &paths, NPY_INT64, 0);
     PyArrayObject *times = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_FLOAT64, 0);
     PyArrayObject *states = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_INT64, 0);
-    /* the stream's words, then those of (iteration, k, round[, rep]) */
+    /* the stream's words, then those of (iteration, keys[k], round[, rep]) */
     uint32_t *words = PyMem_Malloc((nwords + 8) * sizeof(uint32_t));
     PyObject *result = NULL;
     if (b == NULL || nt == NULL || na == NULL || r == NULL || bounds == NULL || times == NULL
@@ -540,7 +548,7 @@ complete_sweep(bitgen_t *Py_UNUSED(unused), PyObject *const *args)
             npy_intp info = 0, count = 0;
             double end;
             int status = 0;
-            const npy_intp at_round = at_k + put_words(words + at_k, (npy_uint64)k);
+            const npy_intp at_round = at_k + put_words(words + at_k, (npy_uint64)keys[k]);
             for (int round = 0; round < 2; round++) {
                 npy_intp len = at_round + put_words(words + at_round, (npy_uint64)round);
                 if (replications > 1)
@@ -601,7 +609,7 @@ static const struct {
     {"sim_path", sim_path, 9, 1},
     {"bridge_attempts", bridge_attempts, 10, 1},
     {"complete_panel_path", complete_panel_path, 9, 1},
-    {"complete_sweep", complete_sweep, 11, 0},
+    {"complete_sweep", complete_sweep, 12, 0},
 };
 
 /* ---- the Kernel type ---- */

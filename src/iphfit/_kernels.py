@@ -1,15 +1,19 @@
 """Jump-chain kernels.
 
 The hot loops of trajectory simulation, bridge rejection sampling,
-whole-path completion and the SE-step sweep over a panel live here.  The
-first three kernels draw from a ``numpy.random.Generator`` handed in by
-the caller; ``complete_sweep`` derives one stream per path and round from
-entropy words, as ``RandomStream.generator()`` does.  Three backends run
-them, tried in this order:
+whole-path completion and the sweep over a whole panel (each SE-step,
+and the final-segment bridges of initialization) live here.
+``sim_path``, ``bridge_attempts`` and ``complete_panel_path`` draw from a
+``numpy.random.Generator`` handed in by the caller; ``complete_sweep``
+derives one stream per path and round from entropy words and the path's
+key, as ``RandomStream.generator()`` does.  All four rest on one jump
+step, ``_jump``, and on the private helpers built on it (``_run_chain``,
+``_bridge_attempt``, ``_complete_path``), which mirror those of
+``_ckernels.c``.  Three backends run them, tried in this order:
 
 - numba, when importable: the bodies below, jitted, except
   ``complete_sweep``, which stays a Python loop over the jitted
-  ``complete_panel_path``;
+  ``_complete_path``;
 - C: ``_ckernels.c``, compiled on the first import and cached in this
   package's ``__pycache__`` under a name keyed by the source, the
   compiler flags, the interpreter's extension suffix and the numpy
@@ -20,7 +24,8 @@ them, tried in this order:
 ``BACKEND`` names the one in use.  All three consume each bit stream
 exactly like the Python bodies do, so every backend produces
 bitwise-identical paths; the compiled kernels expose their Python body
-as ``py_func``.
+as ``py_func``.  ``build`` rebinds only the four public names, so a
+``py_func`` runs Python throughout.
 
 Conventions inside this module only: states are 0-based, the absorbing
 state has index n, and ``cum[x]`` holds the cumulative rates out of x over
@@ -60,6 +65,109 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 
 
 @njit(cache=True)
+def _jump(gen, cum, total, n, state, t, horizon):
+    """One jump out of ``state`` at ``t``: ``(-1, t)`` when the state has
+    no exit rate or the jump would land after ``horizon``, otherwise the
+    entered state and the jump epoch.  The destination search stops at
+    the last column."""
+    rate = total[state]
+    if rate <= 0.0:
+        return -1, t
+    dt = gen.exponential(1.0 / rate)
+    if t + dt > horizon:
+        return -1, t
+    t = t + dt
+    u = gen.random() * rate
+    row = cum[state]
+    nxt = 0
+    while nxt < n and row[nxt] <= u:
+        nxt += 1
+    return nxt, t
+
+
+@njit(cache=True)
+def _run_chain(gen, cum, total, n, state, t, horizon, times, states, count):
+    """Run the chain from ``state`` at ``t``, appending jumps to the
+    buffers after ``count``, until it is absorbed (status 1), makes no
+    jump before ``horizon`` (2), or finds the buffers full before a jump
+    (0).  Returns ``(status, count, state, t)``."""
+    cap = times.shape[0]
+    while True:
+        if count == cap:
+            return 0, count, state, t
+        nxt, t = _jump(gen, cum, total, n, state, t, horizon)
+        if nxt < 0:
+            return 2, count, state, t
+        times[count] = t
+        states[count] = nxt
+        count += 1
+        state = nxt
+        if nxt == n:
+            return 1, count, state, t
+
+
+@njit(cache=True)
+def _bridge_attempt(gen, cum, total, n, x, s1, duration, times, states, start):
+    """One rejection attempt: the chain from x over ``(0, duration]``, its
+    jumps written at epochs ``s1 + t`` from index ``start`` on.  Returns
+    ``(state, k)``: the state occupied at ``duration``, or -1 when a jump
+    finds the buffers full, and the number of jumps written."""
+    cap = times.shape[0]
+    state = x
+    t = 0.0
+    k = 0
+    while True:
+        nxt, t = _jump(gen, cum, total, n, state, t, duration)
+        if nxt < 0:
+            return state, k
+        if start + k == cap:
+            return -1, k
+        times[start + k] = s1 + t
+        states[start + k] = nxt
+        k += 1
+        state = nxt
+        if nxt == n:
+            return state, k
+
+
+@njit(cache=True)
+def _complete_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states):
+    """The body of ``complete_panel_path``, under a name ``build`` leaves
+    alone, so that ``complete_sweep``'s Python body stays Python."""
+    count = 0
+    attempts = 0
+    m = obs_s.shape[0] - 1
+    for seg in range(m):
+        s1 = obs_s[seg]
+        duration = obs_s[seg + 1] - s1
+        accepted = False
+        for _attempt in range(max_attempts):
+            attempts += 1
+            state, k = _bridge_attempt(
+                gen, cum, total, n, obs_x[seg], s1, duration, times, states, count
+            )
+            if state < 0:
+                return 2, seg, 0, 0.0, attempts
+            if state == obs_x[seg + 1]:
+                count += k
+                accepted = True
+                break
+        if not accepted:
+            return 1, seg, 0, 0.0, attempts
+    if obs_x[m] == n:
+        return 0, m, count, times[count - 1], attempts
+    # censored: continue unconditioned from the last observed state
+    status, count, _state, t = _run_chain(
+        gen, cum, total, n, obs_x[m], obs_s[m], np.inf, times, states, count
+    )
+    if status == 1:
+        return 0, m, count, t, attempts
+    if status == 2:  # no exit rate: a dead end
+        return 3, m, 0, 0.0, attempts
+    return 2, m, 0, 0.0, attempts
+
+
+@njit(cache=True)
 def sim_path(gen, state, t, horizon, cum, total, n, times, states):
     """Simulate the jump chain from ``state`` at time ``t``.
 
@@ -69,29 +177,10 @@ def sim_path(gen, state, t, horizon, cum, total, n, times, states):
     again to continue), 1 = absorbed, 2 = horizon reached.  A state with
     no exit rate ends the path at the horizon.
     """
-    cap = times.shape[0]
-    count = 0
-    while True:
-        if count == cap:
-            return 0, count, state, t
-        rate = total[state]
-        if rate <= 0.0:
-            return 2, count, state, horizon
-        dt = gen.exponential(1.0 / rate)
-        if t + dt > horizon:
-            return 2, count, state, horizon
-        t = t + dt
-        u = gen.random() * rate
-        row = cum[state]
-        nxt = 0
-        while row[nxt] <= u:
-            nxt += 1
-        times[count] = t
-        states[count] = nxt
-        count += 1
-        if nxt == n:
-            return 1, count, nxt, t
-        state = nxt
+    status, count, state, t = _run_chain(gen, cum, total, n, state, t, horizon, times, states, 0)
+    if status == 2:
+        return status, count, state, horizon
+    return status, count, state, t
 
 
 @njit(cache=True)
@@ -104,35 +193,9 @@ def bridge_attempts(gen, x, y, duration, cum, total, n, max_attempts, times, sta
     status 0 = accepted (``count`` jumps in the buffers), 1 = budget
     exhausted, 2 = buffer overflow within an attempt.
     """
-    cap = times.shape[0]
     for attempt in range(1, max_attempts + 1):
-        count = 0
-        state = x
-        t = 0.0
-        overflow = False
-        while True:
-            rate = total[state]
-            if rate <= 0.0:
-                break
-            dt = gen.exponential(1.0 / rate)
-            if t + dt > duration:
-                break
-            t = t + dt
-            u = gen.random() * rate
-            row = cum[state]
-            nxt = 0
-            while row[nxt] <= u:
-                nxt += 1
-            if count == cap:
-                overflow = True
-                break
-            times[count] = t
-            states[count] = nxt
-            count += 1
-            state = nxt
-            if nxt == n:
-                break
-        if overflow:
+        state, count = _bridge_attempt(gen, cum, total, n, x, 0.0, duration, times, states, 0)
+        if state < 0:
             return 2, attempt, 0
         if state == y:
             return 0, attempt, count
@@ -153,75 +216,7 @@ def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, s
     overflow, 3 = dead-end state reached during the censored continuation;
     ``attempts`` counts the bridge attempts started.
     """
-    cap = times.shape[0]
-    count = 0
-    attempts = 0
-    m = obs_s.shape[0] - 1
-    for seg in range(m):
-        x = obs_x[seg]
-        y = obs_x[seg + 1]
-        s1 = obs_s[seg]
-        duration = obs_s[seg + 1] - s1
-        accepted = False
-        for _attempt in range(max_attempts):
-            attempts += 1
-            k = 0
-            state = x
-            t = 0.0
-            overflow = False
-            while True:
-                rate = total[state]
-                if rate <= 0.0:
-                    break
-                dt = gen.exponential(1.0 / rate)
-                if t + dt > duration:
-                    break
-                t = t + dt
-                u = gen.random() * rate
-                row = cum[state]
-                nxt = 0
-                while row[nxt] <= u:
-                    nxt += 1
-                if count + k == cap:
-                    overflow = True
-                    break
-                times[count + k] = s1 + t
-                states[count + k] = nxt
-                k += 1
-                state = nxt
-                if nxt == n:
-                    break
-            if overflow:
-                return 2, seg, 0, 0.0, attempts
-            if state == y:
-                count += k
-                accepted = True
-                break
-        if not accepted:
-            return 1, seg, 0, 0.0, attempts
-    if obs_x[m] == n:
-        return 0, m, count, times[count - 1], attempts
-    # censored: continue unconditioned from the last observed state
-    state = obs_x[m]
-    t = obs_s[m]
-    while True:
-        if count == cap:
-            return 2, m, 0, 0.0, attempts
-        rate = total[state]
-        if rate <= 0.0:
-            return 3, m, 0, 0.0, attempts
-        t = t + gen.exponential(1.0 / rate)
-        u = gen.random() * rate
-        row = cum[state]
-        nxt = 0
-        while row[nxt] <= u:
-            nxt += 1
-        times[count] = t
-        states[count] = nxt
-        count += 1
-        if nxt == n:
-            return 0, m, count, t, attempts
-        state = nxt
+    return _complete_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states)
 
 
 def stream_words(*ints):
@@ -242,17 +237,19 @@ def stream_words(*ints):
 
 
 def complete_sweep(
-    words, iteration, replications, obs_s, obs_x, starts, cum, total, n, max_attempts, cap
+    words, iteration, replications, keys, obs_s, obs_x, starts, cum, total, n, max_attempts,
+    cap,
 ):
-    """One SE-step: complete every panel path ``replications`` times.
+    """Complete every path ``replications`` times: one SE-step, or the
+    bridges of initialization.
 
-    Path k is observed at the homogeneous epochs ``obs_s[starts[k]:starts[k
-    + 1]]`` in the 0-based states ``obs_x[...]``, and ``complete_panel_path``
+    Path k is observed at the epochs ``obs_s[starts[k]:starts[k + 1]]`` in
+    the 0-based states ``obs_x[...]``, and ``complete_panel_path``
     completes it with ``cap`` jumps of room.  Its stream in round r is the
-    PCG64 generator of ``SeedSequence(words + stream_words(iteration, k,
-    r))``, with ``rep`` appended when ``replications > 1``; round 1 runs
-    only when round 0 exhausts a bridge budget.  Paths are completed with
-    ``rep`` outer and ``k`` inner.
+    PCG64 generator of ``SeedSequence(words + stream_words(iteration,
+    keys[k], r))``, with ``rep`` appended when ``replications > 1``; round
+    1 runs only when round 0 exhausts a bridge budget.  Paths are
+    completed with ``rep`` outer and ``k`` inner.
 
     Returns ``(status, path, info, attempts, retries, stats, paths)``.
     Status 0: ``stats`` is ``(B, N_xy, N_x, R_x)`` summed in path order,
@@ -273,11 +270,11 @@ def complete_sweep(
         for k in range(starts.shape[0] - 1):
             a, z = starts[k], starts[k + 1]
             for round_ in (0, 1):
-                key = (iteration, k, round_) if replications == 1 else (
-                    iteration, k, round_, rep
+                key = (iteration, keys[k], round_) if replications == 1 else (
+                    iteration, keys[k], round_, rep
                 )
                 seed = np.random.SeedSequence(np.concatenate((words, stream_words(*key))))
-                status, info, count, _end, tried = complete_panel_path(
+                status, info, count, _end, tried = _complete_path(
                     np.random.default_rng(seed), obs_s[a:z], obs_x[a:z], cum, total, n,
                     max_attempts, tbuf, sbuf,
                 )

@@ -9,9 +9,11 @@ ascent.  The loop stops at the first iteration whose ascent converges in a
 single update, or at the iteration cap.
 
 Initialization treats the raw panel as if it were a continuously observed
-homogeneous path (no time transform) to get Lambda0, samples latent
-absorption times for absorbed paths by bridging their final segment, and
-refines beta0 on those times.
+homogeneous path (no time transform) to get Lambda0, samples a latent
+absorption time for each absorbed path by bridging its final segment, and
+refines beta0 on those times.  Those bridges run through the SE-step's
+sweep kernel too, as one call over the absorbed paths' last two
+observations (iteration key 0, one replication).
 
 The homogeneous variant runs the same loop with the identity transform and
 no beta machinery for a fixed number of iterations, returning the
@@ -45,7 +47,7 @@ from .likelihood import (
 )
 from .paths import HOMOGENEOUS, ContinuousPath, PanelObservationSet, RandomStream
 from .scaling import GOMPERTZ, IDENTITY, WEIBULL, ScalingFamily
-from .simulate import bridge_sample, check_absorbable, jump_model
+from .simulate import check_absorbable, jump_model
 
 _PATH_CAP = 1 << 16
 
@@ -176,7 +178,8 @@ class _PanelArrays:
 
     ``flat_times``/``flat_states0`` hold every path's observations end to
     end, path k at ``starts[k]:starts[k + 1]``; ``times`` and ``states0``
-    are per-path views of them.
+    are per-path views of them.  ``keys`` holds each path's stream key,
+    its index k.
     """
 
     def __init__(self, data: PanelObservationSet):
@@ -195,6 +198,7 @@ class _PanelArrays:
             {int(s[-1]) for s, a in zip(self.states0, self.absorbed) if not a}
         )
         self.K = len(data)
+        self.keys = np.arange(self.K, dtype=np.int64)
 
 
 def empirical_pi(data: PanelObservationSet) -> InitialDistribution:
@@ -270,32 +274,70 @@ def _init_absorption_times(
     panel: _PanelArrays, lam0: SubIntensityMatrix, cfg: FitConfig, rng: RandomStream
 ) -> np.ndarray:
     """Latent absorption epochs for absorbed paths, bridged on the raw
-    timeline under the naive generator (iteration key 0)."""
-    out = []
-    for k in np.nonzero(panel.absorbed)[0]:
-        t = panel.times[k]
-        x = int(panel.states0[k][-2]) + 1
-        seg = None
-        for round_ in (0, 1):
-            try:
-                seg = bridge_sample(
-                    lam0,
-                    float(t[-2]),
-                    x,
-                    float(t[-1]),
-                    panel.n + 1,
-                    rng.substream(0, int(k), round_),
-                    cfg.max_attempts,
-                )
-                break
-            except BridgeBudgetError as err:
-                if round_ == 1:
-                    raise BridgeBudgetError(
-                        err.start, err.end, err.duration, err.attempts,
-                        path_id=panel.ids[k], segment=len(t) - 2,
-                    ) from None
-        out.append(seg.jump_times[-1])
-    return np.asarray(out, dtype=float)
+    timeline under the naive generator: one sweep over the absorbed
+    paths' last two observations, path k drawing from
+    ``rng.substream(0, k, round)``."""
+    keys = np.flatnonzero(panel.absorbed)
+    if keys.size == 0:
+        return np.empty(0)
+    last = panel.starts[keys + 1]
+    rows = np.column_stack((last - 2, last - 1)).ravel()
+    starts = np.arange(0, rows.size + 1, 2)
+    _stats, paths, _work = _sweep(
+        panel, keys, panel.flat_times[rows], panel.flat_states0[rows], starts, lam0, cfg,
+        rng, 0, 1,
+    )
+    return paths.absorption
+
+
+def _sweep(
+    panel: _PanelArrays,
+    keys: np.ndarray,
+    obs_s: np.ndarray,
+    obs_x: np.ndarray,
+    starts: np.ndarray,
+    lam: SubIntensityMatrix,
+    cfg: FitConfig,
+    rng: RandomStream,
+    iteration: int,
+    replications: int,
+) -> tuple[SufficientStatistics, CompletedPaths, SweepWork]:
+    """Complete the panel paths ``keys`` with one ``complete_sweep`` call.
+
+    Path j of the call is observed at ``obs_s[starts[j]:starts[j + 1]]``
+    in the 0-based states ``obs_x[...]``: the last observations of panel
+    path ``keys[j]``, which draws from ``rng.substream(iteration,
+    keys[j], round[, rep])``.  Returns the pooled statistics, the
+    completed trajectories and the work counters; a failure raises the
+    error naming the panel path and segment.
+    """
+    cum, total = jump_model(lam)
+    status, j, seg, attempts, retries, stats, flat = _kernels.complete_sweep(
+        _kernels.stream_words(rng.seed, *rng.key), iteration, replications, keys,
+        obs_s, obs_x, starts, cum, total, panel.n, int(cfg.max_attempts), _PATH_CAP,
+    )
+    if status == 0:
+        paths = CompletedPaths(panel.n, *flat)
+        work = SweepWork(attempts, retries, paths.times.size - paths.bounds.size + 1)
+        return SufficientStatistics(*stats), paths, work
+    k = keys[j]
+    if status == 1:
+        at = starts[j] + seg
+        skipped = panel.starts[k + 1] - panel.starts[k] - (starts[j + 1] - starts[j])
+        raise BridgeBudgetError(
+            int(obs_x[at]) + 1,
+            int(obs_x[at + 1]) + 1,
+            float(obs_s[at + 1] - obs_s[at]),
+            int(cfg.max_attempts),
+            path_id=panel.ids[k],
+            segment=int(skipped + seg),
+        )
+    if status == 3:
+        raise StructuralError(
+            f"path {panel.ids[k]}: dead-end state {int(obs_x[starts[j + 1] - 1]) + 1} "
+            "cannot reach absorption"
+        )
+    raise NumericalError(f"path {panel.ids[k]}: completion exceeded {_PATH_CAP} jumps")
 
 
 def _complete_all(
@@ -308,43 +350,18 @@ def _complete_all(
 ) -> tuple[SufficientStatistics, CompletedPaths, SweepWork]:
     """SE-step: reconstruct every path on the homogeneous timeline.
 
-    One ``complete_sweep`` call completes every path once per
-    replication (replications outer, panel order inner), path k in round
-    r drawing from ``rng.substream(iteration, k, r[, rep]).generator()``.
-    Returns the pooled statistics, the completed trajectories and the
-    work counters.
+    One sweep completes every path once per replication (replications
+    outer, panel order inner), path k in round r drawing from
+    ``rng.substream(iteration, k, r[, rep]).generator()``.  Returns the
+    pooled statistics, the completed trajectories and the work counters.
     """
     if panel.censored_last:
         check_absorbable(lam, panel.censored_last)
-    cum, total = jump_model(lam)
     obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
-    status, k, seg, attempts, retries, stats, flat = _kernels.complete_sweep(
-        _kernels.stream_words(rng.seed, *rng.key), iteration, cfg.bridge_replications,
-        obs_s, panel.flat_states0, panel.starts, cum, total, panel.n,
-        int(cfg.max_attempts), _PATH_CAP,
+    return _sweep(
+        panel, panel.keys, obs_s, panel.flat_states0, panel.starts, lam, cfg, rng,
+        iteration, cfg.bridge_replications,
     )
-    if status == 1:
-        at = panel.starts[k] + seg
-        raise BridgeBudgetError(
-            int(panel.flat_states0[at]) + 1,
-            int(panel.flat_states0[at + 1]) + 1,
-            float(obs_s[at + 1] - obs_s[at]),
-            int(cfg.max_attempts),
-            path_id=panel.ids[k],
-            segment=seg,
-        )
-    if status == 3:
-        raise StructuralError(
-            f"path {panel.ids[k]}: dead-end state {int(panel.states0[k][-1]) + 1} "
-            "cannot reach absorption"
-        )
-    if status != 0:
-        raise NumericalError(
-            f"path {panel.ids[k]}: completion exceeded {_PATH_CAP} jumps"
-        )
-    paths = CompletedPaths(panel.n, *flat)
-    work = SweepWork(attempts, retries, paths.times.size - paths.bounds.size + 1)
-    return SufficientStatistics(*stats), paths, work
 
 
 def sem_iteration(

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .generator import InitialDistribution, SubIntensityMatrix, matrix_exponential
-from .paths import HOMOGENEOUS, ContinuousPath, PathSegment
+from .paths import HOMOGENEOUS, ContinuousPath
 from .scaling import IDENTITY, ScalingFamily
 
 # ---------------------------------------------------------------------------
@@ -77,35 +77,11 @@ class SufficientStatistics:
     def n(self) -> int:
         return self.start_counts.size
 
-    @classmethod
-    def zeros(cls, n: int) -> "SufficientStatistics":
-        return cls(
-            np.zeros(n, dtype=np.int64),
-            np.zeros((n, n), dtype=np.int64),
-            np.zeros(n, dtype=np.int64),
-            np.zeros(n),
-        )
-
-    def __add__(self, other: "SufficientStatistics") -> "SufficientStatistics":
-        if not isinstance(other, SufficientStatistics):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValidationError("cannot merge statistics of different sizes")
-        return SufficientStatistics(
-            self.start_counts + other.start_counts,
-            self.jump_counts + other.jump_counts,
-            self.absorption_counts + other.absorption_counts,
-            self.occupation + other.occupation,
-        )
-
 
 def accumulate_statistics(paths, n: int | None = None) -> SufficientStatistics:
-    """Tally sufficient statistics over homogeneous paths and segments.
-
-    Full :class:`ContinuousPath` inputs contribute start counts; bare
-    :class:`PathSegment` inputs contribute only jumps and occupation.  The
-    final partial holding of a censored path (last jump to ``end_time``)
-    counts toward occupation.
+    """Tally sufficient statistics over homogeneous :class:`ContinuousPath`
+    objects.  The final partial holding of a censored path (last jump to
+    ``end_time``) counts toward occupation.
 
     ``n`` may be omitted when the collection is non-empty.
     """
@@ -119,6 +95,8 @@ def accumulate_statistics(paths, n: int | None = None) -> SufficientStatistics:
     na = np.zeros(n, dtype=np.int64)
     r = np.zeros(n)
     for p in paths:
+        if not isinstance(p, ContinuousPath):
+            raise ValidationError(f"unsupported path object {type(p).__name__}")
         if p.timeline != HOMOGENEOUS:
             raise ValidationError(
                 "statistics require homogeneous-timeline paths, got "
@@ -126,14 +104,8 @@ def accumulate_statistics(paths, n: int | None = None) -> SufficientStatistics:
             )
         if p.n != n:
             raise ValidationError("path over a different state count")
-        if isinstance(p, ContinuousPath):
-            times, states = p.times, p.states
-            b[states[0] - 1] += 1
-        elif isinstance(p, PathSegment):
-            times = np.concatenate(([p.start_time], p.jump_times))
-            states = np.concatenate(([p.start_state], p.jump_states))
-        else:
-            raise ValidationError(f"unsupported path object {type(p).__name__}")
+        times, states = p.times, p.states
+        b[states[0] - 1] += 1
         src = states[:-1] - 1
         dst = states[1:] - 1
         np.add.at(r, src, np.diff(times))

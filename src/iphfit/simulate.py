@@ -1,5 +1,4 @@
-"""Trajectory simulation, panel discretization, Markov bridges and
-censored-path completion.
+"""Trajectory simulation, panel discretization and Markov bridges.
 
 Simulation follows the jump-chain/holding-time construction: the holding
 time in state x is Exponential with rate ``-lambda_xx``; the chain then
@@ -271,35 +270,5 @@ def bridge_sample(
         jump_times=s1 + tbuf[:count],
         jump_states=sbuf[:count] + 1,
         end_time=s2,
-        timeline=HOMOGENEOUS,
-    )
-
-
-def complete_censored(m, last_state: int, rng: RandomStream) -> PathSegment:
-    """Simulate onward from a censored path's last state until absorption.
-
-    The returned segment starts at its own origin (time 0); its final
-    epoch is the additional homogeneous time needed to absorb.
-    """
-    m = _as_matrix(m)
-    if not (1 <= int(last_state) <= m.n):
-        raise ValidationError(
-            f"last state must be transient (1..{m.n}), got {last_state}"
-        )
-    check_absorbable(m, [int(last_state) - 1])
-    cum, total = jump_model(m)
-    gen = rng.generator()
-    jt, js, absorbed, end = _run_jump_chain(
-        gen, int(last_state) - 1, 0.0, np.inf, cum, total, m.n
-    )
-    if not absorbed:  # pragma: no cover - excluded by check_absorbable
-        raise StructuralError("censored completion failed to absorb")
-    return PathSegment(
-        n=m.n,
-        start_time=0.0,
-        start_state=int(last_state),
-        jump_times=jt,
-        jump_states=js + 1,
-        end_time=end,
         timeline=HOMOGENEOUS,
     )

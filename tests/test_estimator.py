@@ -17,10 +17,12 @@ from iphfit import (
     SubIntensityMatrix,
     ValidationError,
     WEIBULL,
+    bridge_sample,
     empirical_pi,
     fit,
     fit_homogeneous,
     initialize,
+    mle_generator,
     sem_iteration,
     validate_generator,
 )
@@ -133,6 +135,44 @@ def test_fit_rejects_degenerate_panel():
         fit(data, GOMPERTZ_CFG)
 
 
+def _reference_init_times(panel, lam0, max_attempts, rng):
+    """Initialization's latent absorption epochs, one ``bridge_sample``
+    per absorbed path and round; also returns the paths that needed
+    round 1."""
+    out, retries = [], 0
+    for k in np.flatnonzero(panel.absorbed):
+        t, x = panel.times[k], int(panel.states0[k][-2]) + 1
+        for round_ in (0, 1):
+            try:
+                seg = bridge_sample(
+                    lam0, t[-2], x, t[-1], panel.n + 1, rng.substream(0, int(k), round_),
+                    max_attempts,
+                )
+                break
+            except BridgeBudgetError:
+                assert round_ == 0
+                retries += 1
+        out.append(seg.jump_times[-1])
+    return np.array(out), retries
+
+
+def test_init_absorption_times_match_bridge_sample(monkeypatch, gompertz_pi, gompertz_lam):
+    fam = ScalingFamily(GOMPERTZ, 0.1019)
+    panel = estimator._PanelArrays(make_panel(gompertz_pi, gompertz_lam, fam, 30.0, 1.0, 80, 83))
+    assert 0 < panel.absorbed.sum() < panel.K  # absorbed and censored paths
+    lam0 = mle_generator(estimator._naive_statistics(panel), panel.K)[1]
+    # a budget this small sends a few paths to round 1, none past it
+    cfg = FitConfig(family=GOMPERTZ, max_attempts=80)
+    rng = RandomStream(2**32 + 9, (1, 2))  # a study fit's key prefix
+    want, retries = _reference_init_times(panel, lam0, cfg.max_attempts, rng)
+    assert retries > 0
+    sweep = _kernels.complete_sweep
+    for body in (sweep, getattr(sweep, "py_func", sweep)):
+        monkeypatch.setattr(_kernels, "complete_sweep", body)
+        got = estimator._init_absorption_times(panel, lam0, cfg, rng)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_bridge_budget_errors_name_path_and_segment(monkeypatch):
     """Segment k of a path runs from its observation k to k + 1.  The
     sweep's kernel and its Python body name the same path and segment."""
@@ -169,6 +209,12 @@ def _check_errors_name_path(monkeypatch):
     cfg = FitConfig(family=IDENTITY, homogeneous_mode=True, max_attempts=10**6)
     with pytest.raises(NumericalError, match="^path b: completion exceeded 8 jumps$"):
         sem_iteration(data, pi, flips, None, cfg, RandomStream(1), 2)
+    # so does initialization, where b is the only absorbed path
+    data = _panel(2, [("a", [0, 1], [2, 2]), ("b", [0, 1, 2], [2, 1, 3])])
+    with pytest.raises(NumericalError, match="^path b: completion exceeded 8 jumps$"):
+        estimator._init_absorption_times(
+            estimator._PanelArrays(data), flips, cfg, RandomStream(1)
+        )
     # a censored path running into a state without exit, past the
     # reachability check
     monkeypatch.setattr(estimator, "_PATH_CAP", 1 << 16)

@@ -279,9 +279,9 @@ def _reference_sweep(panel, lam, family, cfg, rng, iteration):
             obs_s = np.asarray(family.g_inv(panel.times[k]), dtype=float)
             obs_x = panel.states0[k].copy()
             for round_ in (0, 1):
-                key = (iteration, k, round_) if cfg.bridge_replications == 1 else (
-                    iteration, k, round_, rep
-                )
+                key = (iteration, int(panel.keys[k]), round_)
+                if cfg.bridge_replications > 1:
+                    key += (rep,)
                 status, _, count, end, tried = complete(
                     rng.substream(*key).generator(), obs_s, obs_x, cum, total, panel.n,
                     cfg.max_attempts, tbuf, sbuf,
@@ -311,9 +311,12 @@ def _stats_bytes(stats):
 def test_sweep_matches_per_path_loop(monkeypatch, replications):
     family, panel = _study_panel(60, 8.0, 41)
     assert 0 < panel.absorbed.sum() < panel.K  # absorbed and censored paths
+    # stream keys other than the path index, one of them two words long
+    panel.keys = np.arange(9 * panel.K, 0, -9, dtype=np.int64) - 1
+    panel.keys[:4] = [3, 0, 7, 2**32 + 5]
     lam = SubIntensityMatrix(GOMPERTZ_LAM)
     # a small budget makes some paths need their second round
-    cfg = estimator.FitConfig(family="gompertz", max_attempts=60,
+    cfg = estimator.FitConfig(family="gompertz", max_attempts=80,
                               bridge_replications=replications)
     rng = RandomStream(2**32 + 1, (1, 3))  # a study fit's key prefix
     stats, paths, (attempts, retries) = _reference_sweep(panel, lam, family, cfg, rng, 6)
@@ -341,8 +344,8 @@ def test_sweep_overflows_where_python_body_does():
     family, panel = _study_panel(30, 10.0, 5)
     cum, total = jump_model(SubIntensityMatrix(GOMPERTZ_LAM))
     obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
-    args = (_kernels.stream_words(4, 1, 2), 3, 2, obs_s, panel.flat_states0, panel.starts,
-            cum, total, 3, 10**4)
+    args = (_kernels.stream_words(4, 1, 2), 3, 2, panel.keys, obs_s, panel.flat_states0,
+            panel.starts, cum, total, 3, 10**4)
     statuses = set()
     for cap in range(128):
         got = _kernels.complete_sweep(*args, cap)
@@ -357,24 +360,34 @@ def test_sweep_overflows_where_python_body_does():
 
 @compiled
 def test_sweep_hands_other_inputs_to_python_body():
-    """Other dtypes or an offset vector past the panel run the Python body."""
+    """Other dtypes, a key vector longer than the panel or an offset
+    vector past it run the Python body; so does a negative key, which the
+    Python body refuses."""
     family, panel = _study_panel(5, 10.0, 3)
     cum, total = jump_model(SubIntensityMatrix(GOMPERTZ_LAM))
     obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
     words = _kernels.stream_words(9)
+    keys = panel.keys
     past = panel.starts.copy()
     past[-1] += 1
+    rest = (cum, total, 3, 50, 64)
     for args in [
-        (words.astype(np.int64), panel.flat_states0, panel.starts),  # SeedSequence takes these
-        (words, panel.flat_states0.astype(np.int32), panel.starts),
-        (words, panel.flat_states0, past),
+        (words.astype(np.int64), keys, panel.flat_states0, panel.starts),  # SeedSequence takes these
+        (words, keys.astype(np.int32), panel.flat_states0, panel.starts),
+        (words, np.append(keys, 9), panel.flat_states0, panel.starts),
+        (words, keys, panel.flat_states0.astype(np.int32), panel.starts),
+        (words, keys, panel.flat_states0, past),
     ]:
-        rest = (cum, total, 3, 50, 64)
-        got = _kernels.complete_sweep(args[0], 1, 1, obs_s, *args[1:], *rest)
-        want = _kernels.complete_sweep.py_func(args[0], 1, 1, obs_s, *args[1:], *rest)
+        got = _kernels.complete_sweep(args[0], 1, 1, args[1], obs_s, *args[2:], *rest)
+        want = _kernels.complete_sweep.py_func(args[0], 1, 1, args[1], obs_s, *args[2:], *rest)
         assert got[:5] == want[:5] and got[0] == 0
         for a, b in zip(got[5] + got[6], want[5] + want[6]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    negative = keys.copy()
+    negative[2] = -1
+    for body in (_kernels.complete_sweep, _kernels.complete_sweep.py_func):
+        with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
+            body(words, 1, 1, negative, obs_s, panel.flat_states0, panel.starts, *rest)
 
 
 CLI_INI = """[model]

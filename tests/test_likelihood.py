@@ -73,7 +73,7 @@ def test_accumulate_censored_partial_holding():
     np.testing.assert_allclose(stats.occupation, [0.4, 0.6])
 
 
-def test_accumulate_segment_contributes_no_start():
+def test_accumulate_rejects_segments():
     seg = PathSegment(
         n=2,
         start_time=1.0,
@@ -83,23 +83,8 @@ def test_accumulate_segment_contributes_no_start():
         end_time=1.5,
         timeline=HOMOGENEOUS,
     )
-    stats = accumulate_statistics([seg])
-    assert stats.start_counts.tolist() == [0, 0]
-    assert stats.absorption_counts.tolist() == [1, 0]
-    np.testing.assert_allclose(stats.occupation, [0.5, 0.0])
-
-
-def test_accumulate_merge_additivity(weibull_lam, weibull_pi):
-    paths = [
-        simulate_homogeneous(weibull_lam, weibull_pi, 20.0, RandomStream(61, (k,)))
-        for k in range(40)
-    ]
-    merged = accumulate_statistics(paths)
-    split = accumulate_statistics(paths[:17]) + accumulate_statistics(paths[17:], n=2)
-    assert merged.start_counts.tolist() == split.start_counts.tolist()
-    assert merged.jump_counts.tolist() == split.jump_counts.tolist()
-    assert merged.absorption_counts.tolist() == split.absorption_counts.tolist()
-    np.testing.assert_allclose(merged.occupation, split.occupation, rtol=1e-12)
+    with pytest.raises(ValidationError, match="unsupported path object PathSegment"):
+        accumulate_statistics([seg])
 
 
 def test_accumulate_rejects_inhomogeneous_timeline():

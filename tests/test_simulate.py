@@ -5,21 +5,26 @@ from scipy.stats import kstest
 from iphfit import (
     BridgeBudgetError,
     ContinuousPath,
+    FitConfig,
     HOMOGENEOUS,
     IDENTITY,
     InitialDistribution,
+    PanelObservationSet,
+    PanelPath,
     RandomStream,
     ScalingFamily,
     StructuralError,
     SubIntensityMatrix,
     ValidationError,
+    _kernels,
     bridge_sample,
     check_absorbable,
-    complete_censored,
     discretize,
+    sem_iteration,
     simulate_homogeneous,
     simulate_inhomogeneous,
 )
+from iphfit.simulate import jump_model
 
 ONE_STATE = SubIntensityMatrix(np.array([[-1.0]]))
 POINT_MASS = InitialDistribution(np.array([1.0]))
@@ -270,34 +275,52 @@ def test_bridge_rejects_bad_arguments(weibull_lam):
 
 
 # ---------------------------------------------------------------------------
-# censored completion
+# censored completion: the SE-step's completion of a path whose last
+# observation is transient
+
+
+def _complete_censored(m, last_state, rng, buffers):
+    """A path observed once, at 0 in ``last_state``, completed as the
+    SE-step does: returns the absorption epoch and the entered states."""
+    cum, total = jump_model(m)
+    times, states = buffers
+    status, _, count, end, _ = _kernels.complete_panel_path(
+        rng.generator(), np.zeros(1), np.array([last_state - 1]), cum, total, m.n, 1,
+        times, states,
+    )
+    assert status == 0
+    return end, states[:count] + 1
+
+
+def _buffers():
+    return np.empty(4096), np.empty(4096, dtype=np.int64)
 
 
 def test_complete_censored_exponential_mean():
     root = RandomStream(51)
+    buffers = _buffers()
     times = np.array(
-        [
-            complete_censored(ONE_STATE, 1, root.substream(k)).end_time
-            for k in range(100_000)
-        ]
+        [_complete_censored(ONE_STATE, 1, root.substream(k), buffers)[0] for k in range(100_000)]
     )
     assert abs(times.mean() - 1.0) <= 0.02
 
 
 def test_complete_censored_single_jump_structure():
     m = SubIntensityMatrix(np.array([[-1.0, 0.0], [0.2, -0.5]]))
+    buffers = _buffers()
     for k in range(20):
-        seg = complete_censored(m, 1, RandomStream(52, (k,)))
-        assert seg.jump_states.tolist() == [3]
-        assert seg.absorbed
+        end, states = _complete_censored(m, 1, RandomStream(52, (k,)), buffers)
+        assert states.tolist() == [3]
+        assert end > 0.0
 
 
 def test_complete_censored_fundamental_matrix_oracle(clinic_lam):
     expected = np.linalg.solve(-clinic_lam.entries, np.ones(3))[2]
     root = RandomStream(53)
+    buffers = _buffers()
     n_runs = 30_000
     times = np.array(
-        [complete_censored(clinic_lam, 3, root.substream(k)).end_time for k in range(n_runs)]
+        [_complete_censored(clinic_lam, 3, root.substream(k), buffers)[0] for k in range(n_runs)]
     )
     tol = 5.0 * times.std() / np.sqrt(n_runs)
     assert abs(times.mean() - expected) <= tol
@@ -305,5 +328,7 @@ def test_complete_censored_fundamental_matrix_oracle(clinic_lam):
 
 def test_complete_censored_unreachable_absorption_errors():
     stuck = SubIntensityMatrix(np.array([[0.0]]))
-    with pytest.raises(StructuralError):
-        complete_censored(stuck, 1, RandomStream(54))
+    data = PanelObservationSet(1, (PanelPath("a", np.array([0.0, 1.0]), np.array([1, 1])),))
+    cfg = FitConfig(family=IDENTITY, homogeneous_mode=True)
+    with pytest.raises(StructuralError, match="^iteration 1: absorption is unreachable"):
+        sem_iteration(data, POINT_MASS, stuck, None, cfg, RandomStream(54), 1)
