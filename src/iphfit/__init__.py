@@ -32,6 +32,7 @@ from .paths import (
     HOMOGENEOUS,
     INHOMOGENEOUS,
     ContinuousPath,
+    FlatPaths,
     PanelObservationSet,
     PanelPath,
     PathSegment,
@@ -96,6 +97,7 @@ __all__ = [
     "EstimationError",
     "FitConfig",
     "FitResult",
+    "FlatPaths",
     "GOMPERTZ",
     "GOMPERTZ_STUDY",
     "HOMOGENEOUS",

@@ -11,13 +11,16 @@
  * Generator.random() compute, so both forms leave the generator in the
  * same state.  The bit generator comes from gen.bit_generator.capsule.
  *
- * complete_sweep runs complete_path over a whole panel without a Python
- * object per path; the estimator calls it for each SE-step and for the
- * final-segment bridges of initialization.  It seeds each path's stream
- * itself from the path's key, with numpy's SeedSequence pool mix and
- * PCG64 seeding, and draws through a local bitgen_t that steps PCG64 as
- * numpy does.  The paths and the sufficient statistics come back as flat
- * arrays.
+ * Two sweeps run many paths without a Python object per path.
+ * complete_sweep runs complete_path over a whole panel; the estimator
+ * calls it for each SE-step and for the final-segment bridges of
+ * initialization.  simulate_sweep draws each path's initial state (one
+ * next_double) and runs run_chain to the horizon; the studies and the CLI
+ * call it for a simulated cohort and for each goodness-of-fit sample.
+ * Both seed each path's stream themselves from the path's key, with
+ * numpy's SeedSequence pool mix and PCG64 seeding, and draw through a
+ * local bitgen_t that steps PCG64 as numpy does.  The paths (and the
+ * sufficient statistics of complete_sweep) come back as flat arrays.
  *
  * Each kernel is a Kernel object holding its Python body as py_func, as a
  * numba dispatcher does.  A call this file does not take as is (a
@@ -180,10 +183,10 @@ complete_path(bitgen_t *bg, const Model *m, const double *obs_s, const npy_int64
     }
 }
 
-/* ---- numpy's SeedSequence and PCG64, for the streams of complete_sweep ---- */
+/* ---- numpy's SeedSequence and PCG64, for the streams of the sweeps ---- */
 
 #ifndef __SIZEOF_INT128__
-#error "complete_sweep steps PCG64 in 128-bit integer arithmetic"
+#error "the sweeps step PCG64 in 128-bit integer arithmetic"
 #endif
 
 typedef __uint128_t u128;
@@ -599,6 +602,89 @@ done:
     return result;
 }
 
+/* simulate_sweep(words, keys, cum_pi, cum, total, n, horizon)
+   -> (times, states, bounds, ends) */
+static PyObject *
+simulate_sweep(bitgen_t *Py_UNUSED(unused), PyObject *const *args)
+{
+    PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1, 0);
+    PyArrayObject *key_arr = as_array(args[1], NPY_INT64, 1, 0);
+    PyArrayObject *pi_arr = as_array(args[2], NPY_FLOAT64, 1, 0);
+    double horizon;
+    Model m;
+    if (w_arr == NULL || key_arr == NULL || pi_arr == NULL
+        || !as_model(args[3], args[4], args[5], &m) || !as_double(args[6], &horizon)
+        || PyArray_DIM(pi_arr, 0) != m.n)
+        return NULL;
+    const npy_int64 *keys = (const npy_int64 *)PyArray_DATA(key_arr);
+    const double *cum_pi = (const double *)PyArray_DATA(pi_arr);
+    npy_intp K = PyArray_DIM(key_arr, 0);
+    for (npy_intp k = 0; k < K; k++)
+        if (keys[k] < 0)
+            return NULL;
+
+    const npy_intp nwords = PyArray_DIM(w_arr, 0);
+    npy_intp paths = K + 1, capacity = 4 * K + 64;
+    PyArrayObject *bounds = (PyArrayObject *)PyArray_EMPTY(1, &paths, NPY_INT64, 0);
+    PyArrayObject *ends = (PyArrayObject *)PyArray_EMPTY(1, &K, NPY_FLOAT64, 0);
+    PyArrayObject *times = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_FLOAT64, 0);
+    PyArrayObject *states = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_INT64, 0);
+    /* the stream's words, then those of keys[k] */
+    uint32_t *words = PyMem_Malloc((nwords + 2) * sizeof(uint32_t));
+    PyObject *result = NULL;
+    if (bounds == NULL || ends == NULL || times == NULL || states == NULL || words == NULL) {
+        if (words == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    memcpy(words, PyArray_DATA(w_arr), nwords * sizeof(uint32_t));
+    npy_int64 *bound = (npy_int64 *)PyArray_DATA(bounds);
+    double *end = (double *)PyArray_DATA(ends);
+    npy_intp used = 0;
+    bound[0] = 0;
+    for (npy_intp k = 0; k < K; k++) {
+        Pcg64 stream;
+        pcg64_seed(&stream, words, nwords + put_words(words + nwords, (npy_uint64)keys[k]));
+        bitgen_t bg = pcg64_bitgen(&stream);
+        /* the initial state: how many cum_pi entries are <= u, at most n - 1 */
+        const double u = bg.next_double(bg.state);
+        npy_intp first = 0;
+        while (first < m.n - 1 && cum_pi[first] <= u)
+            first++;
+        npy_intp state = first, count = 0;
+        double t = 0.0;
+        int status;
+        for (;;) {
+            if (used + 1 + count >= capacity) {
+                capacity *= 2;
+                if (resize(times, capacity) < 0 || resize(states, capacity) < 0)
+                    goto done;
+            }
+            const Buffers out = {(double *)PyArray_DATA(times) + used + 1,
+                                 (npy_int64 *)PyArray_DATA(states) + used + 1,
+                                 capacity - used - 1};
+            status = run_chain(&bg, &m, &state, &t, horizon, &out, &count);
+            if (status != 0)
+                break;
+        }
+        ((double *)PyArray_DATA(times))[used] = 0.0;
+        ((npy_int64 *)PyArray_DATA(states))[used] = first;
+        used += 1 + count;
+        bound[k + 1] = used;
+        end[k] = status == 1 ? t : horizon;
+    }
+    if (resize(times, used) < 0 || resize(states, used) < 0)
+        goto done;
+    result = Py_BuildValue("(OOOO)", times, states, bounds, ends);
+done:
+    PyMem_Free(words);
+    Py_XDECREF(bounds);
+    Py_XDECREF(ends);
+    Py_XDECREF(times);
+    Py_XDECREF(states);
+    return result;
+}
+
 /* uses_generator: args[0] is the Generator to draw from */
 static const struct {
     const char *name;
@@ -610,6 +696,7 @@ static const struct {
     {"bridge_attempts", bridge_attempts, 10, 1},
     {"complete_panel_path", complete_panel_path, 9, 1},
     {"complete_sweep", complete_sweep, 12, 0},
+    {"simulate_sweep", simulate_sweep, 7, 0},
 };
 
 /* ---- the Kernel type ---- */
@@ -753,7 +840,7 @@ u128_to_long(u128 v)
 
 /* stream_draws(words, count): count draws each of next_uint64, next_uint32,
    random_standard_exponential and next_double, in that order, from the
-   stream complete_sweep seeds with the uint32 array words, and the final
+   stream the sweeps seed with the uint32 array words, and the final
    (state, inc, has_uint32, uinteger). */
 static PyObject *
 stream_draws(PyObject *Py_UNUSED(module), PyObject *args)
@@ -798,7 +885,7 @@ static PyMethodDef module_methods[] = {
     {"kernel", make_kernel, METH_VARARGS,
      "kernel(name, py_func): the compiled kernel `name`, with py_func as its Python body."},
     {"stream_draws", stream_draws, METH_VARARGS,
-     "stream_draws(words, count): draws from complete_sweep's stream for these entropy words."},
+     "stream_draws(words, count): draws from the sweeps' stream for these entropy words."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,19 +1,21 @@
 """Jump-chain kernels.
 
 The hot loops of trajectory simulation, bridge rejection sampling,
-whole-path completion and the sweep over a whole panel (each SE-step,
-and the final-segment bridges of initialization) live here.
-``sim_path``, ``bridge_attempts`` and ``complete_panel_path`` draw from a
-``numpy.random.Generator`` handed in by the caller; ``complete_sweep``
-derives one stream per path and round from entropy words and the path's
-key, as ``RandomStream.generator()`` does.  All four rest on one jump
-step, ``_jump``, and on the private helpers built on it (``_run_chain``,
-``_bridge_attempt``, ``_complete_path``), which mirror those of
-``_ckernels.c``.  Three backends run them, tried in this order:
+whole-path completion and the two sweeps live here: ``complete_sweep``
+over a whole panel (each SE-step, and the final-segment bridges of
+initialization) and ``simulate_sweep`` over a whole simulated cohort or
+goodness-of-fit sample.  ``sim_path``, ``bridge_attempts`` and
+``complete_panel_path`` draw from a ``numpy.random.Generator`` handed in
+by the caller; the two sweeps derive one stream per path (and round)
+from entropy words and the path's key, as ``RandomStream.generator()``
+does.  All five rest on one jump step, ``_jump``, and on the private
+helpers built on it (``_run_chain``, ``_bridge_attempt``,
+``_complete_path``), which mirror those of ``_ckernels.c``.  Three
+backends run them, tried in this order:
 
-- numba, when importable: the bodies below, jitted, except
-  ``complete_sweep``, which stays a Python loop over the jitted
-  ``_complete_path``;
+- numba, when importable: the bodies below, jitted, except the two
+  sweeps, which stay Python loops over the jitted ``_complete_path`` and
+  ``_run_chain``;
 - C: ``_ckernels.c``, compiled on the first import and cached in this
   package's ``__pycache__`` under a name keyed by the source, the
   compiler flags, the interpreter's extension suffix and the numpy
@@ -24,7 +26,7 @@ step, ``_jump``, and on the private helpers built on it (``_run_chain``,
 ``BACKEND`` names the one in use.  All three consume each bit stream
 exactly like the Python bodies do, so every backend produces
 bitwise-identical paths; the compiled kernels expose their Python body
-as ``py_func``.  ``build`` rebinds only the four public names, so a
+as ``py_func``.  ``build`` rebinds only the five public names, so a
 ``py_func`` runs Python throughout.
 
 Conventions inside this module only: states are 0-based, the absorbing
@@ -305,10 +307,53 @@ def complete_sweep(
     return 0, 0, 0, attempts, retries, (b, nt, na, r), (times, states, bounds)
 
 
+def simulate_sweep(words, keys, cum_pi, cum, total, n, horizon):
+    """Simulate one path of the chain from time 0 up to ``horizon`` (which
+    may be ``inf``) for each key.
+
+    Path k draws from the PCG64 generator of ``SeedSequence(words +
+    stream_words(keys[k]))``: one uniform u for its initial state, the
+    number of ``cum_pi`` entries <= u but at most n - 1, then the chain as
+    ``sim_path`` runs it, until absorption or the horizon.  The buffers
+    grow as long as a path needs.
+
+    Returns ``(times, states, bounds, ends)``: path k is
+    ``times[bounds[k]:bounds[k + 1]]`` and ``states[...]``, its entry into
+    its initial state at 0.0, then its jumps; ``ends[k]`` is its
+    absorption epoch, or ``horizon`` when it is not absorbed.
+    """
+    times = np.empty(4 * keys.shape[0] + 64, dtype=np.float64)
+    states = np.empty(times.shape[0], dtype=np.int64)
+    bounds = np.zeros(keys.shape[0] + 1, dtype=np.int64)
+    ends = np.empty(keys.shape[0], dtype=np.float64)
+    used = 0
+    for k in range(keys.shape[0]):
+        gen = np.random.default_rng(
+            np.random.SeedSequence(np.concatenate((words, stream_words(keys[k]))))
+        )
+        first = min(int(np.searchsorted(cum_pi, gen.random(), side="right")), n - 1)
+        state, count, t = first, 0, 0.0
+        while True:
+            if used + 1 + count >= times.shape[0]:
+                times = np.concatenate((times, np.empty_like(times)))
+                states = np.concatenate((states, np.empty_like(states)))
+            status, count, state, t = _run_chain(
+                gen, cum, total, n, state, t, horizon, times[used + 1:], states[used + 1:], count
+            )
+            if status != 0:
+                break
+        times[used] = 0.0
+        states[used] = first
+        used += 1 + count
+        bounds[k + 1] = used
+        ends[k] = t if status == 1 else horizon
+    return times[:used].copy(), states[:used].copy(), bounds, ends
+
+
 # the Python bodies, as numba's dispatchers keep them
 _PY_KERNELS = tuple(
     getattr(f, "py_func", f)
-    for f in (sim_path, bridge_attempts, complete_panel_path, complete_sweep)
+    for f in (sim_path, bridge_attempts, complete_panel_path, complete_sweep, simulate_sweep)
 )
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _C_SOURCE = os.path.join(_HERE, "_ckernels.c")
@@ -320,7 +365,7 @@ def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
     """The kernels compiled from ``_ckernels.c``: ``("c", kernels)``.
 
     ``kernels`` is ``(sim_path, bridge_attempts, complete_panel_path,
-    complete_sweep)``.
+    complete_sweep, simulate_sweep)``.
     The shared library is built with the compiler ``cc`` unless
     ``cache_dir`` already holds it under its key; concurrent builds each
     write their own temporary file and rename it into place.  If the
@@ -376,4 +421,6 @@ def _compile_c(cc: str, path: str, suffix: str) -> None:
 if HAVE_NUMBA:  # pragma: no cover - numba is not installed in every environment
     BACKEND = "numba"
 else:
-    BACKEND, (sim_path, bridge_attempts, complete_panel_path, complete_sweep) = build()
+    BACKEND, (sim_path, bridge_attempts, complete_panel_path, complete_sweep, simulate_sweep) = (
+        build()
+    )

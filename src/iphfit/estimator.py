@@ -41,11 +41,11 @@ from .generator import InitialDistribution, SubIntensityMatrix
 from .likelihood import (
     BetaObjective,
     SufficientStatistics,
-    accumulate_statistics,
+    flat_statistics,
     gd_solve,
     mle_generator,
 )
-from .paths import HOMOGENEOUS, ContinuousPath, PanelObservationSet, RandomStream
+from .paths import HOMOGENEOUS, ContinuousPath, FlatPaths, PanelObservationSet, RandomStream
 from .scaling import GOMPERTZ, IDENTITY, WEIBULL, ScalingFamily
 from .simulate import check_absorbable, jump_model
 
@@ -118,26 +118,6 @@ class FitResult:
     completed: tuple[ContinuousPath, ...] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class CompletedPaths:
-    """The trajectories of one SE-step, flat, on the homogeneous timeline.
-
-    Path i is entries ``bounds[i]:bounds[i + 1]`` of ``times`` and
-    ``states`` (0-based): its entry into its first state at 0.0, then its
-    jumps, the last one into the absorbing state n.
-    """
-
-    n: int
-    times: np.ndarray
-    states: np.ndarray
-    bounds: np.ndarray
-
-    @property
-    def absorption(self) -> np.ndarray:
-        """The absorption epoch of each path."""
-        return self.times[self.bounds[1:] - 1]
-
-
 @dataclass(frozen=True)
 class SweepWork:
     """Deterministic work counters of one SE-step: bridge attempts started,
@@ -154,23 +134,13 @@ class SemIterationResult:
     beta_hat: float | None
     gd_updates: int
     absorption_times: np.ndarray  # calendar timeline
-    paths: CompletedPaths
+    paths: FlatPaths  # homogeneous timeline, each path ending in its absorption
     work: SweepWork
 
     @cached_property
     def completed(self) -> tuple[ContinuousPath, ...]:
         """The completed trajectories, built on first access."""
-        p = self.paths
-        return tuple(
-            ContinuousPath(
-                n=p.n,
-                times=p.times[a:b],
-                states=p.states[a:b] + 1,
-                end_time=float(p.times[b - 1]),
-                timeline=HOMOGENEOUS,
-            )
-            for a, b in zip(p.bounds[:-1], p.bounds[1:])
-        )
+        return tuple(self.paths)
 
 
 class _PanelArrays:
@@ -193,10 +163,9 @@ class _PanelArrays:
         self.starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
         self.times = np.split(self.flat_times, self.starts[1:-1])
         self.states0 = np.split(self.flat_states0, self.starts[1:-1])
-        self.absorbed = np.array([p.absorbed(data.n) for p in data.paths])
-        self.censored_last = sorted(
-            {int(s[-1]) for s, a in zip(self.states0, self.absorbed) if not a}
-        )
+        last = self.flat_states0[self.starts[1:] - 1]
+        self.absorbed = last == self.n
+        self.censored_last = np.unique(last[~self.absorbed]).tolist()
         self.K = len(data)
         self.keys = np.arange(self.K, dtype=np.int64)
 
@@ -216,25 +185,14 @@ def empirical_pi(data: PanelObservationSet) -> InitialDistribution:
     return InitialDistribution(counts / len(data))
 
 
-def _panel_as_naive_path(times: np.ndarray, states0: np.ndarray, n: int) -> ContinuousPath:
-    """Read one panel path as if continuously observed: jumps exactly at
-    the observation times where the state changes."""
-    keep = np.concatenate(([True], states0[1:] != states0[:-1]))
-    return ContinuousPath(
-        n=n,
-        times=times[keep],
-        states=states0[keep] + 1,
-        end_time=float(times[-1]),
-        timeline=HOMOGENEOUS,
-    )
-
-
 def _naive_statistics(panel: _PanelArrays) -> SufficientStatistics:
-    paths = [
-        _panel_as_naive_path(t, s, panel.n)
-        for t, s in zip(panel.times, panel.states0)
-    ]
-    return accumulate_statistics(paths, panel.n)
+    """The statistics of the panel read as if continuously observed: jumps
+    exactly at the observation times where the state changes, each path
+    ending at its last observation."""
+    return flat_statistics(
+        panel.flat_times, panel.flat_states0, panel.starts,
+        panel.flat_times[panel.starts[1:] - 1], panel.n,
+    )
 
 
 def initialize(
@@ -287,7 +245,7 @@ def _init_absorption_times(
         panel, keys, panel.flat_times[rows], panel.flat_states0[rows], starts, lam0, cfg,
         rng, 0, 1,
     )
-    return paths.absorption
+    return paths.end_times
 
 
 def _sweep(
@@ -301,7 +259,7 @@ def _sweep(
     rng: RandomStream,
     iteration: int,
     replications: int,
-) -> tuple[SufficientStatistics, CompletedPaths, SweepWork]:
+) -> tuple[SufficientStatistics, FlatPaths, SweepWork]:
     """Complete the panel paths ``keys`` with one ``complete_sweep`` call.
 
     Path j of the call is observed at ``obs_s[starts[j]:starts[j + 1]]``
@@ -317,7 +275,8 @@ def _sweep(
         obs_s, obs_x, starts, cum, total, panel.n, int(cfg.max_attempts), _PATH_CAP,
     )
     if status == 0:
-        paths = CompletedPaths(panel.n, *flat)
+        times, states, bounds = flat
+        paths = FlatPaths(panel.n, times, states, bounds, times[bounds[1:] - 1], HOMOGENEOUS)
         work = SweepWork(attempts, retries, paths.times.size - paths.bounds.size + 1)
         return SufficientStatistics(*stats), paths, work
     k = keys[j]
@@ -347,7 +306,7 @@ def _complete_all(
     cfg: FitConfig,
     rng: RandomStream,
     iteration: int,
-) -> tuple[SufficientStatistics, CompletedPaths, SweepWork]:
+) -> tuple[SufficientStatistics, FlatPaths, SweepWork]:
     """SE-step: reconstruct every path on the homogeneous timeline.
 
     One sweep completes every path once per replication (replications
@@ -396,9 +355,9 @@ def sem_iteration(
         new_lam = mle_generator(stats, panel.K * cfg.bridge_replications)[1]
         if not update_beta:
             return SemIterationResult(
-                new_lam, None, 0, family.g(paths.absorption), paths, work
+                new_lam, None, 0, family.g(paths.end_times), paths, work
             )
-        abs_cal = np.asarray(family.g(paths.absorption), dtype=float)
+        abs_cal = np.asarray(family.g(paths.end_times), dtype=float)
         obj = BetaObjective(cfg.family, pi_hat, new_lam, abs_cal)
         new_beta, gd_updates = gd_solve(
             obj, beta_hat, cfg.eta, cfg.e_ell, cfg.beta_min, cfg.gd_max_steps,

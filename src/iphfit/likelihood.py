@@ -90,10 +90,6 @@ def accumulate_statistics(paths, n: int | None = None) -> SufficientStatistics:
         if not paths:
             raise ValidationError("empty collection needs an explicit n")
         n = paths[0].n
-    b = np.zeros(n, dtype=np.int64)
-    nt = np.zeros((n, n), dtype=np.int64)
-    na = np.zeros(n, dtype=np.int64)
-    r = np.zeros(n)
     for p in paths:
         if not isinstance(p, ContinuousPath):
             raise ValidationError(f"unsupported path object {type(p).__name__}")
@@ -104,17 +100,48 @@ def accumulate_statistics(paths, n: int | None = None) -> SufficientStatistics:
             )
         if p.n != n:
             raise ValidationError("path over a different state count")
-        times, states = p.times, p.states
-        b[states[0] - 1] += 1
-        src = states[:-1] - 1
-        dst = states[1:] - 1
-        np.add.at(r, src, np.diff(times))
-        absorbed = states[-1] == n + 1
-        if not absorbed:
-            r[states[-1] - 1] += p.end_time - times[-1]
-        trans = dst < n
-        np.add.at(nt, (src[trans], dst[trans]), 1)
-        np.add.at(na, src[~trans], 1)
+    return flat_statistics(
+        np.concatenate([p.times for p in paths] + [np.empty(0)]),
+        np.concatenate([p.states for p in paths] + [np.empty(0, dtype=np.int64)]) - 1,
+        np.cumsum([0] + [p.times.size for p in paths]),
+        np.array([p.end_time for p in paths]),
+        n,
+    )
+
+
+def flat_statistics(times, states0, bounds, ends, n: int) -> SufficientStatistics:
+    """The statistics of paths stored end to end, as ``FlatPaths`` stores
+    them: path k is ``times[bounds[k]:bounds[k + 1]]`` in the 0-based
+    ``states0[...]``, ending at ``ends[k]``.  A state equal to the one
+    before it is no jump, so a panel read as if observed continuously can
+    be tallied as it stands.  Occupation is summed in path order, each
+    path's holdings and then its censored tail, as per-path accumulation
+    sums it.
+    """
+    first = np.zeros(times.size, dtype=bool)
+    first[bounds[:-1]] = True
+    keep = first.copy()
+    keep[1:] |= states0[1:] != states0[:-1]
+    t, x, first = times[keep], states0[keep], first[keep]
+    step = ~first[1:]  # kept entry i + 1 continues the path of entry i
+    src, dst, hold = x[:-1][step], x[1:][step], np.diff(t)[step]
+    last = np.cumsum(keep)[bounds[1:] - 1] - 1  # the last kept entry of each path
+    tail = x[last] < n
+    path = np.cumsum(first) - 1
+    order = np.argsort(np.concatenate((path[1:][step], np.flatnonzero(tail))), kind="stable")
+    b = np.zeros(n, dtype=np.int64)
+    nt = np.zeros((n, n), dtype=np.int64)
+    na = np.zeros(n, dtype=np.int64)
+    r = np.zeros(n)
+    np.add.at(b, x[first], 1)
+    into = dst < n
+    np.add.at(nt, (src[into], dst[into]), 1)
+    np.add.at(na, src[~into], 1)
+    np.add.at(
+        r,
+        np.concatenate((src, x[last][tail]))[order],
+        np.concatenate((hold, ends[tail] - t[last][tail]))[order],
+    )
     return SufficientStatistics(b, nt, na, r)
 
 

@@ -13,6 +13,7 @@ n-state model is n + 1.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,55 @@ class ContinuousPath:
             raise ValidationError(f"t={t!r} outside the path's span")
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         return int(self.states[idx])
+
+
+@dataclass(frozen=True, eq=False)
+class FlatPaths(Sequence):
+    """Continuous paths stored end to end, read as a sequence of
+    :class:`ContinuousPath`.
+
+    Path k is entries ``bounds[k]:bounds[k + 1]`` of ``times`` and of the
+    0-based ``states``: its entry into its first state at 0.0, then its
+    jumps.  ``end_times[k]`` is its absorption epoch when it ends in the
+    absorbing state n, and its censoring horizon otherwise.  Indexing
+    builds (and so validates) a ``ContinuousPath``; a slice gives
+    ``FlatPaths``.
+    """
+
+    n: int
+    times: np.ndarray
+    states: np.ndarray
+    bounds: np.ndarray
+    end_times: np.ndarray
+    timeline: str
+
+    def __len__(self) -> int:
+        return self.end_times.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            picked = np.arange(len(self))[k]
+            lo, hi = self.bounds[picked], self.bounds[picked + 1]
+            bounds = np.concatenate(([0], np.cumsum(hi - lo)))
+            rows = np.repeat(lo - bounds[:-1], hi - lo) + np.arange(bounds[-1])
+            return FlatPaths(
+                self.n, self.times[rows], self.states[rows], bounds, self.end_times[picked],
+                self.timeline,
+            )
+        k = range(len(self))[k]
+        a, b = self.bounds[k], self.bounds[k + 1]
+        return ContinuousPath(
+            n=self.n,
+            times=self.times[a:b],
+            states=self.states[a:b] + 1,
+            end_time=float(self.end_times[k]),
+            timeline=self.timeline,
+        )
+
+    @property
+    def absorbed(self) -> np.ndarray:
+        """Whether each path ends in the absorbing state."""
+        return self.states[self.bounds[1:] - 1] == self.n
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,13 @@ from .paths import (
     HOMOGENEOUS,
     INHOMOGENEOUS,
     ContinuousPath,
+    FlatPaths,
     PanelPath,
     PathSegment,
     RandomStream,
 )
 from .scaling import ScalingFamily
 
-_CHUNK = 4096
 _BRIDGE_CAP = 1 << 16
 
 
@@ -94,36 +94,47 @@ def check_absorbable(m: SubIntensityMatrix, start_states0) -> None:
         )
 
 
-def _draw_initial(gen: np.random.Generator, pi: InitialDistribution) -> int:
-    u = gen.random()
-    cum = np.cumsum(pi.probabilities)
-    return min(int(np.searchsorted(cum, u, side="right")), pi.n - 1)
+def simulate_paths(m, pi, family: ScalingFamily, horizon: float, rng: RandomStream,
+                   count: int) -> FlatPaths:
+    """Simulate ``count`` time-scaled trajectories up to inhomogeneous time
+    ``horizon`` in one kernel call; path k draws from ``rng.substream(k)``
+    exactly as ``simulate_inhomogeneous`` does."""
+    words = _kernels.stream_words(rng.seed, *rng.key)
+    return _simulate(m, pi, horizon, words, np.arange(count, dtype=np.int64), family)
 
 
-def _run_jump_chain(gen, state0, t0, horizon, cum, total, n):
-    """Chunked driver around the sim_path kernel; returns 0-based jump
-    arrays plus the absorbed flag and end time."""
-    times_parts: list[np.ndarray] = []
-    states_parts: list[np.ndarray] = []
-    state, t = state0, t0
-    while True:
-        tbuf = np.empty(_CHUNK, dtype=np.float64)
-        sbuf = np.empty(_CHUNK, dtype=np.int64)
-        status, count, state, t = _kernels.sim_path(
-            gen, state, t, horizon, cum, total, n, tbuf, sbuf
-        )
-        if count:
-            times_parts.append(tbuf[:count].copy())
-            states_parts.append(sbuf[:count].copy())
-        if status != 0:
-            break
-    if times_parts:
-        times = np.concatenate(times_parts)
-        states = np.concatenate(states_parts)
-    else:
-        times = np.empty(0, dtype=np.float64)
-        states = np.empty(0, dtype=np.int64)
-    return times, states, status == 1, t
+def _simulate(m, pi, horizon, words, keys, family: ScalingFamily | None = None) -> FlatPaths:
+    """The paths of ``_kernels.simulate_sweep`` for these stream words and
+    keys, on the homogeneous timeline, or, given a family, run to the
+    transformed horizon and mapped back through ``g``."""
+    m = _as_matrix(m)
+    pi = _as_pi(pi, m.n)
+    horizon = float(horizon)
+    if np.isnan(horizon) or horizon < 0.0:
+        raise ValidationError(f"horizon must be >= 0, got {horizon!r}")
+    hom_horizon = horizon if family is None or np.isinf(horizon) else float(family.g_inv(horizon))
+    cum, total = jump_model(m)
+    args = (words, keys, np.cumsum(pi.probabilities), cum, total, m.n)
+    if np.isinf(hom_horizon):
+        # the initial draws alone: absorption must be reachable from each
+        _times, states, bounds, _ends = _kernels.simulate_sweep(*args, 0.0)
+        check_absorbable(m, np.unique(states[bounds[:-1]]))
+    times, states, bounds, ends = _kernels.simulate_sweep(*args, hom_horizon)
+    if family is None:
+        return FlatPaths(m.n, times, states, bounds, ends, HOMOGENEOUS)
+    jumps = np.ones(times.size, dtype=bool)
+    jumps[bounds[:-1]] = False
+    times[jumps] = family.g(times[jumps])
+    last = bounds[1:] - 1
+    ends = np.where(states[last] == m.n, times[last], horizon)
+    return FlatPaths(m.n, times, states, bounds, ends, INHOMOGENEOUS)
+
+
+def _own_stream(rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """Words and a one-key vector under which the kernel draws from
+    ``rng.generator()``'s stream: the last entropy word serves as the key."""
+    words = _kernels.stream_words(rng.seed, *rng.key)
+    return words[:-1], words[-1:].astype(np.int64)
 
 
 def simulate_homogeneous(m, pi, horizon: float, rng: RandomStream) -> ContinuousPath:
@@ -143,22 +154,7 @@ def simulate_homogeneous(m, pi, horizon: float, rng: RandomStream) -> Continuous
     -------
     ContinuousPath tagged with the homogeneous timeline.
     """
-    m = _as_matrix(m)
-    pi = _as_pi(pi, m.n)
-    horizon = float(horizon)
-    if np.isnan(horizon) or horizon < 0.0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon!r}")
-    gen = rng.generator()
-    x0 = _draw_initial(gen, pi)
-    if np.isinf(horizon):
-        check_absorbable(m, [x0])
-    cum, total = jump_model(m)
-    jt, js, absorbed, end = _run_jump_chain(gen, x0, 0.0, horizon, cum, total, m.n)
-    times = np.concatenate(([0.0], jt))
-    states = np.concatenate(([x0], js)) + 1
-    return ContinuousPath(
-        n=m.n, times=times, states=states, end_time=end, timeline=HOMOGENEOUS
-    )
+    return _simulate(m, pi, horizon, *_own_stream(rng))[0]
 
 
 def simulate_inhomogeneous(
@@ -170,16 +166,7 @@ def simulate_inhomogeneous(
     epoch is mapped back through the inverse transform, so with a shared
     RandomStream the state sequence equals the homogeneous path's exactly.
     """
-    horizon = float(horizon)
-    if np.isnan(horizon) or horizon < 0.0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon!r}")
-    hom_horizon = np.inf if np.isinf(horizon) else float(family.g_inv(horizon))
-    path = simulate_homogeneous(m, pi, hom_horizon, rng)
-    times = np.concatenate(([0.0], family.g(path.times[1:])))
-    end = family.g(path.end_time) if path.absorbed else horizon
-    return ContinuousPath(
-        n=path.n, times=times, states=path.states, end_time=end, timeline=INHOMOGENEOUS
-    )
+    return _simulate(m, pi, horizon, *_own_stream(rng), family)[0]
 
 
 def discretize(path: ContinuousPath, grid, path_id: str = "p0") -> PanelPath:
@@ -190,7 +177,17 @@ def discretize(path: ContinuousPath, grid, path_id: str = "p0") -> PanelPath:
     the first one, which records the absorbing state; grid points after a
     censoring horizon are dropped.
     """
-    grid = np.asarray(grid, dtype=float)
+    flat = FlatPaths(
+        path.n, path.times, path.states - 1, np.array([0, path.times.size]),
+        np.array([path.end_time]), path.timeline,
+    )
+    return observe(flat, grid, [path_id])[0]
+
+
+def observe(paths: FlatPaths, grid, ids) -> tuple[PanelPath, ...]:
+    """Observe every path on ``grid`` as ``discretize`` does, path k under
+    the id ``ids[k]``, with one search of all jump epochs in the grid."""
+    grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("observation grid must be a non-empty vector")
     if not np.all(np.isfinite(grid)):
@@ -199,20 +196,24 @@ def discretize(path: ContinuousPath, grid, path_id: str = "p0") -> PanelPath:
         raise ValidationError("observation grid must start at 0")
     if np.any(np.diff(grid) <= 0.0):
         raise ValidationError("observation grid must increase strictly")
-    if path.absorbed:
-        tau = path.times[-1]
-        kept = grid[grid < tau]
-        idx = np.searchsorted(path.times, kept, side="right") - 1
-        states = path.states[idx]
-        after = grid[grid >= tau]
-        if after.size:
-            kept = np.concatenate([kept, after[:1]])
-            states = np.concatenate([states, [path.n + 1]])
-    else:
-        kept = grid[grid <= path.end_time]
-        idx = np.searchsorted(path.times, kept, side="right") - 1
-        states = path.states[idx]
-    return PanelPath(path_id=path_id, times=kept, states=states)
+    bounds, size = paths.bounds, grid.size
+    # entry i is the latest one of its path at every grid point from start[i]
+    # on; column `size` takes the entries after the last grid point
+    start = np.searchsorted(grid, paths.times, side="left")
+    latest = np.zeros((len(paths), size + 1), dtype=np.int64)
+    owner = np.repeat(np.arange(len(paths)), np.diff(bounds))
+    np.maximum.at(latest, (owner, start), np.arange(paths.times.size))
+    states = paths.states[np.maximum.accumulate(latest[:, :size], axis=1)] + 1
+    last = bounds[1:] - 1
+    seen = np.where(
+        paths.states[last] == paths.n,
+        np.minimum(start[last] + 1, size),
+        np.searchsorted(grid, paths.end_times, side="right"),
+    )
+    return tuple(
+        PanelPath(path_id=i, times=grid[:c], states=states[k, :c])
+        for k, (i, c) in enumerate(zip(ids, seen))
+    )
 
 
 def bridge_sample(

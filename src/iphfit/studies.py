@@ -10,7 +10,9 @@ the way to absorption.
 Substream layout under the study seed: path k of the generating run draws
 from key (0, k); the fit for horizon index j draws under key (1, j); the
 fitted-model comparison sample for horizon j draws path k under
-key (2, j, k).
+key (2, j, k).  Each of the two simulations is one kernel call
+(``simulate.simulate_paths``); ``simulate_cohort`` returns its paths flat,
+as ``FlatPaths``, which index as ``ContinuousPath`` objects built on access.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .errors import ValidationError
 from .estimator import FitConfig, FitResult, fit
 from .generator import InitialDistribution, SubIntensityMatrix
 from .gof import KsResult, SampleSet, ks_two_sample
-from .paths import ContinuousPath, PanelObservationSet, RandomStream
+from .paths import FlatPaths, PanelObservationSet, RandomStream
 from .scaling import GOMPERTZ, WEIBULL, ScalingFamily
-from .simulate import discretize, simulate_inhomogeneous
+from .simulate import observe, simulate_paths
 from . import panelio
 from .panelio import _G17, _atomic_write
 
@@ -115,34 +117,22 @@ def simulate_cohort(
     count: int,
     stream: RandomStream,
     key_prefix: tuple = (0,),
-) -> list[ContinuousPath]:
+) -> FlatPaths:
     """Independent trajectories; path k draws under key ``(*key_prefix, k)``."""
-    return [
-        simulate_inhomogeneous(
-            lam, pi, family, horizon, stream.substream(*key_prefix, k)
-        )
-        for k in range(count)
-    ]
+    return simulate_paths(lam, pi, family, horizon, stream.substream(*key_prefix), count)
 
 
-def cohort_panel(
-    cohort: list[ContinuousPath], grid: np.ndarray
-) -> PanelObservationSet:
-    if not cohort:
+def cohort_panel(cohort: FlatPaths, grid: np.ndarray) -> PanelObservationSet:
+    if not len(cohort):
         raise ValidationError("empty cohort")
-    n = cohort[0].n
-    paths = tuple(
-        discretize(p, grid, path_id=f"p{k}") for k, p in enumerate(cohort)
-    )
-    return PanelObservationSet(n=n, paths=paths)
+    ids = [f"p{k}" for k in range(len(cohort))]
+    return PanelObservationSet(n=cohort.n, paths=observe(cohort, grid, ids))
 
 
-def absorption_times_within(cohort, horizon: float) -> np.ndarray:
+def absorption_times_within(cohort: FlatPaths, horizon: float) -> np.ndarray:
     """Exact absorption epochs of cohort members absorbed by the horizon."""
-    vals = [
-        p.times[-1] for p in cohort if p.absorbed and p.times[-1] <= horizon
-    ]
-    return np.asarray(vals, dtype=float)
+    ends = cohort.end_times[cohort.absorbed]
+    return ends[ends <= horizon]
 
 
 def fitted_absorption_sample(
@@ -161,13 +151,7 @@ def fitted_absorption_sample(
     estimated from a short window gets punished for the absorption mass
     it places beyond that window.
     """
-    out = np.empty(target, dtype=float)
-    for k in range(target):
-        p = simulate_inhomogeneous(
-            lam, pi, family, np.inf, stream.substream(*key_prefix, k)
-        )
-        out[k] = p.times[-1]
-    return out
+    return simulate_paths(lam, pi, family, np.inf, stream.substream(*key_prefix), target).end_times
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ import pytest
 
 from iphfit import (
     BridgeBudgetError,
+    ContinuousPath,
     EstimationError,
     FitConfig,
     GOMPERTZ,
+    HOMOGENEOUS,
     IDENTITY,
     InitialDistribution,
     PanelObservationSet,
@@ -17,6 +19,7 @@ from iphfit import (
     SubIntensityMatrix,
     ValidationError,
     WEIBULL,
+    accumulate_statistics,
     bridge_sample,
     empirical_pi,
     fit,
@@ -24,6 +27,7 @@ from iphfit import (
     initialize,
     mle_generator,
     sem_iteration,
+    simulate_homogeneous,
     validate_generator,
 )
 from iphfit import _kernels, estimator
@@ -103,6 +107,55 @@ def test_initialize_naive_bookkeeping():
     np.testing.assert_allclose(pi0.probabilities, [0.5, 0.5])
     np.testing.assert_allclose(lam0.entries, [[-0.5, 0.5], [0.0, -1.0]])
     assert beta0 == cfg.beta0
+
+
+def _per_path_sums(paths, n):
+    """Statistics path by path: the entry, then each holding and jump in
+    order, then a censored path's tail."""
+    b, nt, na, r = (np.zeros(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64),
+                    np.zeros(n, dtype=np.int64), np.zeros(n))
+    for p in paths:
+        t, x = p.times, p.states - 1
+        b[x[0]] += 1
+        for i in range(1, t.size):
+            r[x[i - 1]] += t[i] - t[i - 1]
+            if x[i] < n:
+                nt[x[i - 1], x[i]] += 1
+            else:
+                na[x[i - 1]] += 1
+        if x[-1] < n:
+            r[x[-1]] += p.end_time - t[-1]
+    return [a.tobytes() for a in (b, nt, na, r)]
+
+
+def _stats_bytes(stats):
+    return [np.asarray(a).tobytes() for a in (
+        stats.start_counts, stats.jump_counts, stats.absorption_counts, stats.occupation
+    )]
+
+
+def test_statistics_match_per_path_sums(gompertz_pi, gompertz_lam):
+    """The flat tally of the naive reading, and accumulate_statistics, give
+    the per-path sums bit for bit: on each panel path read as a continuous
+    path, and on simulated censored paths."""
+    fam = ScalingFamily(GOMPERTZ, 0.1019)
+    data = make_panel(gompertz_pi, gompertz_lam, fam, 30.0, 0.7, 200, 83)
+    naive = []
+    for p in data.paths:
+        keep = np.concatenate(([True], p.states[1:] != p.states[:-1]))
+        naive.append(ContinuousPath(n=3, times=p.times[keep], states=p.states[keep],
+                                    end_time=p.times[-1], timeline=HOMOGENEOUS))
+    assert 0 < sum(p.absorbed for p in naive) < len(naive)
+    assert sum(p.times.size < q.times.size for p, q in zip(naive, data.paths)) > 100
+    want = _per_path_sums(naive, 3)
+    assert _stats_bytes(estimator._naive_statistics(estimator._PanelArrays(data))) == want
+    assert _stats_bytes(accumulate_statistics(naive)) == want
+    simulated = [
+        simulate_homogeneous(gompertz_lam, gompertz_pi, 20.0, RandomStream(84, (k,)))
+        for k in range(200)
+    ]
+    assert 0 < sum(p.absorbed for p in simulated) < len(simulated)
+    assert _stats_bytes(accumulate_statistics(simulated)) == _per_path_sums(simulated, 3)
 
 
 def test_initialize_on_simulated_panel(gompertz_pi, gompertz_lam):

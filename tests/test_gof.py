@@ -10,8 +10,8 @@ from iphfit import (
     ValidationError,
     ecdf,
     ks_two_sample,
-    simulate_inhomogeneous,
 )
+from iphfit.studies import fitted_absorption_sample
 
 
 def test_ecdf_pointwise_examples():
@@ -119,15 +119,8 @@ def test_ks_accepts_true_model_absorption_times(gompertz_pi, gompertz_lam):
     fam = ScalingFamily(GOMPERTZ, 0.1019)
     root = RandomStream(96)
 
-    def draw(key, count):
-        return np.array(
-            [
-                simulate_inhomogeneous(
-                    gompertz_lam, gompertz_pi, fam, np.inf, root.substream(key, k)
-                ).times[-1]
-                for k in range(count)
-            ]
-        )
+    def draw(key, count):  # path k draws from root.substream(key, k)
+        return fitted_absorption_sample(gompertz_pi, gompertz_lam, fam, count, root, (key,))
 
     accepted = sum(
         ks_two_sample(draw(2 * r, 300), draw(2 * r + 1, 300)).p_value > 0.05

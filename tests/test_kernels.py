@@ -18,17 +18,24 @@ import numpy as np
 import pytest
 
 import _cli
-from iphfit import ContinuousPath, RandomStream, ScalingFamily, SubIntensityMatrix, _kernels
+from iphfit import (
+    ContinuousPath,
+    RandomStream,
+    ScalingFamily,
+    StructuralError,
+    SubIntensityMatrix,
+    _kernels,
+)
 from iphfit import estimator
 from iphfit.cli import main
 from iphfit.likelihood import accumulate_statistics
 from iphfit.paths import HOMOGENEOUS
 from iphfit.simulate import jump_model
-from iphfit.studies import cohort_panel, simulate_cohort, uniform_grid
+from iphfit.studies import cohort_panel, fitted_absorption_sample, simulate_cohort, uniform_grid
 
 from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI
 
-KERNELS = ("sim_path", "bridge_attempts", "complete_panel_path", "complete_sweep")
+KERNELS = ("sim_path", "bridge_attempts", "complete_panel_path", "complete_sweep", "simulate_sweep")
 
 compiled = pytest.mark.skipif(
     _kernels.BACKEND == "pure-python",
@@ -78,8 +85,8 @@ def _run_both(name, seed, *args, cap=256):
 @compiled
 @pytest.mark.parametrize("name", KERNELS)
 def test_compiled_kernels_expose_python_bodies(name):
-    if name == "complete_sweep" and _kernels.BACKEND == "numba":
-        pytest.skip("the numba backend runs the sweep's Python loop")
+    if name in ("complete_sweep", "simulate_sweep") and _kernels.BACKEND == "numba":
+        pytest.skip("the numba backend runs the sweeps' Python loops")
     kernel = getattr(_kernels, name)
     assert kernel is not kernel.py_func
     assert kernel.py_func.__name__ == name
@@ -329,7 +336,7 @@ def test_sweep_matches_per_path_loop(monkeypatch, replications):
         got, flat, work = estimator._complete_all(panel, lam, family, cfg, rng, 6)
         assert _stats_bytes(got) == _stats_bytes(stats)
         assert len(paths) == panel.K * replications
-        assert flat.absorption.tolist() == [p.end_time for p in paths]
+        assert flat.end_times.tolist() == [p.end_time for p in paths]
         assert flat.times.tobytes() == np.concatenate([p.times for p in paths]).tobytes()
         assert (flat.states + 1).tolist() == np.concatenate([p.states for p in paths]).tolist()
         assert flat.bounds.tolist() == np.cumsum([0] + [p.times.size for p in paths]).tolist()
@@ -388,6 +395,142 @@ def test_sweep_hands_other_inputs_to_python_body():
     for body in (_kernels.complete_sweep, _kernels.complete_sweep.py_func):
         with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
             body(words, 1, 1, negative, obs_s, panel.flat_states0, panel.starts, *rest)
+
+
+# ---------------------------------------------------------------------------
+# the simulation sweep
+
+# two states that swap at rate 1 and rarely leave: paths of hundreds of jumps
+SWAPPING = _model([[0.0, 1.0, 0.001], [1.0, 0.0, 0.001]])
+# the first uniform of path 0's stream under seed 5
+U5 = RandomStream(5, (0,)).generator().random()
+
+
+def _reference_paths(seed, prefix, keys, cum_pi, cum, total, n, horizon):
+    """Path by path, as simulate_homogeneous drew them: the generator of
+    RandomStream(seed, (*prefix, k)), the initial state by searchsorted,
+    then sim_path's Python body in buffers of 16 jumps."""
+    sim_path = getattr(_kernels.sim_path, "py_func", _kernels.sim_path)
+    paths = []
+    for k in keys:
+        gen = RandomStream(seed, (*prefix, int(k))).generator()
+        state = min(int(np.searchsorted(cum_pi, gen.random(), side="right")), n - 1)
+        times, states, t, status = [0.0], [state], 0.0, 0
+        while status == 0:
+            tbuf, sbuf = np.empty(16), np.empty(16, dtype=np.int64)
+            status, count, state, t = sim_path(gen, state, t, horizon, cum, total, n, tbuf, sbuf)
+            times += tbuf[:count].tolist()
+            states += sbuf[:count].tolist()
+        paths.append((np.array(times), states, t))
+    return paths
+
+
+SIMULATION_CASES = [
+    # (model, pi, horizon, seed, prefix, count)
+    (GOMPERTZ, GOMPERTZ_PI, np.inf, 2**32, (), 300),
+    (GOMPERTZ, GOMPERTZ_PI, 30.0, 2**64 + 5, (2, 1), 300),
+    (GOMPERTZ, GOMPERTZ_PI, 0.0, 2**32, (2, 3), 50),
+    (GOMPERTZ, [0.0, 0.3, 0.7], 12.0, 7, (), 200),
+    (GOMPERTZ, [U5, 0.0, 1.0 - U5], 12.0, 5, (), 1),  # u equal to two cum_pi entries
+    (GOMPERTZ, [0.1, 0.1, 0.3], 12.0, 8, (), 100),  # summing to 0.5: the last state takes the rest
+    (GOMPERTZ, [0.0, 0.0, 1.0], np.inf, 2**64 + 5, (2, 0), 100),
+    (SINGLE, [1.0], np.inf, 3, (), 50),
+    (SINGLE, [1.0], 0.7, 3, (2, 5), 50),
+    (DEAD_END, [0.4, 0.6], 5.0, 11, (), 100),  # state 1 sits there to the horizon
+    (SWAPPING, [1.0, 0.0], 400.0, 2**32, (2, 9), 3),  # outgrows the first buffer
+    (GOMPERTZ, GOMPERTZ_PI, np.inf, 1, (), 0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SIMULATION_CASES)))
+def test_simulate_sweep_matches_per_path_loop(case):
+    (cum, total), pi, horizon, seed, prefix, count = SIMULATION_CASES[case]
+    n = total.size
+    cum_pi = np.cumsum(pi)
+    keys = np.arange(count, dtype=np.int64)
+    args = (_kernels.stream_words(seed, *prefix), keys, cum_pi, cum, total, n, horizon)
+    kernel = _kernels.simulate_sweep
+    got = kernel(*args)
+    if hasattr(kernel, "py_func"):
+        for a, b in zip(got, kernel.py_func(*args)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    times, states, bounds, ends = got
+    assert bounds.tolist()[:1] == [0] and bounds.size == count + 1
+    want = _reference_paths(seed, prefix, keys, cum_pi, cum, total, n, horizon)
+    for k, (t, x, end) in enumerate(want):
+        a, b = bounds[k], bounds[k + 1]
+        assert times[a:b].tobytes() == t.tobytes()
+        assert states[a:b].tolist() == x
+        assert ends[k] == end
+    if SIMULATION_CASES[case][0] is SWAPPING:
+        assert times.size > 4 * count + 64
+    if case == 4:
+        assert states[0] == 2
+
+
+@pytest.mark.parametrize("horizon", [np.inf, 60.0, 0.0])
+def test_cohort_matches_simulate_inhomogeneous(horizon):
+    """The cohort's paths, mapped through g in one call, equal the
+    per-path route's: a generator and sim_path's Python body per path,
+    then g over the path's own jump epochs."""
+    lam = SubIntensityMatrix(GOMPERTZ_LAM)
+    family = ScalingFamily.gompertz(GOMPERTZ_BETA)
+    cum, total = jump_model(lam)
+    hom = horizon if horizon in (0.0, np.inf) else float(family.g_inv(horizon))
+    cohort = simulate_cohort(GOMPERTZ_PI, lam, family, horizon, 200, RandomStream(205), (2, 1))
+    want = _reference_paths(205, (2, 1), range(200), np.cumsum(GOMPERTZ_PI), cum, total, 3, hom)
+    assert len(cohort) == 200
+    for k, (t, x, end) in enumerate(want):
+        path = cohort[k]
+        assert path.times.tobytes() == np.concatenate(([0.0], family.g(t[1:]))).tobytes()
+        assert path.states.tolist() == [v + 1 for v in x]
+        assert path.end_time == (family.g(end) if path.absorbed else horizon)
+    tail = cohort[150::7]
+    assert [p.times.tobytes() for p in tail] == [cohort[k].times.tobytes() for k in range(150, 200, 7)]
+    assert tail.end_times.tolist() == cohort.end_times[150::7].tolist()
+
+
+def test_simulation_checks_absorbability_of_drawn_states():
+    """An infinite horizon needs absorption reachable from every state a
+    path starts in; a trapped state no path can start in is no error."""
+    family = ScalingFamily.identity()
+    # state 3 has no exit; state 2 leads to it, state 1 exits directly
+    lam = SubIntensityMatrix(np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
+    stream = RandomStream(4)
+    for pi in ([0.0, 0.0, 1.0], [0.9, 0.1, 0.0]):
+        with pytest.raises(StructuralError, match="absorption is unreachable"):
+            simulate_cohort(pi, lam, family, np.inf, 100, stream)
+        with pytest.raises(StructuralError, match="absorption is unreachable"):
+            fitted_absorption_sample(pi, lam, family, 100, stream, (2, 0))
+        assert len(simulate_cohort(pi, lam, family, 9.0, 100, stream)) == 100
+    sample = fitted_absorption_sample([1.0, 0.0, 0.0], lam, family, 100, stream, (2, 0))
+    assert sample.size == 100 and np.all(sample > 0.0)
+
+
+@compiled
+def test_simulate_sweep_hands_other_inputs_to_python_body():
+    """int32 keys, int64 words, an int horizon or a cum_pi of another length
+    run the Python body; so does a negative key, which it refuses."""
+    cum, total = GOMPERTZ
+    words = _kernels.stream_words(8, 2)
+    keys = np.arange(40, dtype=np.int64)
+    cum_pi = np.cumsum(GOMPERTZ_PI)
+    kernel = _kernels.simulate_sweep
+    for args in [
+        (words, keys.astype(np.int32), cum_pi, 50.0),
+        (words.astype(np.int64), keys, cum_pi, 50.0),
+        (words, keys, cum_pi, 50),
+        (words, keys, np.append(cum_pi, 1.0), 50.0),
+    ]:
+        w, k, c, h = args
+        got, want = kernel(w, k, c, cum, total, 3, h), kernel.py_func(w, k, c, cum, total, 3, h)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    negative = keys.copy()
+    negative[5] = -1
+    for body in (kernel, kernel.py_func):
+        with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
+            body(words, negative, cum_pi, cum, total, 3, 50.0)
 
 
 CLI_INI = """[model]

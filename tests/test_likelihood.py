@@ -29,10 +29,11 @@ from iphfit import (
     iph_density,
     matrix_exponential,
     mle_generator,
-    simulate_homogeneous,
     simulate_inhomogeneous,
     validate_generator,
 )
+from iphfit.likelihood import flat_statistics
+from iphfit.studies import simulate_cohort
 
 ONE_STATE = SubIntensityMatrix(np.array([[-1.0]]))
 POINT_MASS = InitialDistribution(np.array([1.0]))
@@ -147,13 +148,14 @@ def test_mle_starved_state():
 
 
 def test_mle_simulation_consistency(weibull_lam, weibull_pi):
-    root = RandomStream(62)
-    paths = [
-        simulate_homogeneous(weibull_lam, weibull_pi, np.inf, root.substream(k))
-        for k in range(100_000)
-    ]
-    stats = accumulate_statistics(paths)
-    _, lam_hat = mle_generator(stats, len(paths))
+    # the identity family keeps the homogeneous epochs; path k draws from
+    # RandomStream(62).substream(k), as simulate_homogeneous would
+    c = simulate_cohort(
+        weibull_pi, weibull_lam, ScalingFamily.identity(), np.inf, 100_000, RandomStream(62),
+        key_prefix=(),
+    )
+    stats = flat_statistics(c.times, c.states, c.bounds, c.end_times, c.n)
+    _, lam_hat = mle_generator(stats, len(c))
     # MC standard error of each rate: sqrt(count)/occupation
     for x in range(2):
         for y in range(2):

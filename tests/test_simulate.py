@@ -25,6 +25,7 @@ from iphfit import (
     simulate_inhomogeneous,
 )
 from iphfit.simulate import jump_model
+from iphfit.studies import cohort_panel, simulate_cohort
 
 ONE_STATE = SubIntensityMatrix(np.array([[-1.0]]))
 POINT_MASS = InitialDistribution(np.array([1.0]))
@@ -35,25 +36,22 @@ POINT_MASS = InitialDistribution(np.array([1.0]))
 
 
 def test_exponential_absorption_mean():
-    root = RandomStream(11)
-    times = np.array(
-        [
-            simulate_homogeneous(ONE_STATE, POINT_MASS, np.inf, root.substream(k)).times[-1]
-            for k in range(100_000)
-        ]
+    # the identity family keeps the homogeneous epochs; path k draws from
+    # root.substream(k), as simulate_homogeneous would
+    cohort = simulate_cohort(
+        POINT_MASS, ONE_STATE, ScalingFamily.identity(), np.inf, 100_000, RandomStream(11),
+        key_prefix=(),
     )
-    assert abs(times.mean() - 1.0) <= 0.02
+    assert abs(cohort.end_times.mean() - 1.0) <= 0.02
 
 
 def test_initial_state_frequencies(weibull_lam, weibull_pi):
-    root = RandomStream(12)
     # horizon 0 keeps only the initial draw, which is all this oracle needs
-    starts = np.array(
-        [
-            simulate_homogeneous(weibull_lam, weibull_pi, 0.0, root.substream(k)).states[0]
-            for k in range(100_000)
-        ]
+    cohort = simulate_cohort(
+        weibull_pi, weibull_lam, ScalingFamily.identity(), 0.0, 100_000, RandomStream(12),
+        key_prefix=(),
     )
+    starts = cohort.states[cohort.bounds[:-1]] + 1
     freq = np.mean(starts == 1)
     assert abs(freq - 0.5) <= 0.01
 
@@ -131,17 +129,12 @@ def test_weibull_epochs_are_cube_roots(weibull_lam, weibull_pi):
 def test_transform_of_samples_oracle(gompertz_lam, gompertz_pi):
     fam = ScalingFamily.gompertz(0.1019)
     root = RandomStream(23)
-    hom_means = np.empty(100_000)
-    inh_means = np.empty(100_000)
-    for k in range(100_000):
-        rho = simulate_homogeneous(
-            gompertz_lam, gompertz_pi, np.inf, root.substream(k)
-        ).times[-1]
-        tau = simulate_inhomogeneous(
-            gompertz_lam, gompertz_pi, fam, np.inf, root.substream(k)
-        ).times[-1]
-        hom_means[k] = np.log1p(0.1019 * rho) / 0.1019
-        inh_means[k] = tau
+    rho, tau = (
+        simulate_cohort(gompertz_pi, gompertz_lam, f, np.inf, 100_000, root, key_prefix=()).end_times
+        for f in (ScalingFamily.identity(), fam)
+    )
+    hom_means = np.log1p(0.1019 * rho) / 0.1019
+    inh_means = tau
     # identical substreams make the transform exact path by path
     np.testing.assert_allclose(inh_means, hom_means, rtol=1e-12, atol=1e-12)
     assert abs(inh_means.mean() - hom_means.mean()) <= 1e-10
@@ -223,6 +216,25 @@ def test_discretize_agrees_with_state_lookup(gompertz_lam, gompertz_pi):
                 assert p.absorbed and p.times[-1] <= t
             else:
                 assert s == p.state_at(t)
+
+
+def test_cohort_panel_agrees_with_state_lookup(gompertz_lam, gompertz_pi):
+    """A whole cohort observed at once, against each path's own state_at:
+    absorbed and censored paths, on a grid that runs past the horizon."""
+    fam = ScalingFamily.gompertz(0.1019)
+    cohort = simulate_cohort(gompertz_pi, gompertz_lam, fam, 30.0, 300, RandomStream(32))
+    grid = np.arange(0.0, 36.0, 1.5)
+    panel = cohort_panel(cohort, grid)
+    assert 0 < cohort.absorbed.sum() < len(cohort) == len(panel)
+    for k, (p, obs) in enumerate(zip(cohort, panel.paths)):
+        assert obs.path_id == f"p{k}"
+        if p.absorbed:
+            within = grid[grid < p.times[-1]]
+            assert obs.times.tolist() == grid[: within.size + 1].tolist()
+        else:
+            assert obs.times.tolist() == grid[grid <= p.end_time].tolist()
+        for t, s in zip(obs.times, obs.states):
+            assert s == (4 if p.absorbed and p.times[-1] <= t else p.state_at(t))
 
 
 # ---------------------------------------------------------------------------
