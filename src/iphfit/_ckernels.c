@@ -1,35 +1,31 @@
 /*
- * The jump-chain kernels of _kernels.py, compiled.
+ * The two sweeps of _kernels.py, compiled.
  *
- * sim_path, bridge_attempts and complete_panel_path keep the signatures,
- * return tuples, buffer writes and draw order of their Python bodies,
- * and the helpers below (jump, run_chain, bridge_attempt, complete_path)
- * mirror the Python ones (_jump, _run_chain, _bridge_attempt,
- * _complete_path) step for step.  A jump draws (1/rate) *
- * random_standard_exponential and, when it lands inside the horizon,
- * next_double * rate: what Generator.exponential(1/rate) and
- * Generator.random() compute, so both forms leave the generator in the
- * same state.  The bit generator comes from gen.bit_generator.capsule.
- *
- * Two sweeps run many paths without a Python object per path.
  * complete_sweep runs complete_path over a whole panel; the estimator
  * calls it for each SE-step and for the final-segment bridges of
  * initialization.  simulate_sweep draws each path's initial state (one
  * next_double) and runs run_chain to the horizon; the studies and the CLI
  * call it for a simulated cohort and for each goodness-of-fit sample.
- * Both seed each path's stream themselves from the path's key, with
- * numpy's SeedSequence pool mix and PCG64 seeding, and draw through a
- * local bitgen_t that steps PCG64 as numpy does.  The paths (and the
- * sufficient statistics of complete_sweep) come back as flat arrays.
+ * The helpers below (jump, run_chain, bridge_attempt, complete_path)
+ * mirror the Python ones (_jump, _run_chain, _bridge_attempt,
+ * _complete_path) step for step.  A jump draws (1/rate) *
+ * random_standard_exponential and, when it lands inside the horizon,
+ * next_double * rate: what Generator.exponential(1/rate) and
+ * Generator.random() compute, so both forms leave the stream in the same
+ * state.
  *
- * Each kernel is a Kernel object holding its Python body as py_func, as a
- * numba dispatcher does.  A call this file does not take as is (a
- * generator other than numpy.random.Generator, another dtype or layout,
- * a state out of range, a keyword argument) goes to py_func unchanged, so
+ * Both sweeps seed each path's stream themselves from the path's key, with
+ * numpy's SeedSequence pool mix and PCG64 seeding, and draw through a
+ * local bitgen_t that steps PCG64 as numpy does; this is the only source
+ * of random bits here.  The paths (and the sufficient statistics of
+ * complete_sweep) come back as flat arrays.
+ *
+ * Each sweep is a Kernel object holding its Python body as py_func.  A
+ * call this file does not take as is (another dtype or layout, a state or
+ * key out of range, a keyword argument) goes to py_func unchanged, so
  * every call gives the same result whichever body runs it.  Arguments are
  * checked here, before any pointer is used.  A call holds the GIL
- * throughout and does not take the bit generator's lock, as numba's
- * kernels do not: a generator is not shared between threads here.
+ * throughout.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off with the Python and numpy
  * include directories, linked against numpy/random/lib/libnpyrandom.a.
@@ -342,15 +338,15 @@ as_double(PyObject *obj, double *out)
 }
 
 /* An aligned, native-order, C-contiguous ndarray (not a subclass) of the
-   given dtype and dimension; writable if asked. */
+   given dtype and dimension. */
 static PyArrayObject *
-as_array(PyObject *obj, int type, int ndim, int writable)
+as_array(PyObject *obj, int type, int ndim)
 {
     if (!PyArray_CheckExact(obj))
         return NULL;
     PyArrayObject *a = (PyArrayObject *)obj;
     if (PyArray_TYPE(a) != type || PyArray_NDIM(a) != ndim || !PyArray_ISCARRAY_RO(a)
-        || !PyArray_ISNOTSWAPPED(a) || (writable && !PyArray_ISWRITEABLE(a)))
+        || !PyArray_ISNOTSWAPPED(a))
         return NULL;
     return a;
 }
@@ -359,8 +355,8 @@ as_array(PyObject *obj, int type, int ndim, int writable)
 static int
 as_model(PyObject *cum_obj, PyObject *total_obj, PyObject *n_obj, Model *m)
 {
-    PyArrayObject *cum = as_array(cum_obj, NPY_FLOAT64, 2, 0);
-    PyArrayObject *total = as_array(total_obj, NPY_FLOAT64, 1, 0);
+    PyArrayObject *cum = as_array(cum_obj, NPY_FLOAT64, 2);
+    PyArrayObject *total = as_array(total_obj, NPY_FLOAT64, 1);
     if (cum == NULL || total == NULL || !as_index(n_obj, &m->n) || m->n < 1
         || PyArray_DIM(cum, 0) != m->n || PyArray_DIM(cum, 1) != m->n + 1
         || PyArray_DIM(total, 0) != m->n)
@@ -370,64 +366,9 @@ as_model(PyObject *cum_obj, PyObject *total_obj, PyObject *n_obj, Model *m)
     return 1;
 }
 
-/* times (cap,) float64 and states int64 with room for at least cap. */
-static int
-as_buffers(PyObject *times_obj, PyObject *states_obj, Buffers *out)
-{
-    PyArrayObject *times = as_array(times_obj, NPY_FLOAT64, 1, 1);
-    PyArrayObject *states = as_array(states_obj, NPY_INT64, 1, 1);
-    if (times == NULL || states == NULL || PyArray_DIM(states, 0) < PyArray_DIM(times, 0))
-        return 0;
-    out->times = (double *)PyArray_DATA(times);
-    out->states = (npy_int64 *)PyArray_DATA(states);
-    out->cap = PyArray_DIM(times, 0);
-    return 1;
-}
+/* ---- the kernels: args are those of the Python body ---- */
 
-/* ---- the kernels: args are those of the Python body; bg draws from its
-   generator, or is NULL for a kernel that makes its own streams ---- */
-
-typedef PyObject *(*kernel_body)(bitgen_t *bg, PyObject *const *args);
-
-/* sim_path(gen, state, t, horizon, cum, total, n, times, states)
-   -> (status, count, state, time) */
-static PyObject *
-sim_path(bitgen_t *bg, PyObject *const *args)
-{
-    npy_intp state, count = 0;
-    double t, horizon;
-    Model m;
-    Buffers out;
-    if (!as_index(args[1], &state) || !as_double(args[2], &t) || !as_double(args[3], &horizon)
-        || !as_model(args[4], args[5], args[6], &m) || !as_buffers(args[7], args[8], &out)
-        || state < 0 || state >= m.n)
-        return NULL;
-    const int status = run_chain(bg, &m, &state, &t, horizon, &out, &count);
-    return Py_BuildValue("(innd)", status, count, state, status == 2 ? horizon : t);
-}
-
-/* bridge_attempts(gen, x, y, duration, cum, total, n, max_attempts, times, states)
-   -> (status, attempts, count) */
-static PyObject *
-bridge_attempts(bitgen_t *bg, PyObject *const *args)
-{
-    npy_intp x, y, max_attempts, k;
-    double duration;
-    Model m;
-    Buffers out;
-    if (!as_index(args[1], &x) || !as_index(args[2], &y) || !as_double(args[3], &duration)
-        || !as_model(args[4], args[5], args[6], &m) || !as_index(args[7], &max_attempts)
-        || !as_buffers(args[8], args[9], &out) || x < 0 || x >= m.n)
-        return NULL;
-    for (npy_intp attempt = 1; attempt <= max_attempts; attempt++) {
-        const npy_intp end = bridge_attempt(bg, &m, x, 0.0, duration, &out, 0, &k);
-        if (end < 0)
-            return Py_BuildValue("(inn)", 2, attempt, (npy_intp)0);
-        if (end == y)
-            return Py_BuildValue("(inn)", 0, attempt, k);
-    }
-    return Py_BuildValue("(inn)", 1, max_attempts, (npy_intp)0);
-}
+typedef PyObject *(*kernel_body)(PyObject *const *args);
 
 /* Every observed state but the last is transient; a lone observation is
    too (the Python body would read times[-1]). */
@@ -441,32 +382,6 @@ valid_path(const npy_int64 *obs_x, npy_intp len, npy_intp n)
         if (obs_x[i] < 0 || obs_x[i] >= n)
             return 0;
     return 1;
-}
-
-/* complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states)
-   -> (status, info, count, end_time, attempts) */
-static PyObject *
-complete_panel_path(bitgen_t *bg, PyObject *const *args)
-{
-    PyArrayObject *s_arr = as_array(args[1], NPY_FLOAT64, 1, 0);
-    PyArrayObject *x_arr = as_array(args[2], NPY_INT64, 1, 0);
-    npy_intp max_attempts, info, count, attempts = 0;
-    double end = 0.0;
-    Model m;
-    Buffers out;
-    if (s_arr == NULL || x_arr == NULL || !as_model(args[3], args[4], args[5], &m)
-        || !as_index(args[6], &max_attempts) || !as_buffers(args[7], args[8], &out)
-        || PyArray_DIM(x_arr, 0) != PyArray_DIM(s_arr, 0)
-        || !valid_path((const npy_int64 *)PyArray_DATA(x_arr), PyArray_DIM(x_arr, 0), m.n))
-        return NULL;
-    const int status = complete_path(
-        bg, &m, (const double *)PyArray_DATA(s_arr), (const npy_int64 *)PyArray_DATA(x_arr),
-        PyArray_DIM(s_arr, 0) - 1, max_attempts, &out, &info, &count, &end, &attempts);
-    if (status != 0) {
-        count = 0;
-        end = 0.0;
-    }
-    return Py_BuildValue("(inndn)", status, info, count, end, attempts);
 }
 
 /* Resizes a 1-d array this file owns alone. */
@@ -483,13 +398,13 @@ resize(PyArrayObject *a, npy_intp size)
                   max_attempts, cap)
    -> (status, path, info, attempts, retries, stats, paths) */
 static PyObject *
-complete_sweep(bitgen_t *Py_UNUSED(unused), PyObject *const *args)
+complete_sweep(PyObject *const *args)
 {
-    PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1, 0);
-    PyArrayObject *key_arr = as_array(args[3], NPY_INT64, 1, 0);
-    PyArrayObject *s_arr = as_array(args[4], NPY_FLOAT64, 1, 0);
-    PyArrayObject *x_arr = as_array(args[5], NPY_INT64, 1, 0);
-    PyArrayObject *k_arr = as_array(args[6], NPY_INT64, 1, 0);
+    PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1);
+    PyArrayObject *key_arr = as_array(args[3], NPY_INT64, 1);
+    PyArrayObject *s_arr = as_array(args[4], NPY_FLOAT64, 1);
+    PyArrayObject *x_arr = as_array(args[5], NPY_INT64, 1);
+    PyArrayObject *k_arr = as_array(args[6], NPY_INT64, 1);
     npy_intp iteration, replications, max_attempts, cap;
     Model m;
     if (w_arr == NULL || key_arr == NULL || s_arr == NULL || x_arr == NULL || k_arr == NULL
@@ -605,11 +520,11 @@ done:
 /* simulate_sweep(words, keys, cum_pi, cum, total, n, horizon)
    -> (times, states, bounds, ends) */
 static PyObject *
-simulate_sweep(bitgen_t *Py_UNUSED(unused), PyObject *const *args)
+simulate_sweep(PyObject *const *args)
 {
-    PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1, 0);
-    PyArrayObject *key_arr = as_array(args[1], NPY_INT64, 1, 0);
-    PyArrayObject *pi_arr = as_array(args[2], NPY_FLOAT64, 1, 0);
+    PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1);
+    PyArrayObject *key_arr = as_array(args[1], NPY_INT64, 1);
+    PyArrayObject *pi_arr = as_array(args[2], NPY_FLOAT64, 1);
     double horizon;
     Model m;
     if (w_arr == NULL || key_arr == NULL || pi_arr == NULL
@@ -685,32 +600,22 @@ done:
     return result;
 }
 
-/* uses_generator: args[0] is the Generator to draw from */
 static const struct {
     const char *name;
     kernel_body body;
     Py_ssize_t nargs;
-    int uses_generator;
 } BODIES[] = {
-    {"sim_path", sim_path, 9, 1},
-    {"bridge_attempts", bridge_attempts, 10, 1},
-    {"complete_panel_path", complete_panel_path, 9, 1},
-    {"complete_sweep", complete_sweep, 12, 0},
-    {"simulate_sweep", simulate_sweep, 7, 0},
+    {"complete_sweep", complete_sweep, 12},
+    {"simulate_sweep", simulate_sweep, 7},
 };
 
 /* ---- the Kernel type ---- */
-
-static PyObject *generator_type;  /* numpy.random.Generator */
-static PyObject *str_bit_generator;
-static PyObject *str_capsule;
 
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
     kernel_body body;
     Py_ssize_t nargs;
-    int uses_generator;
     PyObject *py_func;
     PyObject *dict;
 } Kernel;
@@ -720,27 +625,10 @@ Kernel_vectorcall(PyObject *self, PyObject *const *args, size_t nargsf, PyObject
 {
     Kernel *kernel = (Kernel *)self;
     const Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    if (kwnames == NULL && nargs == kernel->nargs && !kernel->uses_generator) {
-        PyObject *result = kernel->body(NULL, args);
+    if (kwnames == NULL && nargs == kernel->nargs) {
+        PyObject *result = kernel->body(args);
         if (result != NULL || PyErr_Occurred())
             return result;
-    }
-    else if (kwnames == NULL && nargs == kernel->nargs
-             && (PyObject *)Py_TYPE(args[0]) == generator_type) {
-        /* held until the body returns: it owns the bit generator's state */
-        PyObject *bit_generator = PyObject_GetAttr(args[0], str_bit_generator);
-        PyObject *capsule = bit_generator ? PyObject_GetAttr(bit_generator, str_capsule) : NULL;
-        bitgen_t *bg = NULL;
-        if (capsule != NULL && PyCapsule_IsValid(capsule, "BitGenerator"))
-            bg = (bitgen_t *)PyCapsule_GetPointer(capsule, "BitGenerator");
-        PyObject *result = NULL;
-        if (bg != NULL)
-            result = kernel->body(bg, args);
-        Py_XDECREF(capsule);
-        Py_XDECREF(bit_generator);
-        if (result != NULL || (bg != NULL && PyErr_Occurred()))
-            return result;
-        PyErr_Clear();
     }
     return PyObject_Vectorcall(kernel->py_func, args, nargsf, kwnames);
 }
@@ -783,7 +671,7 @@ static PyGetSetDef Kernel_getset[] = {
 static PyTypeObject KernelType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "iphfit._ckernels.Kernel",
-    .tp_doc = "A compiled jump-chain kernel; py_func is its Python body.",
+    .tp_doc = "A compiled sweep; py_func is its Python body.",
     .tp_basicsize = sizeof(Kernel),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_vectorcall_offset = offsetof(Kernel, vectorcall),
@@ -813,7 +701,6 @@ make_kernel(PyObject *Py_UNUSED(module), PyObject *args)
         self->vectorcall = Kernel_vectorcall;
         self->body = BODIES[i].body;
         self->nargs = BODIES[i].nargs;
-        self->uses_generator = BODIES[i].uses_generator;
         Py_INCREF(py_func);
         self->py_func = py_func;
         self->dict = NULL;
@@ -849,7 +736,7 @@ stream_draws(PyObject *Py_UNUSED(module), PyObject *args)
     Py_ssize_t count;
     if (!PyArg_ParseTuple(args, "On:stream_draws", &w_obj, &count))
         return NULL;
-    PyArrayObject *w_arr = as_array(w_obj, NPY_UINT32, 1, 0);
+    PyArrayObject *w_arr = as_array(w_obj, NPY_UINT32, 1);
     if (w_arr == NULL || count < 0)
         return PyErr_Format(PyExc_ValueError, "need a uint32 vector and a count >= 0");
     Pcg64 stream;
@@ -892,7 +779,7 @@ static PyMethodDef module_methods[] = {
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_ckernels",
-    .m_doc = "Compiled jump-chain kernels.",
+    .m_doc = "The compiled sweeps.",
     .m_size = -1,
     .m_methods = module_methods,
 };
@@ -902,15 +789,6 @@ PyInit__ckernels(void)
 {
     import_array();
     if (PyType_Ready(&KernelType) < 0)
-        return NULL;
-    PyObject *random = PyImport_ImportModule("numpy.random");
-    if (random == NULL)
-        return NULL;
-    generator_type = PyObject_GetAttrString(random, "Generator");
-    Py_DECREF(random);
-    str_bit_generator = PyUnicode_InternFromString("bit_generator");
-    str_capsule = PyUnicode_InternFromString("capsule");
-    if (generator_type == NULL || str_bit_generator == NULL || str_capsule == NULL)
         return NULL;
     return PyModule_Create(&module_def);
 }

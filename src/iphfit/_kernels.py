@@ -1,21 +1,19 @@
 """Jump-chain kernels.
 
-The hot loops of trajectory simulation, bridge rejection sampling,
-whole-path completion and the two sweeps live here: ``complete_sweep``
-over a whole panel (each SE-step, and the final-segment bridges of
-initialization) and ``simulate_sweep`` over a whole simulated cohort or
-goodness-of-fit sample.  ``sim_path``, ``bridge_attempts`` and
-``complete_panel_path`` draw from a ``numpy.random.Generator`` handed in
-by the caller; the two sweeps derive one stream per path (and round)
-from entropy words and the path's key, as ``RandomStream.generator()``
-does.  All five rest on one jump step, ``_jump``, and on the private
-helpers built on it (``_run_chain``, ``_bridge_attempt``,
-``_complete_path``), which mirror those of ``_ckernels.c``.  Three
-backends run them, tried in this order:
+The hot loops of trajectory simulation and bridge rejection sampling live
+here.  Two kernels do the package's work, each over many paths in one
+call: ``complete_sweep`` over a whole panel (each SE-step, and the
+final-segment bridges of initialization) and ``simulate_sweep`` over a
+whole simulated cohort or goodness-of-fit sample.  Each derives one
+stream per path (and round) from entropy words and the path's key, as
+``RandomStream.generator()`` does.  ``sim_path``, ``bridge_attempts`` and
+``complete_panel_path`` run one path on a ``numpy.random.Generator``
+handed in by the caller; they are plain Python, for ``bridge_sample`` and
+as the tests' per-path reference.  All rest on one jump step, ``_jump``,
+and on the private helpers built on it (``_run_chain``,
+``_bridge_attempt``, ``_complete_path``), which mirror those of
+``_ckernels.c``.  Two backends run the sweeps, tried in this order:
 
-- numba, when importable: the bodies below, jitted, except the two
-  sweeps, which stay Python loops over the jitted ``_complete_path`` and
-  ``_run_chain``;
 - C: ``_ckernels.c``, compiled on the first import and cached in this
   package's ``__pycache__`` under a name keyed by the source, the
   compiler flags, the interpreter's extension suffix and the numpy
@@ -23,11 +21,10 @@ backends run them, tried in this order:
 - pure Python: the bodies below as they are, if compiling or loading
   the C file fails for any reason.
 
-``BACKEND`` names the one in use.  All three consume each bit stream
-exactly like the Python bodies do, so every backend produces
-bitwise-identical paths; the compiled kernels expose their Python body
-as ``py_func``.  ``build`` rebinds only the five public names, so a
-``py_func`` runs Python throughout.
+``BACKEND`` names the one in use.  The C sweeps consume each bit stream
+exactly like the Python bodies do, so both backends produce
+bitwise-identical paths; a compiled sweep exposes its Python body as
+``py_func``, which runs Python throughout.
 
 Conventions inside this module only: states are 0-based, the absorbing
 state has index n, and ``cum[x]`` holds the cumulative rates out of x over
@@ -49,24 +46,10 @@ import tempfile
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
+# numba is not a backend; bench/run.py reads this name
+HAVE_NUMBA = False
 
 
-@njit(cache=True)
 def _jump(gen, cum, total, n, state, t, horizon):
     """One jump out of ``state`` at ``t``: ``(-1, t)`` when the state has
     no exit rate or the jump would land after ``horizon``, otherwise the
@@ -87,7 +70,6 @@ def _jump(gen, cum, total, n, state, t, horizon):
     return nxt, t
 
 
-@njit(cache=True)
 def _run_chain(gen, cum, total, n, state, t, horizon, times, states, count):
     """Run the chain from ``state`` at ``t``, appending jumps to the
     buffers after ``count``, until it is absorbed (status 1), makes no
@@ -108,7 +90,6 @@ def _run_chain(gen, cum, total, n, state, t, horizon, times, states, count):
             return 1, count, state, t
 
 
-@njit(cache=True)
 def _bridge_attempt(gen, cum, total, n, x, s1, duration, times, states, start):
     """One rejection attempt: the chain from x over ``(0, duration]``, its
     jumps written at epochs ``s1 + t`` from index ``start`` on.  Returns
@@ -132,10 +113,10 @@ def _bridge_attempt(gen, cum, total, n, x, s1, duration, times, states, start):
             return state, k
 
 
-@njit(cache=True)
 def _complete_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states):
-    """The body of ``complete_panel_path``, under a name ``build`` leaves
-    alone, so that ``complete_sweep``'s Python body stays Python."""
+    """The body of ``complete_panel_path``.  ``complete_sweep``'s Python
+    body calls it under this name, which the benchmark's tracer does not
+    wrap."""
     count = 0
     attempts = 0
     m = obs_s.shape[0] - 1
@@ -169,7 +150,6 @@ def _complete_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states
     return 2, m, 0, 0.0, attempts
 
 
-@njit(cache=True)
 def sim_path(gen, state, t, horizon, cum, total, n, times, states):
     """Simulate the jump chain from ``state`` at time ``t``.
 
@@ -185,7 +165,6 @@ def sim_path(gen, state, t, horizon, cum, total, n, times, states):
     return status, count, state, t
 
 
-@njit(cache=True)
 def bridge_attempts(gen, x, y, duration, cum, total, n, max_attempts, times, states):
     """Rejection-sample a path from x over ``duration`` ending in y.
 
@@ -204,7 +183,6 @@ def bridge_attempts(gen, x, y, duration, cum, total, n, max_attempts, times, sta
     return 1, max_attempts, 0
 
 
-@njit(cache=True)
 def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states):
     """Reconstruct one full trajectory consistent with its panel records.
 
@@ -350,11 +328,8 @@ def simulate_sweep(words, keys, cum_pi, cum, total, n, horizon):
     return times[:used].copy(), states[:used].copy(), bounds, ends
 
 
-# the Python bodies, as numba's dispatchers keep them
-_PY_KERNELS = tuple(
-    getattr(f, "py_func", f)
-    for f in (sim_path, bridge_attempts, complete_panel_path, complete_sweep, simulate_sweep)
-)
+# the Python bodies, kept before the module rebinds their names
+_PY_SWEEPS = (complete_sweep, simulate_sweep)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _C_SOURCE = os.path.join(_HERE, "_ckernels.c")
 # no -ffast-math or -march: the arithmetic must round as the Python bodies do
@@ -362,10 +337,9 @@ _C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
-    """The kernels compiled from ``_ckernels.c``: ``("c", kernels)``.
+    """The sweeps compiled from ``_ckernels.c``: ``("c", (complete_sweep,
+    simulate_sweep))``.
 
-    ``kernels`` is ``(sim_path, bridge_attempts, complete_panel_path,
-    complete_sweep, simulate_sweep)``.
     The shared library is built with the compiler ``cc`` unless
     ``cache_dir`` already holds it under its key; concurrent builds each
     write their own temporary file and rename it into place.  If the
@@ -375,9 +349,9 @@ def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
     try:
         module = _load_c(cc, cache_dir)
     except (OSError, ImportError, subprocess.SubprocessError):
-        return "pure-python", _PY_KERNELS
+        return "pure-python", _PY_SWEEPS
     return "c", tuple(
-        functools.update_wrapper(module.kernel(f.__name__, f), f) for f in _PY_KERNELS
+        functools.update_wrapper(module.kernel(f.__name__, f), f) for f in _PY_SWEEPS
     )
 
 
@@ -418,9 +392,4 @@ def _compile_c(cc: str, path: str, suffix: str) -> None:
             os.remove(tmp)
 
 
-if HAVE_NUMBA:  # pragma: no cover - numba is not installed in every environment
-    BACKEND = "numba"
-else:
-    BACKEND, (sim_path, bridge_attempts, complete_panel_path, complete_sweep, simulate_sweep) = (
-        build()
-    )
+BACKEND, (complete_sweep, simulate_sweep) = build()

@@ -149,12 +149,13 @@ class _PanelArrays:
     ``flat_times``/``flat_states0`` hold every path's observations end to
     end, path k at ``starts[k]:starts[k + 1]``; ``times`` and ``states0``
     are per-path views of them.  ``keys`` holds each path's stream key,
-    its index k.
+    its index k.  ``data`` is the panel itself.
     """
 
     def __init__(self, data: PanelObservationSet):
         if len(data) == 0:
             raise ValidationError("cannot fit an empty panel")
+        self.data = data
         self.n = data.n
         self.ids = [p.path_id for p in data.paths]
         self.flat_times = np.concatenate([p.times for p in data.paths])
@@ -196,7 +197,7 @@ def _naive_statistics(panel: _PanelArrays) -> SufficientStatistics:
 
 
 def initialize(
-    data: PanelObservationSet,
+    data: PanelObservationSet | _PanelArrays,
     cfg: FitConfig,
     rng: RandomStream,
     beta_trace: list | None = None,
@@ -209,8 +210,8 @@ def initialize(
     observation points), and beta0 is refined by ascent on those times.
     With no absorbed paths the refinement is skipped with a warning.
     """
-    panel = _PanelArrays(data)
-    pi_hat = empirical_pi(data)
+    panel = data if isinstance(data, _PanelArrays) else _PanelArrays(data)
+    pi_hat = empirical_pi(panel.data)
     lam0 = mle_generator(_naive_statistics(panel), panel.K)[1]
     if cfg.homogeneous_mode:
         return pi_hat, lam0, cfg.beta0
@@ -392,7 +393,7 @@ def fit(
         rng = RandomStream(cfg.seed)
     panel = _PanelArrays(data)
     absorbed_paths = int(panel.absorbed.sum())
-    pi_hat, lam_hat, beta_hat = initialize(data, cfg, rng, beta_trace=beta_trace)
+    pi_hat, lam_hat, beta_hat = initialize(panel, cfg, rng, beta_trace=beta_trace)
     trace: list[IterationRecord] = []
     termination = "max-iterations"
     iterations_used = cfg.max_sem_iterations
@@ -447,7 +448,7 @@ def fit_homogeneous(
         rng = RandomStream(cfg.seed)
     panel = _PanelArrays(data)
     absorbed_paths = int(panel.absorbed.sum())
-    pi_hat, lam_hat, _beta = initialize(data, cfg, rng)
+    pi_hat, lam_hat, _beta = initialize(panel, cfg, rng)
     trace: list[IterationRecord] = []
     for it in range(1, cfg.homog_iterations + 1):
         step = sem_iteration(panel, pi_hat, lam_hat, None, cfg, rng, it)

@@ -181,6 +181,26 @@ def test_initialize_without_absorbed_paths_keeps_beta0():
     assert beta0 == GOMPERTZ_CFG.beta0
 
 
+def test_fit_unpacks_the_panel_once(monkeypatch, gompertz_pi, gompertz_lam):
+    """fit and fit_homogeneous hand one _PanelArrays to initialization and
+    to every sweep."""
+    made = []
+    unpack = estimator._PanelArrays.__init__
+
+    def counted(self, data):
+        made.append(data)
+        unpack(self, data)
+
+    monkeypatch.setattr(estimator._PanelArrays, "__init__", counted)
+    data = make_panel(gompertz_pi, gompertz_lam, ScalingFamily(GOMPERTZ, 0.1019), 30.0, 1.0,
+                      60, 81)
+    fit(data, FitConfig(family=GOMPERTZ, beta0=1.0, eta=1e-6, e_ell=0.01,
+                        max_sem_iterations=2), RandomStream(81))
+    fit(data, FitConfig(family=IDENTITY, homogeneous_mode=True, homog_iterations=2,
+                        homog_tail_average=1), RandomStream(81))
+    assert [d is data for d in made] == [True, True]
+
+
 def test_fit_rejects_degenerate_panel():
     # single time-0 observation: no occupation anywhere, MLEs undefined
     data = _panel(2, [("a", [0.0], [1])])

@@ -1,11 +1,13 @@
-"""The compiled jump-chain kernels against their Python bodies.
+"""The jump-chain kernels.
 
-Each compiled kernel must return the same tuple, write the same buffers
-and leave its generator in the same state as its ``py_func``, and a CLI
+The per-path Python functions (``sim_path``, ``bridge_attempts``,
+``complete_panel_path``) must end in each of their statuses.  Each
+compiled sweep must give the same result as its ``py_func``, and a CLI
 run must write the same bytes either way.  The SE-step sweep must seed
 each path's stream as ``RandomStream.generator()`` does and give the
 statistics, paths and counters of a per-path loop over
-``complete_panel_path``.  The build tests check the C backend's
+``complete_panel_path``; the simulation sweep must give the paths of a
+per-path loop over ``sim_path``.  The build tests check the C backend's
 compile-once cache and its fallback to the Python bodies.
 """
 
@@ -35,11 +37,10 @@ from iphfit.studies import cohort_panel, fitted_absorption_sample, simulate_coho
 
 from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI
 
-KERNELS = ("sim_path", "bridge_attempts", "complete_panel_path", "complete_sweep", "simulate_sweep")
+KERNELS = ("complete_sweep", "simulate_sweep")
 
 compiled = pytest.mark.skipif(
-    _kernels.BACKEND == "pure-python",
-    reason="no compiled kernel backend loaded (no numba, and the C build failed)",
+    _kernels.BACKEND == "pure-python", reason="the C kernels did not build or load"
 )
 
 
@@ -61,100 +62,55 @@ DEAD_END = _model([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
 SINGLE = _model([[0.0, 1.0]])
 
 
-def _run_both(name, seed, *args, cap=256):
-    """Call the compiled kernel and its Python body on equal inputs;
-    assert equal results, buffers and generator states, and return the
-    result with the buffers."""
-    kernel = getattr(_kernels, name)
-    outs = []
-    for f in (kernel, kernel.py_func):
-        gen = np.random.Generator(np.random.PCG64(seed))
-        times = np.full(cap, -1.0)
-        states = np.full(cap, -7, dtype=np.int64)
-        result = f(gen, *args, times, states)
-        outs.append((result, times, states, gen.bit_generator.state))
-    (r_c, t_c, s_c, g_c), (r_py, t_py, s_py, g_py) = outs
-    assert tuple(r_c) == tuple(r_py)
-    assert [isinstance(v, float) for v in r_c] == [isinstance(v, float) for v in r_py]
-    assert np.array_equal(t_c, t_py, equal_nan=True)
-    assert np.array_equal(s_c, s_py)
-    assert g_c == g_py
-    return r_c, t_c, s_c
+def _run(name, seed, *args, cap=256):
+    """Call the per-path function on a fresh generator and buffers; return
+    the result with the buffers."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    times = np.full(cap, -1.0)
+    states = np.full(cap, -7, dtype=np.int64)
+    return getattr(_kernels, name)(gen, *args, times, states), times, states
 
 
 @compiled
 @pytest.mark.parametrize("name", KERNELS)
 def test_compiled_kernels_expose_python_bodies(name):
-    if name in ("complete_sweep", "simulate_sweep") and _kernels.BACKEND == "numba":
-        pytest.skip("the numba backend runs the sweeps' Python loops")
     kernel = getattr(_kernels, name)
     assert kernel is not kernel.py_func
     assert kernel.py_func.__name__ == name
     assert kernel.__doc__ == kernel.py_func.__doc__
 
 
-@compiled
-def test_sim_path_parity():
+def test_sim_path_statuses():
     cum, total = GOMPERTZ
     statuses = set()
     for seed in range(300):
         state = seed % 3
         horizon = [np.inf, 5.0, 40.0][seed % 3]
         cap = [256, 2][seed % 2]
-        result, _, _ = _run_both("sim_path", seed, state, 0.5, horizon, cum, total, 3, cap=cap)
+        result, _, _ = _run("sim_path", seed, state, 0.5, horizon, cum, total, 3, cap=cap)
         statuses.add(result[0])
     assert statuses == {0, 1, 2}  # buffer full, absorbed, horizon reached
     # a state without exit rate ends the path at the horizon
     cum, total = DEAD_END
-    assert _run_both("sim_path", 1, 1, 0.0, 9.0, cum, total, 2)[0] == (2, 0, 1, 9.0)
-    # numpy scalars for the state and time; a horizon passed as an int
-    cum, total = GOMPERTZ
-    _run_both("sim_path", 2, np.int64(1), np.float64(3.0), 50.0, cum, total, np.int64(3))
-    _run_both("sim_path", 2, 1, 3.0, 50, cum, total, 3)
+    assert _run("sim_path", 1, 1, 0.0, 9.0, cum, total, 2)[0] == (2, 0, 1, 9.0)
 
 
-@compiled
-def test_sim_path_parity_over_many_draws():
-    """About 10^5 exponential and uniform draws through one generator each."""
-    cum, total = GOMPERTZ
-    kernel = _kernels.sim_path
-    gens = [np.random.Generator(np.random.PCG64(99)) for _ in range(2)]
-    bufs = [(np.empty(64), np.empty(64, dtype=np.int64)) for _ in range(2)]
-    jumps = 0
-    for k in range(3000):
-        results = [
-            f(g, k % 3, 0.0, np.inf, cum, total, 3, *b)
-            for f, g, b in zip((kernel, kernel.py_func), gens, bufs)
-        ]
-        assert tuple(results[0]) == tuple(results[1])
-        count = results[0][1]
-        assert np.array_equal(bufs[0][0][:count], bufs[1][0][:count])
-        assert np.array_equal(bufs[0][1][:count], bufs[1][1][:count])
-        jumps += count
-    assert gens[0].bit_generator.state == gens[1].bit_generator.state
-    assert jumps > 30_000
-
-
-@compiled
-def test_bridge_attempts_parity():
+def test_bridge_attempts_statuses():
     cum, total = GOMPERTZ
     statuses = set()
     for seed in range(200):
         x, y = seed % 3, (seed // 3) % 4
         duration = [0.3, 2.0, 15.0][seed % 3]
-        result, _, _ = _run_both("bridge_attempts", seed, x, y, duration, cum, total, 3, 40)
+        result, _, _ = _run("bridge_attempts", seed, x, y, duration, cum, total, 3, 40)
         statuses.add(result[0])
     assert statuses == {0, 1}
     # overflow within an attempt
-    assert _run_both("bridge_attempts", 5, 0, 0, 500.0, cum, total, 3, 50, cap=3)[0][0] == 2
+    assert _run("bridge_attempts", 5, 0, 0, 500.0, cum, total, 3, 50, cap=3)[0][0] == 2
     # an accepted bridge without jumps
-    result, _, _ = _run_both("bridge_attempts", 6, 1, 1, 1e-6, cum, total, 3, 10)
-    assert result == (0, 1, 0)
-    # n = 1, the criterion 5 bridge; and a budget below one attempt
+    assert _run("bridge_attempts", 6, 1, 1, 1e-6, cum, total, 3, 10)[0] == (0, 1, 0)
+    # a budget below one attempt
     cum, total = SINGLE
-    for seed in range(50):
-        _run_both("bridge_attempts", seed, 0, 1, 1.0, cum, total, 1, 3)
-    assert _run_both("bridge_attempts", 7, 0, 1, 1.0, cum, total, 1, 0)[0] == (1, 0, 0)
+    assert _run("bridge_attempts", 7, 0, 1, 1.0, cum, total, 1, 0)[0] == (1, 0, 0)
 
 
 def _panel_path(gen, n_obs, absorbed):
@@ -166,63 +122,29 @@ def _panel_path(gen, n_obs, absorbed):
     return obs_s, obs_x
 
 
-@compiled
-def test_complete_panel_path_parity():
+def test_complete_panel_path_statuses():
     cum, total = GOMPERTZ
     gen = np.random.Generator(np.random.PCG64(12))
-    statuses = {}
+    statuses = set()
     for seed in range(300):
         obs_s, obs_x = _panel_path(gen, 1 + seed % 4, absorbed=seed % 2 == 1 and seed % 4 > 0)
-        result, times, states = _run_both(
-            "complete_panel_path", seed, obs_s, obs_x, cum, total, 3, 200
-        )
-        statuses[result[0]] = statuses.get(result[0], 0) + 1
+        result, times, states = _run("complete_panel_path", seed, obs_s, obs_x, cum, total, 3, 200)
+        statuses.add(result[0])
         if result[0] == 0:
             count = result[2]
             assert states[count - 1] == 3 and times[count - 1] == result[3]
-    assert set(statuses) == {0, 1}  # accepted and budget exhausted
+    assert statuses == {0, 1}  # accepted and budget exhausted
     # buffer overflow with a small buffer, in a bridge and while censored
     obs_s, obs_x = np.array([0.0, 30.0]), np.array([0, 3])
-    assert _run_both("complete_panel_path", 3, obs_s, obs_x, cum, total, 3, 99, cap=2)[0][0] == 2
+    assert _run("complete_panel_path", 3, obs_s, obs_x, cum, total, 3, 99, cap=2)[0][0] == 2
     obs_s, obs_x = np.array([0.0]), np.array([1])
-    assert _run_both("complete_panel_path", 3, obs_s, obs_x, cum, total, 3, 99, cap=2)[0][0] == 2
+    assert _run("complete_panel_path", 3, obs_s, obs_x, cum, total, 3, 99, cap=2)[0][0] == 2
     # a lone censored observation: the chain runs on to absorption
-    result, _, _ = _run_both("complete_panel_path", 4, obs_s, obs_x, cum, total, 3, 99)
-    assert result[:2] == (0, 0)
+    assert _run("complete_panel_path", 4, obs_s, obs_x, cum, total, 3, 99)[0][:2] == (0, 0)
     # dead end during the censored continuation
     cum, total = DEAD_END
     obs_s, obs_x = np.array([0.0, 2.0]), np.array([0, 1])
-    assert _run_both("complete_panel_path", 8, obs_s, obs_x, cum, total, 2, 500)[0][0] == 3
-
-
-@compiled
-def test_compiled_kernel_hands_other_inputs_to_python_body():
-    """A generator subclass, int32 buffers or keywords run the Python body."""
-    cum, total = GOMPERTZ
-
-    class Logged(np.random.Generator):
-        def random(self, *args, **kwargs):
-            self.uniforms = getattr(self, "uniforms", 0) + 1
-            return super().random(*args, **kwargs)
-
-    gen = Logged(np.random.PCG64(3))
-    times, states = np.empty(64), np.empty(64, dtype=np.int64)
-    status, count, _, _ = _kernels.sim_path(gen, 0, 0.0, np.inf, cum, total, 3, times, states)
-    assert status == 1 and gen.uniforms == count
-
-    narrow = np.empty(64, dtype=np.int32)
-    gens = [np.random.Generator(np.random.PCG64(4)) for _ in range(2)]
-    a = _kernels.sim_path(gens[0], 0, 0.0, np.inf, cum, total, 3, np.empty(64), narrow)
-    b = _kernels.sim_path.py_func(gens[1], 0, 0.0, np.inf, cum, total, 3, times, states)
-    assert tuple(a) == tuple(b) and np.array_equal(narrow[: a[1]], states[: a[1]])
-
-    with pytest.raises(IndexError):  # the Python body's own error
-        _kernels.sim_path(gens[0], 5, 0.0, np.inf, cum, total, 3, times, states)
-    c = _kernels.bridge_attempts(
-        gens[0], 0, 3, 4.0, cum, total, 3, max_attempts=50, times=times, states=states
-    )
-    d = _kernels.bridge_attempts.py_func(gens[1], 0, 3, 4.0, cum, total, 3, 50, times, states)
-    assert tuple(c) == tuple(d)
+    assert _run("complete_panel_path", 8, obs_s, obs_x, cum, total, 2, 500)[0][0] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +200,7 @@ def _reference_sweep(panel, lam, family, cfg, rng, iteration):
     """The per-path SE-step: a generator, a ContinuousPath and the statistics
     of ``accumulate_statistics`` for each path."""
     cum, total = jump_model(lam)
-    complete = getattr(_kernels.complete_panel_path, "py_func", _kernels.complete_panel_path)
+    complete = _kernels.complete_panel_path
     tbuf, sbuf = np.empty(estimator._PATH_CAP), np.empty(estimator._PATH_CAP, dtype=np.int64)
     completed, attempts, retries = [], 0, 0
     for rep in range(cfg.bridge_replications):
@@ -410,7 +332,7 @@ def _reference_paths(seed, prefix, keys, cum_pi, cum, total, n, horizon):
     """Path by path, as simulate_homogeneous drew them: the generator of
     RandomStream(seed, (*prefix, k)), the initial state by searchsorted,
     then sim_path's Python body in buffers of 16 jumps."""
-    sim_path = getattr(_kernels.sim_path, "py_func", _kernels.sim_path)
+    sim_path = _kernels.sim_path
     paths = []
     for k in keys:
         gen = RandomStream(seed, (*prefix, int(k))).generator()
@@ -439,6 +361,7 @@ SIMULATION_CASES = [
     (DEAD_END, [0.4, 0.6], 5.0, 11, (), 100),  # state 1 sits there to the horizon
     (SWAPPING, [1.0, 0.0], 400.0, 2**32, (2, 9), 3),  # outgrows the first buffer
     (GOMPERTZ, GOMPERTZ_PI, np.inf, 1, (), 0),
+    (GOMPERTZ, GOMPERTZ_PI, np.inf, 99, (), 3000),  # about 10^5 draws
 ]
 
 
@@ -466,6 +389,8 @@ def test_simulate_sweep_matches_per_path_loop(case):
         assert times.size > 4 * count + 64
     if case == 4:
         assert states[0] == 2
+    if count == 3000:
+        assert times.size - count > 30_000
 
 
 @pytest.mark.parametrize("horizon", [np.inf, 60.0, 0.0])
@@ -509,8 +434,9 @@ def test_simulation_checks_absorbability_of_drawn_states():
 
 @compiled
 def test_simulate_sweep_hands_other_inputs_to_python_body():
-    """int32 keys, int64 words, an int horizon or a cum_pi of another length
-    run the Python body; so does a negative key, which it refuses."""
+    """int32 keys, int64 words, an int horizon, a cum_pi of another length
+    or a keyword argument run the Python body; so does a negative key,
+    which it refuses."""
     cum, total = GOMPERTZ
     words = _kernels.stream_words(8, 2)
     keys = np.arange(40, dtype=np.int64)
@@ -526,6 +452,9 @@ def test_simulate_sweep_hands_other_inputs_to_python_body():
         got, want = kernel(w, k, c, cum, total, 3, h), kernel.py_func(w, k, c, cum, total, 3, h)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    got = kernel(words, keys, cum_pi, cum, total, 3, horizon=50.0)
+    for a, b in zip(got, kernel.py_func(words, keys, cum_pi, cum, total, 3, 50.0)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     negative = keys.copy()
     negative[5] = -1
     for body in (kernel, kernel.py_func):
@@ -611,12 +540,12 @@ def test_build_compiles_once_into_its_cache(tmp_path):
     # a warm cache needs no compiler
     backend, again = _kernels.build(cc=str(tmp_path / "no-such-cc"), cache_dir=str(cache))
     assert backend == "c" and len(list(cache.iterdir())) == 1
+    assert [k.__name__ for k in again] == list(KERNELS)
+    assert all(hasattr(k, "py_func") for k in first + again)
     cum, total = GOMPERTZ
-    results = []
-    for kernel in (first[0], again[0]):
-        gen = np.random.Generator(np.random.PCG64(1))
-        results.append(kernel(gen, 0, 0.0, np.inf, cum, total, 3, np.empty(99),
-                              np.empty(99, dtype=np.int64)))
+    args = (_kernels.stream_words(1), np.arange(50, dtype=np.int64), np.cumsum(GOMPERTZ_PI),
+            cum, total, 3, np.inf)
+    results = [[a.tobytes() for a in sweep(*args)] for sweep in (first[1], again[1])]
     assert results[0] == results[1]
 
 
@@ -657,3 +586,36 @@ def test_cold_cache_import_from_two_processes(tmp_path):
     if _kernels.BACKEND == "c":  # one library, no temporary file left
         built = os.listdir(tmp_path / "iphfit" / "__pycache__")
         assert len([name for name in built if "ckernels" in name]) == 1
+
+
+# njit(f) and njit(cache=True)(f) both give f back
+NUMBA_STUB = """
+def njit(*args, **kwargs):
+    if args and callable(args[0]):
+        return args[0]
+    return lambda f: f
+"""
+
+
+def test_importable_numba_changes_nothing(tmp_path):
+    """With a stub numba package importable, a fresh copy of the package
+    picks the same backend and runs a study to the same result as
+    without it."""
+    package = os.path.dirname(os.path.abspath(_kernels.__file__))
+    shutil.copytree(package, tmp_path / "iphfit", ignore=shutil.ignore_patterns("__pycache__"))
+    stub = tmp_path / "stub" / "numba"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text(NUMBA_STUB)
+    env = _cli.env()
+    env.pop("PYTHONPATH")
+    outs = []
+    for code, child_env in [(CHILD, env),
+                            ("import numba\n" + CHILD, dict(env, PYTHONPATH=str(stub.parent)))]:
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env=child_env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        outs.append(child.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(f"{_kernels.BACKEND} [] ")
