@@ -36,10 +36,12 @@ one uniform draw.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sysconfig
 import tempfile
@@ -342,7 +344,8 @@ def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
 
     The shared library is built with the compiler ``cc`` unless
     ``cache_dir`` already holds it under its key; concurrent builds each
-    write their own temporary file and rename it into place.  If the
+    write their own temporary file and rename it into place, and a build
+    deletes the libraries other keys left there for this interpreter.  If the
     source is missing, the compiler is absent or fails, or the library
     does not load, returns ``("pure-python", <the Python bodies>)``.
     """
@@ -367,10 +370,23 @@ def _load_c(cc: str, cache_dir: str):
     path = os.path.join(cache_dir, f"_ckernels.{key}{suffix}")
     if not os.path.exists(path):
         _compile_c(cc, path, suffix)
+        _remove_stale(cache_dir, key, suffix)
     spec = importlib.util.spec_from_file_location(f"{__package__}._ckernels", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _remove_stale(cache_dir: str, key: str, suffix: str) -> None:
+    """Delete the libraries with this extension suffix that other keys
+    built (older sources, flags or numpy versions).  Libraries for other
+    interpreters have other suffixes and stay."""
+    built = re.compile(r"_ckernels\.[0-9a-f]{16}" + re.escape(suffix))
+    own = f"_ckernels.{key}{suffix}"
+    for name in os.listdir(cache_dir):
+        if name != own and built.fullmatch(name):
+            with contextlib.suppress(OSError):  # another process removed it first
+                os.remove(os.path.join(cache_dir, name))
 
 
 def _compile_c(cc: str, path: str, suffix: str) -> None:

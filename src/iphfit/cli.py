@@ -154,9 +154,7 @@ def _observed_times(args, n: int) -> np.ndarray:
             raise ValidationError(f"sample file {args.sample} has no values")
         return vals
     panel = read_panel(args.panel, n)
-    vals = np.asarray(
-        [p.times[-1] for p in panel.paths if p.absorbed(n)], dtype=float
-    )
+    vals = panel.times[panel.starts[1:] - 1][panel.absorbed]
     if vals.size == 0:
         raise ValidationError(
             "no absorbed paths in panel; nothing to compare against"

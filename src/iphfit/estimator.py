@@ -144,12 +144,12 @@ class SemIterationResult:
 
 
 class _PanelArrays:
-    """Panel data unpacked once into kernel-friendly arrays (0-based).
+    """Panel data in kernel-friendly arrays (0-based states).
 
     ``flat_times``/``flat_states0`` hold every path's observations end to
     end, path k at ``starts[k]:starts[k + 1]``; ``times`` and ``states0``
-    are per-path views of them.  ``keys`` holds each path's stream key,
-    its index k.  ``data`` is the panel itself.
+    are per-path views of them, split on first access.  ``keys`` holds
+    each path's stream key, its index k.  ``data`` is the panel itself.
     """
 
     def __init__(self, data: PanelObservationSet):
@@ -157,33 +157,35 @@ class _PanelArrays:
             raise ValidationError("cannot fit an empty panel")
         self.data = data
         self.n = data.n
-        self.ids = [p.path_id for p in data.paths]
-        self.flat_times = np.concatenate([p.times for p in data.paths])
-        self.flat_states0 = np.concatenate([p.states for p in data.paths]) - 1
-        sizes = [p.times.size for p in data.paths]
-        self.starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        self.times = np.split(self.flat_times, self.starts[1:-1])
-        self.states0 = np.split(self.flat_states0, self.starts[1:-1])
-        last = self.flat_states0[self.starts[1:] - 1]
-        self.absorbed = last == self.n
-        self.censored_last = np.unique(last[~self.absorbed]).tolist()
+        self.ids = data.ids
+        self.flat_times = data.times
+        self.flat_states0 = data.states - 1
+        self.starts = data.starts
+        self.absorbed = data.absorbed
+        self.censored_last = np.unique(
+            self.flat_states0[self.starts[1:] - 1][~self.absorbed]
+        ).tolist()
         self.K = len(data)
         self.keys = np.arange(self.K, dtype=np.int64)
+
+    @cached_property
+    def times(self) -> list[np.ndarray]:
+        return np.split(self.flat_times, self.starts[1:-1])
+
+    @cached_property
+    def states0(self) -> list[np.ndarray]:
+        return np.split(self.flat_states0, self.starts[1:-1])
 
 
 def empirical_pi(data: PanelObservationSet) -> InitialDistribution:
     """Fraction of paths starting in each transient state."""
     if len(data) == 0:
         raise ValidationError("cannot fit an empty panel")
-    counts = np.zeros(data.n, dtype=np.int64)
-    for p in data.paths:
-        first = int(p.states[0])
-        if first == data.n + 1:
-            raise ValidationError(
-                f"path {p.path_id} starts in the absorbing state"
-            )
-        counts[first - 1] += 1
-    return InitialDistribution(counts / len(data))
+    first = data.states[data.starts[:-1]]
+    dead = np.flatnonzero(first == data.n + 1)
+    if dead.size:
+        raise ValidationError(f"path {data.ids[dead[0]]} starts in the absorbing state")
+    return InitialDistribution(np.bincount(first - 1, minlength=data.n) / len(data))
 
 
 def _naive_statistics(panel: _PanelArrays) -> SufficientStatistics:

@@ -13,6 +13,7 @@ import configparser
 import csv
 import io
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, PanelFormatError, ValidationError
 from .estimator import FitConfig, FitResult
 from .generator import InitialDistribution, SubIntensityMatrix
-from .paths import PanelObservationSet, PanelPath
+from .paths import PanelObservationSet
 from .scaling import GOMPERTZ, IDENTITY, WEIBULL
 
 PANEL_HEADER = ["path_id", "time", "state"]
@@ -53,19 +54,29 @@ def read_panel(file, n: int) -> PanelObservationSet:
 
     ``file`` is a path or a text file object; ``n`` is the declared number
     of transient states (records with larger state indices are rejected).
-    Paths appear in first-occurrence order; the rows of one path must be
-    contiguous or at least time-ordered per path.
+    Paths appear in first-occurrence order, and the rows of one path need
+    not be contiguous, only time-ordered.  Fields are read as ``str.strip``,
+    ``float`` and ``int`` read them; blank records are skipped.  A bad
+    record raises :class:`PanelFormatError` naming its line (the earliest
+    bad line, and at that line the first of: field count, empty id,
+    malformed time, malformed state, negative or non-finite time, time not
+    after the path's previous one, a row after the absorbing state, state
+    outside 1..n+1).  Once every record passes, a path that does not start
+    at time 0 raises without a line number.
+
+    The rows are read into three columns of text and converted and checked
+    in bulk, then grouped by path into a :class:`PanelObservationSet`.
     """
     if hasattr(file, "read"):
-        return _read_panel_stream(file, n)
+        return _parse_panel(file, n)
     try:
         with open(file, "r", encoding="utf-8", newline="") as handle:
-            return _read_panel_stream(handle, n)
+            return _parse_panel(handle, n)
     except OSError as err:
         raise ValidationError(f"cannot read {file}: {err}") from err
 
 
-def _read_panel_stream(stream, n: int) -> PanelObservationSet:
+def _parse_panel(stream, n: int) -> PanelObservationSet:
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -75,67 +86,115 @@ def _read_panel_stream(stream, n: int) -> PanelObservationSet:
         raise PanelFormatError(
             f"bad header {','.join(header)!r}; expected path_id,time,state", line=1
         )
-    order: list[str] = []
-    times: dict[str, list[float]] = {}
-    states: dict[str, list[int]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise PanelFormatError(f"expected 3 fields, got {len(row)}", line=lineno)
-        pid = row[0].strip()
-        if not pid:
-            raise PanelFormatError("empty path_id", line=lineno)
+    raw_ids: list[str] = []
+    raw_times: list[str] = []
+    raw_states: list[str] = []
+    blanks: list[int] = []  # for each blank record, the rows read before it
+    stop = None  # the first record without three fields: (line, message)
+    add_id, add_time, add_state = raw_ids.append, raw_times.append, raw_states.append
+    for row in reader:
+        if len(row) == 3:
+            add_id(sys.intern(row[0]))  # one copy of an id however many rows name it
+            add_time(row[1])
+            add_state(row[2])
+        elif not row or (len(row) == 1 and not row[0].strip()):
+            blanks.append(len(raw_ids))
+        else:
+            stop = (len(raw_ids) + len(blanks) + 2, f"expected 3 fields, got {len(row)}")
+            break
+    rows = len(raw_ids)
+    ids = list(map(str.strip, raw_ids))
+    times, bad_time = _convert(raw_times, float, float)
+    try:
+        states, bad_state = _convert(raw_states, int, np.int64)
+    except OverflowError:  # beyond int64, so outside 1..n+1: clip it there
+        states, bad_state = _convert(
+            raw_states, lambda text: min(max(int(text), 0), n + 2), np.int64
+        )
+    # rows [0, good) have both numbers; paths are numbered by first occurrence
+    good = min(bad_time, bad_state)
+    times, states = times[:good], states[:good]
+    index = {pid: k for k, pid in enumerate(dict.fromkeys(ids[:good]))}
+    path = np.fromiter(map(index.__getitem__, ids[:good]), np.int64, good)
+    order = np.argsort(path, kind="stable")  # by path, then by line
+    same = path[order[1:]] == path[order[:-1]]
+    after, before = order[1:][same], order[:-1][same]  # consecutive rows of a path
+    # the earliest bad row, and at that row the first check it fails
+    row, check = min(
+        (ids.index("") if "" in ids else rows, 1),
+        (bad_time, 2),
+        (bad_state, 3),
+        (_first_row(~np.isfinite(times) | (times < 0.0)), 4),
+        (_first_row(times[after] <= times[before], after), 5),
+        (_first_row(states[before] == n + 1, after), 6),
+        (_first_row((states < 1) | (states > n + 1)), 7),
+    )
+    if row < rows:
+        line = row + 2 + sum(1 for b in blanks if b <= row)
+        raise PanelFormatError(
+            _row_error(check, n, ids[row], raw_times[row], raw_states[row]), line=line
+        )
+    if stop:
+        raise PanelFormatError(stop[1], line=stop[0])
+    try:
+        return PanelObservationSet.from_arrays(
+            n, list(index), times[order], states[order],
+            np.concatenate(([0], np.cumsum(np.bincount(path, minlength=len(index))))),
+        )
+    except ValidationError as err:
+        raise PanelFormatError(str(err)) from err
+
+
+def _row_error(check: int, n: int, pid: str, time: str, state: str) -> str:
+    if check == 1:
+        return "empty path_id"
+    if check == 2:
+        return f"malformed time {time!r}"
+    if check == 3:
+        return f"malformed state {state!r}"
+    if check == 4:
+        return f"time must be finite and >= 0, got {float(time)!r}"
+    if check == 5:
+        return f"non-increasing times within path {pid!r}"
+    if check == 6:
+        return f"absorbing state not terminal in path {pid!r}"
+    return f"state {int(state)} outside 1..{n + 1} in path {pid!r}"
+
+
+def _convert(texts: list[str], convert, dtype) -> tuple[np.ndarray, int]:
+    """``convert`` applied to ``texts`` up to the first text it rejects with
+    ``ValueError``, as an array, and that text's index (``len(texts)`` when
+    it rejects none)."""
+    try:
+        return np.fromiter(map(convert, texts), dtype, len(texts)), len(texts)
+    except ValueError:
+        pass
+    values = []
+    for text in texts:
         try:
-            t = float(row[1])
+            values.append(convert(text))
         except ValueError:
-            raise PanelFormatError(f"malformed time {row[1]!r}", line=lineno)
-        try:
-            x = int(row[2])
-        except ValueError:
-            raise PanelFormatError(f"malformed state {row[2]!r}", line=lineno)
-        if not np.isfinite(t) or t < 0.0:
-            raise PanelFormatError(f"time must be finite and >= 0, got {t!r}", line=lineno)
-        if pid not in times:
-            order.append(pid)
-            times[pid] = []
-            states[pid] = []
-        elif times[pid] and t <= times[pid][-1]:
-            raise PanelFormatError(
-                f"non-increasing times within path {pid!r}", line=lineno
-            )
-        if states[pid] and states[pid][-1] == n + 1:
-            raise PanelFormatError(
-                f"absorbing state not terminal in path {pid!r}", line=lineno
-            )
-        if not (1 <= x <= n + 1):
-            raise PanelFormatError(
-                f"state {x} outside 1..{n + 1} in path {pid!r}", line=lineno
-            )
-        times[pid].append(t)
-        states[pid].append(x)
-    paths = []
-    for pid in order:
-        try:
-            paths.append(
-                PanelPath(
-                    path_id=pid,
-                    times=np.asarray(times[pid]),
-                    states=np.asarray(states[pid], dtype=np.int64),
-                )
-            )
-        except ValidationError as err:
-            raise PanelFormatError(str(err)) from err
-    return PanelObservationSet(n=n, paths=tuple(paths))
+            break
+    return np.array(values, dtype=dtype), len(values)
+
+
+def _first_row(mask: np.ndarray, rows: np.ndarray | None = None) -> int | float:
+    """The smallest row where ``mask`` holds (entry i is row ``rows[i]``,
+    or row i), or infinity."""
+    hits = mask.nonzero()[0] if rows is None else rows[mask]
+    return int(hits.min()) if hits.size else np.inf
 
 
 def format_panel(data: PanelObservationSet) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(PANEL_HEADER)
-    for p in data.paths:
-        for t, x in zip(p.times, p.states):
-            writer.writerow([p.path_id, _G17 % t, int(x)])
+    sizes = np.diff(data.starts).tolist()
+    writer.writerows(zip(
+        [i for i, size in zip(data.ids, sizes) for _ in range(size)],
+        [_G17 % t for t in data.times.tolist()],
+        data.states.tolist(),
+    ))
     return buf.getvalue()
 
 

@@ -9,12 +9,19 @@ not on the homogeneous one.
 
 States are 1-based here (external convention); the absorbing state of an
 n-state model is n + 1.
+
+Many paths travel flat, stored end to end in plain arrays: simulated and
+completed trajectories as ``FlatPaths``, observed panels as
+``PanelObservationSet``.  Each is validated once, in bulk, when it is
+built, and builds its per-path objects (``ContinuousPath``,
+``PanelPath``) only when they are read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -211,7 +218,8 @@ class PanelPath:
     """One path observed at discrete times only.
 
     ``times`` start at 0 and increase strictly; ``states`` are 1-based with
-    the absorbing state n+1 allowed only at the final observation.
+    the absorbing state n+1 allowed only at the final observation (which
+    the enclosing :class:`PanelObservationSet` checks, knowing n).
     """
 
     path_id: str
@@ -221,20 +229,11 @@ class PanelPath:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=np.int64)
-        if times.ndim != 1 or times.shape != states.shape or times.size == 0:
+        if times.ndim != 1 or times.shape != states.shape:
             raise ValidationError(
                 f"path {self.path_id}: times and states must be matching non-empty vectors"
             )
-        if not np.all(np.isfinite(times)):
-            raise ValidationError(f"path {self.path_id}: non-finite observation time")
-        if times[0] != 0.0:
-            raise ValidationError(
-                f"path {self.path_id}: first observation must be at time 0"
-            )
-        if np.any(np.diff(times) <= 0.0):
-            raise ValidationError(
-                f"path {self.path_id}: observation times must be strictly increasing"
-            )
+        _check_observations((self.path_id,), times, np.array([0, times.size]))
         times.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -245,49 +244,158 @@ class PanelPath:
         """Number of observations after the initial one."""
         return self.times.size - 1
 
-    def check_states(self, n: int) -> None:
-        states = self.states
-        if np.any(states < 1) or np.any(states > n + 1):
-            raise ValidationError(
-                f"path {self.path_id}: states must lie in 1..{n + 1}"
-            )
-        if np.any(states[:-1] == n + 1):
-            raise ValidationError(
-                f"path {self.path_id}: absorbing state before the final observation"
-            )
-
     def absorbed(self, n: int) -> bool:
         return int(self.states[-1]) == n + 1
 
 
-@dataclass(frozen=True)
 class PanelObservationSet:
-    """A collection of panel paths over a common n-state model.
+    """A collection of panel paths over a common n-state model, stored end
+    to end.
+
+    Path k is ``ids[k]``, observed at ``times[starts[k]:starts[k + 1]]`` in
+    the 1-based ``states[...]``; the arrays are read-only.
+    ``PanelObservationSet(n, paths)`` takes :class:`PanelPath` objects, and
+    :meth:`from_arrays` the flat arrays.  Either way the set is validated
+    once, in bulk: the first bad path raises what building it as a
+    ``PanelPath`` would, and then the first path with a duplicate id, a
+    state outside 1..n+1 or the absorbing state before its last
+    observation raises.  ``paths`` builds the ``PanelPath`` objects on
+    first access.
 
     May be empty (a simulate run with zero paths writes a header-only
     file); estimation rejects empty sets at its own boundary.
     """
 
-    n: int
-    paths: tuple[PanelPath, ...] = field(default_factory=tuple)
+    def __init__(self, n: int, paths: Sequence[PanelPath] = ()):
+        paths = tuple(paths)
+        sizes = [p.times.size for p in paths]
+        self._init(
+            n,
+            [p.path_id for p in paths],
+            np.concatenate([p.times for p in paths]) if paths else np.empty(0),
+            np.concatenate([p.states for p in paths]) if paths else np.empty(0, np.int64),
+            np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+        )
+        self.__dict__["paths"] = paths
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("panel needs at least one transient state")
-        paths = tuple(self.paths)
-        seen = set()
-        for p in paths:
-            if p.path_id in seen:
-                raise ValidationError(f"duplicate path id {p.path_id!r}")
-            seen.add(p.path_id)
-            p.check_states(self.n)
-        object.__setattr__(self, "paths", paths)
+    @classmethod
+    def from_arrays(cls, n: int, ids, times, states, starts) -> "PanelObservationSet":
+        panel = cls.__new__(cls)
+        panel._init(n, ids, times, states, starts)
+        return panel
+
+    def _init(self, n, ids, times, states, starts) -> None:
+        self.n = int(n)
+        self.ids = tuple(ids)
+        # views, so that making them read-only leaves the caller's arrays be
+        self.times = np.asarray(times, dtype=float).view()
+        self.states = np.asarray(states, dtype=np.int64).view()
+        self.starts = np.asarray(starts, dtype=np.int64).view()
+        _check_panel(self.n, self.ids, self.times, self.states, self.starts)
+        for a in (self.times, self.states, self.starts):
+            a.setflags(write=False)
+
+    @cached_property
+    def paths(self) -> tuple[PanelPath, ...]:
+        bounds = self.starts.tolist()
+        return tuple(
+            PanelPath(i, self.times[a:b], self.states[a:b])
+            for i, a, b in zip(self.ids, bounds, bounds[1:])
+        )
+
+    def __repr__(self) -> str:
+        return f"PanelObservationSet(n={self.n}, paths={self.paths!r})"
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.ids)
+
+    @property
+    def absorbed(self) -> np.ndarray:
+        """Whether each path's last observation is the absorbing state."""
+        return self.states[self.starts[1:] - 1] == self.n + 1
 
     def absorbed_count(self) -> int:
-        return sum(1 for p in self.paths if p.absorbed(self.n))
+        return int(np.count_nonzero(self.absorbed))
+
+
+def _check_panel(n, ids, times, states, starts) -> None:
+    """Raise the error that building each path as a ``PanelPath``, and
+    then the set path by path, would raise first."""
+    if n < 1:
+        raise ValidationError("panel needs at least one transient state")
+    if (
+        times.ndim != 1 or states.shape != times.shape or starts.shape != (len(ids) + 1,)
+        or starts[0] != 0 or starts[-1] != times.size or np.any(starts[1:] < starts[:-1])
+    ):
+        raise ValidationError(
+            "panel arrays must be matching vectors, split by offsets from 0 to their length"
+        )
+    _check_observations(ids, times, starts)
+    _raise_first(ids, (
+        (_first_repeat(ids), "duplicate path id {!r}"),
+        (_path_of(starts, (states < 1) | (states > n + 1)),
+         f"path {{}}: states must lie in 1..{n + 1}"),
+        (_path_of(starts, _follows(starts) & (states[:-1] == n + 1)),
+         "path {}: absorbing state before the final observation"),
+    ))
+
+
+def _check_observations(ids, times, starts) -> None:
+    """Raise what ``PanelPath`` raises about its times, for the first path
+    ``times[starts[k]:starts[k + 1]]`` that fails a check."""
+    heads, sizes = starts[:-1], np.diff(starts)
+    not_zero = np.zeros(len(ids), dtype=bool)
+    not_zero[sizes > 0] = times[heads[sizes > 0]] != 0.0
+    _raise_first(ids, (
+        (_first(sizes == 0), "path {}: times and states must be matching non-empty vectors"),
+        (_path_of(starts, ~np.isfinite(times)), "path {}: non-finite observation time"),
+        (_first(not_zero), "path {}: first observation must be at time 0"),
+        (_path_of(starts, _follows(starts) & (times[1:] <= times[:-1])),
+         "path {}: observation times must be strictly increasing"),
+    ))
+
+
+def _raise_first(ids, checks) -> None:
+    """Each check is (the first path failing it, or ``len(ids)``; its
+    message): raise the message of the first path any check fails, the
+    first listed on a tie."""
+    k, message = min(checks, key=lambda check: check[0])
+    if k < len(ids):
+        raise ValidationError(message.format(ids[k]))
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True entry of ``mask``, or its length."""
+    i = int(np.argmax(mask)) if mask.size else 0
+    return i if mask.size and mask[i] else mask.size
+
+
+def _follows(starts: np.ndarray) -> np.ndarray:
+    """Entry i: whether row i + 1 follows row i within one path."""
+    follows = np.ones(max(int(starts[-1]) - 1, 0), dtype=bool)
+    heads = starts[:-1][(starts[:-1] > 0) & (starts[:-1] < starts[1:])]
+    follows[heads - 1] = False
+    return follows
+
+
+def _path_of(starts: np.ndarray, rows: np.ndarray) -> int:
+    """The path holding row i for the first True ``rows[i]``, or the path
+    count."""
+    i = _first(rows)
+    if i == rows.size:
+        return starts.size - 1
+    return int(np.searchsorted(starts, i, side="right")) - 1
+
+
+def _first_repeat(ids) -> int:
+    """Index of the first id that occurred earlier in ``ids``, or their count."""
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for k, i in enumerate(ids):
+            if i in seen:
+                return k
+            seen.add(i)
+    return len(ids)
 
 
 class RandomStream:

@@ -20,6 +20,7 @@ from .paths import (
     INHOMOGENEOUS,
     ContinuousPath,
     FlatPaths,
+    PanelObservationSet,
     PanelPath,
     PathSegment,
     RandomStream,
@@ -181,12 +182,13 @@ def discretize(path: ContinuousPath, grid, path_id: str = "p0") -> PanelPath:
         path.n, path.times, path.states - 1, np.array([0, path.times.size]),
         np.array([path.end_time]), path.timeline,
     )
-    return observe(flat, grid, [path_id])[0]
+    return observe(flat, grid, [path_id]).paths[0]
 
 
-def observe(paths: FlatPaths, grid, ids) -> tuple[PanelPath, ...]:
+def observe(paths: FlatPaths, grid, ids) -> PanelObservationSet:
     """Observe every path on ``grid`` as ``discretize`` does, path k under
-    the id ``ids[k]``, with one search of all jump epochs in the grid."""
+    the id ``ids[k]``, with one search of all jump epochs in the grid; the
+    panel is built from its flat arrays."""
     grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("observation grid must be a non-empty vector")
@@ -210,9 +212,10 @@ def observe(paths: FlatPaths, grid, ids) -> tuple[PanelPath, ...]:
         np.minimum(start[last] + 1, size),
         np.searchsorted(grid, paths.end_times, side="right"),
     )
-    return tuple(
-        PanelPath(path_id=i, times=grid[:c], states=states[k, :c])
-        for k, (i, c) in enumerate(zip(ids, seen))
+    kept = np.arange(size) < seen[:, None]
+    return PanelObservationSet.from_arrays(
+        paths.n, ids, np.broadcast_to(grid, kept.shape)[kept], states[kept],
+        np.concatenate(([0], np.cumsum(seen))),
     )
 
 

@@ -125,8 +125,7 @@ def simulate_cohort(
 def cohort_panel(cohort: FlatPaths, grid: np.ndarray) -> PanelObservationSet:
     if not len(cohort):
         raise ValidationError("empty cohort")
-    ids = [f"p{k}" for k in range(len(cohort))]
-    return PanelObservationSet(n=cohort.n, paths=observe(cohort, grid, ids))
+    return observe(cohort, grid, [f"p{k}" for k in range(len(cohort))])
 
 
 def absorption_times_within(cohort: FlatPaths, horizon: float) -> np.ndarray:

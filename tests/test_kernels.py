@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import sysconfig
 
 import numpy as np
 import pytest
@@ -549,8 +550,29 @@ def test_build_compiles_once_into_its_cache(tmp_path):
     assert results[0] == results[1]
 
 
+@compiled
+def test_build_removes_libraries_of_other_keys(tmp_path):
+    """A new build deletes the libraries other keys built for this
+    interpreter, and keeps those of other interpreters and other files."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    stale = f"_ckernels.{'0' * 16}{suffix}"
+    kept = [f"_ckernels.{'0' * 16}.cpython-39-other.so", "_ckernels.c", "notes.txt"]
+    for name in [stale, *kept]:
+        (cache / name).write_bytes(b"")
+    backend, _sweeps = _kernels.build(cc="cc", cache_dir=str(cache))
+    if backend == "pure-python":
+        pytest.skip("the C kernels do not build here")
+    names = sorted(p.name for p in cache.iterdir())
+    built = [name for name in names if name.endswith(suffix) and name not in kept]
+    assert stale not in names and len(built) == 1
+    assert set(kept) <= set(names)
+
+
 CHILD = """
 import sys
+import sysconfig
 sys.path.insert(0, sys.argv[1])
 import iphfit
 from iphfit import _kernels

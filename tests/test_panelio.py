@@ -15,6 +15,7 @@ from iphfit import (
     RandomStream,
     ScalingFamily,
     SubIntensityMatrix,
+    ValidationError,
     read_config,
     read_panel,
     read_report,
@@ -139,6 +140,156 @@ def test_write_panel_empty_set(tmp_path):
     write_panel(PanelObservationSet(2), target)
     assert target.read_text() == "path_id,time,state\n"
     assert len(read_panel(target, 2)) == 0
+
+
+@pytest.mark.parametrize(
+    "rows,fragment,lineno",
+    [
+        # two bad lines: the earlier one wins, whichever check each fails
+        (["a,0,1", "a,2,2", "a,1,2", "a,zero,2"], "non-increasing", 4),
+        (["a,0,1", "a,zero,2", "a,0.5,1"], "malformed time", 3),
+        (["a,0,1", "a,1,9", "a,1"], "outside 1..4", 3),
+        (["a,0,1", "a,1", "a,1,9"], "expected 3 fields", 3),
+        (["a,0,1", "a,1,4", "b,0,two", "a,2,1"], "malformed state", 4),
+        (["a,0,1", "a,1,4", "a,2,1", "b,0,two"], "absorbing state not terminal", 4),
+        (["a,0,1", "b,0,1", "b,inf,2", ",1,2"], "finite", 4),
+        # one bad line failing several checks: the first check in reading order
+        (["a,0,1", ",zero,two"], "empty path_id", 3),
+        (["a,0,1", "a,zero,two"], "malformed time", 3),
+        (["a,0,1", "a,-1,9"], ">= 0", 3),
+        (["a,2,1", "a,1,9"], "non-increasing", 3),
+        (["a,0,4", "a,1,9"], "absorbing state not terminal", 3),
+        # interleaved paths, blank rows and CRLF endings keep the numbering
+        (["a,0,1", "b,0,2", "a,1,2", "b,0.5,1", "a,0.5,1"], "non-increasing", 6),
+        (["a,0,1", "", "b,0,2", "", "b,1,7"], "state 7 outside", 6),
+        (["a,0,1", "", "a,1"], "expected 3 fields", 4),
+    ],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_read_panel_reports_the_earliest_bad_line(rows, fragment, lineno, newline):
+    text = newline.join(["path_id,time,state", *rows]) + newline
+    with pytest.raises(PanelFormatError) as exc:
+        _read(text)
+    assert fragment in str(exc.value)
+    assert exc.value.line == lineno
+
+
+def test_read_panel_groups_interleaved_paths():
+    data = _read("path_id,time,state\na,0,1\nb,0,2\na,1,2\nb,1.5,4\na,2,4\n")
+    assert data.ids == ("a", "b")
+    (a, b) = data.paths
+    assert a.times.tolist() == [0.0, 1.0, 2.0] and a.states.tolist() == [1, 2, 4]
+    assert b.times.tolist() == [0.0, 1.5] and b.states.tolist() == [2, 4]
+    assert data.starts.tolist() == [0, 3, 5]
+    assert data.absorbed_count() == 2
+
+
+def test_read_panel_reads_fields_as_python_does():
+    text = (
+        "path_id,time,state\r\n"
+        " a , 0 , 1 \r\n"
+        "\r\n"
+        "a,1e0,+2\r\n"
+        "a, 2.5_0 ,1_0\r\n"
+        "\r\n"
+        "b,0,3\r\n"
+    )
+    data = _read(text, n=10)
+    assert data.ids == ("a", "b")
+    assert data.times.tolist() == [0.0, float("1e0"), float(" 2.5_0 "), 0.0]
+    assert data.states.tolist() == [1, int("+2"), int("1_0"), 3]
+
+
+def test_read_panel_quoted_ids_round_trip(tmp_path):
+    data = PanelObservationSet(
+        3,
+        (
+            PanelPath("x,y", np.array([0.0, 1.0]), np.array([1, 4])),
+            PanelPath('say "hi"', np.array([0.0]), np.array([2])),
+        ),
+    )
+    target = tmp_path / "panel.csv"
+    write_panel(data, target)
+    assert '"x,y"' in target.read_text()
+    back = read_panel(target, 3)
+    assert back.ids == ("x,y", 'say "hi"')
+    assert back.times.tolist() == [0.0, 1.0, 0.0]
+    assert back.states.tolist() == [1, 4, 2]
+
+
+def test_read_panel_keeps_huge_states_in_the_message():
+    with pytest.raises(PanelFormatError, match="line 3: state 99999999999999999999 outside"):
+        _read("path_id,time,state\na,0,1\na,1,99999999999999999999\n")
+
+
+# ---------------------------------------------------------------------------
+# panel sets: built from PanelPath objects or from flat arrays
+
+
+def _both_ways(n, paths):
+    """The set built from PanelPath objects and from the same flat arrays,
+    or the message each construction raises."""
+    built = []
+    for make in (
+        lambda: PanelObservationSet(n, tuple(PanelPath(i, t, s) for i, t, s in paths)),
+        lambda: PanelObservationSet.from_arrays(
+            n, [i for i, _, _ in paths],
+            np.concatenate([np.asarray(t, dtype=float) for _, t, _ in paths]),
+            np.concatenate([np.asarray(s, dtype=np.int64) for _, _, s in paths]),
+            np.cumsum([0] + [len(t) for _, t, _ in paths]),
+        ),
+    ):
+        try:
+            built.append(make())
+        except ValidationError as err:
+            built.append(str(err))
+    return built
+
+
+def test_panel_set_from_arrays_matches_panel_paths():
+    paths = [("a", [0.0, 1.0, 2.5], [1, 2, 4]), ("b", [0.0, 3.0], [3, 3]), ("c", [0.0], [4])]
+    by_paths, by_arrays = _both_ways(3, paths)
+    assert len(by_paths) == len(by_arrays) == 3
+    assert by_paths.absorbed_count() == by_arrays.absorbed_count() == 2
+    assert by_paths.absorbed.tolist() == by_arrays.absorbed.tolist() == [True, False, True]
+    for p, q in zip(by_paths.paths, by_arrays.paths):
+        assert p.path_id == q.path_id
+        assert np.array_equal(p.times, q.times) and np.array_equal(p.states, q.states)
+    assert repr(by_paths) == repr(by_arrays)
+    assert format_panel(by_paths) == format_panel(by_arrays)
+
+
+@pytest.mark.parametrize(
+    "paths,message",
+    [
+        ([("a", [0.0], [1]), ("a", [0.0], [2])], "duplicate path id 'a'"),
+        ([("a", [0.0], [1]), ("b", [1.0, 2.0], [1, 2])], "path b: first observation must be at time 0"),
+        ([("a", [0.0, 0.0], [1, 2])], "path a: observation times must be strictly increasing"),
+        ([("a", [0.0, np.nan], [1, 2])], "path a: non-finite observation time"),
+        ([("a", [np.nan, 1.0], [1, 2])], "path a: non-finite observation time"),
+        ([("a", [0.0], [1]), ("b", [], [])], "path b: times and states must be matching non-empty"),
+        ([("a", [0.0, 1.0], [1, 5])], "path a: states must lie in 1..4"),
+        ([("a", [0.0, 1.0], [4, 1])], "path a: absorbing state before the final observation"),
+        # the checks PanelPath makes come before those the set makes
+        ([("a", [0.0], [9]), ("b", [1.0], [1])], "path b: first observation must be at time 0"),
+        # and the first bad path decides among the set's checks, in their order
+        ([("a", [0.0], [9]), ("a", [0.0], [1])], "path a: states must lie in 1..4"),
+        ([("a", [0.0], [1]), ("a", [0.0], [9])], "duplicate path id 'a'"),
+        ([("a", [0.0], [1]), ("b", [0.0, 1.0], [4, 1]), ("a", [0.0], [1])],
+         "path b: absorbing state before the final observation"),
+    ],
+)
+def test_panel_set_from_arrays_raises_what_panel_paths_raise(paths, message):
+    by_paths, by_arrays = _both_ways(3, paths)
+    assert by_paths == by_arrays
+    assert by_arrays.startswith(message)
+
+
+def test_panel_set_from_arrays_rejects_mismatched_arrays():
+    with pytest.raises(ValidationError, match="matching vectors"):
+        PanelObservationSet.from_arrays(3, ["a"], [0.0, 1.0], [1], [0, 2])
+    with pytest.raises(ValidationError, match="matching vectors"):
+        PanelObservationSet.from_arrays(3, ["a", "b"], [0.0, 0.0], [1, 1], [0, 2])
 
 
 # ---------------------------------------------------------------------------
