@@ -62,7 +62,6 @@ from .estimator import (
     IterationRecord,
     empirical_pi,
     fit,
-    fit_homogeneous,
     initialize,
     sem_iteration,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "empirical_pi",
     "exit_rates",
     "fit",
-    "fit_homogeneous",
     "gd_solve",
     "initialize",
     "iph_cdf",

@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -167,7 +167,7 @@ def cmd_gof(args) -> int:
     cfg = read_config(args.config) if args.config else None
     seed = _resolve_seed(args.seed, cfg)
     observed = _observed_times(args, report.n)
-    if report.homogeneous_mode or report.family == IDENTITY:
+    if report.family == IDENTITY:
         family = ScalingFamily(IDENTITY)
     else:
         if report.beta_hat is None:
@@ -200,11 +200,14 @@ def cmd_study(args) -> int:
     preset = PRESETS[args.name]
     cfg = read_config(args.config) if args.config else None
     if cfg is not None:
+        # a preset takes the estimation settings it declares, and the seed
+        taken = {f.name for f in fields(preset)}
+        for key in cfg.settings:
+            if key not in taken and key != "seed":
+                raise ConfigError(f"[estimation] {key} does not apply to a preset study")
         preset = replace(
             preset,
-            beta0=cfg.beta0,
-            eta=cfg.eta,
-            e_ell=cfg.e_ell,
+            **{key: value for key, value in cfg.settings.items() if key in taken},
             paths=cfg.paths if cfg.paths is not None else preset.paths,
             delta=cfg.delta if cfg.delta is not None else preset.delta,
         )

@@ -15,10 +15,10 @@ refines beta0 on those times.  Those bridges run through the SE-step's
 sweep kernel too, as one call over the absorbed paths' last two
 observations (iteration key 0, one replication).
 
-The homogeneous variant runs the same loop with the identity transform and
-no beta machinery for a fixed number of iterations, returning the
-entrywise average of the last few Lambda iterates (diagonal re-projected
-so full-generator rows sum to zero).
+The identity family is the plain homogeneous model: the same loop with the
+identity transform and no beta machinery, run for a fixed number of
+iterations, returning the entrywise average of the last few Lambda
+iterates (diagonal re-projected so full-generator rows sum to zero).
 """
 
 from __future__ import annotations
@@ -56,7 +56,15 @@ _FAMILIES = (GOMPERTZ, WEIBULL, IDENTITY)
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameters of the estimation procedure."""
+    """Hyperparameters of the estimation procedure.
+
+    The one declaration of the estimation settings: a config file sets
+    ``beta0`` in ``[model]`` and every other field but ``family`` in
+    ``[estimation]``, under the field's name (see ``read_config``).  The
+    identity family fits the plain homogeneous model, which uses
+    ``homog_iterations`` and ``homog_tail_average`` in place of the beta
+    settings.
+    """
 
     family: str
     beta0: float = 1.0
@@ -67,7 +75,6 @@ class FitConfig:
     gd_max_steps: int = 100_000
     max_attempts: int = 1_000_000
     seed: int = 0
-    homogeneous_mode: bool = False
     homog_iterations: int = 300
     homog_tail_average: int = 20
     bridge_replications: int = 1
@@ -77,8 +84,6 @@ class FitConfig:
             raise ValidationError(
                 f"unknown family {self.family!r}; expected one of {_FAMILIES}"
             )
-        if self.homogeneous_mode and self.family != IDENTITY:
-            raise ValidationError("homogeneous mode requires the identity family")
         if not (self.eta > 0.0 and self.e_ell > 0.0):
             raise ValidationError("eta and e_ell must be positive")
         if not (0.0 < self.beta_min <= self.beta0):
@@ -215,7 +220,7 @@ def initialize(
     panel = data if isinstance(data, _PanelArrays) else _PanelArrays(data)
     pi_hat = empirical_pi(panel.data)
     lam0 = mle_generator(_naive_statistics(panel), panel.K)[1]
-    if cfg.homogeneous_mode:
+    if cfg.family == IDENTITY:
         return pi_hat, lam0, cfg.beta0
     times = _init_absorption_times(panel, lam0, cfg, rng)
     if times.size == 0:
@@ -343,14 +348,10 @@ def sem_iteration(
     updated (matching the order of the estimation procedure).
     """
     panel = data if isinstance(data, _PanelArrays) else _PanelArrays(data)
-    update_beta = not cfg.homogeneous_mode
+    update_beta = cfg.family != IDENTITY
     if update_beta and beta_hat is None:
-        raise ValidationError("beta_hat is required unless in homogeneous mode")
-    family = (
-        ScalingFamily.identity()
-        if cfg.family == IDENTITY
-        else ScalingFamily(cfg.family, beta_hat)
-    )
+        raise ValidationError(f"beta_hat is required for the {cfg.family} family")
+    family = ScalingFamily(cfg.family, beta_hat) if update_beta else ScalingFamily.identity()
     try:
         stats, paths, work = _complete_all(
             panel, lam_hat, family, cfg, rng, iteration_index
@@ -385,21 +386,26 @@ def fit(
 
     Runs initialization then SEM iterations until one converges with a
     single ascent update or ``max_sem_iterations`` is reached (reported in
-    ``termination``, not raised).  ``beta_trace`` collects
-    (step, beta, loglik, grad) rows across all ascent runs;
-    ``keep_completed`` retains the last iteration's reconstructed paths.
+    ``termination``, not raised).  The identity family instead runs
+    exactly ``homog_iterations`` sweeps and returns the entrywise mean of
+    the last ``homog_tail_average`` Lambda iterates, diagonal re-projected
+    so full-generator rows sum to zero, and no ``beta_hat``.
+    ``beta_trace`` collects (step, beta, loglik, grad) rows across all
+    ascent runs; ``keep_completed`` retains the last iteration's
+    reconstructed paths.
     """
-    if cfg.homogeneous_mode:
-        return fit_homogeneous(data, cfg, rng, keep_completed=keep_completed)
     if rng is None:
         rng = RandomStream(cfg.seed)
     panel = _PanelArrays(data)
     absorbed_paths = int(panel.absorbed.sum())
     pi_hat, lam_hat, beta_hat = initialize(panel, cfg, rng, beta_trace=beta_trace)
+    homogeneous = cfg.family == IDENTITY
+    if homogeneous:
+        beta_hat = None
+    sweeps = cfg.homog_iterations if homogeneous else cfg.max_sem_iterations
     trace: list[IterationRecord] = []
     termination = "max-iterations"
-    iterations_used = cfg.max_sem_iterations
-    for it in range(1, cfg.max_sem_iterations + 1):
+    for it in range(1, sweeps + 1):
         step = sem_iteration(
             panel, pi_hat, lam_hat, beta_hat, cfg, rng, it, beta_trace=beta_trace
         )
@@ -409,13 +415,14 @@ def fit(
         )
         if step.gd_updates == 1:
             termination = "single-update-converged"
-            iterations_used = it
             break
+    if homogeneous:
+        lam_hat = _tail_average(trace, cfg.homog_tail_average)
     return FitResult(
         pi_hat=pi_hat,
         lam_hat=lam_hat,
         beta_hat=beta_hat,
-        iterations_used=iterations_used,
+        iterations_used=len(trace),
         termination=termination,
         trace=tuple(trace),
         config=cfg,
@@ -430,40 +437,3 @@ def _tail_average(records: list[IterationRecord], tail: int) -> SubIntensityMatr
     exit_mean = np.maximum(-mats.sum(axis=2).mean(axis=0), 0.0)
     np.fill_diagonal(off, -(off.sum(axis=1) + exit_mean))
     return SubIntensityMatrix(off)
-
-
-def fit_homogeneous(
-    data: PanelObservationSet,
-    cfg: FitConfig,
-    rng: RandomStream | None = None,
-    keep_completed: bool = False,
-) -> FitResult:
-    """Plain-homogeneous variant: identity transform, no beta machinery.
-
-    Runs exactly ``homog_iterations`` SEM sweeps and returns the entrywise
-    mean of the last ``homog_tail_average`` Lambda iterates, diagonal
-    re-projected so full-generator rows sum to zero.
-    """
-    if not cfg.homogeneous_mode:
-        raise ValidationError("fit_homogeneous requires cfg.homogeneous_mode")
-    if rng is None:
-        rng = RandomStream(cfg.seed)
-    panel = _PanelArrays(data)
-    absorbed_paths = int(panel.absorbed.sum())
-    pi_hat, lam_hat, _beta = initialize(panel, cfg, rng)
-    trace: list[IterationRecord] = []
-    for it in range(1, cfg.homog_iterations + 1):
-        step = sem_iteration(panel, pi_hat, lam_hat, None, cfg, rng, it)
-        lam_hat = step.lam_hat
-        trace.append(IterationRecord(it, 0, absorbed_paths, None, lam_hat))
-    lam_avg = _tail_average(trace, cfg.homog_tail_average)
-    return FitResult(
-        pi_hat=pi_hat,
-        lam_hat=lam_avg,
-        beta_hat=None,
-        iterations_used=cfg.homog_iterations,
-        termination="max-iterations",
-        trace=tuple(trace),
-        config=cfg,
-        completed=step.completed if keep_completed else None,
-    )

@@ -15,7 +15,7 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .estimator import FitConfig, FitResult
 from .generator import InitialDistribution, SubIntensityMatrix
 from .paths import PanelObservationSet
 from .scaling import GOMPERTZ, IDENTITY, WEIBULL
+from .simulate import uniform_grid
 
 PANEL_HEADER = ["path_id", "time", "state"]
 _G17 = "%.17g"
@@ -245,52 +246,36 @@ class RunConfig:
     """Parsed configuration file.
 
     The model block declares the state count, family and (for simulation)
-    the true parameters; the estimation block holds the fit
-    hyperparameters; the study block sizes simulated datasets.
+    the true parameters; the study block sizes simulated datasets.  The
+    estimation settings are the fields of :class:`FitConfig` (``beta0`` in
+    the model block, the rest but ``family`` in the estimation block):
+    ``settings`` maps each one the file sets to its value, and
+    ``fit_config`` takes ``FitConfig``'s defaults for the others.
     """
 
     n: int
     family: str  # gompertz | weibull | homogeneous
-    beta0: float = 1.0
     true_beta: float | None = None
     true_pi: InitialDistribution | None = None
     true_lambda: SubIntensityMatrix | None = None
-    eta: float = 1e-6
-    e_ell: float = 0.01
-    beta_min: float = 1e-5
-    max_sem_iterations: int = 200
-    gd_max_steps: int = 100_000
-    max_attempts: int = 1_000_000
-    seed: int | None = None
-    homog_iterations: int = 300
-    homog_tail_average: int = 20
-    bridge_replications: int = 1
     paths: int | None = None
     horizon: float | None = None
     delta: float | None = None
     times_file: str | None = None
+    settings: dict = field(default_factory=dict)
 
     @property
     def homogeneous(self) -> bool:
         return self.family == "homogeneous"
 
+    @property
+    def seed(self) -> int | None:
+        """The file's ``[estimation] seed``, or None if it sets none."""
+        return self.settings.get("seed")
+
     def fit_config(self, seed: int) -> FitConfig:
         kind = IDENTITY if self.homogeneous else self.family
-        return FitConfig(
-            family=kind,
-            beta0=self.beta0,
-            eta=self.eta,
-            e_ell=self.e_ell,
-            beta_min=self.beta_min,
-            max_sem_iterations=self.max_sem_iterations,
-            gd_max_steps=self.gd_max_steps,
-            max_attempts=self.max_attempts,
-            seed=seed,
-            homogeneous_mode=self.homogeneous,
-            homog_iterations=self.homog_iterations,
-            homog_tail_average=self.homog_tail_average,
-            bridge_replications=self.bridge_replications,
-        )
+        return FitConfig(family=kind, **{**self.settings, "seed": seed})
 
     def observation_grid(self) -> np.ndarray:
         """Grid for simulate/study runs: fixed spacing or explicit times."""
@@ -301,8 +286,7 @@ class RunConfig:
                 raise ConfigError(
                     "study block needs either times_file or both delta and horizon"
                 )
-            count = int(np.floor(self.horizon / self.delta + 1e-9))
-            grid = np.arange(count + 1, dtype=float) * self.delta
+            grid = uniform_grid(self.horizon, self.delta)
         if grid.size == 0 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
             raise ConfigError("observation grid must start at 0 and increase")
         return grid
@@ -380,27 +364,28 @@ def read_config(file) -> RunConfig:
     except ValidationError as err:
         raise ConfigError(f"[model]: {err}") from err
 
+    # FitConfig declares the estimation settings: beta0 in [model], every
+    # other field but family in [estimation], each read as its default's type
+    declared = {f.name: type(f.default) for f in fields(FitConfig) if f.name != "family"}
+    for key in parser.options("estimation") if parser.has_section("estimation") else ():
+        if key not in declared or key == "beta0":
+            raise ConfigError(f"[estimation] unknown key {key!r}")
+    settings = {}
+    for key, conv in declared.items():
+        section = "model" if key == "beta0" else "estimation"
+        if parser.has_option(section, key):
+            settings[key] = get(section, key, conv)
     cfg = RunConfig(
         n=n,
         family=family,
-        beta0=get("model", "beta0", float, 1.0),
         true_beta=get("model", "beta", float),
         true_pi=true_pi,
         true_lambda=true_lam,
-        eta=get("estimation", "eta", float, 1e-6),
-        e_ell=get("estimation", "e_ell", float, 0.01),
-        beta_min=get("estimation", "beta_min", float, 1e-5),
-        max_sem_iterations=get("estimation", "max_sem_iterations", int, 200),
-        gd_max_steps=get("estimation", "gd_max_steps", int, 100_000),
-        max_attempts=get("estimation", "max_attempts", int, 1_000_000),
-        seed=get("estimation", "seed", int),
-        homog_iterations=get("estimation", "homog_iterations", int, 300),
-        homog_tail_average=get("estimation", "homog_tail_average", int, 20),
-        bridge_replications=get("estimation", "bridge_replications", int, 1),
         paths=get("study", "paths", int),
         horizon=get("study", "horizon", float),
         delta=get("study", "delta", float),
         times_file=get("study", "times_file", str.strip),
+        settings=settings,
     )
     try:
         cfg.fit_config(seed=cfg.seed if cfg.seed is not None else 0)
@@ -430,7 +415,7 @@ def format_report(result: FitResult, n: int, paths: int) -> str:
         f"n,{n}",
         f"paths,{paths}",
         f"seed,{cfg.seed}",
-        f"homogeneous_mode,{int(cfg.homogeneous_mode)}",
+        f"homogeneous_mode,{int(cfg.family == IDENTITY)}",
         f"beta0,{_G17 % cfg.beta0}",
         f"eta,{_G17 % cfg.eta}",
         f"e_ell,{_G17 % cfg.e_ell}",
@@ -469,7 +454,6 @@ class FitReport:
     family: str
     n: int
     seed: int
-    homogeneous_mode: bool
     termination: str
     iterations_used: int
     beta_hat: float | None
@@ -509,7 +493,6 @@ def read_report(file) -> FitReport:
             family=keys["family"],
             n=n,
             seed=int(keys["seed"]),
-            homogeneous_mode=keys.get("homogeneous_mode", "0") == "1",
             termination=keys.get("termination", ""),
             iterations_used=int(keys.get("iterations_used", "0")),
             beta_hat=float(keys["beta_hat"]) if "beta_hat" in keys else None,

@@ -170,6 +170,17 @@ def simulate_inhomogeneous(
     return _simulate(m, pi, horizon, *_own_stream(rng), family)[0]
 
 
+def uniform_grid(horizon: float, delta: float) -> np.ndarray:
+    """Observation epochs 0, delta, 2*delta, ... capped at the horizon."""
+    if delta <= 0 or horizon <= 0:
+        raise ValidationError("grid needs positive delta and horizon")
+    count = int(np.floor(horizon / delta + 1e-9))
+    grid = np.arange(count + 1, dtype=float) * delta
+    if grid[-1] > horizon:  # float slop in count*delta
+        grid[-1] = horizon
+    return grid
+
+
 def discretize(path: ContinuousPath, grid, path_id: str = "p0") -> PanelPath:
     """Observe a continuous path on a discrete grid.
 

@@ -28,7 +28,7 @@ from .generator import InitialDistribution, SubIntensityMatrix
 from .gof import KsResult, SampleSet, ks_two_sample
 from .paths import FlatPaths, PanelObservationSet, RandomStream
 from .scaling import GOMPERTZ, WEIBULL, ScalingFamily
-from .simulate import observe, simulate_paths
+from .simulate import observe, simulate_paths, uniform_grid
 from . import panelio
 from .panelio import _G17, _atomic_write
 
@@ -96,17 +96,6 @@ WEIBULL_STUDY = StudyPreset(
 )
 
 PRESETS = {p.name: p for p in (GOMPERTZ_STUDY, WEIBULL_STUDY)}
-
-
-def uniform_grid(horizon: float, delta: float) -> np.ndarray:
-    """Observation epochs 0, delta, 2*delta, ... capped at the horizon."""
-    if delta <= 0 or horizon <= 0:
-        raise ValidationError("grid needs positive delta and horizon")
-    count = int(np.floor(horizon / delta + 1e-9))
-    grid = np.arange(count + 1, dtype=float) * delta
-    if grid[-1] > horizon:  # float slop in count*delta
-        grid[-1] = horizon
-    return grid
 
 
 def simulate_cohort(

@@ -225,7 +225,6 @@ def test_criterion_6_scaled_fit_beats_homogeneous():
     grid = uniform_grid(60.0, 1.0)
     homog_cfg = FitConfig(
         family=IDENTITY,
-        homogeneous_mode=True,
         homog_iterations=120,
         homog_tail_average=20,
     )

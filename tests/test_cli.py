@@ -99,6 +99,28 @@ def test_simulate_requires_beta_for_scaled_family(tmp_path):
     assert code == 2
 
 
+def test_simulate_grid_spacing_that_lands_on_the_horizon(tmp_path):
+    # 3 * 0.1 exceeds 0.3 in floating point; the grid's last epoch is 0.3
+    config = tmp_path / "run.ini"
+    config.write_text(
+        GOMPERTZ_INI.replace("horizon = 30", "horizon = 0.3").replace("delta = 1", "delta = 0.1")
+    )
+    out = tmp_path / "p.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    panel = read_panel(out, 3)
+    assert panel.times.max() == 0.3
+    assert set(np.round(panel.times, 12)) <= {0.0, 0.1, 0.2, 0.3}
+
+
+@pytest.mark.parametrize("line,zero", [("delta = 1", "delta = 0"), ("horizon = 30", "horizon = 0")])
+def test_simulate_rejects_a_zero_grid_setting(tmp_path, capsys, line, zero):
+    config = tmp_path / "run.ini"
+    config.write_text(GOMPERTZ_INI.replace(line, zero))
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "positive delta and horizon" in capsys.readouterr().err
+
+
 def test_fit_report_contents(workspace):
     _, _, panel, fitdir = workspace
     report = read_report(fitdir / "report.txt")
@@ -335,6 +357,38 @@ def test_study_smoke(tmp_path):
     results = (out / "results.csv").read_text().splitlines()
     assert results[0] == "T,absorbed_paths,iteration,p_value,seed"
     assert (out / "parameters.csv").exists()
+
+
+def _study_report(tmp_path, overrides):
+    config = tmp_path / "overrides.ini"
+    config.write_text(overrides)
+    out = tmp_path / "study"
+    argv = ["study", "--name", "weibull", "--out", str(out), "--config", str(config)]
+    assert main(argv + ["--seed", "3"]) == 0
+    return read_report(out / "T5" / "report.txt").keys
+
+
+def test_study_config_keeps_the_preset_settings_it_does_not_set(tmp_path):
+    keys = _study_report(tmp_path, "[model]\nn = 2\n\n[study]\npaths = 40\n")
+    assert (keys["paths"], keys["beta0"], keys["eta"], keys["e_ell"]) == (
+        "40", "2", "0.0001", "0.01"
+    )
+    keys = _study_report(
+        tmp_path, "[model]\nn = 2\nbeta0 = 2.5\n\n[estimation]\neta = 0.001\n\n"
+        "[study]\npaths = 40\n"
+    )
+    assert (keys["paths"], keys["beta0"], keys["eta"], keys["e_ell"]) == (
+        "40", "2.5", "0.001", "0.01"
+    )
+
+
+def test_study_config_rejects_settings_a_preset_does_not_take(tmp_path, capsys):
+    config = tmp_path / "overrides.ini"
+    config.write_text("[model]\nn = 2\n\n[estimation]\nmax_sem_iterations = 5\n")
+    argv = ["study", "--name", "weibull", "--out", str(tmp_path / "s"), "--config", str(config)]
+    assert main(argv) == 2
+    assert "[estimation] max_sem_iterations does not apply" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_console_script_help():

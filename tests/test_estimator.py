@@ -23,7 +23,6 @@ from iphfit import (
     bridge_sample,
     empirical_pi,
     fit,
-    fit_homogeneous,
     initialize,
     mle_generator,
     sem_iteration,
@@ -102,7 +101,7 @@ def test_initialize_naive_bookkeeping():
             ("b", [0.0, 1.0], [2, 3]),
         ],
     )
-    cfg = FitConfig(family=IDENTITY, homogeneous_mode=True)
+    cfg = FitConfig(family=IDENTITY)
     pi0, lam0, beta0 = initialize(data, cfg, RandomStream(0))
     np.testing.assert_allclose(pi0.probabilities, [0.5, 0.5])
     np.testing.assert_allclose(lam0.entries, [[-0.5, 0.5], [0.0, -1.0]])
@@ -182,8 +181,8 @@ def test_initialize_without_absorbed_paths_keeps_beta0():
 
 
 def test_fit_unpacks_the_panel_once(monkeypatch, gompertz_pi, gompertz_lam):
-    """fit and fit_homogeneous hand one _PanelArrays to initialization and
-    to every sweep."""
+    """fit hands one _PanelArrays to initialization and to every sweep,
+    for a scaled family and for the identity family."""
     made = []
     unpack = estimator._PanelArrays.__init__
 
@@ -196,7 +195,7 @@ def test_fit_unpacks_the_panel_once(monkeypatch, gompertz_pi, gompertz_lam):
                       60, 81)
     fit(data, FitConfig(family=GOMPERTZ, beta0=1.0, eta=1e-6, e_ell=0.01,
                         max_sem_iterations=2), RandomStream(81))
-    fit(data, FitConfig(family=IDENTITY, homogeneous_mode=True, homog_iterations=2,
+    fit(data, FitConfig(family=IDENTITY, homog_iterations=2,
                         homog_tail_average=1), RandomStream(81))
     assert [d is data for d in made] == [True, True]
 
@@ -257,7 +256,7 @@ def test_bridge_budget_errors_name_path_and_segment(monkeypatch):
 
 
 def _check_errors_name_path(monkeypatch):
-    cfg = FitConfig(family=IDENTITY, homogeneous_mode=True, max_attempts=5)
+    cfg = FitConfig(family=IDENTITY, max_attempts=5)
     # no transient-to-transient rates: path b cannot go from 1 to 2
     no_moves = SubIntensityMatrix(np.array([[-1.0, 0.0], [0.0, -1.0]]))
     data = _panel(2, [("a", [0, 1], [1, 3]), ("b", [0, 1, 2, 3], [1, 1, 2, 3])])
@@ -279,7 +278,7 @@ def _check_errors_name_path(monkeypatch):
     flips = SubIntensityMatrix(np.array([[-50.0, 49.99], [49.99, -50.0]]))
     data = _panel(2, [("b", [0, 1], [1, 1]), ("a", [0, 1], [2, 3])])
     monkeypatch.setattr(estimator, "_PATH_CAP", 8)
-    cfg = FitConfig(family=IDENTITY, homogeneous_mode=True, max_attempts=10**6)
+    cfg = FitConfig(family=IDENTITY, max_attempts=10**6)
     with pytest.raises(NumericalError, match="^path b: completion exceeded 8 jumps$"):
         sem_iteration(data, pi, flips, None, cfg, RandomStream(1), 2)
     # so does initialization, where b is the only absorbed path
@@ -425,23 +424,35 @@ def test_fit_beta_trace_collects_ascent_rows(instrumented_fit):
 # homogeneous variant
 
 
-def test_fit_homogeneous_requires_mode():
-    data = _panel(2, [("a", [0.0, 1.0], [1, 3])])
-    with pytest.raises(ValidationError):
-        fit_homogeneous(data, FitConfig(family=IDENTITY))
+def test_fit_identity_family_is_the_homogeneous_fit(monkeypatch):
+    """The identity family alone selects the homogeneous fit: with the
+    default settings it runs homog_iterations sweeps and reports no beta."""
+    sweeps = []
+    step = estimator.sem_iteration
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[6])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "sem_iteration", counted)
+    lam = SubIntensityMatrix(np.array([[-0.8, 0.3], [0.2, -0.6]]))
+    pi = InitialDistribution(np.array([0.6, 0.4]))
+    data = make_panel(pi, lam, ScalingFamily.identity(), 8.0, 0.5, 20, 86)
+    cfg = FitConfig(family=IDENTITY)
+    result = fit(data, cfg, RandomStream(86))
+    assert sweeps == list(range(1, cfg.homog_iterations + 1))
+    assert result.beta_hat is None
+    assert result.iterations_used == len(result.trace) == cfg.homog_iterations
+    assert result.termination == "max-iterations"
+    assert all(rec.beta_hat is None and rec.gd_updates == 0 for rec in result.trace)
 
 
 def test_fit_homogeneous_consistency():
     lam = SubIntensityMatrix(np.array([[-0.8, 0.3], [0.2, -0.6]]))
     pi = InitialDistribution(np.array([0.6, 0.4]))
     data = make_panel(pi, lam, ScalingFamily.identity(), 8.0, 0.5, 300, 87)
-    cfg = FitConfig(
-        family=IDENTITY,
-        homogeneous_mode=True,
-        homog_iterations=60,
-        homog_tail_average=10,
-    )
-    result = fit_homogeneous(data, cfg, RandomStream(87))
+    cfg = FitConfig(family=IDENTITY, homog_iterations=60, homog_tail_average=10)
+    result = fit(data, cfg, RandomStream(87))
     assert result.beta_hat is None
     assert result.iterations_used == 60
     assert len(result.trace) == 60
@@ -453,35 +464,14 @@ def test_fit_homogeneous_single_sweep_equals_iteration():
     lam = SubIntensityMatrix(np.array([[-0.8, 0.3], [0.2, -0.6]]))
     pi = InitialDistribution(np.array([0.6, 0.4]))
     data = make_panel(pi, lam, ScalingFamily.identity(), 8.0, 0.5, 60, 88)
-    cfg = FitConfig(
-        family=IDENTITY,
-        homogeneous_mode=True,
-        homog_iterations=1,
-        homog_tail_average=1,
-    )
-    result = fit_homogeneous(data, cfg, RandomStream(88))
+    cfg = FitConfig(family=IDENTITY, homog_iterations=1, homog_tail_average=1)
+    result = fit(data, cfg, RandomStream(88))
     rng = RandomStream(88)
     pi0, lam0, _ = initialize(data, cfg, rng)
     step = sem_iteration(data, pi0, lam0, None, cfg, rng, 1)
     np.testing.assert_allclose(
         result.lam_hat.entries, step.lam_hat.entries, atol=1e-12
     )
-
-
-def test_fit_dispatches_homogeneous_mode():
-    lam = SubIntensityMatrix(np.array([[-0.8, 0.3], [0.2, -0.6]]))
-    pi = InitialDistribution(np.array([0.6, 0.4]))
-    data = make_panel(pi, lam, ScalingFamily.identity(), 8.0, 0.5, 40, 89)
-    cfg = FitConfig(
-        family=IDENTITY,
-        homogeneous_mode=True,
-        homog_iterations=3,
-        homog_tail_average=2,
-    )
-    via_fit = fit(data, cfg, RandomStream(4))
-    direct = fit_homogeneous(data, cfg, RandomStream(4))
-    assert np.array_equal(via_fit.lam_hat.entries, direct.lam_hat.entries)
-    assert via_fit.beta_hat is None
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +482,6 @@ def test_fit_config_validation():
     with pytest.raises(ValidationError):
         FitConfig(family="loglogistic")
     with pytest.raises(ValidationError):
-        FitConfig(family=GOMPERTZ, homogeneous_mode=True)
-    with pytest.raises(ValidationError):
         FitConfig(family=GOMPERTZ, eta=0.0)
     with pytest.raises(ValidationError):
         FitConfig(family=GOMPERTZ, e_ell=-0.1)
@@ -502,13 +490,8 @@ def test_fit_config_validation():
     with pytest.raises(ValidationError):
         FitConfig(family=GOMPERTZ, max_sem_iterations=0)
     with pytest.raises(ValidationError):
-        FitConfig(family=IDENTITY, homogeneous_mode=True, homog_tail_average=0)
+        FitConfig(family=IDENTITY, homog_tail_average=0)
     with pytest.raises(ValidationError):
-        FitConfig(
-            family=IDENTITY,
-            homogeneous_mode=True,
-            homog_iterations=5,
-            homog_tail_average=6,
-        )
+        FitConfig(family=IDENTITY, homog_iterations=5, homog_tail_average=6)
     with pytest.raises(ValidationError):
         FitConfig(family=GOMPERTZ, seed=-1)

@@ -1,4 +1,7 @@
+import configparser
+import dataclasses
 import io
+import os
 
 import numpy as np
 import pytest
@@ -347,7 +350,7 @@ def test_read_config_example(tmp_path):
     assert cfg.n == 3
     assert cfg.family == GOMPERTZ
     assert cfg.true_beta == 0.1019
-    assert cfg.eta == 1e-6
+    assert cfg.settings == {"beta0": 1.0, "eta": 1e-6, "e_ell": 0.01, "seed": 7}
     assert cfg.seed == 7
     assert cfg.paths == 100
     np.testing.assert_allclose(
@@ -358,14 +361,15 @@ def test_read_config_example(tmp_path):
     assert grid.size == 61
     assert grid[0] == 0.0 and grid[-1] == 60.0
     fc = cfg.fit_config(5)
-    assert fc.seed == 5 and fc.family == GOMPERTZ
+    assert fc.seed == 5 and fc.family == GOMPERTZ and fc.eta == 1e-6
 
 
 def test_read_config_defaults(tmp_path):
     cfg = read_config(write_config(tmp_path, "[model]\nn = 2\n"))
     assert cfg.family == GOMPERTZ
-    assert cfg.beta0 == 1.0
+    assert cfg.settings == {}
     assert cfg.seed is None
+    assert cfg.fit_config(0) == FitConfig(family=GOMPERTZ)
     assert cfg.true_pi is None
     with pytest.raises(ConfigError, match="delta and horizon"):
         cfg.observation_grid()
@@ -378,7 +382,6 @@ def test_read_config_homogeneous_maps_to_identity(tmp_path):
     assert cfg.homogeneous
     fc = cfg.fit_config(0)
     assert fc.family == IDENTITY
-    assert fc.homogeneous_mode
 
 
 def test_read_config_times_file(tmp_path):
@@ -395,6 +398,24 @@ def test_read_config_times_file(tmp_path):
         cfg.observation_grid()
 
 
+def test_readme_config_block_lists_every_estimation_setting(tmp_path):
+    """The README's configuration example is a valid config, its
+    [estimation] keys are exactly FitConfig's estimation fields, and the
+    values it shows are FitConfig's defaults but for the seed."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("## Configuration format", 1)[1].split("```ini\n", 1)[1]
+    block = block.split("```", 1)[0]
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    declared = {f.name for f in dataclasses.fields(FitConfig)} - {"family", "beta0"}
+    assert set(parser.options("estimation")) == declared
+    cfg = read_config(write_config(tmp_path, block))
+    assert set(cfg.settings) == declared | {"beta0"}
+    assert cfg.fit_config(0) == FitConfig(family=GOMPERTZ)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -408,6 +429,9 @@ def test_read_config_times_file(tmp_path):
         ("[model]\nn = 2\n\n[study]\npaths = -5\n", "paths"),
         ("[model]\nn = 2\nbeta = 0\n", "beta must be positive"),
         ("[model]\nn = 2\nbroken", "malformed config"),
+        ("[model]\nn = 2\n\n[estimation]\nmax_sem_iteration = 5\n",
+         "unknown key 'max_sem_iteration'"),
+        ("[model]\nn = 2\n\n[estimation]\nbeta0 = 2\n", "unknown key 'beta0'"),
     ],
 )
 def test_read_config_errors(tmp_path, text, fragment):
@@ -424,8 +448,7 @@ def _toy_result(homogeneous=False):
     lam = SubIntensityMatrix(np.array([[-0.5, 0.125], [1.0 / 3.0, -2.0]]))
     if homogeneous:
         cfg = FitConfig(
-            family=IDENTITY, homogeneous_mode=True, seed=3,
-            homog_iterations=2, homog_tail_average=1,
+            family=IDENTITY, seed=3, homog_iterations=2, homog_tail_average=1,
         )
         trace = tuple(
             IterationRecord(i, 0, 4, None, lam) for i in (1, 2)
@@ -447,7 +470,7 @@ def test_report_round_trip(tmp_path):
     assert rep.family == GOMPERTZ
     assert rep.n == 2
     assert rep.seed == 3
-    assert not rep.homogeneous_mode
+    assert rep.keys["homogeneous_mode"] == "0"
     assert rep.termination == "single-update-converged"
     assert rep.iterations_used == 2
     assert rep.beta_hat == result.beta_hat
@@ -466,7 +489,7 @@ def test_homogeneous_report_has_no_beta(tmp_path):
     assert "beta_hat," not in text.split("[trace]")[0]
     rep = read_report(target)
     assert rep.beta_hat is None
-    assert rep.homogeneous_mode
+    assert rep.keys["homogeneous_mode"] == "1"
 
 
 def test_report_trace_block_shape(tmp_path):

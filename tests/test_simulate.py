@@ -341,6 +341,6 @@ def test_complete_censored_fundamental_matrix_oracle(clinic_lam):
 def test_complete_censored_unreachable_absorption_errors():
     stuck = SubIntensityMatrix(np.array([[0.0]]))
     data = PanelObservationSet(1, (PanelPath("a", np.array([0.0, 1.0]), np.array([1, 1])),))
-    cfg = FitConfig(family=IDENTITY, homogeneous_mode=True)
+    cfg = FitConfig(family=IDENTITY)
     with pytest.raises(StructuralError, match="^iteration 1: absorption is unreachable"):
         sem_iteration(data, POINT_MASS, stuck, None, cfg, RandomStream(54), 1)
