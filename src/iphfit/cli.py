@@ -198,7 +198,8 @@ def cmd_study(args) -> int:
             f"unknown study {args.name!r}; available: {', '.join(sorted(PRESETS))}"
         )
     preset = PRESETS[args.name]
-    cfg = read_config(args.config) if args.config else None
+    # the preset fixes the model, so the file needs no [model] n
+    cfg = panelio._read_config(args.config, preset.pi.n) if args.config else None
     if cfg is not None:
         # a preset takes the estimation settings it declares, and the seed
         taken = {f.name for f in fields(preset)}

@@ -9,9 +9,16 @@ fixed so full-generator rows sum to zero.
 The absorption-time density of the time-scaled model at calendar time t is
 ``h(t) * pi . exp(g_inv(t) L) . exit``, its CDF ``1 - pi . exp(g_inv(t) L) . 1``.
 Both reduce to products ``pi . exp(sL) . v`` evaluated for many s; these go
-through an eigendecomposition of L when it is numerically trustworthy
-(validated against the matrix exponential at probe points on every
-construction) and otherwise fall back to per-point expm calls.
+through an eigendecomposition of L when it is numerically trustworthy and
+otherwise fall back to per-point expm calls.  Every construction probes
+the eigen side at four points (one vectorised evaluation per coefficient
+vector) against four matrix exponentials, within 1e-11 relative.
+
+The beta objective is evaluated in one pass per beta: the family's four
+terms (h, g_inv and the two beta-derivatives) and the kernel's density and
+score ratio are computed once and shared by the log-likelihood and its
+score, and the absorption times are checked once, when the objective is
+built.
 """
 
 from __future__ import annotations
@@ -179,19 +186,26 @@ def mle_generator(
 # density / CDF kernel
 
 
+def _check_homogeneous(s) -> np.ndarray:
+    s_arr = np.asarray(s, dtype=float)
+    if not np.isfinite(s_arr).all() or (s_arr < 0.0).any():
+        raise ValidationError("homogeneous times must be finite and >= 0")
+    return s_arr
+
+
 class _AbsorptionKernel:
-    """Vectorised evaluation of pi.exp(sL).exit, pi.L.exp(sL).exit and
-    pi.exp(sL).1 over arrays of homogeneous times s >= 0."""
+    """Vectorised evaluation of pi.exp(sL).exit, pi.exp(sL).1 and the
+    ratio pi.L.exp(sL).exit / pi.exp(sL).exit over arrays of homogeneous
+    times s >= 0."""
 
     def __init__(self, pi: InitialDistribution, lam: SubIntensityMatrix):
-        lam.require_valid()
+        self._exit = lam.exit_rates()  # validates lam
         if pi.n != lam.n:
             raise ValidationError(
                 f"initial distribution has {pi.n} states, generator has {lam.n}"
             )
         self._pi = pi.probabilities
         self._arr = lam.entries
-        self._exit = lam.exit_rates()
         self._ones = np.ones(lam.n)
         self._eig_ok = False
         try:
@@ -207,84 +221,72 @@ class _AbsorptionKernel:
             self._eig_ok = False
 
     def _probe(self) -> bool:
+        """Whether the eigen side matches the matrix exponential, within
+        1e-11 relative, at four points spanning the slowest decay."""
         rate = max(float(-self._arr.diagonal().min()), 1e-12)
         probes = np.array([0.0, 0.1, 1.0, 5.0]) / rate
-        for s in probes:
-            e = matrix_exponential(self._arr, s)
-            ref = np.array(
-                [self._pi @ e @ self._exit,
-                 self._pi @ self._arr @ e @ self._exit,
-                 self._pi @ e @ self._ones]
-            )
-            got = np.array(
-                [self._eig_eval(self._c_exit, s),
-                 self._eig_eval(self._c_rate, s),
-                 self._eig_eval(self._c_one, s)]
-            )
-            if np.any(np.abs(got - ref) > 1e-11 * np.maximum(np.abs(ref), 1e-3)):
-                return False
-        return True
+        got = np.column_stack(
+            [self._eig_eval(c, probes) for c in (self._c_exit, self._c_rate, self._c_one)]
+        )
+        ref = np.array(
+            [[self._pi @ e @ self._exit,
+              self._pi @ self._arr @ e @ self._exit,
+              self._pi @ e @ self._ones]
+             for e in (matrix_exponential(self._arr, s) for s in probes)]
+        )
+        return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(np.abs(ref), 1e-3))
 
-    def _eig_eval(self, coeff: np.ndarray, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
+    def _eig_eval(self, coeff: np.ndarray, s: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             e = np.exp(np.multiply.outer(s, self._w))
             out = (e @ coeff).real
         return out
 
-    def _expm_eval(self, which: str, s: np.ndarray) -> np.ndarray:
-        right = {"exit": self._exit, "one": self._ones}[
-            "one" if which == "one" else "exit"
-        ]
-        head = self._pi @ self._arr if which == "rate" else self._pi
-        flat = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.array([head @ matrix_exponential(self._arr, si) @ right for si in flat])
+    def _expm_eval(self, right: np.ndarray, s: np.ndarray) -> np.ndarray:
+        flat = np.atleast_1d(s)
+        out = np.array([self._pi @ matrix_exponential(self._arr, si) @ right for si in flat])
         return out.reshape(np.shape(s))
-
-    def _eval(self, which: str, s) -> np.ndarray:
-        s_arr = np.asarray(s, dtype=float)
-        if not np.all(np.isfinite(s_arr)) or np.any(s_arr < 0.0):
-            raise ValidationError("homogeneous times must be finite and >= 0")
-        if self._eig_ok:
-            coeff = {"exit": self._c_exit, "rate": self._c_rate, "one": self._c_one}
-            return self._eig_eval(coeff[which], s_arr)
-        return self._expm_eval(which, s_arr)
 
     def density_factor(self, s):
         """pi . exp(sL) . exit  (the phase-type density at s)."""
-        return self._eval("exit", s)
-
-    def rate_factor(self, s):
-        """pi . L . exp(sL) . exit  (derivative weight in the score)."""
-        return self._eval("rate", s)
+        s_arr = _check_homogeneous(s)
+        if self._eig_ok:
+            return self._eig_eval(self._c_exit, s_arr)
+        return self._expm_eval(self._exit, s_arr)
 
     def survival(self, s):
         """pi . exp(sL) . 1."""
-        return self._eval("one", s)
+        s_arr = _check_homogeneous(s)
+        if self._eig_ok:
+            return self._eig_eval(self._c_one, s_arr)
+        return self._expm_eval(self._ones, s_arr)
 
-    def rate_ratio(self, s):
-        """rate_factor / density_factor, stable under density underflow.
+    def density_and_ratio(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``density_factor(s)`` and the ratio pi.L.exp(sL).exit /
+        pi.exp(sL).exit at checked times s, the ratio stable under density
+        underflow.
 
-        On the eigendecomposition route the common factor exp(s * w_max)
-        is cancelled before exponentiating, so the ratio stays finite for
+        On the eigendecomposition route the ratio cancels the common
+        factor exp(s * w_max) before exponentiating, so it stays finite for
         s far beyond the point where the density itself underflows (it
-        tends to the dominant eigenvalue).  The expm route divides
-        directly and may return nan once the density underflows.
+        tends to the dominant eigenvalue).  The expm route computes one
+        matrix exponential per point for both and divides directly, so its
+        ratio may be nan once the density underflows.
         """
-        s_arr = np.asarray(s, dtype=float)
-        if not np.all(np.isfinite(s_arr)) or np.any(s_arr < 0.0):
-            raise ValidationError("homogeneous times must be finite and >= 0")
         if self._eig_ok:
             shift = self._w.real.max()
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                e = np.exp(np.multiply.outer(s_arr, self._w - shift))
+                e = np.exp(np.multiply.outer(s, self._w - shift))
                 num = (e @ self._c_rate).real
                 den = (e @ self._c_exit).real
-                return np.where(den != 0.0, num / np.where(den != 0.0, den, 1.0), np.nan)
-        a = self._expm_eval("exit", s_arr)
-        b = self._expm_eval("rate", s_arr)
+                nz = den != 0.0
+                ratio = np.where(nz, num / np.where(nz, den, 1.0), np.nan)
+            return self._eig_eval(self._c_exit, s), ratio
+        exps = [matrix_exponential(self._arr, si) for si in s]
+        a = np.array([self._pi @ e @ self._exit for e in exps])
+        b = np.array([self._pi @ self._arr @ e @ self._exit for e in exps])
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(b / a)
+            return a, b / a
 
 
 def _wrap_pi(pi) -> InitialDistribution:
@@ -362,12 +364,46 @@ class BetaObjective:
         return ScalingFamily(self.family, beta)
 
 
-def _underflow_warning(kind: str, index: int, t: float) -> None:
+def _underflow_warning(kind: str, index: int, t: float, stacklevel: int) -> None:
     warnings.warn(
         f"{kind} underflow at observation {index} (t={t:g})",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=stacklevel,
     )
+
+
+def _evaluate(
+    obj: BetaObjective, beta: float, loglik: bool = True, score: bool = True,
+    stacklevel: int = 4,
+) -> tuple[float | None, float | None]:
+    """``(loglik, score)`` at beta in one pass over the absorption sample.
+
+    The family's terms and the kernel's density and ratio are computed once
+    and shared.  The times were checked when ``obj`` was built; only their
+    operational images g_inv(t) are checked here.  A part not asked for is
+    None and raises no warning.  ``stacklevel`` points the underflow
+    warnings at the caller of the public function.
+    """
+    fam = obj.family_at(beta)
+    t = obj.absorption_times
+    g_inv, h, dh, int_dh = fam._terms(t)
+    a, ratio = obj._kernel.density_and_ratio(_check_homogeneous(g_inv))
+    ell = grad = None
+    if loglik:
+        bad = np.nonzero(~np.isfinite(a) | (a <= 0.0))[0]
+        if bad.size:
+            _underflow_warning("density", int(bad[0]), float(t[int(bad[0])]), stacklevel)
+            ell = -np.inf
+        else:
+            ell = float(np.log(h).sum() + np.log(a).sum())
+    if score:
+        bad = np.nonzero(~np.isfinite(ratio))[0]
+        if bad.size:
+            _underflow_warning("score", int(bad[0]), float(t[int(bad[0])]), stacklevel)
+            grad = float("nan")
+        else:
+            grad = float((dh / h).sum() + (int_dh * ratio).sum())
+    return ell, grad
 
 
 def beta_loglik(obj: BetaObjective, beta: float) -> float:
@@ -376,14 +412,7 @@ def beta_loglik(obj: BetaObjective, beta: float) -> float:
     Returns -inf when the density underflows at some observation (a
     warning names the first offending index).
     """
-    fam = obj.family_at(beta)
-    t = obj.absorption_times
-    a = obj._kernel.density_factor(np.atleast_1d(fam.g_inv(t)))
-    bad = np.nonzero(~np.isfinite(a) | (a <= 0.0))[0]
-    if bad.size:
-        _underflow_warning("density", int(bad[0]), float(t[int(bad[0])]))
-        return -np.inf
-    return float(np.sum(np.log(fam.h(t))) + np.sum(np.log(a)))
+    return _evaluate(obj, beta, score=False)[0]
 
 
 def beta_gradient(obj: BetaObjective, beta: float) -> float:
@@ -397,16 +426,7 @@ def beta_gradient(obj: BetaObjective, beta: float) -> float:
     the clamped ascent update back toward sane beta).  Returns nan, after
     a warning, only when the ratio itself cannot be evaluated.
     """
-    fam = obj.family_at(beta)
-    t = obj.absorption_times
-    ratio = obj._kernel.rate_ratio(np.atleast_1d(fam.g_inv(t)))
-    bad = np.nonzero(~np.isfinite(ratio))[0]
-    if bad.size:
-        _underflow_warning("score", int(bad[0]), float(t[int(bad[0])]))
-        return float("nan")
-    term1 = fam.dh_dbeta(t) / fam.h(t)
-    term2 = fam.int_dh_dbeta(t) * ratio
-    return float(np.sum(term1) + np.sum(term2))
+    return _evaluate(obj, beta, loglik=False)[1]
 
 
 def gd_solve(
@@ -440,16 +460,14 @@ def gd_solve(
         raise ValidationError("need beta0 >= beta_min > 0")
     if int(max_steps) < 1:
         raise ValidationError("max_steps must be at least 1")
-    ell_prev = beta_loglik(obj, beta0)
-    grad = beta_gradient(obj, beta0)
+    ell_prev, grad = _evaluate(obj, beta0, stacklevel=3)
     beta = beta0
     local_trace = trace if trace is not None else []
     for step in range(1, int(max_steps) + 1):
         if not np.isfinite(grad):
             raise NumericalError(f"non-finite gradient at beta={beta:g}")
         beta = max(beta_min, beta + eta * grad)
-        ell = beta_loglik(obj, beta)
-        grad = beta_gradient(obj, beta)
+        ell, grad = _evaluate(obj, beta, stacklevel=3)
         local_trace.append((step, beta, ell, grad))
         if abs(ell - ell_prev) < e_ell:
             return beta, step

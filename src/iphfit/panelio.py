@@ -320,6 +320,13 @@ _FAMILY_NAMES = (GOMPERTZ, WEIBULL, "homogeneous")
 
 def read_config(file) -> RunConfig:
     """Parse and validate an INI-style run configuration."""
+    return _read_config(file)
+
+
+def _read_config(file, default_n: int | None = None) -> RunConfig:
+    """:func:`read_config`, with ``default_n`` standing in for a missing
+    ``[model] n`` (and section): a study's override file needs neither,
+    since the preset fixes the model."""
     parser = configparser.ConfigParser()
     try:
         with open(file, "r", encoding="utf-8") as handle:
@@ -338,9 +345,25 @@ def read_config(file) -> RunConfig:
         except (ValueError, ConfigError) as err:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {err}") from err
 
-    if not parser.has_section("model"):
+    # FitConfig declares the estimation settings: beta0 in [model], every
+    # other field but family in [estimation], each read as its default's type
+    declared = {f.name: type(f.default) for f in fields(FitConfig) if f.name != "family"}
+    known = {
+        "model": {"n", "family", "beta0", "beta", "pi", "lambda"},
+        "estimation": set(declared) - {"beta0"},
+        "study": {"paths", "horizon", "delta", "times_file"},
+    }
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError(
+                f"unknown section [{section}]; expected [model], [estimation] or [study]"
+            )
+        for key in parser.options(section):
+            if key not in known[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+    if default_n is None and not parser.has_section("model"):
         raise ConfigError("config needs a [model] section")
-    n = get("model", "n", int)
+    n = get("model", "n", int, default_n)
     if n is None or n < 1:
         raise ConfigError("[model] n must be a positive integer")
     family = get("model", "family", str.strip, "gompertz").lower()
@@ -364,12 +387,6 @@ def read_config(file) -> RunConfig:
     except ValidationError as err:
         raise ConfigError(f"[model]: {err}") from err
 
-    # FitConfig declares the estimation settings: beta0 in [model], every
-    # other field but family in [estimation], each read as its default's type
-    declared = {f.name: type(f.default) for f in fields(FitConfig) if f.name != "family"}
-    for key in parser.options("estimation") if parser.has_section("estimation") else ():
-        if key not in declared or key == "beta0":
-            raise ConfigError(f"[estimation] unknown key {key!r}")
     settings = {}
     for key, conv in declared.items():
         section = "model" if key == "beta0" else "estimation"

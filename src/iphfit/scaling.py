@@ -92,32 +92,13 @@ class ScalingFamily:
         there; Weibull with beta > 1 has h(0) = 0 (a boundary zero, the
         density handles it), beta = 1 gives h identically 1.
         """
-        if self.kind == IDENTITY:
-            arr = _check_times(t, allow_zero=True)
-            return _scalar_like(t, np.ones_like(arr))
-        if self.kind == GOMPERTZ:
-            arr = _check_times(t, allow_zero=True)
-            with np.errstate(over="ignore"):
-                return _scalar_like(t, np.exp(self.beta * arr))
-        arr = _check_times(t, allow_zero=self.beta >= 1.0)
-        with np.errstate(divide="ignore"):
-            out = np.where(arr > 0.0, self.beta * arr ** (self.beta - 1.0), 0.0)
-        if self.beta == 1.0:
-            out = np.ones_like(arr)
-        return _scalar_like(t, out)
+        arr = _check_times(t, allow_zero=self.kind != WEIBULL or self.beta >= 1.0)
+        return _scalar_like(t, self._terms(arr)[1])
 
     def g_inv(self, t):
         """Operational time g_inv(t) = int_0^t h(s) ds; increasing, 0 at 0."""
-        if self.kind == IDENTITY:
-            arr = _check_times(t, allow_zero=True)
-            return _scalar_like(t, arr.copy())
-        arr = _check_times(t, allow_zero=True)
-        with np.errstate(over="ignore"):
-            if self.kind == GOMPERTZ:
-                out = np.expm1(self.beta * arr) / self.beta
-            else:
-                out = arr**self.beta
-        return _scalar_like(t, out)
+        (s,) = self._terms(_check_times(t, allow_zero=True), g_inv_only=True)
+        return _scalar_like(t, s)
 
     def g(self, s):
         """Calendar time for operational time s; inverse of :meth:`g_inv`."""
@@ -140,19 +121,8 @@ class ScalingFamily:
         gompertz: t exp(beta t); weibull: t^(beta-1) (1 + beta log t),
         continuously extended to 0 at t = 0 when beta > 1; identity: 0.
         """
-        if self.kind == IDENTITY:
-            arr = _check_times(t, allow_zero=True)
-            return _scalar_like(t, np.zeros_like(arr))
-        if self.kind == GOMPERTZ:
-            arr = _check_times(t, allow_zero=True)
-            with np.errstate(over="ignore"):
-                return _scalar_like(t, arr * np.exp(self.beta * arr))
-        arr = _check_times(t, allow_zero=self.beta > 1.0)
-        pos = arr > 0.0
-        out = np.zeros_like(arr)
-        tp = arr[pos]
-        out[pos] = tp ** (self.beta - 1.0) * (1.0 + self.beta * np.log(tp))
-        return _scalar_like(t, out)
+        arr = _check_times(t, allow_zero=self.kind != WEIBULL or self.beta > 1.0)
+        return _scalar_like(t, self._terms(arr)[2])
 
     def int_dh_dbeta(self, t):
         """Accumulated derivative int_0^t dh/dbeta(s) ds.
@@ -161,16 +131,35 @@ class ScalingFamily:
         weibull: t^beta log t, which -> 0 as t -> 0 for every beta > 0
         (defined as 0 at t = 0 by continuity); identity: 0.
         """
-        arr = _check_times(t, allow_zero=True)
+        return _scalar_like(t, self._terms(_check_times(t, allow_zero=True))[3])
+
+    def _terms(self, arr: np.ndarray, g_inv_only: bool = False) -> tuple:
+        """``(g_inv, h, dh/dbeta, int_dh_dbeta)`` at times already checked.
+
+        The one place each family's formulas are written.  The terms share
+        exp(beta t) and expm1(beta t) (gompertz) or t^beta, t^(beta-1) and
+        log t (weibull).  ``g_inv_only`` makes ``(g_inv,)`` alone.
+        Overflow gives inf or nan without a warning; the callers check.
+        """
+        b = self.beta
         if self.kind == IDENTITY:
-            return _scalar_like(t, np.zeros_like(arr))
-        if self.kind == GOMPERTZ:
-            b = self.beta
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = arr * np.exp(b * arr) / b - np.expm1(b * arr) / (b * b)
-            return _scalar_like(t, out)
-        pos = arr > 0.0
-        out = np.zeros_like(arr)
-        tp = arr[pos]
-        out[pos] = tp**self.beta * np.log(tp)
-        return _scalar_like(t, out)
+            terms = (arr.copy(), np.ones_like(arr), np.zeros_like(arr), np.zeros_like(arr))
+            return terms[:1] if g_inv_only else terms
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if self.kind == GOMPERTZ:
+                bt = b * arr
+                m1 = np.expm1(bt)
+                if g_inv_only:
+                    return (m1 / b,)
+                e = np.exp(bt)
+                dh = arr * e
+                return m1 / b, e, dh, dh / b - m1 / (b * b)
+            pb = arr**b
+            if g_inv_only:
+                return (pb,)
+            pos = arr > 0.0
+            p1 = arr ** (b - 1.0)
+            log_t = np.log(arr)
+            h = np.ones_like(arr) if b == 1.0 else np.where(pos, b * p1, 0.0)
+            dh = np.where(pos, p1 * (1.0 + b * log_t), 0.0)
+            return pb, h, dh, np.where(pos, pb * log_t, 0.0)

@@ -382,6 +382,14 @@ def test_study_config_keeps_the_preset_settings_it_does_not_set(tmp_path):
     )
 
 
+def test_study_config_needs_no_model_section(tmp_path):
+    # a study's preset fixes the model, so the override file may skip [model]
+    keys = _study_report(tmp_path, "[study]\npaths = 40\n")
+    assert (keys["paths"], keys["beta0"]) == ("40", "2")
+    keys = _study_report(tmp_path, "[model]\nbeta0 = 2.5\n\n[study]\npaths = 40\n")
+    assert (keys["paths"], keys["beta0"]) == ("40", "2.5")
+
+
 def test_study_config_rejects_settings_a_preset_does_not_take(tmp_path, capsys):
     config = tmp_path / "overrides.ini"
     config.write_text("[model]\nn = 2\n\n[estimation]\nmax_sem_iterations = 5\n")

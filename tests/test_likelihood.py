@@ -392,6 +392,55 @@ def test_gompertz_gradient_dual_formula(gompertz_lam, gompertz_pi):
         assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
+# the eigendecomposition of a Jordan block is untrustworthy, so the
+# objective evaluates through one matrix exponential per point
+JORDAN_PI = InitialDistribution(np.array([0.3, 0.7]))
+JORDAN_LAM = SubIntensityMatrix(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("kind,betas", [(GOMPERTZ, (0.05, 0.3)), (WEIBULL, (0.7, 2.0))])
+def test_expm_route_loglik_and_gradient(kind, betas):
+    times = np.random.default_rng(77).uniform(0.2, 4.0, size=12)
+    obj = BetaObjective(kind, JORDAN_PI, JORDAN_LAM, times)
+    assert obj._kernel._eig_ok is False
+    eps = 1e-6
+    for beta in betas:
+        fam = ScalingFamily(kind, beta)
+        ref = np.sum(np.log(iph_density(JORDAN_PI, JORDAN_LAM, fam, times)))
+        assert beta_loglik(obj, beta) == pytest.approx(ref, rel=1e-12)
+        fd = (beta_loglik(obj, beta + eps) - beta_loglik(obj, beta - eps)) / (2 * eps)
+        assert abs(beta_gradient(obj, beta) - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_expm_route_score_underflow_is_nan():
+    # g_inv(7) = e^7 - 1 at beta = 1: the density underflows to 0 there,
+    # and the expm route's ratio is 0/0
+    obj = BetaObjective(GOMPERTZ, JORDAN_PI, JORDAN_LAM, np.array([0.5, 7.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert np.isnan(beta_gradient(obj, 1.0))
+    assert [str(w.message) for w in caught] == ["score underflow at observation 1 (t=7)"]
+
+
+@pytest.mark.parametrize("kind", [GOMPERTZ, WEIBULL, IDENTITY])
+def test_gd_trace_rows_are_the_objective(kind, gompertz_lam, gompertz_pi, weibull_lam, weibull_pi):
+    # the ascent and the public functions evaluate the objective one way
+    if kind == GOMPERTZ:
+        obj = BetaObjective(kind, gompertz_pi, gompertz_lam,
+                            _gompertz_times(300, 78, gompertz_lam, gompertz_pi))
+        beta0, eta = 0.05, 1e-6
+    else:
+        times = np.random.default_rng(79).uniform(0.1, 2.0, size=200)
+        obj = BetaObjective(kind, weibull_pi, weibull_lam, times)
+        beta0, eta = 1.5, 1e-4
+    trace = []
+    gd_solve(obj, beta0=beta0, eta=eta, e_ell=1e-3, trace=trace)
+    assert len(trace) >= (1 if kind == IDENTITY else 3)
+    for _step, beta, ell, grad in trace:
+        assert beta_loglik(obj, beta) == ell
+        assert beta_gradient(obj, beta) == grad
+
+
 # ---------------------------------------------------------------------------
 # gradient ascent
 

@@ -432,6 +432,10 @@ def test_readme_config_block_lists_every_estimation_setting(tmp_path):
         ("[model]\nn = 2\n\n[estimation]\nmax_sem_iteration = 5\n",
          "unknown key 'max_sem_iteration'"),
         ("[model]\nn = 2\n\n[estimation]\nbeta0 = 2\n", "unknown key 'beta0'"),
+        ("[model]\nn = 2\nbeta_0 = 2\n", r"\[model\] unknown key 'beta_0'"),
+        ("[model]\nn = 2\n\n[study]\ndelt = 0.5\n", r"\[study\] unknown key 'delt'"),
+        ("[model]\nn = 2\n\n[study]\npath = 10\n", r"\[study\] unknown key 'path'"),
+        ("[model]\nn = 2\n\n[estimaton]\neta = 5\n", r"unknown section \[estimaton\]"),
     ],
 )
 def test_read_config_errors(tmp_path, text, fragment):
