@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 
@@ -187,7 +186,15 @@ def matrix_exponential(m: SubIntensityMatrix | np.ndarray, t: float) -> np.ndarr
     numpy.ndarray
         The matrix exponential; for a valid sub-intensity matrix this is a
         sub-stochastic matrix (non-negative, rows summing to at most one).
+
+    Notes
+    -----
+    This is ``scipy.linalg.expm``, imported on the first call: a study or
+    fit whose density kernels take the eigendecomposition route never
+    loads scipy.
     """
+    import scipy.linalg
+
     arr = m.entries if isinstance(m, SubIntensityMatrix) else _as_square_array(m)
     t = float(t)
     if not np.isfinite(t) or t < 0.0:

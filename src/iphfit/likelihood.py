@@ -12,7 +12,9 @@ Both reduce to products ``pi . exp(sL) . v`` evaluated for many s; these go
 through an eigendecomposition of L when it is numerically trustworthy and
 otherwise fall back to per-point expm calls.  Every construction probes
 the eigen side at four points (one vectorised evaluation per coefficient
-vector) against four matrix exponentials, within 1e-11 relative.
+vector) against a uniformization reference, within 1e-11 relative; the
+reference is numpy alone, so a kernel on the eigen route never loads
+scipy.
 
 The beta objective is evaluated in one pass per beta: the family's four
 terms (h, g_inv and the two beta-derivatives) and the kernel's density and
@@ -193,6 +195,18 @@ def _check_homogeneous(s) -> np.ndarray:
     return s_arr
 
 
+# the eigen probe's uniformization means m = rate * s, and one row per mean
+# of Poisson weights e^-m m^k / k! for k < _PROBE_TERMS, as running products
+_PROBE_MEANS = np.array([0.0, 0.1, 1.0, 5.0])
+_PROBE_TERMS = 64
+_PROBE_WEIGHTS = np.exp(-_PROBE_MEANS)[:, None] * np.cumprod(
+    np.column_stack(
+        (np.ones(_PROBE_MEANS.size), _PROBE_MEANS[:, None] / np.arange(1, _PROBE_TERMS))
+    ),
+    axis=1,
+)
+
+
 class _AbsorptionKernel:
     """Vectorised evaluation of pi.exp(sL).exit, pi.exp(sL).1 and the
     ratio pi.L.exp(sL).exit / pi.exp(sL).exit over arrays of homogeneous
@@ -222,18 +236,28 @@ class _AbsorptionKernel:
 
     def _probe(self) -> bool:
         """Whether the eigen side matches the matrix exponential, within
-        1e-11 relative, at four points spanning the slowest decay."""
+        1e-11 relative, at four points spanning the slowest decay.
+
+        The reference is uniformization (numpy alone, so no BLAS helper
+        threads wake): with ``rate = max(-L_ii)`` and ``P = I + L / rate``
+        (non-negative, rows summing to at most one),
+        ``exp(sL) = sum_k Poisson(k; rate s) P^k``.  The probe points are
+        ``s = m / rate`` for the fixed means in ``_PROBE_MEANS``, so the
+        Poisson weights are constants; the rows ``pi P^k`` (k < 64) double
+        with each squaring of P, and the Poisson(5) tail beyond them is
+        below 1e-40.  pi L exp(sL) exit is taken as pi exp(sL) (L exit).
+        """
         rate = max(float(-self._arr.diagonal().min()), 1e-12)
-        probes = np.array([0.0, 0.1, 1.0, 5.0]) / rate
         got = np.column_stack(
-            [self._eig_eval(c, probes) for c in (self._c_exit, self._c_rate, self._c_one)]
+            [self._eig_eval(c, _PROBE_MEANS / rate)
+             for c in (self._c_exit, self._c_rate, self._c_one)]
         )
-        ref = np.array(
-            [[self._pi @ e @ self._exit,
-              self._pi @ self._arr @ e @ self._exit,
-              self._pi @ e @ self._ones]
-             for e in (matrix_exponential(self._arr, s) for s in probes)]
-        )
+        rows, power = self._pi[None, :], np.eye(self._arr.shape[0]) + self._arr / rate
+        while rows.shape[0] < _PROBE_TERMS:
+            rows = np.vstack((rows, rows @ power))
+            power = power @ power
+        right = np.column_stack((self._exit, self._arr @ self._exit, self._ones))
+        ref = _PROBE_WEIGHTS @ (rows @ right)
         return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(np.abs(ref), 1e-3))
 
     def _eig_eval(self, coeff: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import _cli
 from iphfit import (
     InitialDistribution,
     NumericalError,
@@ -12,6 +17,8 @@ from iphfit import (
 )
 
 from conftest import CLINIC_LAM, GOMPERTZ_LAM, WEIBULL_LAM
+
+JORDAN_LAM = np.array([[-1.0, 1.0], [0.0, -1.0]])
 
 
 def taylor_expm(a: np.ndarray, t: float) -> np.ndarray:
@@ -208,3 +215,37 @@ def test_expm_rejects_bad_time(gompertz_lam):
 def test_expm_rejects_non_finite_matrix():
     with pytest.raises((ValidationError, NumericalError)):
         matrix_exponential(np.array([[np.inf]]), 1.0)
+
+
+def test_expm_is_scipys_bit_for_bit():
+    # the density kernels' expm route evaluates through this function
+    for arr in (GOMPERTZ_LAM, WEIBULL_LAM, JORDAN_LAM):
+        for t in (0.0, 0.1, 1.0, 7.5, 430.0):
+            assert np.array_equal(matrix_exponential(arr, t), scipy.linalg.expm(t * arr))
+
+
+# import, the command line's help, a tiny study and a CDF: every density
+# kernel on these takes the eigendecomposition route
+NO_SCIPY_CODE = """
+import sys, warnings
+import iphfit
+from iphfit import cli
+try:
+    cli.main(["--help"])
+except SystemExit:
+    pass
+warnings.simplefilter("ignore")
+iphfit.run_study(iphfit.WEIBULL_STUDY, 0, paths=50)
+g = iphfit.GOMPERTZ_STUDY
+iphfit.iph_cdf(g.pi, g.lam, iphfit.ScalingFamily(g.family, g.beta), [1.0, 30.0])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_path_imports_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CODE],
+        capture_output=True, text=True, env=_cli.env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

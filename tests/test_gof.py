@@ -11,6 +11,7 @@ from iphfit import (
     ecdf,
     ks_two_sample,
 )
+from iphfit.gof import _kolmogorov_sf
 from iphfit.studies import fitted_absorption_sample
 
 
@@ -51,6 +52,33 @@ def test_ks_disjoint_samples():
     res = ks_two_sample(np.zeros(50), np.ones(50))
     assert res.statistic == 1.0
     assert res.p_value < 1e-10
+
+
+def _every_scaled_d(n_a, n_b):
+    """sqrt(n_a n_b / (n_a + n_b)) * D for every |i/n_a - j/n_b| that
+    ks_two_sample can meet, computed as it computes them."""
+    d = np.abs(np.arange(n_a + 1)[:, None] / n_a - np.arange(n_b + 1)[None, :] / n_b)
+    return np.sqrt(n_a * n_b / (n_a + n_b)) * np.unique(d)
+
+
+def test_kolmogorov_tail_is_scipys_bit_for_bit():
+    from scipy.special import kolmogorov
+
+    x = np.concatenate(
+        (
+            np.linspace(0.0, 6.0, 100_001),
+            np.random.default_rng(5).uniform(0.0, 6.0, 20_000),
+            np.linspace(0.0406, 0.0408, 4_001),  # scipy's underflowing-u branch
+            np.linspace(0.8195, 0.8205, 4_001),  # the cutover between the series
+            [0.0, np.nextafter(0.82, 1.0), np.nan],
+            _every_scaled_d(1000, 1000),
+            _every_scaled_d(400, 97),
+        )
+    )
+    got = np.array([_kolmogorov_sf(float(v)) for v in x])
+    want = kolmogorov(x)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, f"{bad.size} differ, first at x={x[bad[0]]!r}"
 
 
 def test_ks_handles_unequal_sizes():

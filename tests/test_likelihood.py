@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from iphfit import (
@@ -32,8 +33,8 @@ from iphfit import (
     simulate_inhomogeneous,
     validate_generator,
 )
-from iphfit.likelihood import flat_statistics
-from iphfit.studies import simulate_cohort
+from iphfit.likelihood import _AbsorptionKernel, flat_statistics
+from iphfit.studies import GOMPERTZ_STUDY, WEIBULL_STUDY, simulate_cohort
 
 ONE_STATE = SubIntensityMatrix(np.array([[-1.0]]))
 POINT_MASS = InitialDistribution(np.array([1.0]))
@@ -410,6 +411,56 @@ def test_expm_route_loglik_and_gradient(kind, betas):
         assert beta_loglik(obj, beta) == pytest.approx(ref, rel=1e-12)
         fd = (beta_loglik(obj, beta + eps) - beta_loglik(obj, beta - eps)) / (2 * eps)
         assert abs(beta_gradient(obj, beta) - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def _expm_probe(kern: _AbsorptionKernel) -> bool:
+    """The eigen probe decided against four scipy matrix exponentials:
+    the decision the uniformization reference must reproduce."""
+    lam, pi, ex, ones = kern._arr, kern._pi, kern._exit, kern._ones
+    rate = max(float(-lam.diagonal().min()), 1e-12)
+    probes = np.array([0.0, 0.1, 1.0, 5.0]) / rate
+    got = np.column_stack(
+        [kern._eig_eval(c, probes) for c in (kern._c_exit, kern._c_rate, kern._c_one)]
+    )
+    ref = np.array(
+        [[pi @ e @ ex, pi @ lam @ e @ ex, pi @ e @ ones]
+         for e in (scipy.linalg.expm(s * lam) for s in probes)]
+    )
+    return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(np.abs(ref), 1e-3))
+
+
+def _probe_cases(count, seed):
+    """Seeded sub-intensity matrices, n = 2-5, scaled by 1e-3 to 1e2, in
+    four kinds by index: general, upper triangular, a constant diagonal,
+    and triangular with near-repeated eigenvalues."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 6))
+        off = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+        np.fill_diagonal(off, 0.0)
+        if i % 4 in (1, 3):
+            off = np.triu(off, 1)
+        if i % 4 in (0, 1):
+            diag = -(off.sum(axis=1) + rng.uniform(size=n) * (rng.uniform(size=n) < 0.6))
+        else:
+            diag = np.full(n, -(off.sum(axis=1).max() + rng.uniform()))
+            if i % 4 == 3:
+                diag *= 1.0 + 10.0 ** rng.uniform(-12, -4, n) * rng.uniform(size=n)
+        lam = (off + np.diag(diag)) * 10.0 ** rng.uniform(-3, 2)
+        yield InitialDistribution(rng.dirichlet(np.ones(n))), SubIntensityMatrix(lam)
+
+
+def test_eigen_probe_decides_as_the_expm_reference():
+    decided = {True: 0, False: 0}
+    for pi, lam in _probe_cases(2400, seed=12):
+        kern = _AbsorptionKernel(pi, lam)
+        assert kern._eig_ok == _expm_probe(kern), lam.entries
+        decided[kern._eig_ok] += 1
+    # both outcomes are well represented
+    assert min(decided.values()) >= 400, decided
+    assert _AbsorptionKernel(JORDAN_PI, JORDAN_LAM)._eig_ok is False
+    for preset in (GOMPERTZ_STUDY, WEIBULL_STUDY):
+        assert _AbsorptionKernel(preset.pi, preset.lam)._eig_ok is True
 
 
 def test_expm_route_score_underflow_is_nan():
