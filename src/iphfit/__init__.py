@@ -34,21 +34,12 @@ from .paths import (
     ContinuousPath,
     FlatPaths,
     PanelObservationSet,
-    PanelPath,
-    PathSegment,
     RandomStream,
 )
-from .simulate import (
-    bridge_sample,
-    check_absorbable,
-    discretize,
-    simulate_homogeneous,
-    simulate_inhomogeneous,
-)
+from .simulate import check_absorbable
 from .likelihood import (
     BetaObjective,
     SufficientStatistics,
-    accumulate_statistics,
     beta_gradient,
     beta_loglik,
     gd_solve,
@@ -111,8 +102,6 @@ __all__ = [
     "PRESETS",
     "PanelFormatError",
     "PanelObservationSet",
-    "PanelPath",
-    "PathSegment",
     "RandomStream",
     "RunConfig",
     "SampleSet",
@@ -127,12 +116,9 @@ __all__ = [
     "ValidationReport",
     "WEIBULL",
     "WEIBULL_STUDY",
-    "accumulate_statistics",
     "beta_gradient",
     "beta_loglik",
-    "bridge_sample",
     "check_absorbable",
-    "discretize",
     "ecdf",
     "empirical_pi",
     "exit_rates",
@@ -150,8 +136,6 @@ __all__ = [
     "read_sample",
     "run_study",
     "sem_iteration",
-    "simulate_homogeneous",
-    "simulate_inhomogeneous",
     "validate_generator",
     "write_panel",
     "write_report",

@@ -82,7 +82,7 @@ def cmd_simulate(args) -> int:
     stream = RandomStream(seed)
     if cfg.paths == 0:
         warnings.warn("paths = 0: writing a header-only panel")
-        panel = PanelObservationSet(n=cfg.n, paths=())
+        panel = PanelObservationSet(cfg.n, (), [], [], [0])
         truth_times = np.empty(0)
     else:
         cohort = simulate_cohort(

@@ -138,7 +138,7 @@ def _parse_panel(stream, n: int) -> PanelObservationSet:
     if stop:
         raise PanelFormatError(stop[1], line=stop[0])
     try:
-        return PanelObservationSet.from_arrays(
+        return PanelObservationSet(
             n, list(index), times[order], states[order],
             np.concatenate(([0], np.cumsum(np.bincount(path, minlength=len(index))))),
         )
@@ -214,7 +214,7 @@ def read_sample(file) -> np.ndarray:
         with open(file, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
-            if header is None or header[0].strip() != "absorption_time":
+            if not header or header[0].strip() != "absorption_time":
                 raise PanelFormatError(
                     "expected header absorption_time", line=1
                 )
@@ -563,7 +563,15 @@ def read_truth_times(file) -> np.ndarray:
         start = lines.index("[absorption_times]") + 1
     except ValueError:
         raise ValidationError(f"{file}: no [absorption_times] block")
-    vals = [float(ln) for ln in lines[start:] if ln and not ln.startswith("[")]
+    vals = []
+    for lineno, ln in enumerate(lines[start:], start=start + 1):
+        if ln and not ln.startswith("["):
+            try:
+                vals.append(float(ln))
+            except ValueError:
+                raise ValidationError(
+                    f"{file}, line {lineno}: malformed absorption time {ln!r}"
+                ) from None
     return np.asarray(vals, dtype=float)
 
 

@@ -13,15 +13,14 @@ n-state model is n + 1.
 Many paths travel flat, stored end to end in plain arrays: simulated and
 completed trajectories as ``FlatPaths``, observed panels as
 ``PanelObservationSet``.  Each is validated once, in bulk, when it is
-built, and builds its per-path objects (``ContinuousPath``,
-``PanelPath``) only when they are read.
+built.  ``FlatPaths`` builds a ``ContinuousPath`` only when one of its
+paths is read by index; a panel has no per-path objects at all.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -85,13 +84,6 @@ class ContinuousPath:
     def absorbed(self) -> bool:
         return int(self.states[-1]) == self.n + 1
 
-    def state_at(self, t: float) -> int:
-        """State occupied at time ``t`` (cadlag, valid for 0 <= t <= end_time)."""
-        if t < 0.0 or t > self.end_time:
-            raise ValidationError(f"t={t!r} outside the path's span")
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return int(self.states[idx])
-
 
 @dataclass(frozen=True, eq=False)
 class FlatPaths(Sequence):
@@ -142,149 +134,22 @@ class FlatPaths(Sequence):
         return self.states[self.bounds[1:] - 1] == self.n
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """Piece of a continuous path over ``[start_time, end_time]``.
-
-    The segment sits in ``start_state`` (transient) at ``start_time``;
-    ``jump_times`` are the epochs of subsequent jumps, strictly increasing
-    within ``(start_time, end_time]``, and ``jump_states`` the states
-    entered.  Bridge segments end at the conditioning time ``end_time``
-    with their terminal state equal to the conditioned endpoint; censoring
-    completions end at the absorption epoch (``end_time ==
-    jump_times[-1]``).  Both arrays may be empty (a bridge between equal
-    endpoints may have no interior jumps).
-    """
-
-    n: int
-    start_time: float
-    start_state: int
-    jump_times: np.ndarray
-    jump_states: np.ndarray
-    end_time: float
-    timeline: str
-
-    def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
-        js = np.asarray(self.jump_states, dtype=np.int64)
-        if self.timeline not in (HOMOGENEOUS, INHOMOGENEOUS):
-            raise ValidationError(f"unknown timeline tag {self.timeline!r}")
-        if self.n < 1:
-            raise ValidationError("segment needs at least one transient state")
-        if not (1 <= int(self.start_state) <= self.n):
-            raise ValidationError(
-                f"segment must start in a transient state, got {self.start_state}"
-            )
-        if jt.ndim != 1 or jt.shape != js.shape:
-            raise ValidationError("jump_times and jump_states must match in shape")
-        start = float(self.start_time)
-        end = float(self.end_time)
-        if not (np.isfinite(start) and np.isfinite(end)) or end < start:
-            raise ValidationError("segment needs finite start_time <= end_time")
-        if jt.size:
-            if not np.all(np.isfinite(jt)):
-                raise ValidationError("segment jump epochs must be finite")
-            if jt[0] <= start or np.any(np.diff(jt) <= 0.0) or jt[-1] > end:
-                raise ValidationError(
-                    "segment jump epochs must increase strictly within "
-                    "(start_time, end_time]"
-                )
-            if np.any(js < 1) or np.any(js > self.n + 1):
-                raise ValidationError(f"segment states must lie in 1..{self.n + 1}")
-            full = np.concatenate(([self.start_state], js))
-            if np.any(full[:-1] == full[1:]):
-                raise ValidationError("segment repeats a state across a jump")
-            if np.any(js[:-1] == self.n + 1):
-                raise ValidationError("absorbing state may only appear last")
-        jt.setflags(write=False)
-        js.setflags(write=False)
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "jump_states", js)
-        object.__setattr__(self, "start_time", start)
-        object.__setattr__(self, "start_state", int(self.start_state))
-        object.__setattr__(self, "end_time", end)
-
-    @property
-    def terminal_state(self) -> int:
-        return int(self.jump_states[-1]) if self.jump_states.size else self.start_state
-
-    @property
-    def absorbed(self) -> bool:
-        return self.terminal_state == self.n + 1
-
-
-@dataclass(frozen=True)
-class PanelPath:
-    """One path observed at discrete times only.
-
-    ``times`` start at 0 and increase strictly; ``states`` are 1-based with
-    the absorbing state n+1 allowed only at the final observation (which
-    the enclosing :class:`PanelObservationSet` checks, knowing n).
-    """
-
-    path_id: str
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=np.int64)
-        if times.ndim != 1 or times.shape != states.shape:
-            raise ValidationError(
-                f"path {self.path_id}: times and states must be matching non-empty vectors"
-            )
-        _check_observations((self.path_id,), times, np.array([0, times.size]))
-        times.setflags(write=False)
-        states.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-
-    @property
-    def m(self) -> int:
-        """Number of observations after the initial one."""
-        return self.times.size - 1
-
-    def absorbed(self, n: int) -> bool:
-        return int(self.states[-1]) == n + 1
-
-
 class PanelObservationSet:
-    """A collection of panel paths over a common n-state model, stored end
-    to end.
+    """Panel paths over a common n-state model, stored end to end.
 
     Path k is ``ids[k]``, observed at ``times[starts[k]:starts[k + 1]]`` in
-    the 1-based ``states[...]``; the arrays are read-only.
-    ``PanelObservationSet(n, paths)`` takes :class:`PanelPath` objects, and
-    :meth:`from_arrays` the flat arrays.  Either way the set is validated
-    once, in bulk: the first bad path raises what building it as a
-    ``PanelPath`` would, and then the first path with a duplicate id, a
-    state outside 1..n+1 or the absorbing state before its last
-    observation raises.  ``paths`` builds the ``PanelPath`` objects on
-    first access.
+    the 1-based ``states[...]``; the arrays are read-only views of those
+    handed in.  The set is validated once, in bulk.  Observation times
+    come first: the first path whose times are empty, non-finite, not
+    starting at 0 or not strictly increasing raises.  Then the first path
+    with a duplicate id, a state outside 1..n+1 or the absorbing state
+    before its last observation raises.
 
     May be empty (a simulate run with zero paths writes a header-only
     file); estimation rejects empty sets at its own boundary.
     """
 
-    def __init__(self, n: int, paths: Sequence[PanelPath] = ()):
-        paths = tuple(paths)
-        sizes = [p.times.size for p in paths]
-        self._init(
-            n,
-            [p.path_id for p in paths],
-            np.concatenate([p.times for p in paths]) if paths else np.empty(0),
-            np.concatenate([p.states for p in paths]) if paths else np.empty(0, np.int64),
-            np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
-        )
-        self.__dict__["paths"] = paths
-
-    @classmethod
-    def from_arrays(cls, n: int, ids, times, states, starts) -> "PanelObservationSet":
-        panel = cls.__new__(cls)
-        panel._init(n, ids, times, states, starts)
-        return panel
-
-    def _init(self, n, ids, times, states, starts) -> None:
+    def __init__(self, n: int, ids, times, states, starts):
         self.n = int(n)
         self.ids = tuple(ids)
         # views, so that making them read-only leaves the caller's arrays be
@@ -295,16 +160,11 @@ class PanelObservationSet:
         for a in (self.times, self.states, self.starts):
             a.setflags(write=False)
 
-    @cached_property
-    def paths(self) -> tuple[PanelPath, ...]:
-        bounds = self.starts.tolist()
-        return tuple(
-            PanelPath(i, self.times[a:b], self.states[a:b])
-            for i, a, b in zip(self.ids, bounds, bounds[1:])
-        )
-
     def __repr__(self) -> str:
-        return f"PanelObservationSet(n={self.n}, paths={self.paths!r})"
+        return (
+            f"PanelObservationSet(n={self.n}, ids={self.ids!r}, times={self.times!r}, "
+            f"states={self.states!r}, starts={self.starts!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -319,8 +179,9 @@ class PanelObservationSet:
 
 
 def _check_panel(n, ids, times, states, starts) -> None:
-    """Raise the error that building each path as a ``PanelPath``, and
-    then the set path by path, would raise first."""
+    """Raise the first error of the panel: its state count and array
+    shapes, then its observation times, then the set's checks, each at
+    the first path failing it."""
     if n < 1:
         raise ValidationError("panel needs at least one transient state")
     if (
@@ -341,8 +202,9 @@ def _check_panel(n, ids, times, states, starts) -> None:
 
 
 def _check_observations(ids, times, starts) -> None:
-    """Raise what ``PanelPath`` raises about its times, for the first path
-    ``times[starts[k]:starts[k + 1]]`` that fails a check."""
+    """Raise the message of the first path ``times[starts[k]:starts[k + 1]]``
+    whose times are empty, non-finite, not starting at 0 or not strictly
+    increasing."""
     heads, sizes = starts[:-1], np.diff(starts)
     not_zero = np.zeros(len(ids), dtype=bool)
     not_zero[sizes > 0] = times[heads[sizes > 0]] != 0.0

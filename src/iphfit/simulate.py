@@ -15,16 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import BridgeBudgetError, NumericalError, StructuralError, ValidationError
 from .generator import InitialDistribution, SubIntensityMatrix
-from .paths import (
-    HOMOGENEOUS,
-    INHOMOGENEOUS,
-    ContinuousPath,
-    FlatPaths,
-    PanelObservationSet,
-    PanelPath,
-    PathSegment,
-    RandomStream,
-)
+from .paths import INHOMOGENEOUS, FlatPaths, PanelObservationSet, RandomStream
 from .scaling import ScalingFamily
 
 _BRIDGE_CAP = 1 << 16
@@ -98,76 +89,34 @@ def check_absorbable(m: SubIntensityMatrix, start_states0) -> None:
 def simulate_paths(m, pi, family: ScalingFamily, horizon: float, rng: RandomStream,
                    count: int) -> FlatPaths:
     """Simulate ``count`` time-scaled trajectories up to inhomogeneous time
-    ``horizon`` in one kernel call; path k draws from ``rng.substream(k)``
-    exactly as ``simulate_inhomogeneous`` does."""
-    words = _kernels.stream_words(rng.seed, *rng.key)
-    return _simulate(m, pi, horizon, words, np.arange(count, dtype=np.int64), family)
+    ``horizon`` in one ``_kernels.simulate_sweep`` call, path k drawing
+    from ``rng.substream(k)``.
 
-
-def _simulate(m, pi, horizon, words, keys, family: ScalingFamily | None = None) -> FlatPaths:
-    """The paths of ``_kernels.simulate_sweep`` for these stream words and
-    keys, on the homogeneous timeline, or, given a family, run to the
-    transformed horizon and mapped back through ``g``."""
+    The homogeneous chain runs to the transformed horizon and its jump
+    epochs are mapped back through ``g``, so under the identity family
+    they are the chain's own.  ``horizon`` may be ``inf``; absorption must
+    then be reachable from every state the chain can visit.
+    """
     m = _as_matrix(m)
     pi = _as_pi(pi, m.n)
     horizon = float(horizon)
     if np.isnan(horizon) or horizon < 0.0:
         raise ValidationError(f"horizon must be >= 0, got {horizon!r}")
-    hom_horizon = horizon if family is None or np.isinf(horizon) else float(family.g_inv(horizon))
+    hom_horizon = horizon if np.isinf(horizon) else float(family.g_inv(horizon))
     cum, total = jump_model(m)
-    args = (words, keys, np.cumsum(pi.probabilities), cum, total, m.n)
+    words = _kernels.stream_words(rng.seed, *rng.key)
+    args = (words, np.arange(count, dtype=np.int64), np.cumsum(pi.probabilities), cum, total, m.n)
     if np.isinf(hom_horizon):
         # the initial draws alone: absorption must be reachable from each
         _times, states, bounds, _ends = _kernels.simulate_sweep(*args, 0.0)
         check_absorbable(m, np.unique(states[bounds[:-1]]))
     times, states, bounds, ends = _kernels.simulate_sweep(*args, hom_horizon)
-    if family is None:
-        return FlatPaths(m.n, times, states, bounds, ends, HOMOGENEOUS)
     jumps = np.ones(times.size, dtype=bool)
     jumps[bounds[:-1]] = False
     times[jumps] = family.g(times[jumps])
     last = bounds[1:] - 1
     ends = np.where(states[last] == m.n, times[last], horizon)
     return FlatPaths(m.n, times, states, bounds, ends, INHOMOGENEOUS)
-
-
-def _own_stream(rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """Words and a one-key vector under which the kernel draws from
-    ``rng.generator()``'s stream: the last entropy word serves as the key."""
-    words = _kernels.stream_words(rng.seed, *rng.key)
-    return words[:-1], words[-1:].astype(np.int64)
-
-
-def simulate_homogeneous(m, pi, horizon: float, rng: RandomStream) -> ContinuousPath:
-    """Simulate one homogeneous trajectory up to ``horizon``.
-
-    Parameters
-    ----------
-    m : SubIntensityMatrix
-    pi : InitialDistribution
-    horizon : float
-        Censoring time on the homogeneous scale; may be ``inf``, in which
-        case absorption must be reachable from every state the chain can
-        visit.
-    rng : RandomStream
-
-    Returns
-    -------
-    ContinuousPath tagged with the homogeneous timeline.
-    """
-    return _simulate(m, pi, horizon, *_own_stream(rng))[0]
-
-
-def simulate_inhomogeneous(
-    m, pi, family: ScalingFamily, horizon: float, rng: RandomStream
-) -> ContinuousPath:
-    """Simulate one time-scaled trajectory up to inhomogeneous time ``horizon``.
-
-    The homogeneous chain is simulated to the transformed horizon and every
-    epoch is mapped back through the inverse transform, so with a shared
-    RandomStream the state sequence equals the homogeneous path's exactly.
-    """
-    return _simulate(m, pi, horizon, *_own_stream(rng), family)[0]
 
 
 def uniform_grid(horizon: float, delta: float) -> np.ndarray:
@@ -181,25 +130,15 @@ def uniform_grid(horizon: float, delta: float) -> np.ndarray:
     return grid
 
 
-def discretize(path: ContinuousPath, grid, path_id: str = "p0") -> PanelPath:
-    """Observe a continuous path on a discrete grid.
+def observe(paths: FlatPaths, grid, ids) -> PanelObservationSet:
+    """Observe every path on ``grid``, path k under the id ``ids[k]``, with
+    one search of all jump epochs in the grid.
 
     The state recorded at a grid time is the last state entered at or
     before it.  Grid points after the absorption epoch are dropped except
     the first one, which records the absorbing state; grid points after a
     censoring horizon are dropped.
     """
-    flat = FlatPaths(
-        path.n, path.times, path.states - 1, np.array([0, path.times.size]),
-        np.array([path.end_time]), path.timeline,
-    )
-    return observe(flat, grid, [path_id]).paths[0]
-
-
-def observe(paths: FlatPaths, grid, ids) -> PanelObservationSet:
-    """Observe every path on ``grid`` as ``discretize`` does, path k under
-    the id ``ids[k]``, with one search of all jump epochs in the grid; the
-    panel is built from its flat arrays."""
     grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("observation grid must be a non-empty vector")
@@ -224,7 +163,7 @@ def observe(paths: FlatPaths, grid, ids) -> PanelObservationSet:
         np.searchsorted(grid, paths.end_times, side="right"),
     )
     kept = np.arange(size) < seen[:, None]
-    return PanelObservationSet.from_arrays(
+    return PanelObservationSet(
         paths.n, ids, np.broadcast_to(grid, kept.shape)[kept], states[kept],
         np.concatenate(([0], np.cumsum(seen))),
     )
@@ -238,13 +177,15 @@ def bridge_sample(
     y: int,
     rng: RandomStream,
     max_attempts: int = 1_000_000,
-) -> PathSegment:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw an endpoint-conditioned segment by rejection.
 
     Simulates from state ``x`` over ``[s1, s2]`` repeatedly until the
     state occupied at ``s2`` equals ``y``; only such trajectories are
-    accepted.  Epochs in the returned segment are absolute (in
-    ``(s1, s2]``).
+    accepted.  Returns ``(jump_times, jump_states)``: the absolute epochs
+    of the accepted segment's jumps, strictly increasing within ``(s1,
+    s2]``, and the 1-based states they enter, the last of them ``y``.
+    Both are empty when the accepted segment makes no jump (so x == y).
 
     Raises
     ------
@@ -278,12 +219,4 @@ def bridge_sample(
             f"bridge attempt exceeded {_BRIDGE_CAP} jumps; rates are too fast "
             "for this interval length"
         )
-    return PathSegment(
-        n=n,
-        start_time=s1,
-        start_state=int(x),
-        jump_times=s1 + tbuf[:count],
-        jump_states=sbuf[:count] + 1,
-        end_time=s2,
-        timeline=HOMOGENEOUS,
-    )
+    return s1 + tbuf[:count], sbuf[:count] + 1

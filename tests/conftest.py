@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iphfit import InitialDistribution, SubIntensityMatrix
+from iphfit import InitialDistribution, PanelObservationSet, SubIntensityMatrix
 
 import _report
 
@@ -32,6 +32,18 @@ CLINIC_LAM = np.array(
         [0.0144, 0.0217, -0.1445],
     ]
 )
+
+
+def panel_from_rows(n, rows):
+    """The panel of ``rows``, a list of (path_id, times, states) with
+    1-based states, through its one constructor."""
+    return PanelObservationSet(
+        n,
+        [pid for pid, _, _ in rows],
+        np.concatenate([np.asarray(t, dtype=float) for _, t, _ in rows]),
+        np.concatenate([np.asarray(s, dtype=np.int64) for _, _, s in rows]),
+        np.cumsum([0] + [len(t) for _, t, _ in rows]),
+    )
 
 
 @pytest.fixture(scope="session")

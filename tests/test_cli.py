@@ -229,6 +229,17 @@ def test_gof_requires_absorbed_paths(workspace, tmp_path):
     assert not out.exists()
 
 
+def test_gof_sample_with_blank_header_line_exit_code(workspace, tmp_path, capsys):
+    _, _, _, fitdir = workspace
+    sample = tmp_path / "s.csv"
+    sample.write_text("\n1.0\n")
+    out = tmp_path / "gof.csv"
+    code = main(["gof", "--sample", str(sample), "--fit", str(fitdir), "--out", str(out)])
+    assert code == 2
+    assert "line 1: expected header absorption_time" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gof_panel_and_sample_are_exclusive(workspace, tmp_path):
     _, _, panel, fitdir = workspace
     with pytest.raises(SystemExit):

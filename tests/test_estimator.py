@@ -1,4 +1,5 @@
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,36 +14,25 @@ from iphfit import (
     IDENTITY,
     InitialDistribution,
     PanelObservationSet,
-    PanelPath,
     RandomStream,
     ScalingFamily,
     SubIntensityMatrix,
     ValidationError,
     WEIBULL,
-    accumulate_statistics,
-    bridge_sample,
     empirical_pi,
     fit,
     initialize,
     mle_generator,
     sem_iteration,
-    simulate_homogeneous,
     validate_generator,
 )
 from iphfit import _kernels, estimator
 from iphfit.errors import NumericalError, StarvedStateError, StructuralError
+from iphfit.likelihood import accumulate_statistics, flat_statistics
+from iphfit.simulate import bridge_sample, simulate_paths
 from iphfit.studies import cohort_panel, simulate_cohort, uniform_grid
 
-
-def _panel(n, rows):
-    """rows: list of (path_id, times, states)."""
-    return PanelObservationSet(
-        n,
-        tuple(
-            PanelPath(pid, np.asarray(t, dtype=float), np.asarray(s))
-            for pid, t, s in rows
-        ),
-    )
+from conftest import panel_from_rows as _panel
 
 
 def make_panel(pi, lam, family, horizon, delta, count, seed):
@@ -85,7 +75,7 @@ def test_empirical_pi_rejects_absorbing_start_and_empty():
     with pytest.raises(ValidationError, match="absorbing"):
         empirical_pi(_panel(2, [("a", [0.0], [3])]))
     with pytest.raises(ValidationError):
-        empirical_pi(PanelObservationSet(2))
+        empirical_pi(PanelObservationSet(2, (), [], [], [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +130,29 @@ def test_statistics_match_per_path_sums(gompertz_pi, gompertz_lam):
     fam = ScalingFamily(GOMPERTZ, 0.1019)
     data = make_panel(gompertz_pi, gompertz_lam, fam, 30.0, 0.7, 200, 83)
     naive = []
-    for p in data.paths:
-        keep = np.concatenate(([True], p.states[1:] != p.states[:-1]))
-        naive.append(ContinuousPath(n=3, times=p.times[keep], states=p.states[keep],
-                                    end_time=p.times[-1], timeline=HOMOGENEOUS))
+    bounds = data.starts.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        t, s = data.times[a:b], data.states[a:b]
+        keep = np.concatenate(([True], s[1:] != s[:-1]))
+        naive.append(ContinuousPath(n=3, times=t[keep], states=s[keep], end_time=t[-1],
+                                    timeline=HOMOGENEOUS))
     assert 0 < sum(p.absorbed for p in naive) < len(naive)
-    assert sum(p.times.size < q.times.size for p, q in zip(naive, data.paths)) > 100
+    assert sum(p.times.size < size for p, size in zip(naive, np.diff(bounds))) > 100
     want = _per_path_sums(naive, 3)
     assert _stats_bytes(estimator._naive_statistics(estimator._PanelArrays(data))) == want
     assert _stats_bytes(accumulate_statistics(naive)) == want
-    simulated = [
-        simulate_homogeneous(gompertz_lam, gompertz_pi, 20.0, RandomStream(84, (k,)))
-        for k in range(200)
-    ]
-    assert 0 < sum(p.absorbed for p in simulated) < len(simulated)
-    assert _stats_bytes(accumulate_statistics(simulated)) == _per_path_sums(simulated, 3)
+    # the identity family keeps the homogeneous epochs
+    simulated = replace(
+        simulate_paths(gompertz_lam, gompertz_pi, ScalingFamily.identity(), 20.0,
+                       RandomStream(84), 200),
+        timeline=HOMOGENEOUS,
+    )
+    assert 0 < simulated.absorbed.sum() < len(simulated)
+    want = _per_path_sums(simulated, 3)
+    assert _stats_bytes(accumulate_statistics(simulated)) == want
+    assert _stats_bytes(flat_statistics(
+        simulated.times, simulated.states, simulated.bounds, simulated.end_times, 3
+    )) == want
 
 
 def test_initialize_on_simulated_panel(gompertz_pi, gompertz_lam):
@@ -216,7 +214,7 @@ def _reference_init_times(panel, lam0, max_attempts, rng):
         t, x = panel.times[k], int(panel.states0[k][-2]) + 1
         for round_ in (0, 1):
             try:
-                seg = bridge_sample(
+                jump_times, _states = bridge_sample(
                     lam0, t[-2], x, t[-1], panel.n + 1, rng.substream(0, int(k), round_),
                     max_attempts,
                 )
@@ -224,7 +222,7 @@ def _reference_init_times(panel, lam0, max_attempts, rng):
             except BridgeBudgetError:
                 assert round_ == 0
                 retries += 1
-        out.append(seg.jump_times[-1])
+        out.append(jump_times[-1])
     return np.array(out), retries
 
 

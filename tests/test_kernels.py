@@ -330,7 +330,7 @@ U5 = RandomStream(5, (0,)).generator().random()
 
 
 def _reference_paths(seed, prefix, keys, cum_pi, cum, total, n, horizon):
-    """Path by path, as simulate_homogeneous drew them: the generator of
+    """Path by path, each on its own generator: the generator of
     RandomStream(seed, (*prefix, k)), the initial state by searchsorted,
     then sim_path's Python body in buffers of 16 jumps."""
     sim_path = _kernels.sim_path

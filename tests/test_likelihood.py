@@ -14,7 +14,6 @@ from iphfit import (
     INHOMOGENEOUS,
     InitialDistribution,
     NonConvergenceError,
-    PathSegment,
     RandomStream,
     ScalingFamily,
     StarvedStateError,
@@ -22,7 +21,6 @@ from iphfit import (
     SufficientStatistics,
     ValidationError,
     WEIBULL,
-    accumulate_statistics,
     beta_gradient,
     beta_loglik,
     gd_solve,
@@ -30,10 +28,10 @@ from iphfit import (
     iph_density,
     matrix_exponential,
     mle_generator,
-    simulate_inhomogeneous,
     validate_generator,
 )
-from iphfit.likelihood import _AbsorptionKernel, flat_statistics
+from iphfit.likelihood import _AbsorptionKernel, accumulate_statistics, flat_statistics
+from iphfit.simulate import bridge_sample, simulate_paths
 from iphfit.studies import GOMPERTZ_STUDY, WEIBULL_STUDY, simulate_cohort
 
 ONE_STATE = SubIntensityMatrix(np.array([[-1.0]]))
@@ -76,17 +74,9 @@ def test_accumulate_censored_partial_holding():
 
 
 def test_accumulate_rejects_segments():
-    seg = PathSegment(
-        n=2,
-        start_time=1.0,
-        start_state=1,
-        jump_times=np.array([1.5]),
-        jump_states=np.array([3]),
-        end_time=1.5,
-        timeline=HOMOGENEOUS,
-    )
-    with pytest.raises(ValidationError, match="unsupported path object PathSegment"):
-        accumulate_statistics([seg])
+    segment = bridge_sample(ONE_STATE, 1.0, 1, 1.5, 2, RandomStream(1))
+    with pytest.raises(ValidationError, match="unsupported path object tuple"):
+        accumulate_statistics([segment], n=1)
 
 
 def test_accumulate_rejects_inhomogeneous_timeline():
@@ -150,7 +140,7 @@ def test_mle_starved_state():
 
 def test_mle_simulation_consistency(weibull_lam, weibull_pi):
     # the identity family keeps the homogeneous epochs; path k draws from
-    # RandomStream(62).substream(k), as simulate_homogeneous would
+    # RandomStream(62).substream(k)
     c = simulate_cohort(
         weibull_pi, weibull_lam, ScalingFamily.identity(), np.inf, 100_000, RandomStream(62),
         key_prefix=(),
@@ -292,15 +282,7 @@ def test_density_overflowing_transform_yields_zero(gompertz_lam, gompertz_pi):
 
 def _gompertz_times(count, seed, gompertz_lam, gompertz_pi, beta=0.1019):
     fam = ScalingFamily(GOMPERTZ, beta)
-    root = RandomStream(seed)
-    return np.array(
-        [
-            simulate_inhomogeneous(
-                gompertz_lam, gompertz_pi, fam, np.inf, root.substream(k)
-            ).times[-1]
-            for k in range(count)
-        ]
-    )
+    return simulate_paths(gompertz_lam, gompertz_pi, fam, np.inf, RandomStream(seed), count).end_times
 
 
 def test_loglik_identity_single_observation():

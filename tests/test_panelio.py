@@ -14,7 +14,6 @@ from iphfit import (
     InitialDistribution,
     PanelFormatError,
     PanelObservationSet,
-    PanelPath,
     RandomStream,
     ScalingFamily,
     SubIntensityMatrix,
@@ -37,7 +36,10 @@ from iphfit.panelio import (
     format_truth,
     read_truth_times,
 )
+from iphfit.simulate import simulate_paths
 from iphfit.studies import cohort_panel, simulate_cohort, uniform_grid
+
+from conftest import panel_from_rows
 
 PANEL_TEXT = """path_id,time,state
 a,0,1
@@ -60,23 +62,22 @@ def test_read_panel_example():
     data = _read(PANEL_TEXT)
     assert data.n == 3
     assert len(data) == 2
-    a, b = data.paths
-    assert a.path_id == "a"
-    np.testing.assert_array_equal(a.times, [0.0, 1.5, 3.0])
-    np.testing.assert_array_equal(a.states, [1, 2, 4])
-    assert a.absorbed(3)
-    assert not b.absorbed(3)
+    assert data.ids == ("a", "b")
+    assert data.starts.tolist() == [0, 3, 5]
+    np.testing.assert_array_equal(data.times, [0.0, 1.5, 3.0, 0.0, 2.0])
+    np.testing.assert_array_equal(data.states, [1, 2, 4, 2, 2])
+    assert data.absorbed.tolist() == [True, False]
     assert data.absorbed_count() == 1
 
 
 def test_read_panel_skips_blank_rows():
     text = "path_id,time,state\na,0,1\n\na,1,2\n"
-    assert len(_read(text).paths[0].times) == 2
+    assert _read(text).starts.tolist() == [0, 2]
 
 
 def test_read_panel_preserves_first_occurrence_order():
     text = "path_id,time,state\nz,0,1\nq,0,1\nz,1,1\n"
-    assert [p.path_id for p in _read(text).paths] == ["z", "q"]
+    assert _read(text).ids == ("z", "q")
 
 
 @pytest.mark.parametrize(
@@ -129,18 +130,17 @@ def test_panel_round_trip_is_exact(tmp_path, gompertz_pi, gompertz_lam):
     target = tmp_path / "panel.csv"
     write_panel(panel, target)
     back = read_panel(target, panel.n)
-    assert len(back) == len(panel)
-    for p, q in zip(panel.paths, back.paths):
-        assert p.path_id == q.path_id
-        assert np.array_equal(p.times, q.times)
-        assert np.array_equal(p.states, q.states)
+    assert back.ids == panel.ids
+    assert back.starts.tolist() == panel.starts.tolist()
+    assert back.times.tobytes() == panel.times.tobytes()
+    assert np.array_equal(back.states, panel.states)
     # re-serialization is byte-identical
     assert format_panel(back) == target.read_text()
 
 
 def test_write_panel_empty_set(tmp_path):
     target = tmp_path / "empty.csv"
-    write_panel(PanelObservationSet(2), target)
+    write_panel(PanelObservationSet(2, (), [], [], [0]), target)
     assert target.read_text() == "path_id,time,state\n"
     assert len(read_panel(target, 2)) == 0
 
@@ -180,9 +180,8 @@ def test_read_panel_reports_the_earliest_bad_line(rows, fragment, lineno, newlin
 def test_read_panel_groups_interleaved_paths():
     data = _read("path_id,time,state\na,0,1\nb,0,2\na,1,2\nb,1.5,4\na,2,4\n")
     assert data.ids == ("a", "b")
-    (a, b) = data.paths
-    assert a.times.tolist() == [0.0, 1.0, 2.0] and a.states.tolist() == [1, 2, 4]
-    assert b.times.tolist() == [0.0, 1.5] and b.states.tolist() == [2, 4]
+    assert data.times.tolist() == [0.0, 1.0, 2.0, 0.0, 1.5]
+    assert data.states.tolist() == [1, 2, 4, 2, 4]
     assert data.starts.tolist() == [0, 3, 5]
     assert data.absorbed_count() == 2
 
@@ -204,13 +203,7 @@ def test_read_panel_reads_fields_as_python_does():
 
 
 def test_read_panel_quoted_ids_round_trip(tmp_path):
-    data = PanelObservationSet(
-        3,
-        (
-            PanelPath("x,y", np.array([0.0, 1.0]), np.array([1, 4])),
-            PanelPath('say "hi"', np.array([0.0]), np.array([2])),
-        ),
-    )
+    data = panel_from_rows(3, [("x,y", [0.0, 1.0], [1, 4]), ('say "hi"', [0.0], [2])])
     target = tmp_path / "panel.csv"
     write_panel(data, target)
     assert '"x,y"' in target.read_text()
@@ -226,40 +219,28 @@ def test_read_panel_keeps_huge_states_in_the_message():
 
 
 # ---------------------------------------------------------------------------
-# panel sets: built from PanelPath objects or from flat arrays
-
-
-def _both_ways(n, paths):
-    """The set built from PanelPath objects and from the same flat arrays,
-    or the message each construction raises."""
-    built = []
-    for make in (
-        lambda: PanelObservationSet(n, tuple(PanelPath(i, t, s) for i, t, s in paths)),
-        lambda: PanelObservationSet.from_arrays(
-            n, [i for i, _, _ in paths],
-            np.concatenate([np.asarray(t, dtype=float) for _, t, _ in paths]),
-            np.concatenate([np.asarray(s, dtype=np.int64) for _, _, s in paths]),
-            np.cumsum([0] + [len(t) for _, t, _ in paths]),
-        ),
-    ):
-        try:
-            built.append(make())
-        except ValidationError as err:
-            built.append(str(err))
-    return built
+# panel sets: built from flat arrays
 
 
 def test_panel_set_from_arrays_matches_panel_paths():
+    """Each path of the set reads back as the (id, times, states) it was
+    built from."""
     paths = [("a", [0.0, 1.0, 2.5], [1, 2, 4]), ("b", [0.0, 3.0], [3, 3]), ("c", [0.0], [4])]
-    by_paths, by_arrays = _both_ways(3, paths)
-    assert len(by_paths) == len(by_arrays) == 3
-    assert by_paths.absorbed_count() == by_arrays.absorbed_count() == 2
-    assert by_paths.absorbed.tolist() == by_arrays.absorbed.tolist() == [True, False, True]
-    for p, q in zip(by_paths.paths, by_arrays.paths):
-        assert p.path_id == q.path_id
-        assert np.array_equal(p.times, q.times) and np.array_equal(p.states, q.states)
-    assert repr(by_paths) == repr(by_arrays)
-    assert format_panel(by_paths) == format_panel(by_arrays)
+    panel = panel_from_rows(3, paths)
+    assert len(panel) == 3
+    assert panel.absorbed_count() == 2
+    assert panel.absorbed.tolist() == [True, False, True]
+    bounds = panel.starts.tolist()
+    for k, (pid, times, states) in enumerate(paths):
+        assert panel.ids[k] == pid
+        assert panel.times[bounds[k]:bounds[k + 1]].tolist() == times
+        assert panel.states[bounds[k]:bounds[k + 1]].tolist() == states
+    for a in (panel.times, panel.states, panel.starts):
+        assert not a.flags.writeable
+    assert repr(panel).startswith("PanelObservationSet(n=3, ids=('a', 'b', 'c'), ")
+    assert format_panel(panel) == (
+        "path_id,time,state\na,0,1\na,1,2\na,2.5,4\nb,0,3\nb,3,3\nc,0,4\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -273,7 +254,7 @@ def test_panel_set_from_arrays_matches_panel_paths():
         ([("a", [0.0], [1]), ("b", [], [])], "path b: times and states must be matching non-empty"),
         ([("a", [0.0, 1.0], [1, 5])], "path a: states must lie in 1..4"),
         ([("a", [0.0, 1.0], [4, 1])], "path a: absorbing state before the final observation"),
-        # the checks PanelPath makes come before those the set makes
+        # the checks on observation times come before the set's checks
         ([("a", [0.0], [9]), ("b", [1.0], [1])], "path b: first observation must be at time 0"),
         # and the first bad path decides among the set's checks, in their order
         ([("a", [0.0], [9]), ("a", [0.0], [1])], "path a: states must lie in 1..4"),
@@ -283,16 +264,16 @@ def test_panel_set_from_arrays_matches_panel_paths():
     ],
 )
 def test_panel_set_from_arrays_raises_what_panel_paths_raise(paths, message):
-    by_paths, by_arrays = _both_ways(3, paths)
-    assert by_paths == by_arrays
-    assert by_arrays.startswith(message)
+    with pytest.raises(ValidationError) as exc:
+        panel_from_rows(3, paths)
+    assert str(exc.value).startswith(message)
 
 
 def test_panel_set_from_arrays_rejects_mismatched_arrays():
     with pytest.raises(ValidationError, match="matching vectors"):
-        PanelObservationSet.from_arrays(3, ["a"], [0.0, 1.0], [1], [0, 2])
+        PanelObservationSet(3, ["a"], [0.0, 1.0], [1], [0, 2])
     with pytest.raises(ValidationError, match="matching vectors"):
-        PanelObservationSet.from_arrays(3, ["a", "b"], [0.0, 0.0], [1, 1], [0, 2])
+        PanelObservationSet(3, ["a", "b"], [0.0, 0.0], [1, 1], [0, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +294,9 @@ def test_read_sample_errors(tmp_path):
         read_sample(bad)
     bad.write_text("absorption_time\nnope\n")
     with pytest.raises(PanelFormatError, match="line 2"):
+        read_sample(bad)
+    bad.write_text("\n1.0\n")  # a blank first line is no header
+    with pytest.raises(PanelFormatError, match="^line 1: expected header absorption_time$"):
         read_sample(bad)
 
 
@@ -533,6 +517,14 @@ def test_read_truth_times_requires_block(tmp_path):
         read_truth_times(target)
 
 
+def test_read_truth_times_names_a_malformed_value(tmp_path):
+    target = tmp_path / "truth.txt"
+    target.write_text("# iphfit ground truth\nformat,1\n\n[absorption_times]\n0.5\nabc\n")
+    with pytest.raises(ValidationError) as exc:
+        read_truth_times(target)
+    assert str(exc.value) == f"{target}, line 6: malformed absorption time 'abc'"
+
+
 def test_format_gof_exact():
     assert format_gof(0.25, 0.5, 100, 100) == (
         "n_observed,n_simulated,d_statistic,p_value\n100,100,0.25,0.5\n"
@@ -556,10 +548,12 @@ def test_format_beta_trace_rows():
 
 
 def test_format_path_dump(weibull_lam, weibull_pi):
-    from iphfit import simulate_homogeneous
-
-    path = simulate_homogeneous(weibull_lam, weibull_pi, 5.0, RandomStream(98))
-    text = format_path_dump([path])
+    # the identity family keeps the homogeneous epochs
+    path = dataclasses.replace(
+        simulate_paths(weibull_lam, weibull_pi, ScalingFamily.identity(), 5.0, RandomStream(98), 1),
+        timeline="homogeneous",
+    )
+    text = format_path_dump(path)
     lines = text.splitlines()
     assert lines[0] == "path_id,epoch,state,timeline_tag"
     assert all(ln.startswith("p0,") for ln in lines[1:])

@@ -4,31 +4,34 @@ from scipy.stats import kstest
 
 from iphfit import (
     BridgeBudgetError,
-    ContinuousPath,
     FitConfig,
+    FlatPaths,
     HOMOGENEOUS,
     IDENTITY,
     InitialDistribution,
     PanelObservationSet,
-    PanelPath,
     RandomStream,
     ScalingFamily,
     StructuralError,
     SubIntensityMatrix,
     ValidationError,
     _kernels,
-    bridge_sample,
     check_absorbable,
-    discretize,
     sem_iteration,
-    simulate_homogeneous,
-    simulate_inhomogeneous,
 )
-from iphfit.simulate import jump_model
+from iphfit.simulate import bridge_sample, jump_model, observe, simulate_paths
 from iphfit.studies import cohort_panel, simulate_cohort
 
 ONE_STATE = SubIntensityMatrix(np.array([[-1.0]]))
 POINT_MASS = InitialDistribution(np.array([1.0]))
+# the identity family keeps the chain's own (homogeneous) epochs
+CHAIN = ScalingFamily.identity()
+
+
+def _state_at(path, t):
+    """The state ``path`` occupies at ``t``: the last one entered at or
+    before it."""
+    return int(path.states[np.searchsorted(path.times, t, side="right") - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +39,7 @@ POINT_MASS = InitialDistribution(np.array([1.0]))
 
 
 def test_exponential_absorption_mean():
-    # the identity family keeps the homogeneous epochs; path k draws from
-    # root.substream(k), as simulate_homogeneous would
+    # path k draws from root.substream(k)
     cohort = simulate_cohort(
         POINT_MASS, ONE_STATE, ScalingFamily.identity(), np.inf, 100_000, RandomStream(11),
         key_prefix=(),
@@ -57,19 +59,19 @@ def test_initial_state_frequencies(weibull_lam, weibull_pi):
 
 
 def test_horizon_zero_path():
-    p = simulate_homogeneous(ONE_STATE, POINT_MASS, 0.0, RandomStream(1))
-    assert not p.absorbed
+    p = simulate_paths(ONE_STATE, POINT_MASS, CHAIN, 0.0, RandomStream(1), 1)
+    assert not p.absorbed[0]
     assert p.times.tolist() == [0.0]
-    assert p.end_time == 0.0
+    assert p.end_times.tolist() == [0.0]
 
 
 def test_infinite_horizon_requires_absorbability():
     stuck = SubIntensityMatrix(np.array([[0.0]]))
     with pytest.raises(StructuralError):
-        simulate_homogeneous(stuck, POINT_MASS, np.inf, RandomStream(1))
+        simulate_paths(stuck, POINT_MASS, CHAIN, np.inf, RandomStream(1), 1)
     # a finite horizon is fine: the path just sits in state 1
-    p = simulate_homogeneous(stuck, POINT_MASS, 4.0, RandomStream(1))
-    assert not p.absorbed and p.end_time == 4.0
+    p = simulate_paths(stuck, POINT_MASS, CHAIN, 4.0, RandomStream(1), 1)
+    assert not p.absorbed[0] and p.end_times.tolist() == [4.0]
 
 
 def test_check_absorbable_names_state():
@@ -81,23 +83,24 @@ def test_check_absorbable_names_state():
 
 
 def test_holding_time_law(weibull_lam, weibull_pi):
-    root = RandomStream(13)
     pi1 = InitialDistribution(np.array([1.0, 0.0]))
-    holds = []
-    k = 0
-    while len(holds) < 10_000:
-        p = simulate_homogeneous(weibull_lam, pi1, np.inf, root.substream(k))
-        holds.append(p.times[1] - p.times[0])
-        k += 1
-    res = kstest(np.asarray(holds), "expon", args=(0.0, 1.0 / 3.0))
+    paths = simulate_paths(weibull_lam, pi1, CHAIN, np.inf, RandomStream(13), 10_000)
+    # every path enters state 1 at 0 and leaves it at its first jump
+    assert np.all(paths.states[paths.bounds[:-1]] == 0)
+    holds = paths.times[paths.bounds[:-1] + 1]
+    res = kstest(holds, "expon", args=(0.0, 1.0 / 3.0))
     assert res.pvalue > 0.01
 
 
 def test_reproducible_draws(gompertz_lam, gompertz_pi):
-    a = simulate_homogeneous(gompertz_lam, gompertz_pi, 50.0, RandomStream(5, (3,)))
-    b = simulate_homogeneous(gompertz_lam, gompertz_pi, 50.0, RandomStream(5, (3,)))
-    np.testing.assert_array_equal(a.times, b.times)
+    a, b = (
+        simulate_paths(gompertz_lam, gompertz_pi, CHAIN, 50.0, RandomStream(5, (3,)), 20)
+        for _ in range(2)
+    )
+    assert a.times.tobytes() == b.times.tobytes()
     np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a.bounds, b.bounds)
+    assert a.end_times.tobytes() == b.end_times.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -105,24 +108,34 @@ def test_reproducible_draws(gompertz_lam, gompertz_pi):
 
 
 def test_identity_equals_homogeneous(gompertz_lam, gompertz_pi):
-    rng = RandomStream(21, (4,))
-    hom = simulate_homogeneous(gompertz_lam, gompertz_pi, 30.0, rng)
-    inh = simulate_inhomogeneous(
-        gompertz_lam, gompertz_pi, ScalingFamily(IDENTITY), 30.0, rng
+    """Under the identity family the paths are the jump chain's own, as
+    the simulation sweep draws them."""
+    inh = simulate_paths(
+        gompertz_lam, gompertz_pi, ScalingFamily(IDENTITY), 30.0, RandomStream(21, (4,)), 50
     )
-    np.testing.assert_array_equal(hom.states, inh.states)
-    np.testing.assert_allclose(hom.times, inh.times, atol=0.0)
-    assert hom.end_time == inh.end_time
+    cum, total = jump_model(gompertz_lam)
+    times, states, bounds, ends = _kernels.simulate_sweep(
+        _kernels.stream_words(21, 4), np.arange(50, dtype=np.int64),
+        np.cumsum(gompertz_pi.probabilities), cum, total, 3, 30.0,
+    )
+    assert inh.times.tobytes() == times.tobytes()
+    np.testing.assert_array_equal(inh.states, states)
+    np.testing.assert_array_equal(inh.bounds, bounds)
+    assert inh.end_times.tobytes() == ends.tobytes()
 
 
 def test_weibull_epochs_are_cube_roots(weibull_lam, weibull_pi):
     fam = ScalingFamily.weibull(3.0)
     rng = RandomStream(22, (9,))
-    hom = simulate_homogeneous(weibull_lam, weibull_pi, fam.g_inv(5.0), rng)
-    inh = simulate_inhomogeneous(weibull_lam, weibull_pi, fam, 5.0, rng)
+    hom = simulate_paths(weibull_lam, weibull_pi, CHAIN, fam.g_inv(5.0), rng, 50)
+    inh = simulate_paths(weibull_lam, weibull_pi, fam, 5.0, rng, 50)
     np.testing.assert_array_equal(hom.states, inh.states)
+    np.testing.assert_array_equal(hom.bounds, inh.bounds)
+    jumps = np.ones(inh.times.size, dtype=bool)
+    jumps[inh.bounds[:-1]] = False
+    assert jumps.any()
     np.testing.assert_allclose(
-        inh.times[1:], np.cbrt(hom.times[1:]), rtol=1e-12, atol=1e-12
+        inh.times[jumps], np.cbrt(hom.times[jumps]), rtol=1e-12, atol=1e-12
     )
 
 
@@ -142,33 +155,30 @@ def test_transform_of_samples_oracle(gompertz_lam, gompertz_pi):
 
 def test_censored_end_time_is_horizon(gompertz_lam, gompertz_pi):
     fam = ScalingFamily.gompertz(0.1019)
-    found = False
-    for k in range(200):
-        p = simulate_inhomogeneous(
-            gompertz_lam, gompertz_pi, fam, 3.0, RandomStream(24, (k,))
-        )
-        if not p.absorbed:
-            assert p.end_time == 3.0
-            found = True
-    assert found
+    paths = simulate_paths(gompertz_lam, gompertz_pi, fam, 3.0, RandomStream(24), 200)
+    censored = ~paths.absorbed
+    assert censored.any()
+    assert np.all(paths.end_times[censored] == 3.0)
 
 
 # ---------------------------------------------------------------------------
-# discretization
+# observation on a grid
 
 
-def _two_state_path():
-    return ContinuousPath(
-        n=2,
-        times=np.array([0.0, 0.35]),
-        states=np.array([1, 2]),
-        end_time=1.0,
-        timeline=HOMOGENEOUS,
+def _one_path(times, states, end_time):
+    """One homogeneous path of the 2-state model, 1-based ``states``."""
+    return FlatPaths(
+        2, np.array(times, dtype=float), np.array(states) - 1, np.array([0, len(times)]),
+        np.array([end_time]), HOMOGENEOUS,
     )
 
 
+def _two_state_path():
+    return _one_path([0.0, 0.35], [1, 2], 1.0)
+
+
 def test_discretize_cadlag_lookup():
-    panel = discretize(_two_state_path(), np.arange(0.0, 1.01, 0.1), "q")
+    panel = observe(_two_state_path(), np.arange(0.0, 1.01, 0.1), ["q"])
     t = panel.times
     s = panel.states
     assert s[np.isclose(t, 0.3)][0] == 1
@@ -176,65 +186,61 @@ def test_discretize_cadlag_lookup():
 
 
 def test_discretize_absorption_grid_point():
-    path = ContinuousPath(
-        n=2,
-        times=np.array([0.0, 2.7]),
-        states=np.array([1, 3]),
-        end_time=2.7,
-        timeline=HOMOGENEOUS,
-    )
-    panel = discretize(path, np.arange(0.0, 6.0), "q")
+    panel = observe(_one_path([0.0, 2.7], [1, 3], 2.7), np.arange(0.0, 6.0), ["q"])
     assert panel.times[-1] == 3.0
     assert panel.states[-1] == 3
     assert panel.times.size == 4  # 0,1,2 then the absorption record at 3
 
 
 def test_discretize_drops_post_censoring_grid():
-    panel = discretize(_two_state_path(), np.array([0.0, 0.5, 1.0, 1.5, 2.0]), "q")
+    panel = observe(_two_state_path(), np.array([0.0, 0.5, 1.0, 1.5, 2.0]), ["q"])
     assert panel.times[-1] == 1.0
     assert panel.states.tolist() == [1, 2, 2]
 
 
 def test_discretize_rejects_bad_grid():
     with pytest.raises(ValidationError):
-        discretize(_two_state_path(), np.array([]), "q")
+        observe(_two_state_path(), np.array([]), ["q"])
     with pytest.raises(ValidationError):
-        discretize(_two_state_path(), np.array([0.5, 1.0]), "q")
+        observe(_two_state_path(), np.array([0.5, 1.0]), ["q"])
     with pytest.raises(ValidationError):
-        discretize(_two_state_path(), np.array([0.0, 0.0, 1.0]), "q")
+        observe(_two_state_path(), np.array([0.0, 0.0, 1.0]), ["q"])
 
 
 def test_discretize_agrees_with_state_lookup(gompertz_lam, gompertz_pi):
     grid = np.arange(0.0, 40.0)
-    for k in range(50):
-        p = simulate_homogeneous(
-            gompertz_lam, gompertz_pi, 39.0, RandomStream(31, (k,))
-        )
-        panel = discretize(p, grid, f"p{k}")
-        for t, s in zip(panel.times, panel.states):
+    paths = simulate_paths(gompertz_lam, gompertz_pi, CHAIN, 39.0, RandomStream(31), 50)
+    panel = observe(paths, grid, [f"p{k}" for k in range(50)])
+    bounds = panel.starts.tolist()
+    for k, p in enumerate(paths):
+        a, b = bounds[k], bounds[k + 1]
+        for t, s in zip(panel.times[a:b], panel.states[a:b]):
             if s == 4:
                 assert p.absorbed and p.times[-1] <= t
             else:
-                assert s == p.state_at(t)
+                assert s == _state_at(p, t)
 
 
 def test_cohort_panel_agrees_with_state_lookup(gompertz_lam, gompertz_pi):
-    """A whole cohort observed at once, against each path's own state_at:
+    """A whole cohort observed at once, against each path's own states:
     absorbed and censored paths, on a grid that runs past the horizon."""
     fam = ScalingFamily.gompertz(0.1019)
     cohort = simulate_cohort(gompertz_pi, gompertz_lam, fam, 30.0, 300, RandomStream(32))
     grid = np.arange(0.0, 36.0, 1.5)
     panel = cohort_panel(cohort, grid)
     assert 0 < cohort.absorbed.sum() < len(cohort) == len(panel)
-    for k, (p, obs) in enumerate(zip(cohort, panel.paths)):
-        assert obs.path_id == f"p{k}"
+    bounds = panel.starts.tolist()
+    for k, p in enumerate(cohort):
+        assert panel.ids[k] == f"p{k}"
+        times = panel.times[bounds[k]:bounds[k + 1]]
+        states = panel.states[bounds[k]:bounds[k + 1]]
         if p.absorbed:
             within = grid[grid < p.times[-1]]
-            assert obs.times.tolist() == grid[: within.size + 1].tolist()
+            assert times.tolist() == grid[: within.size + 1].tolist()
         else:
-            assert obs.times.tolist() == grid[grid <= p.end_time].tolist()
-        for t, s in zip(obs.times, obs.states):
-            assert s == (4 if p.absorbed and p.times[-1] <= t else p.state_at(t))
+            assert times.tolist() == grid[grid <= p.end_time].tolist()
+        for t, s in zip(times, states):
+            assert s == (4 if p.absorbed and p.times[-1] <= t else _state_at(p, t))
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +256,27 @@ def test_bridge_endpoint_exactness(gompertz_lam):
         s1 = float(rng.uniform(0.0, 5.0))
         s2 = s1 + float(rng.uniform(0.5, 8.0))
         try:
-            seg = bridge_sample(
+            jump_times, jump_states = bridge_sample(
                 gompertz_lam, s1, x, s2, y, RandomStream(42, (trial,)),
                 max_attempts=200_000,
             )
         except BridgeBudgetError:
             continue  # endpoint pair too unlikely for the budget; allowed
-        assert seg.start_state == x
-        assert seg.terminal_state == y
-        assert seg.start_time == s1
-        assert seg.end_time == s2
-        if seg.jump_times.size:
-            assert seg.jump_times[0] > s1
-            assert seg.jump_times[-1] <= s2
-            assert np.all(np.diff(seg.jump_times) > 0.0)
+        entered = np.concatenate(([x], jump_states))
+        assert entered[-1] == y
+        assert np.all(entered[1:] != entered[:-1])
+        assert np.all((jump_states >= 1) & (jump_states <= 4))
+        assert not np.any(jump_states[:-1] == 4)  # absorption comes last
+        assert jump_times.shape == jump_states.shape
+        if jump_times.size:
+            assert jump_times[0] > s1
+            assert jump_times[-1] <= s2
+            assert np.all(np.diff(jump_times) > 0.0)
 
 
 def test_bridge_same_endpoint_short_interval(weibull_lam):
-    seg = bridge_sample(weibull_lam, 2.0, 2, 2.0 + 1e-9, 2, RandomStream(43))
-    assert seg.start_state == 2 and seg.terminal_state == 2
-    assert seg.jump_times.size == 0
+    jump_times, jump_states = bridge_sample(weibull_lam, 2.0, 2, 2.0 + 1e-9, 2, RandomStream(43))
+    assert jump_times.size == 0 and jump_states.size == 0
 
 
 def test_bridge_impossible_pair_errors():
@@ -291,56 +298,46 @@ def test_bridge_rejects_bad_arguments(weibull_lam):
 # observation is transient
 
 
-def _complete_censored(m, last_state, rng, buffers):
-    """A path observed once, at 0 in ``last_state``, completed as the
-    SE-step does: returns the absorption epoch and the entered states."""
+def _complete_censored(m, last_state, seed, count):
+    """``count`` paths, each observed once, at 0 in ``last_state``, completed
+    by one SE-step sweep as a fit runs it: returns the completed paths'
+    jump epochs, 0-based states and offsets, and their absorption epochs."""
     cum, total = jump_model(m)
-    times, states = buffers
-    status, _, count, end, _ = _kernels.complete_panel_path(
-        rng.generator(), np.zeros(1), np.array([last_state - 1]), cum, total, m.n, 1,
-        times, states,
+    status, *_, paths = _kernels.complete_sweep(
+        _kernels.stream_words(seed), 1, 1, np.arange(count, dtype=np.int64), np.zeros(count),
+        np.full(count, last_state - 1, dtype=np.int64), np.arange(count + 1, dtype=np.int64),
+        cum, total, m.n, 1, 4096,
     )
     assert status == 0
-    return end, states[:count] + 1
-
-
-def _buffers():
-    return np.empty(4096), np.empty(4096, dtype=np.int64)
+    times, states, bounds = paths
+    return times, states, bounds, times[bounds[1:] - 1]
 
 
 def test_complete_censored_exponential_mean():
-    root = RandomStream(51)
-    buffers = _buffers()
-    times = np.array(
-        [_complete_censored(ONE_STATE, 1, root.substream(k), buffers)[0] for k in range(100_000)]
-    )
-    assert abs(times.mean() - 1.0) <= 0.02
+    *_, ends = _complete_censored(ONE_STATE, 1, 51, 100_000)
+    assert abs(ends.mean() - 1.0) <= 0.02
 
 
 def test_complete_censored_single_jump_structure():
     m = SubIntensityMatrix(np.array([[-1.0, 0.0], [0.2, -0.5]]))
-    buffers = _buffers()
-    for k in range(20):
-        end, states = _complete_censored(m, 1, RandomStream(52, (k,)), buffers)
-        assert states.tolist() == [3]
-        assert end > 0.0
+    times, states, bounds, ends = _complete_censored(m, 1, 52, 20)
+    # each path: its entry into state 1 at 0, then one jump, into absorption
+    assert bounds.tolist() == list(range(0, 41, 2))
+    assert states.tolist() == [0, 2] * 20
+    assert np.all(ends > 0.0)
 
 
 def test_complete_censored_fundamental_matrix_oracle(clinic_lam):
     expected = np.linalg.solve(-clinic_lam.entries, np.ones(3))[2]
-    root = RandomStream(53)
-    buffers = _buffers()
     n_runs = 30_000
-    times = np.array(
-        [_complete_censored(clinic_lam, 3, root.substream(k), buffers)[0] for k in range(n_runs)]
-    )
+    *_, times = _complete_censored(clinic_lam, 3, 53, n_runs)
     tol = 5.0 * times.std() / np.sqrt(n_runs)
     assert abs(times.mean() - expected) <= tol
 
 
 def test_complete_censored_unreachable_absorption_errors():
     stuck = SubIntensityMatrix(np.array([[0.0]]))
-    data = PanelObservationSet(1, (PanelPath("a", np.array([0.0, 1.0]), np.array([1, 1])),))
+    data = PanelObservationSet(1, ["a"], [0.0, 1.0], [1, 1], [0, 2])
     cfg = FitConfig(family=IDENTITY)
     with pytest.raises(StructuralError, match="^iteration 1: absorption is unreachable"):
         sem_iteration(data, POINT_MASS, stuck, None, cfg, RandomStream(54), 1)
