@@ -1,31 +1,36 @@
 /*
  * The two sweeps of _kernels.py, compiled.
  *
- * complete_sweep runs complete_path over a whole panel; the estimator
- * calls it for each SE-step and for the final-segment bridges of
- * initialization.  simulate_sweep draws each path's initial state (one
+ * complete_sweep completes every path of a panel; the estimator calls it
+ * for each SE-step and for the final-segment bridges of initialization.
+ * It first computes the normalizer of every bridge group (series), then
+ * draws each segment exactly from its endpoint-conditioned law by
+ * uniformization (bridge) and runs a censored path on to absorption
+ * (run_chain).  simulate_sweep draws each path's initial state (one
  * next_double) and runs run_chain to the horizon; the studies and the CLI
  * call it for a simulated cohort and for each goodness-of-fit sample.
- * The helpers below (jump, run_chain, bridge_attempt, complete_path)
- * mirror the Python ones (_jump, _run_chain, _bridge_attempt,
- * _complete_path) step for step.  A jump draws (1/rate) *
- * random_standard_exponential and, when it lands inside the horizon,
- * next_double * rate: what Generator.exponential(1/rate) and
- * Generator.random() compute, so both forms leave the stream in the same
- * state.
+ * The helpers below mirror those of _kernels.py (_jump, _run_chain,
+ * _Chain.power, _series, _draw_count, _bridge, _normalizers,
+ * _complete_path) step for step, and compute each float with the same
+ * operations in the same order, so both give the same bits.  A forward
+ * jump draws (1/rate) * random_standard_exponential and, when it lands
+ * inside the horizon, next_double * rate: what Generator.exponential(1/rate)
+ * and Generator.random() compute, so both forms leave the stream in the
+ * same state.  A bridge draws only uniforms, inline, with the bits of
+ * next_double.
  *
  * Both sweeps seed each path's stream themselves from the path's key, with
  * numpy's SeedSequence pool mix and PCG64 seeding, and draw through a
- * local bitgen_t that steps PCG64 as numpy does; this is the only source
- * of random bits here.  The paths (and the sufficient statistics of
+ * local PCG64 that steps as numpy's does; this is the only source of
+ * random bits here.  The paths (and the sufficient statistics of
  * complete_sweep) come back as flat arrays.
  *
  * Each sweep is a Kernel object holding its Python body as py_func.  A
- * call this file does not take as is (another dtype or layout, a state or
- * key out of range, a keyword argument) goes to py_func unchanged, so
- * every call gives the same result whichever body runs it.  Arguments are
- * checked here, before any pointer is used.  A call holds the GIL
- * throughout.
+ * call this file does not take as is (another dtype or layout, a state,
+ * key or group out of range, a keyword argument) goes to py_func
+ * unchanged, so every call gives the same result whichever body runs it.
+ * Arguments are checked here, before any pointer is used.  A call holds
+ * the GIL throughout.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off with the Python and numpy
  * include directories, linked against numpy/random/lib/libnpyrandom.a.
@@ -99,83 +104,6 @@ run_chain(bitgen_t *bg, const Model *m, npy_intp *state, double *t, double horiz
         *state = nxt;
         if (nxt == m->n)
             return 1;
-    }
-}
-
-/* One rejection attempt: the chain from x over (0, duration], its jumps
-   written at epochs s1 + t from index `start` on.  Returns the state
-   occupied at duration, or -1 when a jump finds the buffers full; *k is
-   the number of jumps written. */
-static npy_intp
-bridge_attempt(bitgen_t *bg, const Model *m, npy_intp x, double s1, double duration,
-               const Buffers *out, npy_intp start, npy_intp *k)
-{
-    npy_intp state = x;
-    double t = 0.0;
-    *k = 0;
-    for (;;) {
-        const npy_intp nxt = jump(bg, m, state, &t, duration);
-        if (nxt < 0)
-            return state;
-        if (start + *k == out->cap)
-            return -1;
-        out->times[start + *k] = s1 + t;
-        out->states[start + *k] = nxt;
-        (*k)++;
-        state = nxt;
-        if (nxt == m->n)
-            return state;
-    }
-}
-
-/* Complete one path observed at obs_s[0..last] in obs_x[0..last], as
-   complete_panel_path does: bridge each segment by rejection, then run a
-   censored path on to absorption.  Returns the status (0 completed, 1
-   budget exhausted, 2 buffers full, 3 dead end) and sets *info to the
-   segment it ended in; on status 0, *count is the number of jumps written
-   and *end the absorption epoch.  Adds the bridge attempts started to
-   *attempts. */
-static int
-complete_path(bitgen_t *bg, const Model *m, const double *obs_s, const npy_int64 *obs_x,
-              npy_intp last, npy_intp max_attempts, const Buffers *out,
-              npy_intp *info, npy_intp *count, double *end, npy_intp *attempts)
-{
-    npy_intp k;
-    *count = 0;
-    for (npy_intp seg = 0; seg < last; seg++) {
-        *info = seg;
-        const double s1 = obs_s[seg];
-        const double duration = obs_s[seg + 1] - s1;
-        int accepted = 0;
-        for (npy_intp a = 0; a < max_attempts && !accepted; a++) {
-            (*attempts)++;
-            const npy_intp state = bridge_attempt(bg, m, obs_x[seg], s1, duration, out, *count, &k);
-            if (state < 0)
-                return 2;
-            if (state == obs_x[seg + 1]) {
-                *count += k;
-                accepted = 1;
-            }
-        }
-        if (!accepted)
-            return 1;
-    }
-    *info = last;
-    if (obs_x[last] == m->n) {
-        *end = out->times[*count - 1];
-        return 0;
-    }
-    /* censored: continue unconditioned from the last observed state */
-    npy_intp state = obs_x[last];
-    double t = obs_s[last];
-    switch (run_chain(bg, m, &state, &t, INFINITY, out, count)) {
-    case 1:
-        *end = t;
-        return 0;
-    case 2: /* no exit rate: a dead end */
-        return 3;
-    default: /* buffers full */
-        return 2;
     }
 }
 
@@ -311,6 +239,405 @@ put_words(uint32_t *out, npy_uint64 v)
     return i;
 }
 
+/* ---- bridges by uniformization ---- */
+
+/* relative truncation error of a normalizer series */
+#define SERIES_TOL 0x1p-53
+/* the step table's least rows: a series from x to x with q < 1 ends by r = 18 */
+#define SHORT_ROWS 20
+
+/* The uniformized chain of one sweep: P = I + G / mu over the n1 = n + 1
+   states, the absorbing row the identity, its powers P^0 .. P^(rows - 1),
+   n1 x n1 each, computed on demand, and the step table of _Chain.steps. */
+typedef struct {
+    const double *p;
+    npy_intp n1;
+    double *pow;
+    npy_intp rows, room;
+    double *steps;
+    npy_intp step_rows;
+} Chain;
+
+/* Makes P^r available: P^(j+1)[i][c] sums P^j[i][k] P[k][c] over k in
+   ascending order.  -1 with an error set on a failed allocation. */
+static int
+chain_grow(Chain *c, npy_intp r)
+{
+    const npy_intp n1 = c->n1, size = n1 * n1;
+    if (r >= c->room) {
+        const npy_intp room = Py_MAX(2 * c->room, r + 1);
+        double *pow = PyMem_Realloc(c->pow, room * size * sizeof(double));
+        if (pow == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        c->pow = pow;
+        c->room = room;
+    }
+    for (; c->rows <= r; c->rows++) {
+        const double *prev = c->pow + (c->rows - 1) * size;
+        double *next = c->pow + c->rows * size;
+        for (npy_intp i = 0; i < n1; i++)
+            for (npy_intp col = 0; col < n1; col++) {
+                double s = prev[i * n1] * c->p[col];
+                for (npy_intp k = 1; k < n1; k++)
+                    s = s + prev[i * n1 + k] * c->p[k * n1 + col];
+                next[i * n1 + col] = s;
+            }
+    }
+    return 0;
+}
+
+static inline int
+chain_power(Chain *c, npy_intp r)
+{
+    return r < c->rows ? 0 : chain_grow(c, r);
+}
+
+/* (P^r)_xy */
+#define POW(c, r, x, y) ((c)->pow[((r) * (c)->n1 + (x)) * (c)->n1 + (y)])
+
+/* The step table for k < rows, as _Chain.steps: steps[((k n1 + y) n1 + z)
+   n1 + c] is the running sum over c' <= c of P[z][c'] (P^k)[c'][y].  -1
+   with an error set on a failed allocation. */
+static int
+chain_steps(Chain *c, npy_intp rows)
+{
+    const npy_intp n1 = c->n1;
+    if (chain_power(c, rows - 1) < 0)
+        return -1;
+    c->steps = PyMem_Malloc(rows * n1 * n1 * n1 * sizeof(double));
+    if (c->steps == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    c->step_rows = rows;
+    double *out = c->steps;
+    for (npy_intp k = 0; k < rows; k++)
+        for (npy_intp y = 0; y < n1; y++)
+            for (npy_intp z = 0; z < n1; z++) {
+                double acc = c->p[z * n1] * POW(c, k, 0, y);
+                *out++ = acc;
+                for (npy_intp col = 1; col < n1; col++) {
+                    acc = acc + c->p[z * n1 + col] * POW(c, k, col, y);
+                    *out++ = acc;
+                }
+            }
+    return 0;
+}
+
+/* The normalizer of one bridge group, as _series' norm: the mode m, the
+   bounds of the walk and where its running totals start in the sweep's
+   Sums; hi < 0 while not computed. */
+typedef struct {
+    double total;
+    npy_intp m, lo, hi, at;
+} Norm;
+
+/* The running totals of the sweep's normalizer series, end to end. */
+typedef struct {
+    double *v;
+    npy_intp used, room;
+} Sums;
+
+/* Makes room for more running totals; -1 with an error set on a failed
+   allocation. */
+static int
+grow(Sums *s, npy_intp more)
+{
+    const npy_intp room = Py_MAX(2 * s->room, s->used + more + 1024);
+    double *v = PyMem_Realloc(s->v, room * sizeof(double));
+    if (v == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    s->v = v;
+    s->room = room;
+    return 0;
+}
+
+static inline int
+push(Sums *s, double total)
+{
+    if (s->used == s->room && grow(s, 1) < 0)
+        return -1;
+    s->v[s->used++] = total;
+    return 0;
+}
+
+/* The normalizer of a bridge from x to y over a gap with mu * delta = q,
+   as _series: the terms w_r (P^r)_xy walked from the mode m = floor(q)
+   with w_m = 1, down while the Poisson mass below could exceed SERIES_TOL
+   times the running total, then up likewise, each running total appended
+   to sums.  Returns 0, 4 when the walk would pass vcap virtual jumps, or
+   -1 with an error set. */
+static int
+series(Chain *c, Sums *sums, double q, npy_intp x, npy_intp y, npy_intp vcap, Norm *out)
+{
+    if (!(q <= (double)vcap)) /* nan and inf too */
+        return 4;
+    const npy_intp m = (npy_intp)q, at = sums->used;
+    if (chain_power(c, m) < 0)
+        return -1;
+    double w = 1.0, total = w * POW(c, m, x, y);
+    if (push(sums, total) < 0)
+        return -1;
+    npy_intp r = m;
+    if (r > 0) {
+        const double down = 1.0 / q;
+        while (r > 0 && w * (double)r > SERIES_TOL * total * (q - (double)r + 1.0)) {
+            w = w * ((double)r * down);
+            r--;
+            total = total + w * POW(c, r, x, y);
+            if (push(sums, total) < 0)
+                return -1;
+        }
+    }
+    out->lo = r;
+    w = 1.0;
+    r = m;
+    for (;;) {
+        const double next = w * (q * (1.0 / (double)(r + 1)));
+        if (!(next * ((double)r + 2.0) > SERIES_TOL * total * ((double)r + 2.0 - q)))
+            break;
+        if (r == vcap) {
+            sums->used = at;
+            return 4;
+        }
+        r++;
+        if (chain_power(c, r) < 0)
+            return -1;
+        w = next;
+        total = total + w * POW(c, r, x, y);
+        if (push(sums, total) < 0)
+            return -1;
+    }
+    out->m = m;
+    out->hi = r;
+    out->at = at;
+    out->total = total;
+    return 0;
+}
+
+/* The virtual-jump count, as _draw_count: the r of the first running
+   total above target, or of the last place the total grows if rounding
+   leaves none. */
+static npy_intp
+draw_count(const Sums *sums, const Norm *g, double target)
+{
+    const double *s = sums->v + g->at;
+    const npy_intp len = g->hi - g->lo + 1, down = g->m - g->lo;
+    npy_intp j = 0;
+    while (j < len && !(s[j] > target))
+        j++;
+    if (j == len)
+        for (j = len - 1; j > 0 && !(s[j] > s[j - 1]); j--)
+            ;
+    return j <= down ? g->m - j : j + g->lo;
+}
+
+/* Puts the values of the ascending ranks ranks[0] < ... < ranks[nr - 1]
+   of v[lo..hi) in those places, as sorting v[lo..hi) would. */
+static void
+select_ranks(double *v, npy_intp lo, npy_intp hi, const npy_intp *ranks, npy_intp nr)
+{
+    while (nr > 0) {
+        if (hi - lo <= 16) {
+            for (npy_intp i = lo + 1; i < hi; i++) {
+                const double t = v[i];
+                npy_intp j = i;
+                for (; j > lo && v[j - 1] > t; j--)
+                    v[j] = v[j - 1];
+                v[j] = t;
+            }
+            return;
+        }
+        /* the median of three as pivot, then [lo, lt) < pivot, [lt, gt) ==
+           pivot and [gt, hi) > pivot */
+        const double a = v[lo], b = v[lo + (hi - lo) / 2], c = v[hi - 1];
+        const double pivot = a < b ? (b < c ? b : (a < c ? c : a)) : (a < c ? a : (b < c ? c : b));
+        npy_intp lt = lo, i = lo, gt = hi;
+        while (i < gt) {
+            const double t = v[i];
+            if (t < pivot) {
+                v[i++] = v[lt];
+                v[lt++] = t;
+            } else if (t > pivot) {
+                v[i] = v[--gt];
+                v[gt] = t;
+            } else {
+                i++;
+            }
+        }
+        npy_intp left = 0, done = 0;
+        while (left < nr && ranks[left] < lt)
+            left++;
+        for (done = left; done < nr && ranks[done] < gt; done++)
+            ;
+        select_ranks(v, lo, lt, ranks, left);
+        ranks += done;
+        nr -= done;
+        lo = gt;
+    }
+}
+
+/* Draws the bridge from x at s1 to y at s2 as _bridge does, R from the
+   uniform u, and appends its kept jumps to out after *count.  v has room for R uniforms, and jumps
+   (for the kept jumps' indices, states and epoch ranks) for 3 R.  Returns
+   0, 2 when the buffers are full before a kept jump, or 5 when the floats
+   run out; adds the virtual-jump count R to *virtual. */
+static int
+bridge(Pcg64 *st, const Chain *c, const Sums *sums, npy_intp n, double s1, double s2,
+       npy_intp x, npy_intp y, const Norm *g, double u, double *v, npy_intp *jumps,
+       const Buffers *out, npy_intp *count, npy_intp *virtual)
+{
+    const double delta = s2 - s1;
+    const npy_intp R = draw_count(sums, g, u * g->total);
+    const npy_intp n1 = c->n1;
+    *virtual += R;
+    if (R == 0)
+        return 0;
+    for (npy_intp i = 0; i < R; i++)
+        v[i] = pcg64_next_double(st);
+    npy_intp *index = jumps, *state = jumps + R, *rank = jumps + 2 * R, kept = 0, z = x;
+    for (npy_intp i = 1; i <= R && z != n; i++) {
+        npy_intp nxt;
+        if (i == R) {
+            nxt = y;
+        } else {
+            const double *sums = c->steps + (((R - i) * n1 + y) * n1 + z) * n1;
+            const double target = pcg64_next_double(st) * sums[n];
+            for (nxt = 0; nxt < n1 && !(sums[nxt] > target); nxt++)
+                ;
+            if (nxt == n1) { /* rounding: the last c at which the sum grows */
+                for (nxt = n; nxt >= 0 && !(sums[nxt] > (nxt ? sums[nxt - 1] : 0.0)); nxt--)
+                    ;
+                if (nxt < 0)
+                    return 5;
+            }
+        }
+        if (nxt != z) {
+            index[kept] = i;
+            state[kept++] = nxt;
+        }
+        z = nxt;
+    }
+    /* jump i falls at the i-th largest uniform: ascending rank R - i */
+    for (npy_intp j = 0; j < kept; j++)
+        rank[j] = R - index[kept - 1 - j];
+    select_ranks(v, 0, R, rank, kept);
+    double prev = s1;
+    for (npy_intp j = 0; j < kept; j++) {
+        if (*count == out->cap)
+            return 2;
+        double t = s2 - delta * v[R - index[j]];
+        if (!(t > prev)) {
+            t = nextafter(prev, INFINITY);
+            if (t > s2)
+                return 5;
+        }
+        out->times[*count] = t;
+        out->states[*count] = state[j];
+        (*count)++;
+        prev = t;
+    }
+    return 0;
+}
+
+/* The normalizers the paths need, each group's computed once, in path
+   order, as _normalizers.  Returns 0, 1 (an impossible pair) or 4 with
+   *path and *info at the first failing segment, or -1 with an error set;
+   counts the series computed in *computed. */
+static int
+normalizers(Chain *c, Sums *sums, double mu, npy_intp vcap, const double *obs_s,
+            const npy_int64 *obs_x,
+            const npy_int64 *starts, const npy_int64 *groups, npy_intp K, Norm *norms,
+            npy_intp *path, npy_intp *info, npy_intp *computed)
+{
+    for (npy_intp k = 0; k < K; k++) {
+        for (npy_intp i = starts[k]; i < starts[k + 1] - 1; i++) {
+            Norm *g = norms + groups[i];
+            const double q = mu * (obs_s[i + 1] - obs_s[i]);
+            *path = k;
+            *info = i - starts[k];
+            if (!(q <= (double)vcap)) /* nan and inf too */
+                return 4;
+            if (obs_x[i] == obs_x[i + 1] && q < 1.0)
+                continue;
+            if (g->hi < 0) {
+                const int status = series(c, sums, q, obs_x[i], obs_x[i + 1], vcap, g);
+                (*computed)++;
+                if (status != 0) {
+                    g->hi = -1;
+                    return status;
+                }
+            }
+            if (!(g->total > 0.0))
+                return 1;
+        }
+    }
+    return 0;
+}
+
+/* Completes one path observed at obs_s[0..last] in obs_x[0..last], as
+   _complete_path: bridge each segment (a segment from x to x with q < 1
+   and no normalizer yet takes R = 0 when u exp(q) < 1, else computes its
+   series), then run a censored path on to absorption.  Returns the status
+   (0 completed, 2 buffers full, 3 dead end, 5 out of floats, -1 with an
+   error set) and sets *info to the segment it ended in; on status 0,
+   *count is the number of jumps written and *end the absorption epoch.
+   Adds the virtual jumps drawn to *virtual and the series computed to
+   *computed. */
+static int
+complete_path(Pcg64 *st, Chain *c, Sums *sums, double mu, npy_intp vcap, const Model *m,
+              Norm *norms,
+              const double *obs_s, const npy_int64 *obs_x, const npy_int64 *groups,
+              npy_intp last, double *v, npy_intp *jumps, const Buffers *out, npy_intp *info,
+              npy_intp *count, double *end, npy_intp *virtual, npy_intp *computed)
+{
+    *count = 0;
+    for (npy_intp seg = 0; seg < last; seg++) {
+        const double s1 = obs_s[seg], s2 = obs_s[seg + 1], u = pcg64_next_double(st);
+        Norm *g = norms + groups[seg];
+        *info = seg;
+        if (g->hi < 0) {
+            const double q = mu * (s2 - s1);
+            if (u * exp(q) < 1.0)
+                continue;
+            const int status = series(c, sums, q, obs_x[seg], obs_x[seg + 1], vcap, g);
+            (*computed)++;
+            if (status < 0)
+                return -1;
+            if (status != 0 || g->hi > c->step_rows) { /* not reached: such a walk ends by r = 18 */
+                g->hi = -1;
+                return 5;
+            }
+        }
+        const int status = bridge(st, c, sums, m->n, s1, s2, obs_x[seg], obs_x[seg + 1], g, u,
+                                  v, jumps, out, count, virtual);
+        if (status != 0)
+            return status;
+    }
+    *info = last;
+    if (obs_x[last] == m->n) {
+        *end = out->times[*count - 1];
+        return 0;
+    }
+    /* censored: continue unconditioned from the last observed state */
+    bitgen_t bg = pcg64_bitgen(st);
+    npy_intp state = obs_x[last];
+    double t = obs_s[last];
+    switch (run_chain(&bg, m, &state, &t, INFINITY, out, count)) {
+    case 1:
+        *end = t;
+        return 0;
+    case 2: /* no exit rate: a dead end */
+        return 3;
+    default: /* buffers full */
+        return 2;
+    }
+}
+
 /* ---- argument checks: each returns 0, with no error set, to decline ---- */
 
 static int
@@ -394,9 +721,9 @@ resize(PyArrayObject *a, npy_intp size)
     return res == NULL ? -1 : 0;
 }
 
-/* complete_sweep(words, iteration, replications, keys, obs_s, obs_x, starts, cum, total, n,
-                  max_attempts, cap)
-   -> (status, path, info, attempts, retries, stats, paths) */
+/* complete_sweep(words, iteration, replications, keys, obs_s, obs_x, starts, groups, cum,
+                  total, n, mu, ptrans, vcap, cap)
+   -> (status, path, info, (virtual, kept, censored, series), stats, paths) */
 static PyObject *
 complete_sweep(PyObject *const *args)
 {
@@ -405,30 +732,44 @@ complete_sweep(PyObject *const *args)
     PyArrayObject *s_arr = as_array(args[4], NPY_FLOAT64, 1);
     PyArrayObject *x_arr = as_array(args[5], NPY_INT64, 1);
     PyArrayObject *k_arr = as_array(args[6], NPY_INT64, 1);
-    npy_intp iteration, replications, max_attempts, cap;
+    PyArrayObject *g_arr = as_array(args[7], NPY_INT64, 1);
+    PyArrayObject *p_arr = as_array(args[12], NPY_FLOAT64, 2);
+    npy_intp iteration, replications, vcap, cap;
+    double mu;
     Model m;
     if (w_arr == NULL || key_arr == NULL || s_arr == NULL || x_arr == NULL || k_arr == NULL
-        || !as_index(args[1], &iteration) || !as_index(args[2], &replications)
-        || !as_model(args[7], args[8], args[9], &m) || !as_index(args[10], &max_attempts)
-        || !as_index(args[11], &cap) || iteration < 0 || replications < 1 || cap < 0
-        || PyArray_DIM(x_arr, 0) != PyArray_DIM(s_arr, 0) || PyArray_DIM(k_arr, 0) < 2
-        || PyArray_DIM(key_arr, 0) != PyArray_DIM(k_arr, 0) - 1)
+        || g_arr == NULL || p_arr == NULL || !as_index(args[1], &iteration)
+        || !as_index(args[2], &replications) || !as_model(args[8], args[9], args[10], &m)
+        || !as_double(args[11], &mu) || !as_index(args[13], &vcap) || !as_index(args[14], &cap)
+        || iteration < 0 || replications < 1 || vcap < 0 || cap < 0
+        || PyArray_DIM(x_arr, 0) != PyArray_DIM(s_arr, 0)
+        || PyArray_DIM(g_arr, 0) != PyArray_DIM(s_arr, 0) || PyArray_DIM(k_arr, 0) < 2
+        || PyArray_DIM(key_arr, 0) != PyArray_DIM(k_arr, 0) - 1
+        || PyArray_DIM(p_arr, 0) != m.n + 1 || PyArray_DIM(p_arr, 1) != m.n + 1)
         return NULL;
     const double *obs_s = (const double *)PyArray_DATA(s_arr);
     const npy_int64 *obs_x = (const npy_int64 *)PyArray_DATA(x_arr);
     const npy_int64 *starts = (const npy_int64 *)PyArray_DATA(k_arr);
     const npy_int64 *keys = (const npy_int64 *)PyArray_DATA(key_arr);
-    const npy_intp K = PyArray_DIM(k_arr, 0) - 1;
-    if (starts[0] != 0 || starts[K] != PyArray_DIM(s_arr, 0))
+    const npy_int64 *groups = (const npy_int64 *)PyArray_DATA(g_arr);
+    const npy_intp K = PyArray_DIM(k_arr, 0) - 1, len = PyArray_DIM(s_arr, 0);
+    if (starts[0] != 0 || starts[K] != len)
         return NULL;
-    for (npy_intp k = 0; k < K; k++)
+    npy_intp n_groups = 0;
+    for (npy_intp k = 0; k < K; k++) {
         if (keys[k] < 0 || starts[k + 1] <= starts[k]
             || !valid_path(obs_x + starts[k], starts[k + 1] - starts[k], m.n))
             return NULL;
+        for (npy_intp i = starts[k]; i < starts[k + 1] - 1; i++) {
+            if (groups[i] < 0)
+                return NULL;
+            n_groups = Py_MAX(n_groups, groups[i] + 1);
+        }
+    }
 
-    const npy_intp n = m.n, nwords = PyArray_DIM(w_arr, 0);
+    const npy_intp n = m.n, n1 = n + 1, nwords = PyArray_DIM(w_arr, 0);
     npy_intp dims[2] = {n, n}, paths = replications * K + 1;
-    npy_intp capacity = PyArray_DIM(s_arr, 0) * replications + cap + 1;
+    npy_intp capacity = len * replications + cap + 1;
     PyArrayObject *b = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_INT64, 0);
     PyArrayObject *nt = (PyArrayObject *)PyArray_ZEROS(2, dims, NPY_INT64, 0);
     PyArrayObject *na = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_INT64, 0);
@@ -436,21 +777,49 @@ complete_sweep(PyObject *const *args)
     PyArrayObject *bounds = (PyArrayObject *)PyArray_EMPTY(1, &paths, NPY_INT64, 0);
     PyArrayObject *times = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_FLOAT64, 0);
     PyArrayObject *states = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_INT64, 0);
-    /* the stream's words, then those of (iteration, keys[k], round[, rep]) */
-    uint32_t *words = PyMem_Malloc((nwords + 8) * sizeof(uint32_t));
+    /* the stream's words, then those of (iteration, keys[k][, rep]) */
+    uint32_t *words = PyMem_Malloc((nwords + 6) * sizeof(uint32_t));
+    Norm *norms = PyMem_Malloc(Py_MAX(n_groups, 1) * sizeof(Norm));
+    Chain chain = {(const double *)PyArray_DATA(p_arr), n1,
+                   PyMem_Malloc(16 * n1 * n1 * sizeof(double)), 1, 16, NULL, 0};
+    double *v = NULL;
+    npy_intp *jumps = NULL;
+    Sums sums = {NULL, 0, 0};
     PyObject *result = NULL;
     if (b == NULL || nt == NULL || na == NULL || r == NULL || bounds == NULL || times == NULL
-        || states == NULL || words == NULL) {
-        if (words == NULL)
+        || states == NULL || words == NULL || norms == NULL || chain.pow == NULL) {
+        if (!PyErr_Occurred())
             PyErr_NoMemory();
         goto done;
     }
+    for (npy_intp i = 0; i < n1 * n1; i++)
+        chain.pow[i] = i % (n1 + 1) == 0 ? 1.0 : 0.0;
+    for (npy_intp g = 0; g < n_groups; g++)
+        norms[g].hi = -1;
+    npy_intp status, path = 0, info = 0, virtual = 0, kept = 0, censored = 0, computed = 0;
+    status = normalizers(&chain, &sums, mu, vcap, obs_s, obs_x, starts, groups, K, norms,
+                         &path, &info, &computed);
+    if (status < 0)
+        goto done;
+    if (status != 0)
+        goto failed;
+    npy_intp room = SHORT_ROWS;
+    for (npy_intp g = 0; g < n_groups; g++)
+        room = Py_MAX(room, norms[g].hi);
+    v = PyMem_Malloc(room * sizeof(double));
+    jumps = PyMem_Malloc(3 * room * sizeof(npy_intp));
+    if (v == NULL || jumps == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (chain_steps(&chain, room) < 0)
+        goto done;
     memcpy(words, PyArray_DATA(w_arr), nwords * sizeof(uint32_t));
     const npy_intp at_k = nwords + put_words(words + nwords, (npy_uint64)iteration);
     npy_int64 *B = (npy_int64 *)PyArray_DATA(b), *N = (npy_int64 *)PyArray_DATA(nt);
     npy_int64 *NA = (npy_int64 *)PyArray_DATA(na), *bound = (npy_int64 *)PyArray_DATA(bounds);
     double *R = (double *)PyArray_DATA(r);
-    npy_intp used = 0, path = 0, attempts = 0, retries = 0;
+    npy_intp used = 0, done_paths = 0;
     bound[0] = 0;
     for (npy_intp rep = 0; rep < replications; rep++) {
         for (npy_intp k = 0; k < K; k++) {
@@ -463,28 +832,24 @@ complete_sweep(PyObject *const *args)
             npy_int64 *x = (npy_int64 *)PyArray_DATA(states) + used;
             const Buffers out = {t + 1, x + 1, cap};
             const npy_intp a = starts[k], last = starts[k + 1] - a - 1;
-            npy_intp info = 0, count = 0;
+            npy_intp count = 0, len_k = at_k + put_words(words + at_k, (npy_uint64)keys[k]);
             double end;
-            int status = 0;
-            const npy_intp at_round = at_k + put_words(words + at_k, (npy_uint64)keys[k]);
-            for (int round = 0; round < 2; round++) {
-                npy_intp len = at_round + put_words(words + at_round, (npy_uint64)round);
-                if (replications > 1)
-                    len += put_words(words + len, (npy_uint64)rep);
-                Pcg64 stream;
-                pcg64_seed(&stream, words, len);
-                bitgen_t bg = pcg64_bitgen(&stream);
-                status = complete_path(&bg, &m, obs_s + a, obs_x + a, last, max_attempts, &out,
-                                       &info, &count, &end, &attempts);
-                if (status != 1 || round == 1)
-                    break;
-                retries++;
-            }
-            if (status != 0) {
-                result = Py_BuildValue("(innnnOO)", status, k, info, attempts, retries,
-                                       Py_None, Py_None);
+            if (replications > 1)
+                len_k += put_words(words + len_k, (npy_uint64)rep);
+            Pcg64 stream;
+            pcg64_seed(&stream, words, len_k);
+            status = complete_path(&stream, &chain, &sums, mu, vcap, &m, norms, obs_s + a,
+                                   obs_x + a,
+                                   groups + a, last, v, jumps, &out, &info, &count, &end,
+                                   &virtual, &computed);
+            if (status < 0)
                 goto done;
+            if (status != 0) {
+                path = k;
+                goto failed;
             }
+            kept += count;
+            censored += obs_x[a + last] != n;
             /* the entry into the first state, then the jumps: tallied as
                accumulate_statistics does, in path order, then jump order */
             t[0] = 0.0;
@@ -498,15 +863,25 @@ complete_sweep(PyObject *const *args)
                     NA[x[j - 1]]++;
             }
             used += 1 + count;
-            bound[++path] = used;
+            bound[++done_paths] = used;
         }
     }
     if (resize(times, used) < 0 || resize(states, used) < 0)
         goto done;
-    result = Py_BuildValue("(innnn(OOOO)(OOO))", 0, (npy_intp)0, (npy_intp)0, attempts, retries,
-                           b, nt, na, r, times, states, bounds);
+    result = Py_BuildValue("(inn(nnnn)(OOOO)(OOO))", 0, (npy_intp)0, (npy_intp)0, virtual, kept,
+                           censored, computed, b, nt, na, r, times, states, bounds);
+    goto done;
+failed:
+    result = Py_BuildValue("(inn(nnnn)OO)", (int)status, path, info, virtual, kept, censored,
+                           computed, Py_None, Py_None);
 done:
     PyMem_Free(words);
+    PyMem_Free(norms);
+    PyMem_Free(chain.pow);
+    PyMem_Free(chain.steps);
+    PyMem_Free(sums.v);
+    PyMem_Free(v);
+    PyMem_Free(jumps);
     Py_XDECREF(b);
     Py_XDECREF(nt);
     Py_XDECREF(na);
@@ -605,7 +980,7 @@ static const struct {
     kernel_body body;
     Py_ssize_t nargs;
 } BODIES[] = {
-    {"complete_sweep", complete_sweep, 12},
+    {"complete_sweep", complete_sweep, 15},
     {"simulate_sweep", simulate_sweep, 7},
 };
 

@@ -1,18 +1,30 @@
 """Jump-chain kernels.
 
-The hot loops of trajectory simulation and bridge rejection sampling live
-here.  Two kernels do the package's work, each over many paths in one
-call: ``complete_sweep`` over a whole panel (each SE-step, and the
+The hot loops of trajectory simulation and Markov bridges live here.  Two
+kernels do the package's work, each over many paths in one call:
+``complete_sweep`` over a whole panel (each SE-step, and the
 final-segment bridges of initialization) and ``simulate_sweep`` over a
 whole simulated cohort or goodness-of-fit sample.  Each derives one
-stream per path (and round) from entropy words and the path's key, as
-``RandomStream.generator()`` does.  ``sim_path``, ``bridge_attempts`` and
-``complete_panel_path`` run one path on a ``numpy.random.Generator``
-handed in by the caller; they are plain Python, for ``bridge_sample`` and
-as the tests' per-path reference.  All rest on one jump step, ``_jump``,
-and on the private helpers built on it (``_run_chain``,
-``_bridge_attempt``, ``_complete_path``), which mirror those of
-``_ckernels.c``.  Two backends run the sweeps, tried in this order:
+stream per path from entropy words and the path's key, as
+``RandomStream.generator()`` does.
+
+``complete_sweep`` draws every bridge exactly from its endpoint-conditioned
+law, by uniformization (Hobolth & Stone 2009): with ``mu`` the largest exit
+rate and ``P = I + G/mu`` over the n + 1 states, a bridge from x to y over
+a gap delta has ``R`` virtual jumps with ``P(R = r)`` proportional to
+``Poisson(r; mu delta) (P^r)_xy``, at sorted uniform epochs, through states
+drawn forward given the endpoint; the jumps that change state are kept.
+``_Chain`` holds the powers of P, ``_series`` the normalizer of one gap
+and endpoint pair, ``_bridge`` draws one bridge and ``_complete_path`` one
+path; a censored path then runs on unconditioned to absorption.
+
+``sim_path``, ``bridge_attempts`` and ``complete_panel_path`` run one path
+on a ``numpy.random.Generator`` handed in by the caller.  The last two
+draw bridges by rejection: they are plain Python, kept as references for
+``bridge_sample``, the tests and the benchmark.  The forward runs rest on
+one jump step, ``_jump``, and on ``_run_chain`` and ``_bridge_attempt``,
+which mirror the helpers of ``_ckernels.c``.  Two backends run the sweeps,
+tried in this order:
 
 - C: ``_ckernels.c``, compiled on the first import and cached in this
   package's ``__pycache__`` under a name keyed by the source, the
@@ -22,24 +34,26 @@ and on the private helpers built on it (``_run_chain``,
   the C file fails for any reason.
 
 ``BACKEND`` names the one in use.  The C sweeps consume each bit stream
-exactly like the Python bodies do, so both backends produce
-bitwise-identical paths; a compiled sweep exposes its Python body as
-``py_func``, which runs Python throughout.
+exactly like the Python bodies do and compute every float the same way,
+so both backends produce bitwise-identical paths; a compiled sweep
+exposes its Python body as ``py_func``, which runs Python throughout.
 
 Conventions inside this module only: states are 0-based, the absorbing
 state has index n, and ``cum[x]`` holds the cumulative rates out of x over
 the n+1 destinations (the n transient states with the self-rate zeroed,
 then the exit rate), so ``cum[x, -1]`` is the total exit rate of x.  Each
-jump consumes one exponential draw and, if it lands inside the horizon,
-one uniform draw.
+forward jump consumes one exponential draw and, if it lands inside the
+horizon, one uniform draw.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import hashlib
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -115,43 +129,6 @@ def _bridge_attempt(gen, cum, total, n, x, s1, duration, times, states, start):
             return state, k
 
 
-def _complete_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states):
-    """The body of ``complete_panel_path``.  ``complete_sweep``'s Python
-    body calls it under this name, which the benchmark's tracer does not
-    wrap."""
-    count = 0
-    attempts = 0
-    m = obs_s.shape[0] - 1
-    for seg in range(m):
-        s1 = obs_s[seg]
-        duration = obs_s[seg + 1] - s1
-        accepted = False
-        for _attempt in range(max_attempts):
-            attempts += 1
-            state, k = _bridge_attempt(
-                gen, cum, total, n, obs_x[seg], s1, duration, times, states, count
-            )
-            if state < 0:
-                return 2, seg, 0, 0.0, attempts
-            if state == obs_x[seg + 1]:
-                count += k
-                accepted = True
-                break
-        if not accepted:
-            return 1, seg, 0, 0.0, attempts
-    if obs_x[m] == n:
-        return 0, m, count, times[count - 1], attempts
-    # censored: continue unconditioned from the last observed state
-    status, count, _state, t = _run_chain(
-        gen, cum, total, n, obs_x[m], obs_s[m], np.inf, times, states, count
-    )
-    if status == 1:
-        return 0, m, count, t, attempts
-    if status == 2:  # no exit rate: a dead end
-        return 3, m, 0, 0.0, attempts
-    return 2, m, 0, 0.0, attempts
-
-
 def sim_path(gen, state, t, horizon, cum, total, n, times, states):
     """Simulate the jump chain from ``state`` at time ``t``.
 
@@ -186,7 +163,8 @@ def bridge_attempts(gen, x, y, duration, cum, total, n, max_attempts, times, sta
 
 
 def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states):
-    """Reconstruct one full trajectory consistent with its panel records.
+    """Reconstruct one full trajectory consistent with its panel records,
+    bridging by rejection.
 
     ``obs_s`` are the observation epochs on the homogeneous scale and
     ``obs_x`` the observed 0-based states (absorbing = n).  Every
@@ -196,9 +174,39 @@ def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, s
     attempts)`` with status 0 = completed (``end_time`` is the absorption
     epoch), 1 = bridge budget exhausted on segment ``info``, 2 = buffer
     overflow, 3 = dead-end state reached during the censored continuation;
-    ``attempts`` counts the bridge attempts started.
+    ``attempts`` counts the bridge attempts started.  The sweeps do not
+    call it; it is the rejection reference.
     """
-    return _complete_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, states)
+    count = 0
+    attempts = 0
+    m = obs_s.shape[0] - 1
+    for seg in range(m):
+        s1 = obs_s[seg]
+        duration = obs_s[seg + 1] - s1
+        accepted = False
+        for _attempt in range(max_attempts):
+            attempts += 1
+            state, k = _bridge_attempt(
+                gen, cum, total, n, obs_x[seg], s1, duration, times, states, count
+            )
+            if state < 0:
+                return 2, seg, 0, 0.0, attempts
+            if state == obs_x[seg + 1]:
+                count += k
+                accepted = True
+                break
+        if not accepted:
+            return 1, seg, 0, 0.0, attempts
+    if obs_x[m] == n:
+        return 0, m, count, times[count - 1], attempts
+    status, count, _state, t = _run_chain(
+        gen, cum, total, n, obs_x[m], obs_s[m], np.inf, times, states, count
+    )
+    if status == 1:
+        return 0, m, count, t, attempts
+    if status == 2:  # no exit rate: a dead end
+        return 3, m, 0, 0.0, attempts
+    return 2, m, 0, 0.0, attempts
 
 
 def stream_words(*ints):
@@ -218,54 +226,302 @@ def stream_words(*ints):
     return np.array(words, dtype=np.uint32)
 
 
+# relative truncation error of a bridge normalizer series
+_SERIES_TOL = 2.0**-53
+# the step table's least rows: a series from x to x with q < 1 ends by r = 18
+_SHORT_ROWS = 20
+
+
+class _Chain:
+    """The uniformized chain of one sweep: ``P = I + G/mu`` over the n + 1
+    states, the absorbing row the identity, and its powers ``P^0, P^1,
+    ...``, computed on demand.  ``P^(j+1)[i, c]`` is the sum of ``P^j[i,
+    k] P[k, c]`` over k in ascending order, as in ``_ckernels.c``."""
+
+    def __init__(self, ptrans):
+        self.p = ptrans
+        self.arrays = [np.eye(ptrans.shape[0])]
+        self.pow = [self.arrays[0].tolist()]
+
+    def power(self, r):
+        """``P^r`` as nested lists, with every lower power."""
+        p = self.p
+        while len(self.pow) <= r:
+            prev = self.arrays[-1]
+            acc = prev[:, :1] * p[:1, :]
+            for k in range(1, p.shape[0]):
+                acc = acc + prev[:, k:k + 1] * p[k:k + 1, :]
+            self.arrays.append(acc)
+            self.pow.append(acc.tolist())
+        return self.pow[r]
+
+    def steps(self, rows):
+        """The step table of the bridges, for k < ``rows``:
+        ``steps[k][y][z][c]`` is the running sum over c' <= c of ``P[z,
+        c'] (P^k)[c', y]``, the weights of the states a bridge to y enters
+        from z with k virtual jumps left."""
+        self.power(rows - 1)
+        pk = np.array(self.arrays[:rows]).transpose(0, 2, 1)  # [k, y, c]
+        return np.cumsum(self.p[None, None] * pk[:, :, None, :], axis=3).tolist()
+
+
+def _series(chain, q, x, y, vcap):
+    """The normalizer of a bridge from x to y over a gap with ``mu *
+    delta = q``: ``(status, norm)``, ``norm = (sums, m, lo, hi)``.
+
+    The terms ``w_r (P^r)_xy`` are walked from the mode ``m = floor(q)``,
+    where ``w_m = 1`` (the Poisson weights divided by the mode's, so a
+    large q does not underflow), with ``w_(r-1) = w_r (r (1/q))`` and
+    ``w_(r+1) = w_r (q (1/(r+1)))``: down to ``lo`` while the Poisson mass
+    below could exceed ``_SERIES_TOL`` times the running total, then up to
+    ``hi`` likewise.  ``sums`` holds the running total after each term in
+    that order; the last is the normalizer.  Status 4 (and no norm) when
+    the walk would pass ``vcap`` virtual jumps, else 0.
+    """
+    if not q <= vcap:  # nan and inf too
+        return 4, None
+    m = int(q)
+    w = 1.0
+    total = w * chain.power(m)[x][y]
+    sums = [total]
+    pw = chain.pow
+    r = m
+    if r > 0:
+        down = 1.0 / q
+        while r > 0 and w * r > _SERIES_TOL * total * (q - r + 1.0):
+            w = w * (r * down)
+            r -= 1
+            total = total + w * pw[r][x][y]
+            sums.append(total)
+    lo = r
+    w, r = 1.0, m
+    while True:
+        nxt = w * (q * (1.0 / (r + 1)))
+        if not nxt * (r + 2.0) > _SERIES_TOL * total * (r + 2.0 - q):
+            return 0, (sums, m, lo, r)
+        if r == vcap:
+            return 4, None
+        r += 1
+        w = nxt
+        total = total + w * chain.power(r)[x][y]
+        sums.append(total)
+
+
+def _draw_count(norm, target):
+    """The virtual-jump count: the r of the first running total in
+    ``_series``' order above ``target``, or of the last place the total
+    grows if rounding leaves none."""
+    sums, m, lo, _hi = norm
+    j = bisect.bisect_right(sums, target)
+    if j == len(sums):
+        j -= 1
+        while j > 0 and not sums[j] > sums[j - 1]:
+            j -= 1
+    return m - j if j <= m - lo else j + lo
+
+
+def _bridge(gen, steps, n, s1, s2, x, y, norm, u, times, states, count):
+    """Draw the bridge from x at ``s1`` to y at ``s2`` and append its kept
+    jumps to the buffers after ``count``.  Returns ``(status, count, R)``:
+    status 0, 2 when the buffers are full before a kept jump, or 5 when
+    the floats run out (two kept epochs in one, or every weight of a step
+    underflowing); ``R`` is the virtual-jump count.
+
+    ``norm`` is ``_series``' for this gap and pair, and the uniform u, the
+    bridge's first draw, draws R as ``_draw_count`` at u times the
+    normalizer.  R uniforms follow, and
+    virtual jump i (from 1) falls at ``s2 - delta * v``, v the i-th
+    largest of them.  Then the states are drawn forward, one uniform u
+    each: jump i < R leaves z for the first c at which ``steps[R - i][y][z]``
+    (the running sum of ``P[z, c] (P^(R-i))[c, y]``) exceeds u times its
+    last entry, or the last c at which it grows if rounding leaves none;
+    jump R enters y.
+    An absorbed bridge draws no more (it ends its path, whose stream is
+    then left unread).  Each kept epoch not above the previous one (or
+    ``s1``) is raised to the next float.
+    """
+    delta = s2 - s1
+    big_r = _draw_count(norm, u * norm[0][-1])
+    if big_r == 0:
+        return 0, count, 0
+    epochs = gen.random(big_r)
+    pick = gen.random(big_r - 1).tolist()
+    kept = []
+    z = x
+    for i in range(1, big_r + 1):
+        if z == n:
+            break
+        if i == big_r:
+            nxt = y
+        else:
+            sums = steps[big_r - i][y][z]
+            nxt = bisect.bisect_right(sums, pick[i - 1] * sums[n])
+            if nxt > n:
+                nxt = n
+                while nxt >= 0 and not sums[nxt] > (sums[nxt - 1] if nxt else 0.0):
+                    nxt -= 1
+                if nxt < 0:
+                    return 5, count, big_r
+        if nxt != z:
+            kept.append((i, nxt))
+        z = nxt
+    ascending = np.sort(epochs).tolist() if kept else None
+    prev = s1
+    for i, state in kept:
+        if count == times.shape[0]:
+            return 2, count, big_r
+        t = s2 - delta * ascending[big_r - i]
+        if not t > prev:
+            t = math.nextafter(prev, math.inf)
+            if t > s2:
+                return 5, count, big_r
+        times[count] = t
+        states[count] = state
+        count += 1
+        prev = t
+    return 0, count, big_r
+
+
+def _normalizers(chain, mu, vcap, obs_s, obs_x, starts, groups):
+    """The bridge normalizers the paths need, each group's computed once,
+    in path order.  Returns ``(status, path, segment, norms, computed)``:
+    ``norms[g]`` is ``_series``' norm for group g; status 4
+    (q past ``vcap``, or from ``_series``) or 1 (a zero total: the pair is
+    impossible) names the first failing segment.  A segment from x to x
+    with q < 1 has a positive normalizer; its series waits for a draw that
+    needs it (see ``_complete_path``)."""
+    size = int(groups.max()) + 1 if groups.size else 0
+    norms = [None] * max(size, 0)
+    computed = 0
+    for k in range(starts.shape[0] - 1):
+        a, z = starts[k], starts[k + 1]
+        path_s, path_x = obs_s[a:z], obs_x[a:z]
+        for seg, g in enumerate(groups[a:z][:-1].tolist()):
+            q = float(mu * (path_s[seg + 1] - path_s[seg]))
+            if not q <= vcap:  # nan and inf too
+                return 4, k, seg, norms, computed
+            x, y = int(path_x[seg]), int(path_x[seg + 1])
+            if x == y and q < 1.0:
+                continue
+            if norms[g] is None:
+                status, norms[g] = _series(chain, q, x, y, vcap)
+                computed += 1
+                if status:
+                    return status, k, seg, norms, computed
+            if not norms[g][0][-1] > 0.0:
+                return 1, k, seg, norms, computed
+    return 0, 0, 0, norms, computed
+
+
+def _complete_path(
+    gen, chain, steps, norms, mu, vcap, obs_s, obs_x, groups, cum, total, n, times, states
+):
+    """Complete one path: bridge each segment with ``_bridge``, then run a
+    censored path on to absorption.  Returns ``(status, info, count, end,
+    virtual, computed)``: status 0 (``end`` the absorption epoch), 2
+    buffers full, 3 a dead end in the censored run, 5 as ``_bridge``;
+    ``info`` is the segment it ended in, ``virtual`` the virtual jumps
+    drawn and ``computed`` the series it computed.
+
+    A segment from x to x with ``q = mu * delta < 1`` whose group has no
+    normalizer yet takes R = 0 when its first uniform u has ``u * exp(q) <
+    1``: the normalizer is at most ``exp(q)``, and the mode's term is 1.
+    Otherwise its series is computed then, once for the group.
+    """
+    count = virtual = computed = 0
+    m = obs_s.shape[0] - 1
+    for seg in range(m):
+        s1, s2, x, y = float(obs_s[seg]), float(obs_s[seg + 1]), int(obs_x[seg]), int(obs_x[seg + 1])
+        g = groups[seg]
+        u = gen.random()
+        if norms[g] is None:
+            q = mu * (s2 - s1)
+            if u * math.exp(q) < 1.0:
+                continue
+            status, norm = _series(chain, q, x, y, vcap)
+            computed += 1
+            if status or norm[3] > len(steps):  # not reached: such a walk ends by r = 18
+                return 5, seg, 0, 0.0, virtual, computed
+            norms[g] = norm
+        status, count, big_r = _bridge(
+            gen, steps, n, s1, s2, x, y, norms[g], u, times, states, count
+        )
+        virtual += big_r
+        if status:
+            return status, seg, 0, 0.0, virtual, computed
+    if obs_x[m] == n:
+        return 0, m, count, times[count - 1], virtual, computed
+    # censored: continue unconditioned from the last observed state
+    status, count, _state, t = _run_chain(
+        gen, cum, total, n, obs_x[m], obs_s[m], np.inf, times, states, count
+    )
+    if status == 1:
+        return 0, m, count, t, virtual, computed
+    if status == 2:  # no exit rate: a dead end
+        return 3, m, 0, 0.0, virtual, computed
+    return 2, m, 0, 0.0, virtual, computed
+
+
 def complete_sweep(
-    words, iteration, replications, keys, obs_s, obs_x, starts, cum, total, n, max_attempts,
-    cap,
+    words, iteration, replications, keys, obs_s, obs_x, starts, groups, cum, total, n, mu,
+    ptrans, vcap, cap,
 ):
     """Complete every path ``replications`` times: one SE-step, or the
     bridges of initialization.
 
     Path k is observed at the epochs ``obs_s[starts[k]:starts[k + 1]]`` in
-    the 0-based states ``obs_x[...]``, and ``complete_panel_path``
-    completes it with ``cap`` jumps of room.  Its stream in round r is the
-    PCG64 generator of ``SeedSequence(words + stream_words(iteration,
-    keys[k], r))``, with ``rep`` appended when ``replications > 1``; round
-    1 runs only when round 0 exhausts a bridge budget.  Paths are
-    completed with ``rep`` outer and ``k`` inner.
+    the 0-based states ``obs_x[...]``; ``groups[i]`` names the bridge
+    group of the segment from observation i to i + 1 (any value at a
+    path's last observation): segments of one group share their gap and
+    endpoint states, and so one normalizer.  ``ptrans`` is ``I + G/mu``
+    with ``mu`` the largest exit rate (see ``_bridge``).  First the
+    groups' normalizers are computed (``_normalizers``; an x-to-x group
+    with ``mu * delta < 1`` waits for a draw that needs it); then path k is
+    completed by ``_complete_path`` with ``cap`` jumps of room, drawing
+    from the PCG64 generator of ``SeedSequence(words +
+    stream_words(iteration, keys[k]))``, with ``rep`` appended when
+    ``replications > 1``.  Paths are completed with ``rep`` outer and
+    ``k`` inner.
 
-    Returns ``(status, path, info, attempts, retries, stats, paths)``.
-    Status 0: ``stats`` is ``(B, N_xy, N_x, R_x)`` summed in path order,
-    then jump order, and ``paths`` is ``(times, states, bounds)``: path i
-    is ``times[bounds[i]:bounds[i + 1]]``, starting with its entry into
-    its first observed state at 0.0 and ending with its absorption.
-    Otherwise ``status`` is that of the failing ``complete_panel_path``
-    call (1 only after both rounds), ``path`` its k and ``info`` its
-    segment, and ``stats`` and ``paths`` are None.  ``attempts`` counts
-    the bridge attempts started and ``retries`` the paths that needed
-    round 1.
+    Returns ``(status, path, info, work, stats, paths)``.  ``work`` is
+    ``(virtual, kept, censored, series)``: the virtual jumps drawn, the
+    jumps in the completed paths, the completed paths whose last
+    observation is transient, and the normalizers computed.  Status 0:
+    ``stats`` is ``(B, N_xy, N_x, R_x)`` summed in path order, then jump
+    order, and ``paths`` is ``(times, states, bounds)``: path i is
+    ``times[bounds[i]:bounds[i + 1]]``, starting with its entry into its
+    first observed state at 0.0 and ending with its absorption.
+    Otherwise ``path`` is the failing k, ``info`` its segment, ``stats``
+    and ``paths`` are None, and ``status`` is 1 (an impossible endpoint
+    pair), 4 (a bridge needing more than ``vcap`` virtual jumps), both
+    found before any draw, or that of ``_complete_path``.
     """
+    chain = _Chain(ptrans)
+    status, k, seg, norms, computed = _normalizers(
+        chain, mu, vcap, obs_s, obs_x, starts, groups
+    )
+    work = [0, 0, 0, computed]
+    if status:
+        return status, k, seg, tuple(work), None, None
+    steps = chain.steps(max([_SHORT_ROWS] + [norm[3] for norm in filter(None, norms)]))
     tbuf = np.empty(cap, dtype=np.float64)
     sbuf = np.empty(cap, dtype=np.int64)
     pieces_t, pieces_s = [], []
-    attempts = retries = 0
     for rep in range(replications):
         for k in range(starts.shape[0] - 1):
             a, z = starts[k], starts[k + 1]
-            for round_ in (0, 1):
-                key = (iteration, keys[k], round_) if replications == 1 else (
-                    iteration, keys[k], round_, rep
-                )
-                seed = np.random.SeedSequence(np.concatenate((words, stream_words(*key))))
-                status, info, count, _end, tried = _complete_path(
-                    np.random.default_rng(seed), obs_s[a:z], obs_x[a:z], cum, total, n,
-                    max_attempts, tbuf, sbuf,
-                )
-                attempts += tried
-                if status != 1 or round_ == 1:
-                    break
-                retries += 1
+            key = (iteration, keys[k]) if replications == 1 else (iteration, keys[k], rep)
+            seed = np.random.SeedSequence(np.concatenate((words, stream_words(*key))))
+            status, info, count, _end, virtual, computed = _complete_path(
+                np.random.default_rng(seed), chain, steps, norms, mu, vcap, obs_s[a:z],
+                obs_x[a:z], groups[a:z], cum, total, n, tbuf, sbuf,
+            )
+            work[0] += virtual
+            work[3] += computed
             if status != 0:
-                return status, k, info, attempts, retries, None, None
+                return status, k, info, tuple(work), None, None
+            work[1] += count
+            work[2] += int(obs_x[a:z][-1] != n)
             pieces_t.append(np.concatenate(([0.0], tbuf[:count])))
             pieces_s.append(np.concatenate((obs_x[a:a + 1], sbuf[:count])))
     times = np.concatenate(pieces_t)
@@ -284,7 +540,7 @@ def complete_sweep(
     into = dst < n
     np.add.at(nt, (src[into], dst[into]), 1)
     np.add.at(na, src[~into], 1)
-    return 0, 0, 0, attempts, retries, (b, nt, na, r), (times, states, bounds)
+    return 0, 0, 0, tuple(work), (b, nt, na, r), (times, states, bounds)
 
 
 def simulate_sweep(words, keys, cum_pi, cum, total, n, horizon):

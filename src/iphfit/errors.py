@@ -48,31 +48,19 @@ class StarvedStateError(EstimationError):
 class BridgeBudgetError(EstimationError):
     """Rejection sampling exhausted its attempt budget for one bridge.
 
-    When the bridge belongs to a panel path, ``path_id`` names the path and
-    ``segment`` the interval, counted from 0: segment k runs from the
-    path's observation k to observation k + 1.
+    Only ``simulate.bridge_sample``, the rejection reference, raises it:
+    fits draw their bridges exactly and never retry.
     """
 
-    def __init__(
-        self,
-        start: int,
-        end: int,
-        duration: float,
-        attempts: int,
-        path_id: str | None = None,
-        segment: int | None = None,
-    ):
-        where = "" if path_id is None else f"path {path_id}, segment {segment}: "
+    def __init__(self, start: int, end: int, duration: float, attempts: int):
         super().__init__(
-            f"{where}bridge from state {start} to state {end} over duration "
+            f"bridge from state {start} to state {end} over duration "
             f"{duration:g} not accepted after {attempts} attempts"
         )
         self.start = start
         self.end = end
         self.duration = duration
         self.attempts = attempts
-        self.path_id = path_id
-        self.segment = segment
 
 
 class StructuralError(EstimationError):

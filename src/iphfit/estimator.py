@@ -1,8 +1,9 @@
 """Joint estimation of (pi, Lambda, beta) from panel data by stochastic EM.
 
 One iteration: transform the observation times to the homogeneous scale at
-the current beta, reconstruct every trajectory with rejection bridges
-(censored paths are simulated onward to absorption), re-estimate Lambda by
+the current beta, reconstruct every trajectory with exact Markov bridges,
+drawn by uniformization (censored paths are simulated onward to
+absorption), re-estimate Lambda by
 the complete-data MLEs, map the imputed absorption epochs back to calendar
 time at the beta used for the transform, and refine beta by gradient
 ascent.  The loop stops at the first iteration whose ascent converges in a
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    BridgeBudgetError,
     EstimationError,
     NumericalError,
     StructuralError,
@@ -46,10 +46,12 @@ from .likelihood import (
     mle_generator,
 )
 from .paths import HOMOGENEOUS, ContinuousPath, FlatPaths, PanelObservationSet, RandomStream
-from .scaling import GOMPERTZ, IDENTITY, WEIBULL, ScalingFamily
-from .simulate import check_absorbable, jump_model
+from .scaling import GOMPERTZ, IDENTITY, WEIBULL, ScalingFamily, _check_times
+from .simulate import bridge_model, check_absorbable
 
+# jumps kept per completed path, and virtual jumps per bridge
 _PATH_CAP = 1 << 16
+_VIRTUAL_CAP = 1 << 16
 
 _FAMILIES = (GOMPERTZ, WEIBULL, IDENTITY)
 
@@ -73,7 +75,6 @@ class FitConfig:
     beta_min: float = 1e-5
     max_sem_iterations: int = 200
     gd_max_steps: int = 100_000
-    max_attempts: int = 1_000_000
     seed: int = 0
     homog_iterations: int = 300
     homog_tail_average: int = 20
@@ -90,8 +91,8 @@ class FitConfig:
             raise ValidationError("need beta0 >= beta_min > 0")
         if self.max_sem_iterations < 1 or self.gd_max_steps < 1:
             raise ValidationError("iteration caps must be positive")
-        if self.max_attempts < 1 or self.bridge_replications < 1:
-            raise ValidationError("max_attempts and bridge_replications must be >= 1")
+        if self.bridge_replications < 1:
+            raise ValidationError("bridge_replications must be >= 1")
         if not (1 <= self.homog_tail_average <= self.homog_iterations):
             raise ValidationError(
                 "need 1 <= homog_tail_average <= homog_iterations"
@@ -101,14 +102,28 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
+class SweepWork:
+    """Deterministic work counters of one SE-step: virtual jumps drawn by
+    the bridges, jumps in the completed paths, completed paths whose last
+    observation is transient, and bridge normalizers computed."""
+
+    virtual_jumps: int
+    jumps_kept: int
+    censored: int
+    series: int
+
+
+@dataclass(frozen=True)
 class IterationRecord:
-    """One row of the fit trace."""
+    """One row of the fit trace, with the work of its sweep when the fit
+    ran it (a trace read back from a report has none)."""
 
     iteration: int
     gd_updates: int
     absorbed_paths: int
     beta_hat: float | None
     lam_hat: SubIntensityMatrix
+    work: SweepWork | None = None
 
 
 @dataclass(frozen=True)
@@ -121,16 +136,6 @@ class FitResult:
     trace: tuple[IterationRecord, ...]
     config: FitConfig
     completed: tuple[ContinuousPath, ...] | None = None
-
-
-@dataclass(frozen=True)
-class SweepWork:
-    """Deterministic work counters of one SE-step: bridge attempts started,
-    paths that needed a second round, and jumps in the completed paths."""
-
-    bridge_attempts: int
-    retries: int
-    jumps_kept: int
 
 
 @dataclass(frozen=True)
@@ -155,6 +160,13 @@ class _PanelArrays:
     end, path k at ``starts[k]:starts[k + 1]``; ``times`` and ``states0``
     are per-path views of them, split on first access.  ``keys`` holds
     each path's stream key, its index k.  ``data`` is the panel itself.
+
+    The times are checked once, here.  ``epochs`` are the distinct
+    observation times, ``flat_times == epochs[epoch_index]``, so a sweep
+    maps only those.  ``groups[i]`` numbers the distinct (calendar
+    interval, observed state pair) of the segment from observation i to
+    i + 1, -1 at a path's last observation: the bridges of one group share
+    their normalizer within a sweep.
     """
 
     def __init__(self, data: PanelObservationSet):
@@ -172,6 +184,19 @@ class _PanelArrays:
         ).tolist()
         self.K = len(data)
         self.keys = np.arange(self.K, dtype=np.int64)
+        self.epochs, self.epoch_index = np.unique(self.flat_times, return_inverse=True)
+        _check_times(self.epochs, allow_zero=True)
+        seg = np.ones(self.flat_times.size, dtype=bool)
+        seg[self.starts[1:] - 1] = False
+        i = np.flatnonzero(seg)
+        e, x, size = self.epoch_index, self.flat_states0, self.n + 1
+        code = ((e[i] * self.epochs.size + e[i + 1]) * size + x[i]) * size + x[i + 1]
+        # numbered by first appearance, so a sweep reads its normalizers in order
+        _codes, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first, kind="stable")] = np.arange(first.size)
+        self.groups = np.full(self.flat_times.size, -1, dtype=np.int64)
+        self.groups[i] = rank[inverse]
 
     @cached_property
     def times(self) -> list[np.ndarray]:
@@ -222,7 +247,7 @@ def initialize(
     lam0 = mle_generator(_naive_statistics(panel), panel.K)[1]
     if cfg.family == IDENTITY:
         return pi_hat, lam0, cfg.beta0
-    times = _init_absorption_times(panel, lam0, cfg, rng)
+    times = _init_absorption_times(panel, lam0, rng)
     if times.size == 0:
         warnings.warn(
             "no absorbed paths: keeping beta0 unrefined", RuntimeWarning
@@ -237,12 +262,12 @@ def initialize(
 
 
 def _init_absorption_times(
-    panel: _PanelArrays, lam0: SubIntensityMatrix, cfg: FitConfig, rng: RandomStream
+    panel: _PanelArrays, lam0: SubIntensityMatrix, rng: RandomStream
 ) -> np.ndarray:
     """Latent absorption epochs for absorbed paths, bridged on the raw
     timeline under the naive generator: one sweep over the absorbed
     paths' last two observations, path k drawing from
-    ``rng.substream(0, k, round)``."""
+    ``rng.substream(0, k)``."""
     keys = np.flatnonzero(panel.absorbed)
     if keys.size == 0:
         return np.empty(0)
@@ -250,8 +275,8 @@ def _init_absorption_times(
     rows = np.column_stack((last - 2, last - 1)).ravel()
     starts = np.arange(0, rows.size + 1, 2)
     _stats, paths, _work = _sweep(
-        panel, keys, panel.flat_times[rows], panel.flat_states0[rows], starts, lam0, cfg,
-        rng, 0, 1,
+        panel, keys, panel.flat_times[rows], panel.flat_states0[rows], starts,
+        panel.groups[rows], lam0, rng, 0, 1,
     )
     return paths.end_times
 
@@ -262,8 +287,8 @@ def _sweep(
     obs_s: np.ndarray,
     obs_x: np.ndarray,
     starts: np.ndarray,
+    groups: np.ndarray,
     lam: SubIntensityMatrix,
-    cfg: FitConfig,
     rng: RandomStream,
     iteration: int,
     replications: int,
@@ -273,38 +298,41 @@ def _sweep(
     Path j of the call is observed at ``obs_s[starts[j]:starts[j + 1]]``
     in the 0-based states ``obs_x[...]``: the last observations of panel
     path ``keys[j]``, which draws from ``rng.substream(iteration,
-    keys[j], round[, rep])``.  Returns the pooled statistics, the
-    completed trajectories and the work counters; a failure raises the
-    error naming the panel path and segment.
+    keys[j][, rep])``; ``groups`` are the panel's bridge groups of those
+    observations.  Returns the pooled statistics, the completed
+    trajectories and the work counters; a failure raises the error naming
+    the panel path and segment.
     """
-    cum, total = jump_model(lam)
-    status, j, seg, attempts, retries, stats, flat = _kernels.complete_sweep(
+    cum, total, mu, ptrans = bridge_model(lam)
+    status, j, seg, work, stats, flat = _kernels.complete_sweep(
         _kernels.stream_words(rng.seed, *rng.key), iteration, replications, keys,
-        obs_s, obs_x, starts, cum, total, panel.n, int(cfg.max_attempts), _PATH_CAP,
+        obs_s, obs_x, starts, groups, cum, total, panel.n, mu, ptrans, _VIRTUAL_CAP,
+        _PATH_CAP,
     )
     if status == 0:
         times, states, bounds = flat
         paths = FlatPaths(panel.n, times, states, bounds, times[bounds[1:] - 1], HOMOGENEOUS)
-        work = SweepWork(attempts, retries, paths.times.size - paths.bounds.size + 1)
-        return SufficientStatistics(*stats), paths, work
+        return SufficientStatistics(*stats), paths, SweepWork(*work)
     k = keys[j]
-    if status == 1:
-        at = starts[j] + seg
-        skipped = panel.starts[k + 1] - panel.starts[k] - (starts[j + 1] - starts[j])
-        raise BridgeBudgetError(
-            int(obs_x[at]) + 1,
-            int(obs_x[at + 1]) + 1,
-            float(obs_s[at + 1] - obs_s[at]),
-            int(cfg.max_attempts),
-            path_id=panel.ids[k],
-            segment=int(skipped + seg),
-        )
     if status == 3:
         raise StructuralError(
             f"path {panel.ids[k]}: dead-end state {int(obs_x[starts[j + 1] - 1]) + 1} "
             "cannot reach absorption"
         )
-    raise NumericalError(f"path {panel.ids[k]}: completion exceeded {_PATH_CAP} jumps")
+    if status == 2:
+        raise NumericalError(f"path {panel.ids[k]}: completion exceeded {_PATH_CAP} jumps")
+    at = starts[j] + seg
+    skipped = panel.starts[k + 1] - panel.starts[k] - (starts[j + 1] - starts[j])
+    bridge = (
+        f"path {panel.ids[k]}, segment {int(skipped + seg)}: bridge from state "
+        f"{int(obs_x[at]) + 1} to state {int(obs_x[at + 1]) + 1} over duration "
+        f"{float(obs_s[at + 1] - obs_s[at]):g}"
+    )
+    if status == 1:
+        raise StructuralError(f"{bridge} has probability 0 under this generator")
+    if status == 4:
+        raise NumericalError(f"{bridge} needs more than {_VIRTUAL_CAP} virtual jumps")
+    raise NumericalError(f"{bridge} runs out of floating-point resolution")
 
 
 def _complete_all(
@@ -318,16 +346,18 @@ def _complete_all(
     """SE-step: reconstruct every path on the homogeneous timeline.
 
     One sweep completes every path once per replication (replications
-    outer, panel order inner), path k in round r drawing from
-    ``rng.substream(iteration, k, r[, rep]).generator()``.  Returns the
-    pooled statistics, the completed trajectories and the work counters.
+    outer, panel order inner), path k drawing from the stream of
+    ``rng.substream(iteration, k[, rep])``.  Only the distinct observation
+    epochs go through ``g_inv``, unchecked: ``_PanelArrays`` checked them.
+    Returns the pooled statistics, the completed trajectories and the
+    work counters.
     """
     if panel.censored_last:
         check_absorbable(lam, panel.censored_last)
-    obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+    (epochs_s,) = family._terms(panel.epochs, g_inv_only=True)
     return _sweep(
-        panel, panel.keys, obs_s, panel.flat_states0, panel.starts, lam, cfg, rng,
-        iteration, cfg.bridge_replications,
+        panel, panel.keys, epochs_s[panel.epoch_index], panel.flat_states0, panel.starts,
+        panel.groups, lam, rng, iteration, cfg.bridge_replications,
     )
 
 
@@ -359,9 +389,9 @@ def sem_iteration(
         new_lam = mle_generator(stats, panel.K * cfg.bridge_replications)[1]
         if not update_beta:
             return SemIterationResult(
-                new_lam, None, 0, family.g(paths.end_times), paths, work
+                new_lam, None, 0, family._g(paths.end_times), paths, work
             )
-        abs_cal = np.asarray(family.g(paths.end_times), dtype=float)
+        abs_cal = family._g(paths.end_times)
         obj = BetaObjective(cfg.family, pi_hat, new_lam, abs_cal)
         new_beta, gd_updates = gd_solve(
             obj, beta_hat, cfg.eta, cfg.e_ell, cfg.beta_min, cfg.gd_max_steps,
@@ -411,7 +441,7 @@ def fit(
         )
         lam_hat, beta_hat = step.lam_hat, step.beta_hat
         trace.append(
-            IterationRecord(it, step.gd_updates, absorbed_paths, beta_hat, lam_hat)
+            IterationRecord(it, step.gd_updates, absorbed_paths, beta_hat, lam_hat, step.work)
         )
         if step.gd_updates == 1:
             termination = "single-update-converged"

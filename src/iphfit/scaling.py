@@ -107,11 +107,15 @@ class ScalingFamily:
             raise ValidationError("operational times must be finite")
         if np.any(arr < 0.0):
             raise ValidationError("operational times must be non-negative")
+        return _scalar_like(s, self._g(arr))
+
+    def _g(self, arr: np.ndarray) -> np.ndarray:
+        """:meth:`g` at operational times already checked."""
         if self.kind == IDENTITY:
-            return _scalar_like(s, arr.copy())
+            return arr.copy()
         if self.kind == GOMPERTZ:
-            return _scalar_like(s, np.log1p(self.beta * arr) / self.beta)
-        return _scalar_like(s, arr ** (1.0 / self.beta))
+            return np.log1p(self.beta * arr) / self.beta
+        return arr ** (1.0 / self.beta)
 
     # -- beta-derivatives for the score ---------------------------------
 

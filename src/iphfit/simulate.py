@@ -3,9 +3,12 @@
 Simulation follows the jump-chain/holding-time construction: the holding
 time in state x is Exponential with rate ``-lambda_xx``; the chain then
 moves to y != x with probability ``lambda_xy / (-lambda_xx)`` or absorbs
-with probability ``exit_rate_x / (-lambda_xx)``.  Bridges are drawn by
-rejection: simulate from the left endpoint over the interval and accept
-only when the state occupied at the right endpoint matches.
+with probability ``exit_rate_x / (-lambda_xx)``.  The fit's bridges are
+drawn exactly, by uniformization, inside ``_kernels.complete_sweep``;
+``bridge_model`` gives their chain.  ``bridge_sample`` draws one bridge
+by rejection (simulate from the left endpoint over the interval and
+accept only when the state occupied at the right endpoint matches): it is
+the rejection reference kept for the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -38,19 +41,45 @@ def _as_pi(pi, n: int) -> InitialDistribution:
     return pi
 
 
+def _rates(m: SubIntensityMatrix) -> np.ndarray:
+    """The (n, n + 1) table of off-diagonal rates (self entry zeroed), then
+    the exit rate, of each transient state."""
+    n = m.n
+    rates = np.zeros((n, n + 1))
+    rates[:, :n] = np.where(np.eye(n, dtype=bool), 0.0, m.entries)
+    rates[:, n] = m.exit_rates()
+    return rates
+
+
 def jump_model(m: SubIntensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative-rate table for the kernels: (cum, total).
 
     ``cum[x]`` accumulates the n off-diagonal rates of x (self entry
     zeroed) followed by its exit rate; ``total[x] == cum[x, -1]``.
     """
-    arr = m.entries
-    n = m.n
-    rates = np.zeros((n, n + 1))
-    rates[:, :n] = np.where(np.eye(n, dtype=bool), 0.0, arr)
-    rates[:, n] = m.exit_rates()
-    cum = np.ascontiguousarray(np.cumsum(rates, axis=1))
+    cum = np.ascontiguousarray(np.cumsum(_rates(m), axis=1))
     return cum, np.ascontiguousarray(cum[:, -1].copy())
+
+
+def bridge_model(m: SubIntensityMatrix) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """``jump_model(m)`` and the uniformized chain of the bridges: ``(cum,
+    total, mu, P)``.
+
+    ``mu`` is the largest total exit rate and ``P = I + G/mu`` over the
+    n + 1 states, where G is the generator with the absorbing state last
+    and its row zero, so that row of P is the identity; ``P = I`` when mu
+    is 0.  A chain that jumps at rate mu by P is the chain of G.
+    """
+    rates = _rates(m)
+    n = m.n
+    cum = np.ascontiguousarray(np.cumsum(rates, axis=1))
+    total = np.ascontiguousarray(cum[:, -1].copy())
+    mu = float(total.max())
+    ptrans = np.eye(n + 1)
+    if mu > 0.0:
+        ptrans[:n] = rates / mu
+        ptrans[np.arange(n), np.arange(n)] = 1.0 - total / mu
+    return cum, total, mu, ptrans
 
 
 def check_absorbable(m: SubIntensityMatrix, start_states0) -> None:
@@ -178,7 +207,8 @@ def bridge_sample(
     rng: RandomStream,
     max_attempts: int = 1_000_000,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw an endpoint-conditioned segment by rejection.
+    """Draw an endpoint-conditioned segment by rejection: the reference
+    the tests and the benchmark keep for the fit's exact bridges.
 
     Simulates from state ``x`` over ``[s1, s2]`` repeatedly until the
     state occupied at ``s2`` equals ``y``; only such trajectories are

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from iphfit import InitialDistribution, PanelObservationSet, SubIntensityMatrix
+from iphfit import InitialDistribution, PanelObservationSet, SubIntensityMatrix, _kernels
+from iphfit.simulate import bridge_model
 
 import _report
 
@@ -44,6 +45,45 @@ def panel_from_rows(n, rows):
         np.concatenate([np.asarray(s, dtype=np.int64) for _, _, s in rows]),
         np.cumsum([0] + [len(t) for _, t, _ in rows]),
     )
+
+
+def exact_path(lam, obs_s, obs_x, gen, cap=1 << 16):
+    """A per-path reference of the SE-step sweep's completion.
+
+    The path observed at the epochs ``obs_s`` in the 0-based states
+    ``obs_x`` is completed on the generator ``gen`` with its own chain,
+    normalizers and step table: one ``_kernels._bridge`` per segment, then
+    ``_kernels._run_chain`` on to absorption when the last state is
+    transient.  Returns ``(times, states, counts)``: the completed path
+    from its entry into ``obs_x[0]`` at 0.0 (0-based states), and the
+    virtual-jump count R of each bridge.
+    """
+    cum, total, mu, ptrans = bridge_model(lam)
+    n = lam.n
+    chain = _kernels._Chain(ptrans)
+    norms = []
+    for i in range(len(obs_s) - 1):
+        q = float(mu * (obs_s[i + 1] - obs_s[i]))
+        status, norm = _kernels._series(chain, q, int(obs_x[i]), int(obs_x[i + 1]), 1 << 16)
+        assert status == 0 and norm[0][-1] > 0.0
+        norms.append(norm)
+    steps = chain.steps(max([1] + [norm[3] for norm in norms]))
+    tbuf, sbuf = np.empty(cap), np.empty(cap, dtype=np.int64)
+    count, counts = 0, []
+    for i, norm in enumerate(norms):
+        status, count, r = _kernels._bridge(
+            gen, steps, n, float(obs_s[i]), float(obs_s[i + 1]), int(obs_x[i]),
+            int(obs_x[i + 1]), norm, gen.random(), tbuf, sbuf, count,
+        )
+        assert status == 0
+        counts.append(r)
+    if obs_x[-1] != n:
+        status, count, _state, _t = _kernels._run_chain(
+            gen, cum, total, n, int(obs_x[-1]), float(obs_s[-1]), np.inf, tbuf, sbuf, count
+        )
+        assert status == 1
+    times = np.concatenate(([0.0], tbuf[:count]))
+    return times, np.concatenate((obs_x[:1], sbuf[:count])), counts
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from iphfit import (
-    BridgeBudgetError,
     ContinuousPath,
     EstimationError,
     FitConfig,
@@ -29,10 +28,10 @@ from iphfit import (
 from iphfit import _kernels, estimator
 from iphfit.errors import NumericalError, StarvedStateError, StructuralError
 from iphfit.likelihood import accumulate_statistics, flat_statistics
-from iphfit.simulate import bridge_sample, simulate_paths
+from iphfit.simulate import simulate_paths
 from iphfit.studies import cohort_panel, simulate_cohort, uniform_grid
 
-from conftest import panel_from_rows as _panel
+from conftest import exact_path, panel_from_rows as _panel
 
 
 def make_panel(pi, lam, family, horizon, delta, count, seed):
@@ -205,41 +204,34 @@ def test_fit_rejects_degenerate_panel():
         fit(data, GOMPERTZ_CFG)
 
 
-def _reference_init_times(panel, lam0, max_attempts, rng):
-    """Initialization's latent absorption epochs, one ``bridge_sample``
-    per absorbed path and round; also returns the paths that needed
-    round 1."""
-    out, retries = [], 0
+def _reference_init_times(panel, lam0, rng):
+    """Initialization's latent absorption epochs, one ``exact_path`` per
+    absorbed path over its last two observations, on the generator of
+    ``rng.substream(0, k)``."""
+    out = []
     for k in np.flatnonzero(panel.absorbed):
-        t, x = panel.times[k], int(panel.states0[k][-2]) + 1
-        for round_ in (0, 1):
-            try:
-                jump_times, _states = bridge_sample(
-                    lam0, t[-2], x, t[-1], panel.n + 1, rng.substream(0, int(k), round_),
-                    max_attempts,
-                )
-                break
-            except BridgeBudgetError:
-                assert round_ == 0
-                retries += 1
-        out.append(jump_times[-1])
-    return np.array(out), retries
+        times, _states, _counts = exact_path(
+            lam0, panel.times[k][-2:], panel.states0[k][-2:], rng.substream(0, int(k)).generator()
+        )
+        out.append(times[-1])
+    return np.array(out)
 
 
 def test_init_absorption_times_match_bridge_sample(monkeypatch, gompertz_pi, gompertz_lam):
+    """The bridges of initialization are those of the per-path exact
+    sampler, on either body of the sweep."""
     fam = ScalingFamily(GOMPERTZ, 0.1019)
     panel = estimator._PanelArrays(make_panel(gompertz_pi, gompertz_lam, fam, 30.0, 1.0, 80, 83))
     assert 0 < panel.absorbed.sum() < panel.K  # absorbed and censored paths
     lam0 = mle_generator(estimator._naive_statistics(panel), panel.K)[1]
-    # a budget this small sends a few paths to round 1, none past it
-    cfg = FitConfig(family=GOMPERTZ, max_attempts=80)
     rng = RandomStream(2**32 + 9, (1, 2))  # a study fit's key prefix
-    want, retries = _reference_init_times(panel, lam0, cfg.max_attempts, rng)
-    assert retries > 0
+    want = _reference_init_times(panel, lam0, rng)
+    last = panel.starts[1:][panel.absorbed] - 1
+    assert np.all((want > panel.flat_times[last - 1]) & (want <= panel.flat_times[last]))
     sweep = _kernels.complete_sweep
     for body in (sweep, getattr(sweep, "py_func", sweep)):
         monkeypatch.setattr(_kernels, "complete_sweep", body)
-        got = estimator._init_absorption_times(panel, lam0, cfg, rng)
+        got = estimator._init_absorption_times(panel, lam0, rng)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -254,37 +246,51 @@ def test_bridge_budget_errors_name_path_and_segment(monkeypatch):
 
 
 def _check_errors_name_path(monkeypatch):
-    cfg = FitConfig(family=IDENTITY, max_attempts=5)
-    # no transient-to-transient rates: path b cannot go from 1 to 2
+    cfg = FitConfig(family=IDENTITY)
+    # no transient-to-transient rates: path b cannot go from 1 to 2, which
+    # is found before any path is drawn
     no_moves = SubIntensityMatrix(np.array([[-1.0, 0.0], [0.0, -1.0]]))
     data = _panel(2, [("a", [0, 1], [1, 3]), ("b", [0, 1, 2, 3], [1, 1, 2, 3])])
     pi = InitialDistribution(np.array([1.0, 0.0]))
-    with pytest.raises(BridgeBudgetError, match="^iteration 1: path b, segment 1: ") as exc:
+    with pytest.raises(StructuralError, match=(
+        r"^iteration 1: path b, segment 1: bridge from state 1 to state 2 over duration 1 "
+        "has probability 0 under this generator$"
+    )):
         sem_iteration(data, pi, no_moves, None, cfg, RandomStream(1), 1)
-    assert (exc.value.path_id, exc.value.segment, exc.value.attempts) == ("b", 1, 5)
-    assert (exc.value.start, exc.value.end, exc.value.duration) == (1, 2, 1.0)
     # initialization bridges the final segment; state 2 cannot exit
     stuck = SubIntensityMatrix(np.array([[-1.0, 0.0], [0.0, 0.0]]))
     data = _panel(2, [("a", [0, 1], [1, 3]), ("b", [0, 1, 2], [1, 2, 3])])
-    with pytest.raises(BridgeBudgetError, match="^path b, segment 1: ") as exc:
-        estimator._init_absorption_times(
-            estimator._PanelArrays(data), stuck, cfg, RandomStream(1)
-        )
-    assert (exc.value.start, exc.value.end) == (2, 3)
-    # a path needing more jumps than the per-path buffer holds (a
-    # NumericalError carries no iteration)
+    with pytest.raises(StructuralError, match=(
+        "^path b, segment 1: bridge from state 2 to state 3 over duration 1 has probability 0"
+    )):
+        estimator._init_absorption_times(estimator._PanelArrays(data), stuck, RandomStream(1))
+    # a bridge needing more virtual jumps than the cap: mu * delta = 50
     flips = SubIntensityMatrix(np.array([[-50.0, 49.99], [49.99, -50.0]]))
     data = _panel(2, [("b", [0, 1], [1, 1]), ("a", [0, 1], [2, 3])])
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "_VIRTUAL_CAP", 8)
+        with pytest.raises(NumericalError, match=(
+            "^path b, segment 0: bridge from state 1 to state 1 over duration 1 needs more "
+            "than 8 virtual jumps$"
+        )):
+            sem_iteration(data, pi, flips, None, cfg, RandomStream(1), 2)
+    # two jumps to fit in the one float of (1, 1 + 2**-52]: state 1 must
+    # pass through state 2 to absorb (numerical errors carry no iteration)
+    chain = SubIntensityMatrix(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+    tight = _panel(2, [("a", [0, 1], [1, 3]), ("b", [0, 1, np.nextafter(1.0, 2.0)], [1, 1, 3])])
+    with pytest.raises(NumericalError, match=(
+        "^path b, segment 1: bridge from state 1 to state 3 over duration "
+        "2.22045e-16 runs out of floating-point resolution$"
+    )):
+        sem_iteration(tight, pi, chain, None, cfg, RandomStream(1), 2)
+    # a path needing more jumps than the per-path buffer holds
     monkeypatch.setattr(estimator, "_PATH_CAP", 8)
-    cfg = FitConfig(family=IDENTITY, max_attempts=10**6)
     with pytest.raises(NumericalError, match="^path b: completion exceeded 8 jumps$"):
         sem_iteration(data, pi, flips, None, cfg, RandomStream(1), 2)
     # so does initialization, where b is the only absorbed path
     data = _panel(2, [("a", [0, 1], [2, 2]), ("b", [0, 1, 2], [2, 1, 3])])
     with pytest.raises(NumericalError, match="^path b: completion exceeded 8 jumps$"):
-        estimator._init_absorption_times(
-            estimator._PanelArrays(data), flips, cfg, RandomStream(1)
-        )
+        estimator._init_absorption_times(estimator._PanelArrays(data), flips, RandomStream(1))
     # a censored path running into a state without exit, past the
     # reachability check
     monkeypatch.setattr(estimator, "_PATH_CAP", 1 << 16)
@@ -297,10 +303,6 @@ def _check_errors_name_path(monkeypatch):
         for seed in range(50):  # until path b jumps to state 2 before absorbing
             with contextlib.suppress(StarvedStateError):  # absorbed from state 1
                 sem_iteration(data, pi, trap, None, cfg, RandomStream(seed), 3)
-
-
-# ---------------------------------------------------------------------------
-# SEM iteration at the truth
 
 
 def test_sem_iteration_near_fixed_point(weibull_pi, weibull_lam):
@@ -363,6 +365,31 @@ def test_fit_trace_invariants(small_gompertz_fit):
     if result.termination == "single-update-converged":
         assert result.trace[-1].gd_updates == 1
         assert all(rec.gd_updates > 1 for rec in result.trace[:-1])
+
+
+def test_fit_trace_carries_each_sweeps_work(small_gompertz_fit):
+    data, result = small_gompertz_fit
+    censored = len(data) - data.absorbed_count()
+    for rec in result.trace:
+        assert isinstance(rec.work, estimator.SweepWork)
+        assert rec.work.virtual_jumps > 0 and rec.work.series > 0
+        assert rec.work.censored == censored
+        assert rec.work.jumps_kept >= data.absorbed_count()
+
+
+def test_sweep_maps_times_as_the_checked_calls(gompertz_pi, gompertz_lam):
+    """A sweep maps the panel's distinct epochs and the imputed absorption
+    epochs through the unchecked terms; the values are the checked public
+    calls' bit for bit."""
+    fam = ScalingFamily(GOMPERTZ, 0.1019)
+    panel = estimator._PanelArrays(make_panel(gompertz_pi, gompertz_lam, fam, 30.0, 0.7, 40, 85))
+    assert panel.epochs.size < panel.flat_times.size
+    for family in (fam, ScalingFamily(WEIBULL, 3.0), ScalingFamily(WEIBULL, 0.7),
+                   ScalingFamily.identity()):
+        (mapped,) = family._terms(panel.epochs, g_inv_only=True)
+        want = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+        assert mapped[panel.epoch_index].tobytes() == want.tobytes()
+        assert family._g(want).tobytes() == np.asarray(family.g(want), dtype=float).tobytes()
 
 
 def test_fit_is_bitwise_reproducible(gompertz_pi, gompertz_lam):

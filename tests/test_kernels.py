@@ -1,14 +1,15 @@
 """The jump-chain kernels.
 
-The per-path Python functions (``sim_path``, ``bridge_attempts``,
-``complete_panel_path``) must end in each of their statuses.  Each
-compiled sweep must give the same result as its ``py_func``, and a CLI
-run must write the same bytes either way.  The SE-step sweep must seed
-each path's stream as ``RandomStream.generator()`` does and give the
-statistics, paths and counters of a per-path loop over
-``complete_panel_path``; the simulation sweep must give the paths of a
-per-path loop over ``sim_path``.  The build tests check the C backend's
-compile-once cache and its fallback to the Python bodies.
+The per-path Python functions (``sim_path`` and the rejection references
+``bridge_attempts`` and ``complete_panel_path``) must end in each of their
+statuses.  Each compiled sweep must give the same result as its
+``py_func``, and a CLI run must write the same bytes either way.  The
+SE-step sweep must seed each path's stream as ``RandomStream.generator()``
+does and give the statistics, paths and counters of a per-path loop over
+the exact sampler (``conftest.exact_path``); the simulation sweep must
+give the paths of a per-path loop over ``sim_path``.  The build tests
+check the C backend's compile-once cache and its fallback to the Python
+bodies.
 """
 
 import os
@@ -33,10 +34,10 @@ from iphfit import estimator
 from iphfit.cli import main
 from iphfit.likelihood import accumulate_statistics
 from iphfit.paths import HOMOGENEOUS
-from iphfit.simulate import jump_model
+from iphfit.simulate import bridge_model, jump_model
 from iphfit.studies import cohort_panel, fitted_absorption_sample, simulate_cohort, uniform_grid
 
-from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI
+from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI, exact_path
 
 KERNELS = ("complete_sweep", "simulate_sweep")
 
@@ -197,38 +198,31 @@ def _study_panel(count, horizon, seed):
     return family, estimator._PanelArrays(cohort_panel(cohort, uniform_grid(horizon, 1.0)))
 
 
-def _reference_sweep(panel, lam, family, cfg, rng, iteration):
-    """The per-path SE-step: a generator, a ContinuousPath and the statistics
-    of ``accumulate_statistics`` for each path."""
-    cum, total = jump_model(lam)
-    complete = _kernels.complete_panel_path
-    tbuf, sbuf = np.empty(estimator._PATH_CAP), np.empty(estimator._PATH_CAP, dtype=np.int64)
-    completed, attempts, retries = [], 0, 0
-    for rep in range(cfg.bridge_replications):
+def _reference_sweep(panel, lam, family, replications, rng, iteration):
+    """The per-path SE-step: for each path, its stream's generator, the
+    checked ``g_inv`` of its own times, ``exact_path``, a ContinuousPath,
+    and ``accumulate_statistics`` over them.  Also returns every bridge's
+    virtual-jump count, and the numbers of distinct (interval, state pair)
+    segments of the panel: all of them, and those whose normalizer a sweep
+    computes before any draw (all but x to x with ``mu * delta < 1``)."""
+    mu = bridge_model(lam)[2]
+    completed, counts = [], []
+    for rep in range(replications):
         for k in range(panel.K):
+            key = (iteration, int(panel.keys[k])) + ((rep,) if replications > 1 else ())
             obs_s = np.asarray(family.g_inv(panel.times[k]), dtype=float)
-            obs_x = panel.states0[k].copy()
-            for round_ in (0, 1):
-                key = (iteration, int(panel.keys[k]), round_)
-                if cfg.bridge_replications > 1:
-                    key += (rep,)
-                status, _, count, end, tried = complete(
-                    rng.substream(*key).generator(), obs_s, obs_x, cum, total, panel.n,
-                    cfg.max_attempts, tbuf, sbuf,
-                )
-                attempts += tried
-                if status == 0:
-                    break
-                assert (status, round_) == (1, 0)
-                retries += 1
-            completed.append(ContinuousPath(
-                n=panel.n,
-                times=np.concatenate(([0.0], tbuf[:count])),
-                states=np.concatenate(([obs_x[0]], sbuf[:count])) + 1,
-                end_time=float(end),
-                timeline=HOMOGENEOUS,
-            ))
-    return accumulate_statistics(completed, panel.n), completed, (attempts, retries)
+            times, states, r = exact_path(lam, obs_s, panel.states0[k],
+                                          rng.substream(*key).generator())
+            counts += r
+            completed.append(ContinuousPath(n=panel.n, times=times, states=states + 1,
+                                            end_time=float(times[-1]), timeline=HOMOGENEOUS))
+    segments = {
+        (t[i], t[i + 1], x[i], x[i + 1],
+         x[i] != x[i + 1] or mu * float(family.g_inv(t[i + 1]) - family.g_inv(t[i])) >= 1.0)
+        for t, x in zip(panel.times, panel.states0) for i in range(len(t) - 1)
+    }
+    eager = sum(segment[-1] for segment in segments)
+    return accumulate_statistics(completed, panel.n), completed, counts, (len(segments), eager)
 
 
 def _stats_bytes(stats):
@@ -245,12 +239,14 @@ def test_sweep_matches_per_path_loop(monkeypatch, replications):
     panel.keys = np.arange(9 * panel.K, 0, -9, dtype=np.int64) - 1
     panel.keys[:4] = [3, 0, 7, 2**32 + 5]
     lam = SubIntensityMatrix(GOMPERTZ_LAM)
-    # a small budget makes some paths need their second round
-    cfg = estimator.FitConfig(family="gompertz", max_attempts=80,
-                              bridge_replications=replications)
+    cfg = estimator.FitConfig(family="gompertz", bridge_replications=replications)
     rng = RandomStream(2**32 + 1, (1, 3))  # a study fit's key prefix
-    stats, paths, (attempts, retries) = _reference_sweep(panel, lam, family, cfg, rng, 6)
-    assert retries > 0
+    stats, paths, counts, (groups, eager) = _reference_sweep(
+        panel, lam, family, replications, rng, 6
+    )
+    assert eager < groups < panel.flat_times.size - panel.K  # paths share bridge groups
+    assert max(counts) > 1 and counts.count(0) > 0
+    works = []
     bodies = [_kernels.complete_sweep, getattr(_kernels.complete_sweep, "py_func", None)]
     for body in bodies:
         if body is None:
@@ -263,61 +259,71 @@ def test_sweep_matches_per_path_loop(monkeypatch, replications):
         assert flat.times.tobytes() == np.concatenate([p.times for p in paths]).tobytes()
         assert (flat.states + 1).tolist() == np.concatenate([p.states for p in paths]).tolist()
         assert flat.bounds.tolist() == np.cumsum([0] + [p.times.size for p in paths]).tolist()
-        assert (work.bridge_attempts, work.retries) == (attempts, retries)
+        assert work.virtual_jumps == sum(counts)
         assert work.jumps_kept == sum(p.times.size - 1 for p in paths)
+        assert work.censored == replications * int((~panel.absorbed).sum())
+        assert eager <= work.series <= groups
+        works.append(work)
+    assert all(work == works[0] for work in works)
 
 
 @compiled
 def test_sweep_overflows_where_python_body_does():
-    """Per-path buffers of 0 to 127 jumps: the same path overflows, after
-    the same attempts, or every path fits."""
+    """Per-path buffers of 0 to 127 jumps: the same path overflows, with
+    the same counters, or every path fits."""
     family, panel = _study_panel(30, 10.0, 5)
-    cum, total = jump_model(SubIntensityMatrix(GOMPERTZ_LAM))
+    cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
     obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
     args = (_kernels.stream_words(4, 1, 2), 3, 2, panel.keys, obs_s, panel.flat_states0,
-            panel.starts, cum, total, 3, 10**4)
+            panel.starts, panel.groups, cum, total, 3, mu, ptrans, 1 << 16)
     statuses = set()
     for cap in range(128):
         got = _kernels.complete_sweep(*args, cap)
         want = _kernels.complete_sweep.py_func(*args, cap)
-        assert got[:5] == want[:5]
+        assert got[:4] == want[:4]
         statuses.add(got[0])
         if got[0] == 0:
-            for a, b in zip(got[5] + got[6], want[5] + want[6]):
+            for a, b in zip(got[4] + got[5], want[4] + want[5]):
                 assert a.tobytes() == b.tobytes()
     assert statuses == {0, 2}
 
 
 @compiled
 def test_sweep_hands_other_inputs_to_python_body():
-    """Other dtypes, a key vector longer than the panel or an offset
-    vector past it run the Python body; so does a negative key, which the
-    Python body refuses."""
+    """Other dtypes or layouts, a key vector longer than the panel, an
+    offset vector past it or an int mu run the Python body; so does a
+    negative key, which the Python body refuses."""
     family, panel = _study_panel(5, 10.0, 3)
-    cum, total = jump_model(SubIntensityMatrix(GOMPERTZ_LAM))
+    cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
     obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
     words = _kernels.stream_words(9)
-    keys = panel.keys
+    keys, groups = panel.keys, panel.groups
     past = panel.starts.copy()
     past[-1] += 1
-    rest = (cum, total, 3, 50, 64)
+    strided = np.repeat(groups, 2)[::2]
     for args in [
-        (words.astype(np.int64), keys, panel.flat_states0, panel.starts),  # SeedSequence takes these
-        (words, keys.astype(np.int32), panel.flat_states0, panel.starts),
-        (words, np.append(keys, 9), panel.flat_states0, panel.starts),
-        (words, keys, panel.flat_states0.astype(np.int32), panel.starts),
-        (words, keys, panel.flat_states0, past),
+        (words.astype(np.int64), keys, panel.flat_states0, panel.starts, groups, mu),
+        (words, keys.astype(np.int32), panel.flat_states0, panel.starts, groups, mu),
+        (words, np.append(keys, 9), panel.flat_states0, panel.starts, groups, mu),
+        (words, keys, panel.flat_states0.astype(np.int32), panel.starts, groups, mu),
+        (words, keys, panel.flat_states0, past, groups, mu),
+        (words, keys, panel.flat_states0, panel.starts, groups.astype(np.int32), mu),
+        (words, keys, panel.flat_states0, panel.starts, strided, mu),
+        (words, keys, panel.flat_states0, panel.starts, groups, 1),
     ]:
-        got = _kernels.complete_sweep(args[0], 1, 1, args[1], obs_s, *args[2:], *rest)
-        want = _kernels.complete_sweep.py_func(args[0], 1, 1, args[1], obs_s, *args[2:], *rest)
-        assert got[:5] == want[:5] and got[0] == 0
-        for a, b in zip(got[5] + got[6], want[5] + want[6]):
+        w, k, x, st, g, m = args
+        rest = (cum, total, 3, m, ptrans, 1 << 16, 64)
+        got = _kernels.complete_sweep(w, 1, 1, k, obs_s, x, st, g, *rest)
+        want = _kernels.complete_sweep.py_func(w, 1, 1, k, obs_s, x, st, g, *rest)
+        assert got[:4] == want[:4] and got[0] == 0
+        for a, b in zip(got[4] + got[5], want[4] + want[5]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     negative = keys.copy()
     negative[2] = -1
+    rest = (cum, total, 3, mu, ptrans, 1 << 16, 64)
     for body in (_kernels.complete_sweep, _kernels.complete_sweep.py_func):
         with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
-            body(words, 1, 1, negative, obs_s, panel.flat_states0, panel.starts, *rest)
+            body(words, 1, 1, negative, obs_s, panel.flat_states0, panel.starts, groups, *rest)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from iphfit import (
     check_absorbable,
     sem_iteration,
 )
-from iphfit.simulate import bridge_sample, jump_model, observe, simulate_paths
+from iphfit.simulate import bridge_model, bridge_sample, jump_model, observe, simulate_paths
 from iphfit.studies import cohort_panel, simulate_cohort
 
 ONE_STATE = SubIntensityMatrix(np.array([[-1.0]]))
@@ -302,11 +302,11 @@ def _complete_censored(m, last_state, seed, count):
     """``count`` paths, each observed once, at 0 in ``last_state``, completed
     by one SE-step sweep as a fit runs it: returns the completed paths'
     jump epochs, 0-based states and offsets, and their absorption epochs."""
-    cum, total = jump_model(m)
+    cum, total, mu, ptrans = bridge_model(m)
     status, *_, paths = _kernels.complete_sweep(
         _kernels.stream_words(seed), 1, 1, np.arange(count, dtype=np.int64), np.zeros(count),
         np.full(count, last_state - 1, dtype=np.int64), np.arange(count + 1, dtype=np.int64),
-        cum, total, m.n, 1, 4096,
+        np.full(count, -1, dtype=np.int64), cum, total, m.n, mu, ptrans, 1, 4096,
     )
     assert status == 0
     times, states, bounds = paths
