@@ -2,9 +2,9 @@
 
 The package fits absorbing Markov models whose generator is scaled by a
 parametric time function, to trajectories observed only at discrete
-epochs.  Latent continuous paths are reconstructed by rejection-sampled
-Markov bridges inside a stochastic EM loop; the scaling parameter is
-updated by gradient ascent on the absorption-time likelihood.
+epochs.  Latent continuous paths are reconstructed by Markov bridges,
+drawn exactly by uniformization, inside a stochastic EM loop; the scaling
+parameter is updated by gradient ascent on the absorption-time likelihood.
 """
 
 from .errors import (

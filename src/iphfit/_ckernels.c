@@ -25,12 +25,14 @@
  * random bits here.  The paths (and the sufficient statistics of
  * complete_sweep) come back as flat arrays.
  *
- * Each sweep is a Kernel object holding its Python body as py_func.  A
- * call this file does not take as is (another dtype or layout, a state,
- * key or group out of range, a keyword argument) goes to py_func
- * unchanged, so every call gives the same result whichever body runs it.
- * Arguments are checked here, before any pointer is used.  A call holds
- * the GIL throughout.
+ * Each sweep is a module function taking its Python body's positional
+ * arguments.  It returns NotImplemented for a call it does not take as is
+ * (another argument count, dtype or layout, a state, key or group out of
+ * range), and _kernels.build hands that call, as any with a keyword, to
+ * the Python body, so every call gives the same result whichever body
+ * runs it.  Arguments are checked before any pointer is used or memory
+ * allocated; a real error returns NULL with an exception set.  A call
+ * holds the GIL throughout.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off with the Python and numpy
  * include directories, linked against numpy/random/lib/libnpyrandom.a.
@@ -38,9 +40,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>
 #include <math.h>
-#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -638,7 +638,7 @@ complete_path(Pcg64 *st, Chain *c, Sums *sums, double mu, npy_intp vcap, const M
     }
 }
 
-/* ---- argument checks: each returns 0, with no error set, to decline ---- */
+/* ---- argument checks: each returns 0 (or NULL), with no error set, to decline ---- */
 
 static int
 as_index(PyObject *obj, npy_intp *out)
@@ -693,9 +693,7 @@ as_model(PyObject *cum_obj, PyObject *total_obj, PyObject *n_obj, Model *m)
     return 1;
 }
 
-/* ---- the kernels: args are those of the Python body ---- */
-
-typedef PyObject *(*kernel_body)(PyObject *const *args);
+/* ---- the sweeps: args are those of the Python body ---- */
 
 /* Every observed state but the last is transient; a lone observation is
    too (the Python body would read times[-1]). */
@@ -725,8 +723,10 @@ resize(PyArrayObject *a, npy_intp size)
                   total, n, mu, ptrans, vcap, cap)
    -> (status, path, info, (virtual, kept, censored, series), stats, paths) */
 static PyObject *
-complete_sweep(PyObject *const *args)
+complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
+    if (nargs != 15)
+        Py_RETURN_NOTIMPLEMENTED;
     PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1);
     PyArrayObject *key_arr = as_array(args[3], NPY_INT64, 1);
     PyArrayObject *s_arr = as_array(args[4], NPY_FLOAT64, 1);
@@ -746,7 +746,7 @@ complete_sweep(PyObject *const *args)
         || PyArray_DIM(g_arr, 0) != PyArray_DIM(s_arr, 0) || PyArray_DIM(k_arr, 0) < 2
         || PyArray_DIM(key_arr, 0) != PyArray_DIM(k_arr, 0) - 1
         || PyArray_DIM(p_arr, 0) != m.n + 1 || PyArray_DIM(p_arr, 1) != m.n + 1)
-        return NULL;
+        Py_RETURN_NOTIMPLEMENTED;
     const double *obs_s = (const double *)PyArray_DATA(s_arr);
     const npy_int64 *obs_x = (const npy_int64 *)PyArray_DATA(x_arr);
     const npy_int64 *starts = (const npy_int64 *)PyArray_DATA(k_arr);
@@ -754,15 +754,15 @@ complete_sweep(PyObject *const *args)
     const npy_int64 *groups = (const npy_int64 *)PyArray_DATA(g_arr);
     const npy_intp K = PyArray_DIM(k_arr, 0) - 1, len = PyArray_DIM(s_arr, 0);
     if (starts[0] != 0 || starts[K] != len)
-        return NULL;
+        Py_RETURN_NOTIMPLEMENTED;
     npy_intp n_groups = 0;
     for (npy_intp k = 0; k < K; k++) {
         if (keys[k] < 0 || starts[k + 1] <= starts[k]
             || !valid_path(obs_x + starts[k], starts[k + 1] - starts[k], m.n))
-            return NULL;
+            Py_RETURN_NOTIMPLEMENTED;
         for (npy_intp i = starts[k]; i < starts[k + 1] - 1; i++) {
             if (groups[i] < 0)
-                return NULL;
+                Py_RETURN_NOTIMPLEMENTED;
             n_groups = Py_MAX(n_groups, groups[i] + 1);
         }
     }
@@ -895,8 +895,10 @@ done:
 /* simulate_sweep(words, keys, cum_pi, cum, total, n, horizon)
    -> (times, states, bounds, ends) */
 static PyObject *
-simulate_sweep(PyObject *const *args)
+simulate_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
+    if (nargs != 7)
+        Py_RETURN_NOTIMPLEMENTED;
     PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1);
     PyArrayObject *key_arr = as_array(args[1], NPY_INT64, 1);
     PyArrayObject *pi_arr = as_array(args[2], NPY_FLOAT64, 1);
@@ -905,13 +907,13 @@ simulate_sweep(PyObject *const *args)
     if (w_arr == NULL || key_arr == NULL || pi_arr == NULL
         || !as_model(args[3], args[4], args[5], &m) || !as_double(args[6], &horizon)
         || PyArray_DIM(pi_arr, 0) != m.n)
-        return NULL;
+        Py_RETURN_NOTIMPLEMENTED;
     const npy_int64 *keys = (const npy_int64 *)PyArray_DATA(key_arr);
     const double *cum_pi = (const double *)PyArray_DATA(pi_arr);
     npy_intp K = PyArray_DIM(key_arr, 0);
     for (npy_intp k = 0; k < K; k++)
         if (keys[k] < 0)
-            return NULL;
+            Py_RETURN_NOTIMPLEMENTED;
 
     const npy_intp nwords = PyArray_DIM(w_arr, 0);
     npy_intp paths = K + 1, capacity = 4 * K + 64;
@@ -975,116 +977,6 @@ done:
     return result;
 }
 
-static const struct {
-    const char *name;
-    kernel_body body;
-    Py_ssize_t nargs;
-} BODIES[] = {
-    {"complete_sweep", complete_sweep, 15},
-    {"simulate_sweep", simulate_sweep, 7},
-};
-
-/* ---- the Kernel type ---- */
-
-typedef struct {
-    PyObject_HEAD
-    vectorcallfunc vectorcall;
-    kernel_body body;
-    Py_ssize_t nargs;
-    PyObject *py_func;
-    PyObject *dict;
-} Kernel;
-
-static PyObject *
-Kernel_vectorcall(PyObject *self, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    Kernel *kernel = (Kernel *)self;
-    const Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    if (kwnames == NULL && nargs == kernel->nargs) {
-        PyObject *result = kernel->body(args);
-        if (result != NULL || PyErr_Occurred())
-            return result;
-    }
-    return PyObject_Vectorcall(kernel->py_func, args, nargsf, kwnames);
-}
-
-static int
-Kernel_traverse(Kernel *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->py_func);
-    Py_VISIT(self->dict);
-    return 0;
-}
-
-static int
-Kernel_clear(Kernel *self)
-{
-    Py_CLEAR(self->py_func);
-    Py_CLEAR(self->dict);
-    return 0;
-}
-
-static void
-Kernel_dealloc(Kernel *self)
-{
-    PyObject_GC_UnTrack(self);
-    Kernel_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyMemberDef Kernel_members[] = {
-    {"py_func", T_OBJECT_EX, offsetof(Kernel, py_func), READONLY,
-     "The Python body, which runs the calls the compiled one declines."},
-    {NULL},
-};
-
-static PyGetSetDef Kernel_getset[] = {
-    {"__dict__", PyObject_GenericGetDict, PyObject_GenericSetDict, NULL, NULL},
-    {NULL},
-};
-
-static PyTypeObject KernelType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "iphfit._ckernels.Kernel",
-    .tp_doc = "A compiled sweep; py_func is its Python body.",
-    .tp_basicsize = sizeof(Kernel),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_vectorcall_offset = offsetof(Kernel, vectorcall),
-    .tp_call = PyVectorcall_Call,
-    .tp_dictoffset = offsetof(Kernel, dict),
-    .tp_traverse = (traverseproc)Kernel_traverse,
-    .tp_clear = (inquiry)Kernel_clear,
-    .tp_dealloc = (destructor)Kernel_dealloc,
-    .tp_members = Kernel_members,
-    .tp_getset = Kernel_getset,
-};
-
-/* kernel(name, py_func): the compiled body called `name`, falling back to py_func. */
-static PyObject *
-make_kernel(PyObject *Py_UNUSED(module), PyObject *args)
-{
-    const char *name;
-    PyObject *py_func;
-    if (!PyArg_ParseTuple(args, "sO:kernel", &name, &py_func))
-        return NULL;
-    for (size_t i = 0; i < sizeof(BODIES) / sizeof(BODIES[0]); i++) {
-        if (strcmp(BODIES[i].name, name) != 0)
-            continue;
-        Kernel *self = PyObject_GC_New(Kernel, &KernelType);
-        if (self == NULL)
-            return NULL;
-        self->vectorcall = Kernel_vectorcall;
-        self->body = BODIES[i].body;
-        self->nargs = BODIES[i].nargs;
-        Py_INCREF(py_func);
-        self->py_func = py_func;
-        self->dict = NULL;
-        PyObject_GC_Track(self);
-        return (PyObject *)self;
-    }
-    return PyErr_Format(PyExc_ValueError, "no compiled kernel named %s", name);
-}
-
 static PyObject *
 u128_to_long(u128 v)
 {
@@ -1144,8 +1036,10 @@ stream_draws(PyObject *Py_UNUSED(module), PyObject *args)
 }
 
 static PyMethodDef module_methods[] = {
-    {"kernel", make_kernel, METH_VARARGS,
-     "kernel(name, py_func): the compiled kernel `name`, with py_func as its Python body."},
+    {"complete_sweep", (PyCFunction)(void (*)(void))complete_sweep, METH_FASTCALL,
+     "The SE-step sweep, or NotImplemented for a call it declines."},
+    {"simulate_sweep", (PyCFunction)(void (*)(void))simulate_sweep, METH_FASTCALL,
+     "The simulation sweep, or NotImplemented for a call it declines."},
     {"stream_draws", stream_draws, METH_VARARGS,
      "stream_draws(words, count): draws from the sweeps' stream for these entropy words."},
     {NULL, NULL, 0, NULL},
@@ -1163,7 +1057,5 @@ PyMODINIT_FUNC
 PyInit__ckernels(void)
 {
     import_array();
-    if (PyType_Ready(&KernelType) < 0)
-        return NULL;
     return PyModule_Create(&module_def);
 }

@@ -35,8 +35,10 @@ tried in this order:
 
 ``BACKEND`` names the one in use.  The C sweeps consume each bit stream
 exactly like the Python bodies do and compute every float the same way,
-so both backends produce bitwise-identical paths; a compiled sweep
-exposes its Python body as ``py_func``, which runs Python throughout.
+so both backends produce bitwise-identical paths.  A compiled sweep
+exposes its Python body as ``py_func``, which runs Python throughout, and
+hands it any call the C body does not take as is: one with a keyword, or
+one the C body declines by returning ``NotImplemented``.
 
 Conventions inside this module only: states are 0-based, the absorbing
 state has index n, and ``cum[x]`` holds the cumulative rates out of x over
@@ -609,9 +611,19 @@ def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
         module = _load_c(cc, cache_dir)
     except (OSError, ImportError, subprocess.SubprocessError):
         return "pure-python", _PY_SWEEPS
-    return "c", tuple(
-        functools.update_wrapper(module.kernel(f.__name__, f), f) for f in _PY_SWEEPS
-    )
+
+    def bind(py_body):
+        c_body = getattr(module, py_body.__name__)
+
+        @functools.wraps(py_body)
+        def sweep(*args, **kwargs):
+            result = NotImplemented if kwargs else c_body(*args)
+            return py_body(*args, **kwargs) if result is NotImplemented else result
+
+        sweep.py_func = py_body
+        return sweep
+
+    return "c", tuple(map(bind, _PY_SWEEPS))
 
 
 def _load_c(cc: str, cache_dir: str):

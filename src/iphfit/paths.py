@@ -277,8 +277,11 @@ class RandomStream:
         seed = int(seed)
         if seed < 0:
             raise ValidationError("seed must be a non-negative integer")
+        key = tuple(int(k) for k in key)
+        if any(k < 0 for k in key):
+            raise ValidationError("stream keys must be non-negative integers")
         self.seed = seed
-        self.key = tuple(int(k) for k in key)
+        self.key = key
 
     def substream(self, *key: int) -> "RandomStream":
         return RandomStream(self.seed, self.key + tuple(key))

@@ -13,6 +13,7 @@ bodies.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -291,8 +292,9 @@ def test_sweep_overflows_where_python_body_does():
 @compiled
 def test_sweep_hands_other_inputs_to_python_body():
     """Other dtypes or layouts, a key vector longer than the panel, an
-    offset vector past it or an int mu run the Python body; so does a
-    negative key, which the Python body refuses."""
+    offset vector past it, an int mu or a keyword argument run the Python
+    body; so do a negative key, which the Python body refuses, and a
+    missing argument, for which it raises its own TypeError."""
     family, panel = _study_panel(5, 10.0, 3)
     cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
     obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
@@ -318,12 +320,22 @@ def test_sweep_hands_other_inputs_to_python_body():
         assert got[:4] == want[:4] and got[0] == 0
         for a, b in zip(got[4] + got[5], want[4] + want[5]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    rest = (cum, total, 3, mu, ptrans, 1 << 16)
+    args = (words, 1, 1, keys, obs_s, panel.flat_states0, panel.starts, groups, *rest)
+    got = _kernels.complete_sweep(*args, cap=64)
+    want = _kernels.complete_sweep.py_func(*args, 64)
+    assert got[:4] == want[:4] and got[0] == 0
+    for a, b in zip(got[4] + got[5], want[4] + want[5]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    with pytest.raises(TypeError) as py_error:
+        _kernels.complete_sweep.py_func(*args)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(py_error.value))}$"):
+        _kernels.complete_sweep(*args)
     negative = keys.copy()
     negative[2] = -1
-    rest = (cum, total, 3, mu, ptrans, 1 << 16, 64)
     for body in (_kernels.complete_sweep, _kernels.complete_sweep.py_func):
         with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
-            body(words, 1, 1, negative, obs_s, panel.flat_states0, panel.starts, groups, *rest)
+            body(words, 1, 1, negative, obs_s, panel.flat_states0, panel.starts, groups, *rest, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +454,9 @@ def test_simulation_checks_absorbability_of_drawn_states():
 @compiled
 def test_simulate_sweep_hands_other_inputs_to_python_body():
     """int32 keys, int64 words, an int horizon, a cum_pi of another length
-    or a keyword argument run the Python body; so does a negative key,
-    which it refuses."""
+    or a keyword argument run the Python body; so do a negative key, which
+    it refuses, and a missing argument, for which it raises its own
+    TypeError."""
     cum, total = GOMPERTZ
     words = _kernels.stream_words(8, 2)
     keys = np.arange(40, dtype=np.int64)
@@ -462,6 +475,10 @@ def test_simulate_sweep_hands_other_inputs_to_python_body():
     got = kernel(words, keys, cum_pi, cum, total, 3, horizon=50.0)
     for a, b in zip(got, kernel.py_func(words, keys, cum_pi, cum, total, 3, 50.0)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    with pytest.raises(TypeError) as py_error:
+        kernel.py_func(words, keys, cum_pi, cum, total, 3)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(py_error.value))}$"):
+        kernel(words, keys, cum_pi, cum, total, 3)
     negative = keys.copy()
     negative[5] = -1
     for body in (kernel, kernel.py_func):
@@ -554,6 +571,21 @@ def test_build_compiles_once_into_its_cache(tmp_path):
             cum, total, 3, np.inf)
     results = [[a.tobytes() for a in sweep(*args)] for sweep in (first[1], again[1])]
     assert results[0] == results[1]
+
+
+@compiled
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_c_source_compiles_without_warnings(tmp_path):
+    """``_ckernels.c`` under ``-Wall -Wextra -Werror``, with the flags and
+    include directories of the build.  A full compile, not
+    ``-fsyntax-only``, which does not report unused functions."""
+    includes = [sysconfig.get_paths()["include"], np.get_include()]
+    result = subprocess.run(
+        ["cc", *_kernels._C_FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
+         *(f"-I{d}" for d in includes), _kernels._C_SOURCE, "-o", str(tmp_path / "ckernels.o")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @compiled

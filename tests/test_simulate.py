@@ -103,6 +103,16 @@ def test_reproducible_draws(gompertz_lam, gompertz_pi):
     assert a.end_times.tobytes() == b.end_times.tobytes()
 
 
+def test_random_stream_rejects_negative_seed_and_keys():
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        RandomStream(-1)
+    with pytest.raises(ValidationError, match="stream keys must be non-negative integers"):
+        RandomStream(0, (-1,))
+    with pytest.raises(ValidationError, match="stream keys must be non-negative integers"):
+        RandomStream(3).substream(2, -1)
+    assert RandomStream(3).substream(2, 0).key == (2, 0)
+
+
 # ---------------------------------------------------------------------------
 # inhomogeneous simulation
 
