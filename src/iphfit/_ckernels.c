@@ -719,29 +719,29 @@ resize(PyArrayObject *a, npy_intp size)
     return res == NULL ? -1 : 0;
 }
 
-/* complete_sweep(words, iteration, replications, keys, obs_s, obs_x, starts, groups, cum,
-                  total, n, mu, ptrans, vcap, cap)
+/* complete_sweep(words, iteration, keys, obs_s, obs_x, starts, groups, cum, total, n, mu,
+                  ptrans, vcap, cap)
    -> (status, path, info, (virtual, kept, censored, series), stats, paths) */
 static PyObject *
 complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 15)
+    if (nargs != 14)
         Py_RETURN_NOTIMPLEMENTED;
     PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1);
-    PyArrayObject *key_arr = as_array(args[3], NPY_INT64, 1);
-    PyArrayObject *s_arr = as_array(args[4], NPY_FLOAT64, 1);
-    PyArrayObject *x_arr = as_array(args[5], NPY_INT64, 1);
-    PyArrayObject *k_arr = as_array(args[6], NPY_INT64, 1);
-    PyArrayObject *g_arr = as_array(args[7], NPY_INT64, 1);
-    PyArrayObject *p_arr = as_array(args[12], NPY_FLOAT64, 2);
-    npy_intp iteration, replications, vcap, cap;
+    PyArrayObject *key_arr = as_array(args[2], NPY_INT64, 1);
+    PyArrayObject *s_arr = as_array(args[3], NPY_FLOAT64, 1);
+    PyArrayObject *x_arr = as_array(args[4], NPY_INT64, 1);
+    PyArrayObject *k_arr = as_array(args[5], NPY_INT64, 1);
+    PyArrayObject *g_arr = as_array(args[6], NPY_INT64, 1);
+    PyArrayObject *p_arr = as_array(args[11], NPY_FLOAT64, 2);
+    npy_intp iteration, vcap, cap;
     double mu;
     Model m;
     if (w_arr == NULL || key_arr == NULL || s_arr == NULL || x_arr == NULL || k_arr == NULL
         || g_arr == NULL || p_arr == NULL || !as_index(args[1], &iteration)
-        || !as_index(args[2], &replications) || !as_model(args[8], args[9], args[10], &m)
-        || !as_double(args[11], &mu) || !as_index(args[13], &vcap) || !as_index(args[14], &cap)
-        || iteration < 0 || replications < 1 || vcap < 0 || cap < 0
+        || !as_model(args[7], args[8], args[9], &m) || !as_double(args[10], &mu)
+        || !as_index(args[12], &vcap) || !as_index(args[13], &cap)
+        || iteration < 0 || vcap < 0 || cap < 0
         || PyArray_DIM(x_arr, 0) != PyArray_DIM(s_arr, 0)
         || PyArray_DIM(g_arr, 0) != PyArray_DIM(s_arr, 0) || PyArray_DIM(k_arr, 0) < 2
         || PyArray_DIM(key_arr, 0) != PyArray_DIM(k_arr, 0) - 1
@@ -768,8 +768,7 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     }
 
     const npy_intp n = m.n, n1 = n + 1, nwords = PyArray_DIM(w_arr, 0);
-    npy_intp dims[2] = {n, n}, paths = replications * K + 1;
-    npy_intp capacity = len * replications + cap + 1;
+    npy_intp dims[2] = {n, n}, paths = K + 1, capacity = len + cap + 1;
     PyArrayObject *b = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_INT64, 0);
     PyArrayObject *nt = (PyArrayObject *)PyArray_ZEROS(2, dims, NPY_INT64, 0);
     PyArrayObject *na = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_INT64, 0);
@@ -777,8 +776,8 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     PyArrayObject *bounds = (PyArrayObject *)PyArray_EMPTY(1, &paths, NPY_INT64, 0);
     PyArrayObject *times = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_FLOAT64, 0);
     PyArrayObject *states = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_INT64, 0);
-    /* the stream's words, then those of (iteration, keys[k][, rep]) */
-    uint32_t *words = PyMem_Malloc((nwords + 6) * sizeof(uint32_t));
+    /* the stream's words, then those of (iteration, keys[k]) */
+    uint32_t *words = PyMem_Malloc((nwords + 4) * sizeof(uint32_t));
     Norm *norms = PyMem_Malloc(Py_MAX(n_groups, 1) * sizeof(Norm));
     Chain chain = {(const double *)PyArray_DATA(p_arr), n1,
                    PyMem_Malloc(16 * n1 * n1 * sizeof(double)), 1, 16, NULL, 0};
@@ -819,52 +818,47 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     npy_int64 *B = (npy_int64 *)PyArray_DATA(b), *N = (npy_int64 *)PyArray_DATA(nt);
     npy_int64 *NA = (npy_int64 *)PyArray_DATA(na), *bound = (npy_int64 *)PyArray_DATA(bounds);
     double *R = (double *)PyArray_DATA(r);
-    npy_intp used = 0, done_paths = 0;
+    npy_intp used = 0;
     bound[0] = 0;
-    for (npy_intp rep = 0; rep < replications; rep++) {
-        for (npy_intp k = 0; k < K; k++) {
-            if (used + 1 + cap > capacity) {
-                capacity = Py_MAX(2 * capacity, used + 1 + cap);
-                if (resize(times, capacity) < 0 || resize(states, capacity) < 0)
-                    goto done;
-            }
-            double *t = (double *)PyArray_DATA(times) + used;
-            npy_int64 *x = (npy_int64 *)PyArray_DATA(states) + used;
-            const Buffers out = {t + 1, x + 1, cap};
-            const npy_intp a = starts[k], last = starts[k + 1] - a - 1;
-            npy_intp count = 0, len_k = at_k + put_words(words + at_k, (npy_uint64)keys[k]);
-            double end;
-            if (replications > 1)
-                len_k += put_words(words + len_k, (npy_uint64)rep);
-            Pcg64 stream;
-            pcg64_seed(&stream, words, len_k);
-            status = complete_path(&stream, &chain, &sums, mu, vcap, &m, norms, obs_s + a,
-                                   obs_x + a,
-                                   groups + a, last, v, jumps, &out, &info, &count, &end,
-                                   &virtual, &computed);
-            if (status < 0)
+    for (npy_intp k = 0; k < K; k++) {
+        if (used + 1 + cap > capacity) {
+            capacity = Py_MAX(2 * capacity, used + 1 + cap);
+            if (resize(times, capacity) < 0 || resize(states, capacity) < 0)
                 goto done;
-            if (status != 0) {
-                path = k;
-                goto failed;
-            }
-            kept += count;
-            censored += obs_x[a + last] != n;
-            /* the entry into the first state, then the jumps: tallied as
-               accumulate_statistics does, in path order, then jump order */
-            t[0] = 0.0;
-            x[0] = obs_x[a];
-            B[x[0]]++;
-            for (npy_intp j = 1; j <= count; j++) {
-                R[x[j - 1]] += t[j] - t[j - 1];
-                if (x[j] < n)
-                    N[x[j - 1] * n + x[j]]++;
-                else
-                    NA[x[j - 1]]++;
-            }
-            used += 1 + count;
-            bound[++done_paths] = used;
         }
+        double *t = (double *)PyArray_DATA(times) + used;
+        npy_int64 *x = (npy_int64 *)PyArray_DATA(states) + used;
+        const Buffers out = {t + 1, x + 1, cap};
+        const npy_intp a = starts[k], last = starts[k + 1] - a - 1;
+        npy_intp count = 0, len_k = at_k + put_words(words + at_k, (npy_uint64)keys[k]);
+        double end;
+        Pcg64 stream;
+        pcg64_seed(&stream, words, len_k);
+        status = complete_path(&stream, &chain, &sums, mu, vcap, &m, norms, obs_s + a,
+                               obs_x + a, groups + a, last, v, jumps, &out, &info, &count, &end,
+                               &virtual, &computed);
+        if (status < 0)
+            goto done;
+        if (status != 0) {
+            path = k;
+            goto failed;
+        }
+        kept += count;
+        censored += obs_x[a + last] != n;
+        /* the entry into the first state, then the jumps: tallied as
+           accumulate_statistics does, in path order, then jump order */
+        t[0] = 0.0;
+        x[0] = obs_x[a];
+        B[x[0]]++;
+        for (npy_intp j = 1; j <= count; j++) {
+            R[x[j - 1]] += t[j] - t[j - 1];
+            if (x[j] < n)
+                N[x[j - 1] * n + x[j]]++;
+            else
+                NA[x[j - 1]]++;
+        }
+        used += 1 + count;
+        bound[k + 1] = used;
     }
     if (resize(times, used) < 0 || resize(states, used) < 0)
         goto done;

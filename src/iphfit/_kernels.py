@@ -22,9 +22,9 @@ path; a censored path then runs on unconditioned to absorption.
 on a ``numpy.random.Generator`` handed in by the caller.  The last two
 draw bridges by rejection: they are plain Python, kept as references for
 ``bridge_sample``, the tests and the benchmark.  The forward runs rest on
-one jump step, ``_jump``, and on ``_run_chain`` and ``_bridge_attempt``,
-which mirror the helpers of ``_ckernels.c``.  Two backends run the sweeps,
-tried in this order:
+one jump step, ``_jump``, and one loop, ``_run_chain``, which mirror the
+helpers of ``_ckernels.c``.  Two backends run the sweeps, tried in this
+order:
 
 - C: ``_ckernels.c``, compiled on the first import and cached in this
   package's ``__pycache__`` under a name keyed by the source, the
@@ -108,29 +108,6 @@ def _run_chain(gen, cum, total, n, state, t, horizon, times, states, count):
             return 1, count, state, t
 
 
-def _bridge_attempt(gen, cum, total, n, x, s1, duration, times, states, start):
-    """One rejection attempt: the chain from x over ``(0, duration]``, its
-    jumps written at epochs ``s1 + t`` from index ``start`` on.  Returns
-    ``(state, k)``: the state occupied at ``duration``, or -1 when a jump
-    finds the buffers full, and the number of jumps written."""
-    cap = times.shape[0]
-    state = x
-    t = 0.0
-    k = 0
-    while True:
-        nxt, t = _jump(gen, cum, total, n, state, t, duration)
-        if nxt < 0:
-            return state, k
-        if start + k == cap:
-            return -1, k
-        times[start + k] = s1 + t
-        states[start + k] = nxt
-        k += 1
-        state = nxt
-        if nxt == n:
-            return state, k
-
-
 def sim_path(gen, state, t, horizon, cum, total, n, times, states):
     """Simulate the jump chain from ``state`` at time ``t``.
 
@@ -146,18 +123,23 @@ def sim_path(gen, state, t, horizon, cum, total, n, times, states):
     return status, count, state, t
 
 
-def bridge_attempts(gen, x, y, duration, cum, total, n, max_attempts, times, states):
+def bridge_attempts(gen, x, y, duration, cum, total, n, max_attempts, times, states, start=0):
     """Rejection-sample a path from x over ``duration`` ending in y.
 
-    Each attempt resimulates the jump chain from scratch; an attempt is
+    Each attempt resimulates the jump chain from scratch, writing its jumps
+    to the buffers from index ``start`` on at epochs from 0; an attempt is
     accepted iff the state occupied at ``duration`` equals y (an absorbed
-    chain stays absorbed).  Returns ``(status, attempts, count)`` with
-    status 0 = accepted (``count`` jumps in the buffers), 1 = budget
-    exhausted, 2 = buffer overflow within an attempt.
+    chain stays absorbed).  An attempt that fills the buffers is still
+    accepted if it makes no further jump before ``duration``.  Returns
+    ``(status, attempts, count)`` with status 0 = accepted (its jumps at
+    ``start:count``), 1 = budget exhausted, 2 = buffer overflow within an
+    attempt.
     """
     for attempt in range(1, max_attempts + 1):
-        state, count = _bridge_attempt(gen, cum, total, n, x, 0.0, duration, times, states, 0)
-        if state < 0:
+        status, count, state, t = _run_chain(
+            gen, cum, total, n, x, 0.0, duration, times, states, start
+        )
+        if status == 0 and _jump(gen, cum, total, n, state, t, duration)[0] >= 0:
             return 2, attempt, 0
         if state == y:
             return 0, attempt, count
@@ -170,35 +152,29 @@ def complete_panel_path(gen, obs_s, obs_x, cum, total, n, max_attempts, times, s
 
     ``obs_s`` are the observation epochs on the homogeneous scale and
     ``obs_x`` the observed 0-based states (absorbing = n).  Every
-    inter-observation segment is bridged by rejection; if the final
-    observed state is transient the chain is then simulated to absorption.
-    Jump epochs are absolute.  Returns ``(status, info, count, end_time,
-    attempts)`` with status 0 = completed (``end_time`` is the absorption
-    epoch), 1 = bridge budget exhausted on segment ``info``, 2 = buffer
-    overflow, 3 = dead-end state reached during the censored continuation;
-    ``attempts`` counts the bridge attempts started.  The sweeps do not
-    call it; it is the rejection reference.
+    inter-observation segment is bridged by ``bridge_attempts``; if the
+    final observed state is transient the chain is then simulated to
+    absorption.  Jump epochs are absolute.  Returns ``(status, info,
+    count, end_time, attempts)`` with status 0 = completed (``end_time``
+    is the absorption epoch), 1 = bridge budget exhausted on segment
+    ``info``, 2 = buffer overflow, 3 = dead-end state reached during the
+    censored continuation; ``attempts`` counts the bridge attempts
+    started.  The sweeps do not call it; it is the rejection reference.
     """
     count = 0
     attempts = 0
     m = obs_s.shape[0] - 1
     for seg in range(m):
         s1 = obs_s[seg]
-        duration = obs_s[seg + 1] - s1
-        accepted = False
-        for _attempt in range(max_attempts):
-            attempts += 1
-            state, k = _bridge_attempt(
-                gen, cum, total, n, obs_x[seg], s1, duration, times, states, count
-            )
-            if state < 0:
-                return 2, seg, 0, 0.0, attempts
-            if state == obs_x[seg + 1]:
-                count += k
-                accepted = True
-                break
-        if not accepted:
-            return 1, seg, 0, 0.0, attempts
+        status, used, end = bridge_attempts(
+            gen, obs_x[seg], obs_x[seg + 1], obs_s[seg + 1] - s1, cum, total, n, max_attempts,
+            times, states, count,
+        )
+        attempts += used
+        if status:
+            return status, seg, 0, 0.0, attempts
+        times[count:end] += s1
+        count = end
     if obs_x[m] == n:
         return 0, m, count, times[count - 1], attempts
     status, count, _state, t = _run_chain(
@@ -465,11 +441,10 @@ def _complete_path(
 
 
 def complete_sweep(
-    words, iteration, replications, keys, obs_s, obs_x, starts, groups, cum, total, n, mu,
-    ptrans, vcap, cap,
+    words, iteration, keys, obs_s, obs_x, starts, groups, cum, total, n, mu, ptrans, vcap, cap
 ):
-    """Complete every path ``replications`` times: one SE-step, or the
-    bridges of initialization.
+    """Complete every path once: one SE-step, or the bridges of
+    initialization.
 
     Path k is observed at the epochs ``obs_s[starts[k]:starts[k + 1]]`` in
     the 0-based states ``obs_x[...]``; ``groups[i]`` names the bridge
@@ -481,9 +456,7 @@ def complete_sweep(
     with ``mu * delta < 1`` waits for a draw that needs it); then path k is
     completed by ``_complete_path`` with ``cap`` jumps of room, drawing
     from the PCG64 generator of ``SeedSequence(words +
-    stream_words(iteration, keys[k]))``, with ``rep`` appended when
-    ``replications > 1``.  Paths are completed with ``rep`` outer and
-    ``k`` inner.
+    stream_words(iteration, keys[k]))``, in path order.
 
     Returns ``(status, path, info, work, stats, paths)``.  ``work`` is
     ``(virtual, kept, censored, series)``: the virtual jumps drawn, the
@@ -509,23 +482,21 @@ def complete_sweep(
     tbuf = np.empty(cap, dtype=np.float64)
     sbuf = np.empty(cap, dtype=np.int64)
     pieces_t, pieces_s = [], []
-    for rep in range(replications):
-        for k in range(starts.shape[0] - 1):
-            a, z = starts[k], starts[k + 1]
-            key = (iteration, keys[k]) if replications == 1 else (iteration, keys[k], rep)
-            seed = np.random.SeedSequence(np.concatenate((words, stream_words(*key))))
-            status, info, count, _end, virtual, computed = _complete_path(
-                np.random.default_rng(seed), chain, steps, norms, mu, vcap, obs_s[a:z],
-                obs_x[a:z], groups[a:z], cum, total, n, tbuf, sbuf,
-            )
-            work[0] += virtual
-            work[3] += computed
-            if status != 0:
-                return status, k, info, tuple(work), None, None
-            work[1] += count
-            work[2] += int(obs_x[a:z][-1] != n)
-            pieces_t.append(np.concatenate(([0.0], tbuf[:count])))
-            pieces_s.append(np.concatenate((obs_x[a:a + 1], sbuf[:count])))
+    for k in range(starts.shape[0] - 1):
+        a, z = starts[k], starts[k + 1]
+        seed = np.random.SeedSequence(np.concatenate((words, stream_words(iteration, keys[k]))))
+        status, info, count, _end, virtual, computed = _complete_path(
+            np.random.default_rng(seed), chain, steps, norms, mu, vcap, obs_s[a:z], obs_x[a:z],
+            groups[a:z], cum, total, n, tbuf, sbuf,
+        )
+        work[0] += virtual
+        work[3] += computed
+        if status != 0:
+            return status, k, info, tuple(work), None, None
+        work[1] += count
+        work[2] += int(obs_x[a:z][-1] != n)
+        pieces_t.append(np.concatenate(([0.0], tbuf[:count])))
+        pieces_s.append(np.concatenate((obs_x[a:a + 1], sbuf[:count])))
     times = np.concatenate(pieces_t)
     states = np.concatenate(pieces_s)
     bounds = np.concatenate(([0], np.cumsum([p.size for p in pieces_t]))).astype(np.int64)

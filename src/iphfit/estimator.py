@@ -14,7 +14,7 @@ homogeneous path (no time transform) to get Lambda0, samples a latent
 absorption time for each absorbed path by bridging its final segment, and
 refines beta0 on those times.  Those bridges run through the SE-step's
 sweep kernel too, as one call over the absorbed paths' last two
-observations (iteration key 0, one replication).
+observations (iteration key 0).
 
 The identity family is the plain homogeneous model: the same loop with the
 identity transform and no beta machinery, run for a fixed number of
@@ -78,7 +78,6 @@ class FitConfig:
     seed: int = 0
     homog_iterations: int = 300
     homog_tail_average: int = 20
-    bridge_replications: int = 1
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -91,8 +90,6 @@ class FitConfig:
             raise ValidationError("need beta0 >= beta_min > 0")
         if self.max_sem_iterations < 1 or self.gd_max_steps < 1:
             raise ValidationError("iteration caps must be positive")
-        if self.bridge_replications < 1:
-            raise ValidationError("bridge_replications must be >= 1")
         if not (1 <= self.homog_tail_average <= self.homog_iterations):
             raise ValidationError(
                 "need 1 <= homog_tail_average <= homog_iterations"
@@ -276,7 +273,7 @@ def _init_absorption_times(
     starts = np.arange(0, rows.size + 1, 2)
     _stats, paths, _work = _sweep(
         panel, keys, panel.flat_times[rows], panel.flat_states0[rows], starts,
-        panel.groups[rows], lam0, rng, 0, 1,
+        panel.groups[rows], lam0, rng, 0,
     )
     return paths.end_times
 
@@ -291,23 +288,21 @@ def _sweep(
     lam: SubIntensityMatrix,
     rng: RandomStream,
     iteration: int,
-    replications: int,
 ) -> tuple[SufficientStatistics, FlatPaths, SweepWork]:
     """Complete the panel paths ``keys`` with one ``complete_sweep`` call.
 
     Path j of the call is observed at ``obs_s[starts[j]:starts[j + 1]]``
     in the 0-based states ``obs_x[...]``: the last observations of panel
     path ``keys[j]``, which draws from ``rng.substream(iteration,
-    keys[j][, rep])``; ``groups`` are the panel's bridge groups of those
+    keys[j])``; ``groups`` are the panel's bridge groups of those
     observations.  Returns the pooled statistics, the completed
     trajectories and the work counters; a failure raises the error naming
     the panel path and segment.
     """
     cum, total, mu, ptrans = bridge_model(lam)
     status, j, seg, work, stats, flat = _kernels.complete_sweep(
-        _kernels.stream_words(rng.seed, *rng.key), iteration, replications, keys,
-        obs_s, obs_x, starts, groups, cum, total, panel.n, mu, ptrans, _VIRTUAL_CAP,
-        _PATH_CAP,
+        _kernels.stream_words(rng.seed, *rng.key), iteration, keys, obs_s, obs_x, starts,
+        groups, cum, total, panel.n, mu, ptrans, _VIRTUAL_CAP, _PATH_CAP,
     )
     if status == 0:
         times, states, bounds = flat
@@ -339,25 +334,23 @@ def _complete_all(
     panel: _PanelArrays,
     lam: SubIntensityMatrix,
     family: ScalingFamily,
-    cfg: FitConfig,
     rng: RandomStream,
     iteration: int,
 ) -> tuple[SufficientStatistics, FlatPaths, SweepWork]:
     """SE-step: reconstruct every path on the homogeneous timeline.
 
-    One sweep completes every path once per replication (replications
-    outer, panel order inner), path k drawing from the stream of
-    ``rng.substream(iteration, k[, rep])``.  Only the distinct observation
-    epochs go through ``g_inv``, unchecked: ``_PanelArrays`` checked them.
-    Returns the pooled statistics, the completed trajectories and the
-    work counters.
+    One sweep completes every path once, in panel order, path k drawing
+    from the stream of ``rng.substream(iteration, k)``.  Only the distinct
+    observation epochs go through ``g_inv``, unchecked: ``_PanelArrays``
+    checked them.  Returns the pooled statistics, the completed
+    trajectories and the work counters.
     """
     if panel.censored_last:
         check_absorbable(lam, panel.censored_last)
     (epochs_s,) = family._terms(panel.epochs, g_inv_only=True)
     return _sweep(
         panel, panel.keys, epochs_s[panel.epoch_index], panel.flat_states0, panel.starts,
-        panel.groups, lam, rng, iteration, cfg.bridge_replications,
+        panel.groups, lam, rng, iteration,
     )
 
 
@@ -383,10 +376,8 @@ def sem_iteration(
         raise ValidationError(f"beta_hat is required for the {cfg.family} family")
     family = ScalingFamily(cfg.family, beta_hat) if update_beta else ScalingFamily.identity()
     try:
-        stats, paths, work = _complete_all(
-            panel, lam_hat, family, cfg, rng, iteration_index
-        )
-        new_lam = mle_generator(stats, panel.K * cfg.bridge_replications)[1]
+        stats, paths, work = _complete_all(panel, lam_hat, family, rng, iteration_index)
+        new_lam = mle_generator(stats, panel.K)[1]
         if not update_beta:
             return SemIterationResult(
                 new_lam, None, 0, family._g(paths.end_times), paths, work

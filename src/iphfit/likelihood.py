@@ -403,15 +403,19 @@ def _evaluate(
     """``(loglik, score)`` at beta in one pass over the absorption sample.
 
     The family's terms and the kernel's density and ratio are computed once
-    and shared.  The times were checked when ``obj`` was built; only their
-    operational images g_inv(t) are checked here.  A part not asked for is
-    None and raises no warning.  ``stacklevel`` points the underflow
-    warnings at the caller of the public function.
+    and shared.  The times were checked when ``obj`` was built.  Where
+    g_inv(t) overflows float64 the density has long underflown, as in
+    ``iph_density``: it is taken as 0 and the ratio as nan, so the
+    log-likelihood is -inf and the score nan, each after its warning.  A
+    part not asked for is None and raises no warning.  ``stacklevel``
+    points the underflow warnings at the caller of the public function.
     """
     fam = obj.family_at(beta)
     t = obj.absorption_times
     g_inv, h, dh, int_dh = fam._terms(t)
-    a, ratio = obj._kernel.density_and_ratio(_check_homogeneous(g_inv))
+    finite = np.isfinite(g_inv)
+    a, ratio = obj._kernel.density_and_ratio(np.where(finite, g_inv, 0.0))
+    a, ratio = np.where(finite, a, 0.0), np.where(finite, ratio, np.nan)
     ell = grad = None
     if loglik:
         bad = np.nonzero(~np.isfinite(a) | (a <= 0.0))[0]

@@ -97,7 +97,7 @@ def _sweep(lam, a, b, delta, count, body):
     one sweep call sharing one bridge group; returns its paths and work."""
     cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(lam))
     status, _path, _info, work, _stats, paths = body(
-        _kernels.stream_words(17), 1, 1, np.arange(count, dtype=np.int64),
+        _kernels.stream_words(17), 1, np.arange(count, dtype=np.int64),
         np.tile([0.0, delta], count), np.tile(np.array([a, b], dtype=np.int64), count),
         np.arange(0, 2 * count + 1, 2, dtype=np.int64),
         np.tile(np.array([0, -1], dtype=np.int64), count), cum, total, lam.shape[0], mu,
@@ -243,7 +243,7 @@ def test_kept_epochs_increase_inside_their_segments():
             if body is None:
                 continue
             status, *_, (times, states, bounds) = body(
-                _kernels.stream_words(5), 1, 1, keys, s, x, starts, groups, cum, total,
+                _kernels.stream_words(5), 1, keys, s, x, starts, groups, cum, total,
                 model.n, mu, ptrans, 1 << 16, 1 << 16,
             )
             assert status == 0

@@ -317,6 +317,23 @@ def test_estimation_failure_exit_code(tmp_path, capsys):
     assert "estimation error" in capsys.readouterr().err
 
 
+def test_overflowing_beta_ascent_exit_code(tmp_path, capsys):
+    # visits 200 time units apart: at beta0 = 1 the transform of the
+    # initial absorption times overflows, a numerical failure, not bad input
+    config = tmp_path / "run.ini"
+    config.write_text("[model]\nn = 2\nfamily = gompertz\n\n[estimation]\nseed = 1\n")
+    panel = tmp_path / "panel.csv"
+    panel.write_text(
+        "path_id,time,state\na,0,1\na,200,2\na,400,3\nb,0,1\nb,200,1\nb,400,2\nb,600,3\n"
+        "c,0,2\nc,200,3\nd,0,1\nd,200,2\nd,400,2\nd,600,1\nd,800,2\nd,1000,3\n"
+    )
+    argv = ["fit", "--panel", str(panel), "--config", str(config), "--out", str(tmp_path / "o")]
+    with pytest.warns(RuntimeWarning, match="underflow"):
+        code = main(argv)
+    assert code == 4
+    assert "numerical error: non-finite gradient at beta=1" in capsys.readouterr().err
+
+
 def test_seed_precedence(workspace, tmp_path, monkeypatch):
     _, config, panel, _ = workspace
     # flag beats config: different seed changes the simulated panel

@@ -35,7 +35,7 @@ from iphfit import estimator
 from iphfit.cli import main
 from iphfit.likelihood import accumulate_statistics
 from iphfit.paths import HOMOGENEOUS
-from iphfit.simulate import bridge_model, jump_model
+from iphfit.simulate import bridge_model, jump_model, simulate_paths
 from iphfit.studies import cohort_panel, fitted_absorption_sample, simulate_cohort, uniform_grid
 
 from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI, exact_path
@@ -111,6 +111,14 @@ def test_bridge_attempts_statuses():
     assert _run("bridge_attempts", 5, 0, 0, 500.0, cum, total, 3, 50, cap=3)[0][0] == 2
     # an accepted bridge without jumps
     assert _run("bridge_attempts", 6, 1, 1, 1e-6, cum, total, 3, 10)[0] == (0, 1, 0)
+    # an attempt that fills the buffers, then makes no jump before the
+    # duration, is accepted; so it is when written after ``start``
+    full, times, states = _run("bridge_attempts", 1, 1, 0, 15.0, cum, total, 3, 40, cap=2)
+    assert full == (0, 2, 2) and states.tolist() == [2, 0]
+    gen = np.random.Generator(np.random.PCG64(1))
+    tail, tail_s = np.full(3, -1.0), np.full(3, -7, dtype=np.int64)
+    got = _kernels.bridge_attempts(gen, 1, 0, 15.0, cum, total, 3, 40, tail, tail_s, 1)
+    assert got == (0, 2, 3) and tail[1:].tobytes() == times.tobytes()
     # a budget below one attempt
     cum, total = SINGLE
     assert _run("bridge_attempts", 7, 0, 1, 1.0, cum, total, 1, 0)[0] == (1, 0, 0)
@@ -142,6 +150,13 @@ def test_complete_panel_path_statuses():
     assert _run("complete_panel_path", 3, obs_s, obs_x, cum, total, 3, 99, cap=2)[0][0] == 2
     obs_s, obs_x = np.array([0.0]), np.array([1])
     assert _run("complete_panel_path", 3, obs_s, obs_x, cum, total, 3, 99, cap=2)[0][0] == 2
+    # a bridge that fills the buffers and makes no further jump is
+    # accepted: the overflow comes in the censored run after it
+    edge_s, edge_x = np.array([1.5, 16.5]), np.array([1, 0])
+    result, times, states = _run("complete_panel_path", 1, edge_s, edge_x, cum, total, 3, 40, cap=2)
+    assert result == (2, 1, 0, 0.0, 2) and states.tolist() == [2, 0]
+    bridge = _run("bridge_attempts", 1, 1, 0, 15.0, cum, total, 3, 40, cap=2)[1]
+    assert times.tobytes() == (1.5 + bridge).tobytes()
     # a lone censored observation: the chain runs on to absorption
     assert _run("complete_panel_path", 4, obs_s, obs_x, cum, total, 3, 99)[0][:2] == (0, 0)
     # dead end during the censored continuation
@@ -199,7 +214,7 @@ def _study_panel(count, horizon, seed):
     return family, estimator._PanelArrays(cohort_panel(cohort, uniform_grid(horizon, 1.0)))
 
 
-def _reference_sweep(panel, lam, family, replications, rng, iteration):
+def _reference_sweep(panel, lam, family, rng, iteration):
     """The per-path SE-step: for each path, its stream's generator, the
     checked ``g_inv`` of its own times, ``exact_path``, a ContinuousPath,
     and ``accumulate_statistics`` over them.  Also returns every bridge's
@@ -208,15 +223,13 @@ def _reference_sweep(panel, lam, family, replications, rng, iteration):
     computes before any draw (all but x to x with ``mu * delta < 1``)."""
     mu = bridge_model(lam)[2]
     completed, counts = [], []
-    for rep in range(replications):
-        for k in range(panel.K):
-            key = (iteration, int(panel.keys[k])) + ((rep,) if replications > 1 else ())
-            obs_s = np.asarray(family.g_inv(panel.times[k]), dtype=float)
-            times, states, r = exact_path(lam, obs_s, panel.states0[k],
-                                          rng.substream(*key).generator())
-            counts += r
-            completed.append(ContinuousPath(n=panel.n, times=times, states=states + 1,
-                                            end_time=float(times[-1]), timeline=HOMOGENEOUS))
+    for k in range(panel.K):
+        obs_s = np.asarray(family.g_inv(panel.times[k]), dtype=float)
+        times, states, r = exact_path(lam, obs_s, panel.states0[k],
+                                      rng.substream(iteration, int(panel.keys[k])).generator())
+        counts += r
+        completed.append(ContinuousPath(n=panel.n, times=times, states=states + 1,
+                                        end_time=float(times[-1]), timeline=HOMOGENEOUS))
     segments = {
         (t[i], t[i + 1], x[i], x[i + 1],
          x[i] != x[i + 1] or mu * float(family.g_inv(t[i + 1]) - family.g_inv(t[i])) >= 1.0)
@@ -232,19 +245,15 @@ def _stats_bytes(stats):
     )]
 
 
-@pytest.mark.parametrize("replications", [1, 2])
-def test_sweep_matches_per_path_loop(monkeypatch, replications):
+def test_sweep_matches_per_path_loop(monkeypatch):
     family, panel = _study_panel(60, 8.0, 41)
     assert 0 < panel.absorbed.sum() < panel.K  # absorbed and censored paths
     # stream keys other than the path index, one of them two words long
     panel.keys = np.arange(9 * panel.K, 0, -9, dtype=np.int64) - 1
     panel.keys[:4] = [3, 0, 7, 2**32 + 5]
     lam = SubIntensityMatrix(GOMPERTZ_LAM)
-    cfg = estimator.FitConfig(family="gompertz", bridge_replications=replications)
     rng = RandomStream(2**32 + 1, (1, 3))  # a study fit's key prefix
-    stats, paths, counts, (groups, eager) = _reference_sweep(
-        panel, lam, family, replications, rng, 6
-    )
+    stats, paths, counts, (groups, eager) = _reference_sweep(panel, lam, family, rng, 6)
     assert eager < groups < panel.flat_times.size - panel.K  # paths share bridge groups
     assert max(counts) > 1 and counts.count(0) > 0
     works = []
@@ -253,16 +262,16 @@ def test_sweep_matches_per_path_loop(monkeypatch, replications):
         if body is None:
             continue
         monkeypatch.setattr(_kernels, "complete_sweep", body)
-        got, flat, work = estimator._complete_all(panel, lam, family, cfg, rng, 6)
+        got, flat, work = estimator._complete_all(panel, lam, family, rng, 6)
         assert _stats_bytes(got) == _stats_bytes(stats)
-        assert len(paths) == panel.K * replications
+        assert len(paths) == panel.K
         assert flat.end_times.tolist() == [p.end_time for p in paths]
         assert flat.times.tobytes() == np.concatenate([p.times for p in paths]).tobytes()
         assert (flat.states + 1).tolist() == np.concatenate([p.states for p in paths]).tolist()
         assert flat.bounds.tolist() == np.cumsum([0] + [p.times.size for p in paths]).tolist()
         assert work.virtual_jumps == sum(counts)
         assert work.jumps_kept == sum(p.times.size - 1 for p in paths)
-        assert work.censored == replications * int((~panel.absorbed).sum())
+        assert work.censored == int((~panel.absorbed).sum())
         assert eager <= work.series <= groups
         works.append(work)
     assert all(work == works[0] for work in works)
@@ -275,7 +284,8 @@ def test_sweep_overflows_where_python_body_does():
     family, panel = _study_panel(30, 10.0, 5)
     cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
     obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
-    args = (_kernels.stream_words(4, 1, 2), 3, 2, panel.keys, obs_s, panel.flat_states0,
+    # iteration 2: its longest path has 79 jumps, so both statuses occur
+    args = (_kernels.stream_words(4, 1, 2), 2, panel.keys, obs_s, panel.flat_states0,
             panel.starts, panel.groups, cum, total, 3, mu, ptrans, 1 << 16)
     statuses = set()
     for cap in range(128):
@@ -315,13 +325,13 @@ def test_sweep_hands_other_inputs_to_python_body():
     ]:
         w, k, x, st, g, m = args
         rest = (cum, total, 3, m, ptrans, 1 << 16, 64)
-        got = _kernels.complete_sweep(w, 1, 1, k, obs_s, x, st, g, *rest)
-        want = _kernels.complete_sweep.py_func(w, 1, 1, k, obs_s, x, st, g, *rest)
+        got = _kernels.complete_sweep(w, 1, k, obs_s, x, st, g, *rest)
+        want = _kernels.complete_sweep.py_func(w, 1, k, obs_s, x, st, g, *rest)
         assert got[:4] == want[:4] and got[0] == 0
         for a, b in zip(got[4] + got[5], want[4] + want[5]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     rest = (cum, total, 3, mu, ptrans, 1 << 16)
-    args = (words, 1, 1, keys, obs_s, panel.flat_states0, panel.starts, groups, *rest)
+    args = (words, 1, keys, obs_s, panel.flat_states0, panel.starts, groups, *rest)
     got = _kernels.complete_sweep(*args, cap=64)
     want = _kernels.complete_sweep.py_func(*args, 64)
     assert got[:4] == want[:4] and got[0] == 0
@@ -335,7 +345,7 @@ def test_sweep_hands_other_inputs_to_python_body():
     negative[2] = -1
     for body in (_kernels.complete_sweep, _kernels.complete_sweep.py_func):
         with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
-            body(words, 1, 1, negative, obs_s, panel.flat_states0, panel.starts, groups, *rest, 64)
+            body(words, 1, negative, obs_s, panel.flat_states0, panel.starts, groups, *rest, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +494,32 @@ def test_simulate_sweep_hands_other_inputs_to_python_body():
     for body in (kernel, kernel.py_func):
         with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
             body(words, negative, cum_pi, cum, total, 3, 50.0)
+
+
+@compiled
+def test_compiled_sweeps_take_the_calls_runs_make(monkeypatch, ckernels):
+    """The calls of a small Gompertz fit (initialization and SE-steps) and
+    of ``simulate_paths`` (finite and infinite horizon), replayed on the
+    compiled module: it takes each one, so none of them runs Python."""
+    calls = {name: [] for name in KERNELS}
+    for name in KERNELS:
+        def record(*args, _kernel=getattr(_kernels, name), _calls=calls[name]):
+            _calls.append(args)
+            return _kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, record)
+    family = ScalingFamily.gompertz(GOMPERTZ_BETA)
+    lam = SubIntensityMatrix(GOMPERTZ_LAM)
+    cohort = simulate_cohort(GOMPERTZ_PI, lam, family, 10.0, 30, RandomStream(5))
+    estimator.fit(cohort_panel(cohort, uniform_grid(10.0, 1.0)),
+                  estimator.FitConfig(family="gompertz", max_sem_iterations=2))
+    for horizon in (np.inf, 30.0):
+        simulate_paths(lam, GOMPERTZ_PI, family, horizon, RandomStream(6), 20)
+    assert {args[1] == 0 for args in calls["complete_sweep"]} == {True, False}
+    assert {args[-1] == np.inf for args in calls["simulate_sweep"]} == {True, False}
+    for name in KERNELS:
+        for args in calls[name]:
+            assert getattr(ckernels, name)(*args) is not NotImplemented
 
 
 CLI_INI = """[model]

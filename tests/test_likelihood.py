@@ -14,6 +14,7 @@ from iphfit import (
     INHOMOGENEOUS,
     InitialDistribution,
     NonConvergenceError,
+    NumericalError,
     RandomStream,
     ScalingFamily,
     StarvedStateError,
@@ -320,6 +321,19 @@ def test_loglik_underflow_sentinel(gompertz_lam, gompertz_pi):
     with pytest.warns(RuntimeWarning, match="underflow"):
         val = beta_loglik(obj, 1.0)
     assert val == -np.inf
+
+
+def test_overflowing_transform_underflows_the_objective(gompertz_lam, gompertz_pi):
+    # beta * t = 800 overflows g_inv(100): the density there is 0 and the
+    # ratio nan, as in iph_density, not an input error
+    obj = BetaObjective(GOMPERTZ, gompertz_pi, gompertz_lam, np.array([5.0, 100.0]))
+    with pytest.warns(RuntimeWarning, match="^density underflow at observation 0"):
+        assert beta_loglik(obj, 8.0) == -np.inf
+    with pytest.warns(RuntimeWarning, match=r"^score underflow at observation 1 \(t=100\)$"):
+        assert np.isnan(beta_gradient(obj, 8.0))
+    with pytest.warns(RuntimeWarning, match="underflow"):
+        with pytest.raises(NumericalError, match="^non-finite gradient at beta=8$"):
+            gd_solve(obj, beta0=8.0, eta=1e-6, e_ell=0.01)
 
 
 def test_objective_validation(gompertz_lam, gompertz_pi):

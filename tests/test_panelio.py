@@ -416,6 +416,8 @@ def test_readme_config_block_lists_every_estimation_setting(tmp_path):
         ("[model]\nn = 2\n\n[estimation]\nmax_sem_iteration = 5\n",
          "unknown key 'max_sem_iteration'"),
         ("[model]\nn = 2\n\n[estimation]\nbeta0 = 2\n", "unknown key 'beta0'"),
+        ("[estimation]\nbridge_replications = 1\n",
+         r"\[estimation\] unknown key 'bridge_replications'"),
         ("[model]\nn = 2\nbeta_0 = 2\n", r"\[model\] unknown key 'beta_0'"),
         ("[model]\nn = 2\n\n[study]\ndelt = 0.5\n", r"\[study\] unknown key 'delt'"),
         ("[model]\nn = 2\n\n[study]\npath = 10\n", r"\[study\] unknown key 'path'"),

@@ -314,7 +314,7 @@ def _complete_censored(m, last_state, seed, count):
     jump epochs, 0-based states and offsets, and their absorption epochs."""
     cum, total, mu, ptrans = bridge_model(m)
     status, *_, paths = _kernels.complete_sweep(
-        _kernels.stream_words(seed), 1, 1, np.arange(count, dtype=np.int64), np.zeros(count),
+        _kernels.stream_words(seed), 1, np.arange(count, dtype=np.int64), np.zeros(count),
         np.full(count, last_state - 1, dtype=np.int64), np.arange(count + 1, dtype=np.int64),
         np.full(count, -1, dtype=np.int64), cum, total, m.n, mu, ptrans, 1, 4096,
     )
