@@ -87,13 +87,14 @@ jump(bitgen_t *bg, const Model *m, npy_intp state, double *t, double horizon)
 
 /* Run the chain from *state at *t, appending jumps to out after *count,
    until it is absorbed (1), makes no jump before `horizon` (2), or
-   finds the buffers full before a jump (0). */
+   finds the buffers full before a jump (0).  A state without exit rate
+   draws nothing and ends with 2 however full the buffers are. */
 static int
 run_chain(bitgen_t *bg, const Model *m, npy_intp *state, double *t, double horizon,
           const Buffers *out, npy_intp *count)
 {
     for (;;) {
-        if (*count == out->cap)
+        if (*count == out->cap && m->total[*state] > 0.0)
             return 0;
         const npy_intp nxt = jump(bg, m, *state, t, horizon);
         if (nxt < 0)

@@ -92,10 +92,11 @@ def _run_chain(gen, cum, total, n, state, t, horizon, times, states, count):
     """Run the chain from ``state`` at ``t``, appending jumps to the
     buffers after ``count``, until it is absorbed (status 1), makes no
     jump before ``horizon`` (2), or finds the buffers full before a jump
-    (0).  Returns ``(status, count, state, t)``."""
+    (0).  A state without exit rate draws nothing and ends with status 2
+    however full the buffers are.  Returns ``(status, count, state, t)``."""
     cap = times.shape[0]
     while True:
-        if count == cap:
+        if count == cap and total[state] > 0.0:
             return 0, count, state, t
         nxt, t = _jump(gen, cum, total, n, state, t, horizon)
         if nxt < 0:

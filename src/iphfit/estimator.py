@@ -176,8 +176,9 @@ class _PanelArrays:
         self.flat_states0 = data.states - 1
         self.starts = data.starts
         self.absorbed = data.absorbed
-        self.censored_last = np.unique(
-            self.flat_states0[self.starts[1:] - 1][~self.absorbed]
+        # not np.unique, which without flags imports numpy.ma
+        self.censored_last = np.flatnonzero(
+            np.bincount(self.flat_states0[self.starts[1:] - 1][~self.absorbed])
         ).tolist()
         self.K = len(data)
         self.keys = np.arange(self.K, dtype=np.int64)

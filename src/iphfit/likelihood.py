@@ -16,11 +16,19 @@ vector) against a uniformization reference, within 1e-11 relative; the
 reference is numpy alone, so a kernel on the eigen route never loads
 scipy.
 
+The eigen side builds its tables of exp(s w_j) one eigenvalue column at a
+time into a C-contiguous complex array, which each product with a complex
+coefficient vector reads without a cast; the values are those of
+``exp(multiply.outer(s, w))``.  Where g_inv(t) overflowed to +inf the
+kernel itself gives density 0, survival 0 and ratio nan.
+
 The beta objective is evaluated in one pass per beta: the family's four
 terms (h, g_inv and the two beta-derivatives) and the kernel's density and
 score ratio are computed once and shared by the log-likelihood and its
-score, and the absorption times are checked once, when the objective is
-built.
+score.  What does not depend on beta is done once, when the objective is
+built: the absorption times are checked there, and Weibull's log t taken.
+A gradient ascent whose update lands on an earlier beta fails at once,
+since a deterministic update then cycles for ever.
 """
 
 from __future__ import annotations
@@ -190,9 +198,18 @@ def mle_generator(
 
 def _check_homogeneous(s) -> np.ndarray:
     s_arr = np.asarray(s, dtype=float)
-    if not np.isfinite(s_arr).all() or (s_arr < 0.0).any():
-        raise ValidationError("homogeneous times must be finite and >= 0")
+    if not (s_arr >= 0.0).all():
+        raise ValidationError("homogeneous times must be >= 0")
     return s_arr
+
+
+def _split_overflow(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``s`` with its non-finite entries (an overflowed g_inv) read as 0,
+    and their mask, None when every entry is finite."""
+    if np.isfinite(s).all():
+        return s, None
+    over = ~np.isfinite(s)
+    return np.where(over, 0.0, s), over
 
 
 # the eigen probe's uniformization means m = rate * s, and one row per mean
@@ -210,7 +227,12 @@ _PROBE_WEIGHTS = np.exp(-_PROBE_MEANS)[:, None] * np.cumprod(
 class _AbsorptionKernel:
     """Vectorised evaluation of pi.exp(sL).exit, pi.exp(sL).1 and the
     ratio pi.L.exp(sL).exit / pi.exp(sL).exit over arrays of homogeneous
-    times s >= 0."""
+    times s >= 0.
+
+    A non-finite s is a g_inv(t) that overflowed float64, where the
+    density has long underflown: there the density and the survival are
+    0 and the ratio nan.  The other times are evaluated as if those were
+    0, so their values do not depend on the overflow."""
 
     def __init__(self, pi: InitialDistribution, lam: SubIntensityMatrix):
         self._exit = lam.exit_rates()  # validates lam
@@ -226,6 +248,7 @@ class _AbsorptionKernel:
             w, v = np.linalg.eig(self._arr)
             vinv = np.linalg.inv(v)
             self._w = w
+            self._w_shifted = w - w.real.max()
             left = self._pi @ v
             self._c_exit = left * (vinv @ self._exit.astype(complex))
             self._c_rate = left * w * (vinv @ self._exit.astype(complex))
@@ -260,57 +283,74 @@ class _AbsorptionKernel:
         ref = _PROBE_WEIGHTS @ (rows @ right)
         return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(np.abs(ref), 1e-3))
 
+    @staticmethod
+    def _table(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """exp(s w_j) as a C-contiguous complex array of shape
+        ``s.shape + w.shape``, filled one eigenvalue at a time (an outer
+        product over the 2- or 3-wide last axis runs one inner loop per
+        time).  Real eigenvalues are exponentiated as reals and then cast,
+        so each ``@`` with the complex coefficients reads the table as it
+        stands.  The values and the layout are those of
+        ``exp(multiply.outer(s, w))``: the products' last bits may depend
+        on the layout, and a fit's bytes on those bits."""
+        table = np.empty(s.shape + w.shape, dtype=w.dtype)
+        for j, wj in enumerate(w.tolist()):  # Python scalars multiply faster
+            np.multiply(s, wj, out=table[..., j])
+        np.exp(table, out=table)
+        return table if w.dtype.kind == "c" else table.astype(complex)
+
     def _eig_eval(self, coeff: np.ndarray, s: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            e = np.exp(np.multiply.outer(s, self._w))
-            out = (e @ coeff).real
-        return out
+            return (self._table(s, self._w) @ coeff).real
 
     def _expm_eval(self, right: np.ndarray, s: np.ndarray) -> np.ndarray:
         flat = np.atleast_1d(s)
         out = np.array([self._pi @ matrix_exponential(self._arr, si) @ right for si in flat])
         return out.reshape(np.shape(s))
 
+    def _projection(self, coeff: np.ndarray, right: np.ndarray, s) -> np.ndarray:
+        """pi . exp(sL) . right at checked times, 0 where s overflowed."""
+        s_arr, over = _split_overflow(_check_homogeneous(s))
+        out = self._eig_eval(coeff, s_arr) if self._eig_ok else self._expm_eval(right, s_arr)
+        return out if over is None else np.where(over, 0.0, out)
+
     def density_factor(self, s):
         """pi . exp(sL) . exit  (the phase-type density at s)."""
-        s_arr = _check_homogeneous(s)
-        if self._eig_ok:
-            return self._eig_eval(self._c_exit, s_arr)
-        return self._expm_eval(self._exit, s_arr)
+        return self._projection(self._c_exit, self._exit, s)
 
     def survival(self, s):
         """pi . exp(sL) . 1."""
-        s_arr = _check_homogeneous(s)
-        if self._eig_ok:
-            return self._eig_eval(self._c_one, s_arr)
-        return self._expm_eval(self._ones, s_arr)
+        return self._projection(self._c_one, self._ones, s)
 
     def density_and_ratio(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``density_factor(s)`` and the ratio pi.L.exp(sL).exit /
-        pi.exp(sL).exit at checked times s, the ratio stable under density
-        underflow.
+        pi.exp(sL).exit at a vector s of times >= 0, the ratio stable
+        under density underflow.
 
         On the eigendecomposition route the ratio cancels the common
         factor exp(s * w_max) before exponentiating, so it stays finite for
         s far beyond the point where the density itself underflows (it
-        tends to the dominant eigenvalue).  The expm route computes one
-        matrix exponential per point for both and divides directly, so its
-        ratio may be nan once the density underflows.
+        tends to the dominant eigenvalue); it is nan only where its
+        denominator is 0.  The expm route computes one matrix exponential
+        per point for both and divides directly, so its ratio may be nan
+        once the density underflows.
         """
-        if self._eig_ok:
-            shift = self._w.real.max()
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                e = np.exp(np.multiply.outer(s, self._w - shift))
-                num = (e @ self._c_rate).real
-                den = (e @ self._c_exit).real
-                nz = den != 0.0
-                ratio = np.where(nz, num / np.where(nz, den, 1.0), np.nan)
-            return self._eig_eval(self._c_exit, s), ratio
-        exps = [matrix_exponential(self._arr, si) for si in s]
-        a = np.array([self._pi @ e @ self._exit for e in exps])
-        b = np.array([self._pi @ self._arr @ e @ self._exit for e in exps])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return a, b / a
+        s, over = _split_overflow(s)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
+            if self._eig_ok:
+                shifted = self._table(s, self._w_shifted)
+                den = (shifted @ self._c_exit).real
+                ratio = (shifted @ self._c_rate).real / den
+                if not den.all():
+                    ratio[den == 0.0] = np.nan
+                a = (self._table(s, self._w) @ self._c_exit).real
+            else:
+                exps = [matrix_exponential(self._arr, si) for si in s]
+                a = np.array([self._pi @ e @ self._exit for e in exps])
+                ratio = np.array([self._pi @ self._arr @ e @ self._exit for e in exps]) / a
+        if over is not None:
+            a[over], ratio[over] = 0.0, np.nan
+        return a, ratio
 
 
 def _wrap_pi(pi) -> InitialDistribution:
@@ -329,24 +369,17 @@ def iph_density(pi, lam, family: ScalingFamily, t):
     underflown and 0 is returned.
     """
     kern = _AbsorptionKernel(_wrap_pi(pi), _wrap_lam(lam))
-    s = np.asarray(family.g_inv(t), dtype=float)
-    finite = np.isfinite(s)
-    out = np.zeros(s.shape)
-    if np.any(finite):
-        vals = family.h(t) * kern.density_factor(np.where(finite, s, 0.0))
-        out = np.where(finite, np.maximum(vals, 0.0), 0.0)
+    factor = kern.density_factor(family.g_inv(t))
+    # a factor of 0 gives 0 even where h(t) overflowed with g_inv(t)
+    vals = np.multiply(family.h(t), factor, out=np.zeros(np.shape(factor)), where=factor != 0.0)
+    out = np.maximum(vals, 0.0)
     return float(out) if np.ndim(t) == 0 else out
 
 
 def iph_cdf(pi, lam, family: ScalingFamily, t):
     """Absorption-time distribution function, ``1 - pi . exp(g_inv(t) L) . 1``."""
     kern = _AbsorptionKernel(_wrap_pi(pi), _wrap_lam(lam))
-    s = np.asarray(family.g_inv(t), dtype=float)
-    finite = np.isfinite(s)
-    out = np.ones(s.shape)
-    if np.any(finite):
-        vals = np.clip(1.0 - kern.survival(np.where(finite, s, 0.0)), 0.0, 1.0)
-        out = np.where(finite, vals, 1.0)
+    out = np.clip(1.0 - kern.survival(family.g_inv(t)), 0.0, 1.0)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -368,6 +401,7 @@ class BetaObjective:
     lam: SubIntensityMatrix
     absorption_times: np.ndarray
     _kernel: _AbsorptionKernel = field(init=False, repr=False, compare=False)
+    _log_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pi = _wrap_pi(self.pi)
@@ -383,6 +417,7 @@ class BetaObjective:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "absorption_times", times)
         object.__setattr__(self, "_kernel", _AbsorptionKernel(pi, lam))
+        object.__setattr__(self, "_log_t", np.log(times))
 
     def family_at(self, beta: float) -> ScalingFamily:
         return ScalingFamily(self.family, beta)
@@ -403,34 +438,31 @@ def _evaluate(
     """``(loglik, score)`` at beta in one pass over the absorption sample.
 
     The family's terms and the kernel's density and ratio are computed once
-    and shared.  The times were checked when ``obj`` was built.  Where
-    g_inv(t) overflows float64 the density has long underflown, as in
-    ``iph_density``: it is taken as 0 and the ratio as nan, so the
-    log-likelihood is -inf and the score nan, each after its warning.  A
-    part not asked for is None and raises no warning.  ``stacklevel``
-    points the underflow warnings at the caller of the public function.
+    and shared; the times, and Weibull's log t, were computed and checked
+    when ``obj`` was built.  Where g_inv(t) overflows float64 the kernel
+    gives density 0 and ratio nan, so the log-likelihood is -inf and the
+    score nan, each after its warning.  A part not asked for is None and
+    raises no warning.  ``stacklevel`` points the underflow warnings at the
+    caller of the public function.
     """
-    fam = obj.family_at(beta)
     t = obj.absorption_times
-    g_inv, h, dh, int_dh = fam._terms(t)
-    finite = np.isfinite(g_inv)
-    a, ratio = obj._kernel.density_and_ratio(np.where(finite, g_inv, 0.0))
-    a, ratio = np.where(finite, a, 0.0), np.where(finite, ratio, np.nan)
+    g_inv, h, dh, int_dh = obj.family_at(beta)._terms(t, log_t=obj._log_t)
+    a, ratio = obj._kernel.density_and_ratio(g_inv)
     ell = grad = None
     if loglik:
-        bad = np.nonzero(~np.isfinite(a) | (a <= 0.0))[0]
-        if bad.size:
-            _underflow_warning("density", int(bad[0]), float(t[int(bad[0])]), stacklevel)
-            ell = -np.inf
-        else:
+        if (a > 0.0).all() and np.isfinite(a).all():
             ell = float(np.log(h).sum() + np.log(a).sum())
-    if score:
-        bad = np.nonzero(~np.isfinite(ratio))[0]
-        if bad.size:
-            _underflow_warning("score", int(bad[0]), float(t[int(bad[0])]), stacklevel)
-            grad = float("nan")
         else:
+            bad = int(np.flatnonzero(~np.isfinite(a) | (a <= 0.0))[0])
+            _underflow_warning("density", bad, float(t[bad]), stacklevel)
+            ell = -np.inf
+    if score:
+        if np.isfinite(ratio).all():
             grad = float((dh / h).sum() + (int_dh * ratio).sum())
+        else:
+            bad = int(np.flatnonzero(~np.isfinite(ratio))[0])
+            _underflow_warning("score", bad, float(t[bad]), stacklevel)
+            grad = float("nan")
     return ell, grad
 
 
@@ -476,8 +508,10 @@ def gd_solve(
     Raises
     ------
     NonConvergenceError
-        If ``max_steps`` updates pass without meeting the criterion (the
-        trace rides on the exception).
+        If ``max_steps`` updates pass without meeting the criterion, or at
+        once when an update that does not meet it lands on an earlier
+        beta: the update is deterministic, so the ascent then cycles for
+        ever (the trace rides on the exception).
     NumericalError
         If a gradient evaluates to a non-finite value.
     """
@@ -490,6 +524,7 @@ def gd_solve(
         raise ValidationError("max_steps must be at least 1")
     ell_prev, grad = _evaluate(obj, beta0, stacklevel=3)
     beta = beta0
+    seen = {beta0: 0}  # every iterate, in order
     local_trace = trace if trace is not None else []
     for step in range(1, int(max_steps) + 1):
         if not np.isfinite(grad):
@@ -500,8 +535,18 @@ def gd_solve(
         if abs(ell - ell_prev) < e_ell:
             return beta, step
         ell_prev = ell
-    err = NonConvergenceError(
-        f"gradient ascent did not converge within {max_steps} updates"
-    )
+        if beta in seen:
+            cycle = list(seen)[seen[beta]:]
+            shown = ", ".join(f"{b:g}" for b in cycle[:4]) + (", ..." if len(cycle) > 4 else "")
+            err = NonConvergenceError(
+                f"gradient ascent cycles through {len(cycle)} betas ({shown}) after "
+                f"{step} updates on {obj.absorption_times.size} absorption times"
+            )
+            break
+        seen[beta] = len(seen)
+    else:
+        err = NonConvergenceError(
+            f"gradient ascent did not converge within {max_steps} updates"
+        )
     err.trace = tuple(local_trace)
     raise err

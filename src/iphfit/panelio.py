@@ -588,7 +588,9 @@ def format_ecdf(observed, simulated) -> str:
 
     obs = SampleSet(np.asarray(observed, dtype=float))
     sim = SampleSet(np.asarray(simulated, dtype=float))
-    grid = np.unique(np.concatenate([obs.values, sim.values]))
+    # sorted and deduplicated: np.unique without flags imports numpy.ma
+    grid = np.sort(np.concatenate([obs.values, sim.values]))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     fo = ecdf(obs, grid)
     fs = ecdf(sim, grid)
     lines = ["value,ecdf_observed,ecdf_simulated"]

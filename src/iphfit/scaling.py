@@ -137,13 +137,16 @@ class ScalingFamily:
         """
         return _scalar_like(t, self._terms(_check_times(t, allow_zero=True))[3])
 
-    def _terms(self, arr: np.ndarray, g_inv_only: bool = False) -> tuple:
+    def _terms(self, arr: np.ndarray, g_inv_only: bool = False, log_t=None) -> tuple:
         """``(g_inv, h, dh/dbeta, int_dh_dbeta)`` at times already checked.
 
         The one place each family's formulas are written.  The terms share
         exp(beta t) and expm1(beta t) (gompertz) or t^beta, t^(beta-1) and
         log t (weibull).  ``g_inv_only`` makes ``(g_inv,)`` alone.
-        Overflow gives inf or nan without a warning; the callers check.
+        ``log_t``, when given, is ``log(arr)`` at times all > 0, which the
+        weibull terms then reuse; otherwise log t is taken as 0 at t = 0,
+        which gives both of its terms their limit 0 there.  Overflow gives
+        inf or nan without a warning; the callers check.
         """
         b = self.beta
         if self.kind == IDENTITY:
@@ -161,9 +164,8 @@ class ScalingFamily:
             pb = arr**b
             if g_inv_only:
                 return (pb,)
-            pos = arr > 0.0
+            if log_t is None:
+                log_t = np.log(np.where(arr > 0.0, arr, 1.0))
             p1 = arr ** (b - 1.0)
-            log_t = np.log(arr)
-            h = np.ones_like(arr) if b == 1.0 else np.where(pos, b * p1, 0.0)
-            dh = np.where(pos, p1 * (1.0 + b * log_t), 0.0)
-            return pb, h, dh, np.where(pos, pb * log_t, 0.0)
+            h = np.ones_like(arr) if b == 1.0 else b * p1
+            return pb, h, p1 * (1.0 + b * log_t), pb * log_t

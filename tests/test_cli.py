@@ -456,3 +456,33 @@ def test_module_invocation_help():
         assert proc.returncode == 0, f"-m {module}: {proc.stderr}"
         for sub in ("simulate", "fit", "gof", "study"):
             assert sub in proc.stdout
+
+
+NO_MA_CODE = """
+import os, sys, warnings
+import iphfit
+from iphfit.cli import main
+warnings.simplefilter("ignore")
+iphfit.run_study(iphfit.WEIBULL_STUDY, 0, paths=50)
+root = sys.argv[1]
+config, panel, fit = (os.path.join(root, f) for f in ("run.ini", "panel.csv", "fit"))
+assert main(["simulate", "--config", config, "--out", panel]) == 0
+assert main(["fit", "--panel", panel, "--config", config, "--out", fit]) == 0
+assert main(["gof", "--panel", panel, "--fit", fit, "--config", config,
+             "--out", os.path.join(root, "gof.csv"),
+             "--ecdf-out", os.path.join(root, "ecdf.csv")]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_run_path_imports_no_numpy_ma(tmp_path):
+    # np.unique without flags asks numpy.ma whether its input is masked,
+    # which imports numpy.ma: 9-15 ms of a fresh interpreter on 2 shared cores
+    (tmp_path / "run.ini").write_text(GOMPERTZ_INI)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MA_CODE, str(tmp_path)],
+        capture_output=True, text=True, env=_cli.env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "ecdf.csv").read_text().startswith("value,ecdf_observed,ecdf_simulated")

@@ -96,6 +96,8 @@ def test_sim_path_statuses():
     # a state without exit rate ends the path at the horizon
     cum, total = DEAD_END
     assert _run("sim_path", 1, 1, 0.0, 9.0, cum, total, 2)[0] == (2, 0, 1, 9.0)
+    # however full the buffers are: it draws nothing
+    assert _run("sim_path", 1, 1, 0.0, 9.0, cum, total, 2, cap=0)[0] == (2, 0, 1, 9.0)
 
 
 def test_bridge_attempts_statuses():
@@ -163,6 +165,10 @@ def test_complete_panel_path_statuses():
     cum, total = DEAD_END
     obs_s, obs_x = np.array([0.0, 2.0]), np.array([0, 1])
     assert _run("complete_panel_path", 8, obs_s, obs_x, cum, total, 2, 500)[0][0] == 3
+    # a dead end is no overflow, even with the buffers exactly full
+    obs_s, obs_x = np.array([0.0]), np.array([1])
+    for cap in (0, 1):
+        assert _run("complete_panel_path", 8, obs_s, obs_x, cum, total, 2, 500, cap=cap)[0][0] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +303,18 @@ def test_sweep_overflows_where_python_body_does():
             for a, b in zip(got[4] + got[5], want[4] + want[5]):
                 assert a.tobytes() == b.tobytes()
     assert statuses == {0, 2}
+
+
+def test_sweep_reports_a_dead_end_with_full_buffers():
+    """A path observed once, in a state without exit rate: a dead end
+    (status 3) whether or not its buffers have room for a jump."""
+    cum, total = DEAD_END
+    _cum, _total, mu, ptrans = bridge_model(SubIntensityMatrix([[-1.5, 1.0], [0.0, 0.0]]))
+    args = (_kernels.stream_words(8), 0, np.array([0]), np.array([0.0]), np.array([1]),
+            np.array([0, 1]), np.array([-1]), cum, total, 2, mu, ptrans, 1 << 16)
+    for body in (_kernels.complete_sweep, getattr(_kernels.complete_sweep, "py_func", None)):
+        if body is not None:
+            assert [body(*args, cap)[:3] for cap in (0, 1, 5)] == [(3, 0, 0)] * 3
 
 
 @compiled

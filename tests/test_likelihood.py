@@ -527,6 +527,22 @@ def test_gd_nonconvergence_carries_trace(gompertz_lam, gompertz_pi):
     assert len(exc.value.trace) == 3
 
 
+def test_gd_cycle_fails_fast():
+    # the score is +1.25 at beta_min and about -2.7 at 1.25: eta = 1 steps
+    # up to 1.25 and clamps back, so the ascent would cycle for ever
+    obj = BetaObjective(GOMPERTZ, POINT_MASS, ONE_STATE, np.array([0.5, 1.0, 1.5]))
+    with pytest.raises(NonConvergenceError, match=(
+        r"^gradient ascent cycles through 2 betas \(1e-05, 1\.24999\) after 2 updates "
+        r"on 3 absorption times$"
+    )) as exc:
+        gd_solve(obj, beta0=1e-5, eta=1.0, e_ell=1e-9)
+    assert [row[1] for row in exc.value.trace] == [pytest.approx(1.25, rel=1e-4), 1e-5]
+    # consecutive clamps at beta_min converge before they count as a cycle:
+    # the score is negative there for these times
+    obj = BetaObjective(GOMPERTZ, POINT_MASS, ONE_STATE, np.array([3.0, 4.0, 5.0]))
+    assert gd_solve(obj, beta0=0.5, eta=10.0, e_ell=1e-9) == (1e-5, 2)
+
+
 def test_gd_argument_validation():
     obj = BetaObjective(IDENTITY, POINT_MASS, ONE_STATE, np.array([1.0]))
     with pytest.raises(ValidationError):
