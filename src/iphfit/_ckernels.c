@@ -31,18 +31,50 @@
  * range), and _kernels.build hands that call, as any with a keyword, to
  * the Python body, so every call gives the same result whichever body
  * runs it.  Arguments are checked before any pointer is used or memory
- * allocated; a real error returns NULL with an exception set.  A call
- * holds the GIL throughout.
+ * allocated; a real error returns NULL with an exception set.
+ * simulate_sweep holds the GIL throughout.
  *
- * Build: cc -O2 -fPIC -shared -ffp-contract=off with the Python and numpy
- * include directories, linked against numpy/random/lib/libnpyrandom.a.
- * _kernels.py does this once and caches the result.
+ * complete_sweep releases the GIL and completes its paths on up to
+ * min(usable CPUs, MAX_WORKERS, K / MIN_PATHS) workers, the caller one of
+ * them, in blocks of BLOCK paths that each worker takes from a shared
+ * counter as it frees up.  Every path draws from its own stream, so no
+ * draw depends on which worker makes it, and the rules below make every
+ * output byte and counter those of one worker going through the paths in
+ * order:
+ *  - Phase A: each worker computes the normalizers its paths need, except
+ *    lazy x-to-x ones, in its own Chain and Store (Norm table and Sums).
+ *  - The barrier: no draw starts until every phase-A block is done, and
+ *    after it no worker changes its phase-A Store, so each may read the
+ *    others'.  An impossible pair or a virtual-jump cap overrun on any
+ *    path ends the call there, before any draw.
+ *  - Phase B: each worker draws its paths into its own buffers, and keeps
+ *    the lazy series in a second Store of its own.  The worker that took
+ *    blocks 0, 1, ... in a row sums their statistics as it goes.
+ *  - The join, after every thread has ended: the blocks go end to end in
+ *    path order, in the buffers of the worker that completed block 0,
+ *    which become the output arrays; the other blocks' statistics are
+ *    summed in path order, then jump order; the first failing path in
+ *    path order wins, and the counters count what a sequential sweep does
+ *    up to it (count_series).
+ * Workers allocate with malloc and realloc alone and call no Python API.
+ * A sweep's segments of one group must share their gap and endpoint
+ * states, as the estimator's do: then every worker computes the same
+ * normalizer for a group.
+ *
+ * Build: cc -O2 -fPIC -shared -pthread -ffp-contract=off with the Python
+ * and numpy include directories, linked against
+ * numpy/random/lib/libnpyrandom.a.  _kernels.py does this once and caches
+ * the result.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
@@ -260,18 +292,16 @@ typedef struct {
 } Chain;
 
 /* Makes P^r available: P^(j+1)[i][c] sums P^j[i][k] P[k][c] over k in
-   ascending order.  -1 with an error set on a failed allocation. */
+   ascending order.  -1 on a failed allocation. */
 static int
 chain_grow(Chain *c, npy_intp r)
 {
     const npy_intp n1 = c->n1, size = n1 * n1;
     if (r >= c->room) {
         const npy_intp room = Py_MAX(2 * c->room, r + 1);
-        double *pow = PyMem_Realloc(c->pow, room * size * sizeof(double));
-        if (pow == NULL) {
-            PyErr_NoMemory();
+        double *pow = realloc(c->pow, room * size * sizeof(double));
+        if (pow == NULL)
             return -1;
-        }
         c->pow = pow;
         c->room = room;
     }
@@ -300,18 +330,16 @@ chain_power(Chain *c, npy_intp r)
 
 /* The step table for k < rows, as _Chain.steps: steps[((k n1 + y) n1 + z)
    n1 + c] is the running sum over c' <= c of P[z][c'] (P^k)[c'][y].  -1
-   with an error set on a failed allocation. */
+   on a failed allocation. */
 static int
 chain_steps(Chain *c, npy_intp rows)
 {
     const npy_intp n1 = c->n1;
     if (chain_power(c, rows - 1) < 0)
         return -1;
-    c->steps = PyMem_Malloc(rows * n1 * n1 * n1 * sizeof(double));
-    if (c->steps == NULL) {
-        PyErr_NoMemory();
+    c->steps = malloc(rows * n1 * n1 * n1 * sizeof(double));
+    if (c->steps == NULL)
         return -1;
-    }
     c->step_rows = rows;
     double *out = c->steps;
     for (npy_intp k = 0; k < rows; k++)
@@ -328,30 +356,27 @@ chain_steps(Chain *c, npy_intp rows)
 }
 
 /* The normalizer of one bridge group, as _series' norm: the mode m, the
-   bounds of the walk and where its running totals start in the sweep's
-   Sums; hi < 0 while not computed. */
+   bounds of the walk and where its running totals start in its Sums; the
+   group, and 1 + the first path that needed it. */
 typedef struct {
     double total;
-    npy_intp m, lo, hi, at;
+    npy_intp m, lo, hi, at, group, first;
 } Norm;
 
-/* The running totals of the sweep's normalizer series, end to end. */
+/* The running totals of normalizer series, end to end. */
 typedef struct {
     double *v;
     npy_intp used, room;
 } Sums;
 
-/* Makes room for more running totals; -1 with an error set on a failed
-   allocation. */
+/* Makes room for more running totals; -1 on a failed allocation. */
 static int
 grow(Sums *s, npy_intp more)
 {
     const npy_intp room = Py_MAX(2 * s->room, s->used + more + 1024);
-    double *v = PyMem_Realloc(s->v, room * sizeof(double));
-    if (v == NULL) {
-        PyErr_NoMemory();
+    double *v = realloc(s->v, room * sizeof(double));
+    if (v == NULL)
         return -1;
-    }
     s->v = v;
     s->room = room;
     return 0;
@@ -371,7 +396,7 @@ push(Sums *s, double total)
    with w_m = 1, down while the Poisson mass below could exceed SERIES_TOL
    times the running total, then up likewise, each running total appended
    to sums.  Returns 0, 4 when the walk would pass vcap virtual jumps, or
-   -1 with an error set. */
+   -1 on a failed allocation. */
 static int
 series(Chain *c, Sums *sums, double q, npy_intp x, npy_intp y, npy_intp vcap, Norm *out)
 {
@@ -420,13 +445,12 @@ series(Chain *c, Sums *sums, double q, npy_intp x, npy_intp y, npy_intp vcap, No
     return 0;
 }
 
-/* The virtual-jump count, as _draw_count: the r of the first running
-   total above target, or of the last place the total grows if rounding
-   leaves none. */
+/* The virtual-jump count, as _draw_count: the r of the first of the
+   running totals s above target, or of the last place the total grows if
+   rounding leaves none. */
 static npy_intp
-draw_count(const Sums *sums, const Norm *g, double target)
+draw_count(const double *s, const Norm *g, double target)
 {
-    const double *s = sums->v + g->at;
     const npy_intp len = g->hi - g->lo + 1, down = g->m - g->lo;
     npy_intp j = 0;
     while (j < len && !(s[j] > target))
@@ -483,17 +507,18 @@ select_ranks(double *v, npy_intp lo, npy_intp hi, const npy_intp *ranks, npy_int
 }
 
 /* Draws the bridge from x at s1 to y at s2 as _bridge does, R from the
-   uniform u, and appends its kept jumps to out after *count.  v has room for R uniforms, and jumps
-   (for the kept jumps' indices, states and epoch ranks) for 3 R.  Returns
-   0, 2 when the buffers are full before a kept jump, or 5 when the floats
-   run out; adds the virtual-jump count R to *virtual. */
+   uniform u and the normalizer g with its running totals at totals, and
+   appends its kept jumps to out after *count.  v has room for R uniforms,
+   and jumps (for the kept jumps' indices, states and epoch ranks) for
+   3 R.  Returns 0, 2 when the buffers are full before a kept jump, or 5
+   when the floats run out; adds the virtual-jump count R to *virtual. */
 static int
-bridge(Pcg64 *st, const Chain *c, const Sums *sums, npy_intp n, double s1, double s2,
+bridge(Pcg64 *st, const Chain *c, const double *totals, npy_intp n, double s1, double s2,
        npy_intp x, npy_intp y, const Norm *g, double u, double *v, npy_intp *jumps,
        const Buffers *out, npy_intp *count, npy_intp *virtual)
 {
     const double delta = s2 - s1;
-    const npy_intp R = draw_count(sums, g, u * g->total);
+    const npy_intp R = draw_count(totals, g, u * g->total);
     const npy_intp n1 = c->n1;
     *virtual += R;
     if (R == 0)
@@ -543,100 +568,6 @@ bridge(Pcg64 *st, const Chain *c, const Sums *sums, npy_intp n, double s1, doubl
         prev = t;
     }
     return 0;
-}
-
-/* The normalizers the paths need, each group's computed once, in path
-   order, as _normalizers.  Returns 0, 1 (an impossible pair) or 4 with
-   *path and *info at the first failing segment, or -1 with an error set;
-   counts the series computed in *computed. */
-static int
-normalizers(Chain *c, Sums *sums, double mu, npy_intp vcap, const double *obs_s,
-            const npy_int64 *obs_x,
-            const npy_int64 *starts, const npy_int64 *groups, npy_intp K, Norm *norms,
-            npy_intp *path, npy_intp *info, npy_intp *computed)
-{
-    for (npy_intp k = 0; k < K; k++) {
-        for (npy_intp i = starts[k]; i < starts[k + 1] - 1; i++) {
-            Norm *g = norms + groups[i];
-            const double q = mu * (obs_s[i + 1] - obs_s[i]);
-            *path = k;
-            *info = i - starts[k];
-            if (!(q <= (double)vcap)) /* nan and inf too */
-                return 4;
-            if (obs_x[i] == obs_x[i + 1] && q < 1.0)
-                continue;
-            if (g->hi < 0) {
-                const int status = series(c, sums, q, obs_x[i], obs_x[i + 1], vcap, g);
-                (*computed)++;
-                if (status != 0) {
-                    g->hi = -1;
-                    return status;
-                }
-            }
-            if (!(g->total > 0.0))
-                return 1;
-        }
-    }
-    return 0;
-}
-
-/* Completes one path observed at obs_s[0..last] in obs_x[0..last], as
-   _complete_path: bridge each segment (a segment from x to x with q < 1
-   and no normalizer yet takes R = 0 when u exp(q) < 1, else computes its
-   series), then run a censored path on to absorption.  Returns the status
-   (0 completed, 2 buffers full, 3 dead end, 5 out of floats, -1 with an
-   error set) and sets *info to the segment it ended in; on status 0,
-   *count is the number of jumps written and *end the absorption epoch.
-   Adds the virtual jumps drawn to *virtual and the series computed to
-   *computed. */
-static int
-complete_path(Pcg64 *st, Chain *c, Sums *sums, double mu, npy_intp vcap, const Model *m,
-              Norm *norms,
-              const double *obs_s, const npy_int64 *obs_x, const npy_int64 *groups,
-              npy_intp last, double *v, npy_intp *jumps, const Buffers *out, npy_intp *info,
-              npy_intp *count, double *end, npy_intp *virtual, npy_intp *computed)
-{
-    *count = 0;
-    for (npy_intp seg = 0; seg < last; seg++) {
-        const double s1 = obs_s[seg], s2 = obs_s[seg + 1], u = pcg64_next_double(st);
-        Norm *g = norms + groups[seg];
-        *info = seg;
-        if (g->hi < 0) {
-            const double q = mu * (s2 - s1);
-            if (u * exp(q) < 1.0)
-                continue;
-            const int status = series(c, sums, q, obs_x[seg], obs_x[seg + 1], vcap, g);
-            (*computed)++;
-            if (status < 0)
-                return -1;
-            if (status != 0 || g->hi > c->step_rows) { /* not reached: such a walk ends by r = 18 */
-                g->hi = -1;
-                return 5;
-            }
-        }
-        const int status = bridge(st, c, sums, m->n, s1, s2, obs_x[seg], obs_x[seg + 1], g, u,
-                                  v, jumps, out, count, virtual);
-        if (status != 0)
-            return status;
-    }
-    *info = last;
-    if (obs_x[last] == m->n) {
-        *end = out->times[*count - 1];
-        return 0;
-    }
-    /* censored: continue unconditioned from the last observed state */
-    bitgen_t bg = pcg64_bitgen(st);
-    npy_intp state = obs_x[last];
-    double t = obs_s[last];
-    switch (run_chain(&bg, m, &state, &t, INFINITY, out, count)) {
-    case 1:
-        *end = t;
-        return 0;
-    case 2: /* no exit rate: a dead end */
-        return 3;
-    default: /* buffers full */
-        return 2;
-    }
 }
 
 /* ---- argument checks: each returns 0 (or NULL), with no error set, to decline ---- */
@@ -720,6 +651,517 @@ resize(PyArrayObject *a, npy_intp size)
     return res == NULL ? -1 : 0;
 }
 
+/* ---- the SE-step sweep, on one or more workers ---- */
+
+/* paths per block; at most MAX_WORKERS workers, one per MIN_PATHS paths */
+#define BLOCK 32
+#define MAX_WORKERS 8
+#define MIN_PATHS 64
+
+typedef struct Sweep Sweep;
+
+/* The normalizers one worker computed in one phase: norm[0..used) in that
+   order (room for one per group), their running totals in sums, and
+   slot[g] = 1 + the index of group g's, 0 while it has none. */
+typedef struct {
+    uint32_t *slot;
+    Norm *norm;
+    npy_intp used;
+    Sums sums;
+} Store;
+
+/* One worker: its chain, its normalizers of phase A (eager) and phase B
+   (lazy), its stream words and bridge scratch, and the paths it completed,
+   end to end in times and states.  tallied counts the leading blocks whose
+   statistics it summed as it went. */
+typedef struct {
+    Sweep *s;
+    Chain chain;
+    Store eager, lazy;
+    npy_intp max_hi, tallied, used, room;
+    uint32_t *words;
+    double *v, *times;
+    npy_intp *jumps;
+    npy_int64 *states;
+    /* every worker's phase-A store, as it stands after the barrier */
+    Store eager_of[MAX_WORKERS];
+} __attribute__((aligned(64))) Worker;
+
+/* A block of paths: how completing it ended (status, path and info at the
+   first failing path; the counters up to it) and where its paths lie in
+   its worker's buffers. */
+typedef struct {
+    int status;
+    npy_intp path, info, virtual, kept, censored, lo, hi;
+    Worker *w;
+} Block;
+
+/* One call: its arguments, its output statistics and bounds, and what the
+   workers share.  next_a, done_a, next_b, stop_a, stop_b and error change
+   atomically; stop_a and stop_b are the first failing block of each phase,
+   nblocks while none has failed. */
+struct Sweep {
+    const double *obs_s, *p;
+    const npy_int64 *obs_x, *starts, *keys, *groups;
+    const uint32_t *words;
+    Model m;
+    double mu;
+    npy_intp vcap, cap, K, n_groups, at_k, room, nblocks, nworkers;
+    npy_int64 *B, *N, *NA, *bound;
+    double *R;
+    Block *blocks;
+    Worker *workers;
+    npy_intp next_a, done_a, next_b, stop_a, stop_b, error;
+    pthread_mutex_t lock;
+    pthread_cond_t phase_a_done;
+};
+
+#define LOAD(p) __atomic_load_n(p, __ATOMIC_SEQ_CST)
+#define TAKE(p) __atomic_fetch_add(p, 1, __ATOMIC_SEQ_CST)
+
+/* The norm of group g in st, NULL if it has none. */
+static inline Norm *
+find(const Store *st, npy_intp g)
+{
+    return st->slot != NULL && st->slot[g] != 0 ? st->norm + st->slot[g] - 1 : NULL;
+}
+
+/* A new norm in st for group g, first needed by path k. */
+static Norm *
+add(Store *st, npy_intp g, npy_intp k)
+{
+    Norm *out = st->norm + st->used++;
+    out->group = g;
+    out->first = k + 1;
+    st->slot[g] = (uint32_t)st->used;
+    return out;
+}
+
+/* Lowers *stop to b unless it is lower already. */
+static void
+stop_at(npy_intp *stop, npy_intp b)
+{
+    npy_intp now = LOAD(stop);
+    while (b < now
+           && !__atomic_compare_exchange_n(stop, &now, b, 0, __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST))
+        ;
+}
+
+/* The worker's chain (P^0 only), stream words, empty stores and path
+   buffers, allocated by its own thread: what a thread frees stays in its
+   own malloc arena, for the next sweep's thread to use.  -1 on a failed
+   allocation. */
+static int
+start(Worker *w)
+{
+    const Sweep *s = w->s;
+    const npy_intp n1 = s->m.n + 1, n_groups = Py_MAX(s->n_groups, 1);
+    w->chain = (Chain){s->p, n1, malloc(16 * n1 * n1 * sizeof(double)), 1, 16, NULL, 0};
+    w->words = malloc((s->at_k + 2) * sizeof(uint32_t));
+    w->eager.slot = calloc(n_groups, sizeof(uint32_t));
+    w->eager.norm = malloc(n_groups * sizeof(Norm));
+    w->lazy.slot = calloc(n_groups, sizeof(uint32_t));
+    w->lazy.norm = malloc(n_groups * sizeof(Norm));
+    w->room = s->room;
+    w->times = malloc(w->room * sizeof(double));
+    w->states = malloc(w->room * sizeof(npy_int64));
+    if (w->chain.pow == NULL || w->words == NULL || w->eager.slot == NULL
+        || w->eager.norm == NULL || w->lazy.slot == NULL || w->lazy.norm == NULL
+        || w->times == NULL || w->states == NULL || grow(&w->eager.sums, 0) < 0
+        || grow(&w->lazy.sums, 0) < 0)
+        return -1;
+    for (npy_intp i = 0; i < n1 * n1; i++)
+        w->chain.pow[i] = i % (n1 + 1) == 0 ? 1.0 : 0.0;
+    memcpy(w->words, s->words, s->at_k * sizeof(uint32_t));
+    return 0;
+}
+
+/* Phase A for the paths [k0, k1): the normalizers they need, each group's
+   computed once in this worker, in path order, as _normalizers.  Returns
+   0, 1 (an impossible pair) or 4 with *path and *info at the first
+   failing segment, or -1 on a failed allocation. */
+static int
+normalizers(Worker *w, npy_intp k0, npy_intp k1, npy_intp *path, npy_intp *info)
+{
+    const Sweep *s = w->s;
+    const double *obs_s = s->obs_s;
+    const npy_int64 *obs_x = s->obs_x;
+    npy_intp k, i;
+    int status = 0;
+    for (k = k0; k < k1; k++) {
+        for (i = s->starts[k]; i < s->starts[k + 1] - 1; i++) {
+            Norm *g = find(&w->eager, s->groups[i]);
+            const double q = s->mu * (obs_s[i + 1] - obs_s[i]);
+            if (!(q <= (double)s->vcap)) { /* nan and inf too */
+                status = 4;
+                goto failed;
+            }
+            if (obs_x[i] == obs_x[i + 1] && q < 1.0)
+                continue;
+            if (g == NULL) {
+                g = add(&w->eager, s->groups[i], k);
+                status = series(&w->chain, &w->eager.sums, q, obs_x[i], obs_x[i + 1], s->vcap, g);
+                if (status != 0)
+                    goto failed;
+                w->max_hi = Py_MAX(w->max_hi, g->hi);
+            }
+            if (!(g->total > 0.0)) {
+                status = 1;
+                goto failed;
+            }
+        }
+    }
+    return 0;
+failed:
+    *path = k;
+    *info = i - s->starts[k];
+    return status;
+}
+
+/* The phase-A normalizer of group g and its running totals: this worker's,
+   or else the first other worker's that holds it.  Phase A computed the
+   group of every segment that is not a lazy x-to-x one, and every worker
+   computes the same bits. */
+static const Norm *
+eager_norm(const Worker *w, npy_intp g, const double **totals)
+{
+    const Store *st = &w->eager;
+    const Norm *norm = find(st, g);
+    for (npy_intp i = 0; norm == NULL; i++)
+        norm = find(st = w->eager_of + i, g);
+    *totals = st->sums.v + norm->at;
+    return norm;
+}
+
+/* Completes path k, as _complete_path, into the worker's buffers after
+   its first entry at w->times[w->used]: bridge each segment (a segment
+   from x to x with q < 1 takes its normalizer from the worker's lazy
+   store: when it has none yet, R = 0 if u exp(q) < 1, else its series is
+   computed there), then run a censored path on to absorption.  Returns
+   the status (0 completed, 2 buffers full, 3 dead end, 5 out of floats,
+   -1 on a failed allocation) and sets *info to the segment it ended in
+   and *count to the jumps written.  Adds the virtual jumps drawn to
+   *virtual. */
+static int
+complete_path(Worker *w, npy_intp k, npy_intp *info, npy_intp *count, npy_intp *virtual)
+{
+    const Sweep *s = w->s;
+    const npy_intp a = s->starts[k], last = s->starts[k + 1] - a - 1;
+    const double *obs_s = s->obs_s + a;
+    const npy_int64 *obs_x = s->obs_x + a, *groups = s->groups + a;
+    const Buffers out = {w->times + w->used + 1, w->states + w->used + 1, s->cap};
+    Pcg64 st;
+    pcg64_seed(&st, w->words, s->at_k + put_words(w->words + s->at_k, (npy_uint64)s->keys[k]));
+    *count = 0;
+    for (npy_intp seg = 0; seg < last; seg++) {
+        const double s1 = obs_s[seg], s2 = obs_s[seg + 1], u = pcg64_next_double(&st);
+        const double q = s->mu * (s2 - s1);
+        const Norm *g;
+        const double *totals;
+        *info = seg;
+        if (obs_x[seg] == obs_x[seg + 1] && q < 1.0) {
+            Norm *lazy = find(&w->lazy, groups[seg]);
+            if (lazy == NULL) {
+                if (u * exp(q) < 1.0)
+                    continue;
+                lazy = add(&w->lazy, groups[seg], k);
+                const int status = series(&w->chain, &w->lazy.sums, q, obs_x[seg],
+                                          obs_x[seg + 1], s->vcap, lazy);
+                if (status < 0)
+                    return -1;
+                /* not reached: such a walk ends by r = 18 */
+                if (status != 0 || lazy->hi > w->chain.step_rows)
+                    return 5;
+            }
+            g = lazy;
+            totals = w->lazy.sums.v + lazy->at;
+        } else {
+            g = eager_norm(w, groups[seg], &totals);
+        }
+        const int status = bridge(&st, &w->chain, totals, s->m.n, s1, s2, obs_x[seg],
+                                  obs_x[seg + 1], g, u, w->v, w->jumps, &out, count, virtual);
+        if (status != 0)
+            return status;
+    }
+    *info = last;
+    if (obs_x[last] == s->m.n)
+        return 0;
+    /* censored: continue unconditioned from the last observed state */
+    bitgen_t bg = pcg64_bitgen(&st);
+    npy_intp state = obs_x[last];
+    double t = obs_s[last];
+    switch (run_chain(&bg, &s->m, &state, &t, INFINITY, &out, count)) {
+    case 1:
+        return 0;
+    case 2: /* no exit rate: a dead end */
+        return 3;
+    default: /* buffers full */
+        return 2;
+    }
+}
+
+/* Adds the path at t[0..count] in the states x[0..count] to the
+   statistics, as accumulate_statistics does: its entry into its first
+   state, then its jumps in order. */
+static void
+tally(const Sweep *s, const double *t, const npy_int64 *x, npy_intp count)
+{
+    const npy_intp n = s->m.n;
+    s->B[x[0]]++;
+    for (npy_intp j = 1; j <= count; j++) {
+        s->R[x[j - 1]] += t[j] - t[j - 1];
+        if (x[j] < n)
+            s->N[x[j - 1] * n + x[j]]++;
+        else
+            s->NA[x[j - 1]]++;
+    }
+}
+
+/* Phase B's scratch and step table for bridges of fewer than rows
+   virtual jumps, and every worker's phase-A store; -1 on a failed
+   allocation. */
+static int
+ready_b(Worker *w, npy_intp rows)
+{
+    const Sweep *s = w->s;
+    for (npy_intp i = 0; i < s->nworkers; i++)
+        w->eager_of[i] = s->workers[i].eager;
+    w->v = malloc(rows * sizeof(double));
+    w->jumps = malloc(3 * rows * sizeof(npy_intp));
+    if (w->v == NULL || w->jumps == NULL)
+        return -1;
+    return chain_steps(&w->chain, rows);
+}
+
+/* Gives the worker's path buffers room for room entries; -1 on a failed
+   allocation. */
+static int
+widen(Worker *w, npy_intp room)
+{
+    double *times = realloc(w->times, room * sizeof(double));
+    if (times != NULL)
+        w->times = times;
+    npy_int64 *states = realloc(w->states, room * sizeof(npy_int64));
+    if (states != NULL)
+        w->states = states;
+    if (times == NULL || states == NULL)
+        return -1;
+    w->room = room;
+    return 0;
+}
+
+/* Phase B for block b: completes its paths in order into the worker's
+   buffers, up to the first that fails.  The worker that took every block
+   before this one sums the statistics as it goes. */
+static void
+complete_block(Worker *w, npy_intp b)
+{
+    Sweep *s = w->s;
+    Block *blk = s->blocks + b;
+    const int in_order = w->tallied == b;
+    npy_intp virtual = 0, kept = 0, censored = 0;
+    blk->w = w;
+    blk->lo = w->used;
+    for (npy_intp k = b * BLOCK; k < Py_MIN(s->K, (b + 1) * BLOCK); k++) {
+        if (w->used + 1 + s->cap > w->room
+            && widen(w, Py_MAX(2 * w->room, w->used + 1 + s->cap)) < 0) {
+            __atomic_store_n(&s->error, 1, __ATOMIC_SEQ_CST);
+            return;
+        }
+        npy_intp count, info = 0;
+        const int status = complete_path(w, k, &info, &count, &virtual);
+        if (status < 0) {
+            __atomic_store_n(&s->error, 1, __ATOMIC_SEQ_CST);
+            return;
+        }
+        if (status != 0) {
+            blk->status = status;
+            blk->path = k;
+            blk->info = info;
+            stop_at(&s->stop_b, b);
+            break;
+        }
+        const npy_intp a = s->starts[k];
+        double *t = w->times + w->used;
+        npy_int64 *x = w->states + w->used;
+        t[0] = 0.0;
+        x[0] = s->obs_x[a];
+        if (in_order)
+            tally(s, t, x, count);
+        kept += count;
+        censored += s->obs_x[s->starts[k + 1] - 1] != s->m.n;
+        w->used += 1 + count;
+        s->bound[k + 1] = w->used;
+    }
+    blk->virtual = virtual;
+    blk->kept = kept;
+    blk->censored = censored;
+    blk->hi = w->used;
+    if (in_order)
+        w->tallied = b + 1;
+}
+
+/* One worker's part of the sweep: phase-A blocks while any are left, the
+   barrier, then phase-B blocks while any are left.  A block past a failed
+   one is skipped. */
+static void
+work(Worker *w)
+{
+    Sweep *s = w->s;
+    if (start(w) < 0)
+        __atomic_store_n(&s->error, 1, __ATOMIC_SEQ_CST);
+    for (npy_intp b; (b = TAKE(&s->next_a)) < s->nblocks;) {
+        if (b < LOAD(&s->stop_a) && !LOAD(&s->error)) {
+            Block *blk = s->blocks + b;
+            const int status = normalizers(w, b * BLOCK, Py_MIN(s->K, (b + 1) * BLOCK),
+                                           &blk->path, &blk->info);
+            if (status < 0) {
+                __atomic_store_n(&s->error, 1, __ATOMIC_SEQ_CST);
+            } else if (status > 0) {
+                blk->status = status;
+                stop_at(&s->stop_a, b);
+            }
+        }
+        if (__atomic_add_fetch(&s->done_a, 1, __ATOMIC_SEQ_CST) == s->nblocks) {
+            pthread_mutex_lock(&s->lock);
+            pthread_cond_broadcast(&s->phase_a_done);
+            pthread_mutex_unlock(&s->lock);
+        }
+    }
+    /* the barrier: no worker changes its phase-A tables after it */
+    pthread_mutex_lock(&s->lock);
+    while (LOAD(&s->done_a) < s->nblocks)
+        pthread_cond_wait(&s->phase_a_done, &s->lock);
+    pthread_mutex_unlock(&s->lock);
+    if (LOAD(&s->stop_a) < s->nblocks)
+        return;
+    npy_intp rows = SHORT_ROWS;
+    for (npy_intp i = 0; i < s->nworkers; i++)
+        rows = Py_MAX(rows, s->workers[i].max_hi);
+    for (npy_intp b; (b = TAKE(&s->next_b)) < s->nblocks;) {
+        if (b > LOAD(&s->stop_b) || LOAD(&s->error))
+            continue;
+        if (w->v == NULL && ready_b(w, rows) < 0)
+            __atomic_store_n(&s->error, 1, __ATOMIC_SEQ_CST);
+        else
+            complete_block(w, b);
+    }
+}
+
+static void *
+work_thread(void *w)
+{
+    work(w);
+    return NULL;
+}
+
+/* How many series of the eager (lazy = 0) or lazy groups a sequential
+   sweep computes up to path limit - 1: each group a worker computed counts
+   once, if the first path that needed it is below limit. */
+static npy_intp
+count_series(const Sweep *s, int lazy, npy_intp limit)
+{
+    const Worker *end = s->workers + s->nworkers;
+    npy_intp count = 0;
+    for (const Worker *w = s->workers; w < end; w++) {
+        const Store *st = lazy ? &w->lazy : &w->eager;
+        for (const Norm *g = st->norm; g < st->norm + st->used; g++) {
+            int earliest = g->first <= limit;
+            for (const Worker *o = s->workers; earliest && o < end; o++) {
+                const Norm *other = o == w ? NULL : find(lazy ? &o->lazy : &o->eager, g->group);
+                earliest = other == NULL || other->first > g->first;
+            }
+            count += earliest;
+        }
+    }
+    return count;
+}
+
+/* The CPUs the calling thread may run on. */
+static npy_intp
+usable_cpus(void)
+{
+#ifdef CPU_COUNT
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return CPU_COUNT(&set);
+#endif
+    const long cpus = sysconf(_SC_NPROCESSORS_ONLN);
+    return cpus > 0 ? cpus : 1;
+}
+
+static void
+free_buffer(PyObject *capsule)
+{
+    free(PyCapsule_GetPointer(capsule, NULL));
+}
+
+/* A 1-d array of size items of the given type and item size on data,
+   shrunk to fit, which frees data when it goes; NULL with an error set
+   (and data freed) if that fails. */
+static PyObject *
+take_over(void *data, npy_intp size, int type, size_t item)
+{
+    void *fit = realloc(data, size * item);
+    if (fit != NULL)
+        data = fit;
+    PyObject *base = PyCapsule_New(data, NULL, free_buffer);
+    if (base == NULL) {
+        free(data);
+        return NULL;
+    }
+    PyObject *a = PyArray_SimpleNewFromData(1, &size, type, data);
+    if (a == NULL) {
+        Py_DECREF(base);
+        return NULL;
+    }
+    if (PyArray_SetBaseObject((PyArrayObject *)a, base) < 0) { /* it took base */
+        Py_DECREF(a);
+        return NULL;
+    }
+    return a;
+}
+
+/* The paths of a sweep that did not fail, in *times and *states, with
+   s->bound made global and the statistics summed for the blocks no worker
+   summed as it went.  The blocks go end to end in path order, last first,
+   into the buffers of the worker that completed block 0, which become the
+   arrays: its own blocks move up, and so leave room for the others'.  -1
+   with an error set if that fails. */
+static int
+join_paths(Sweep *s, PyObject **times, PyObject **states)
+{
+    Worker *w = s->blocks[0].w;
+    npy_intp used = 0, tallied = 0;
+    for (npy_intp b = 0; b < s->nblocks; b++)
+        used += s->blocks[b].hi - s->blocks[b].lo;
+    if (used > w->room && widen(w, used) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    double *t = w->times;
+    npy_int64 *x = w->states;
+    for (npy_intp b = s->nblocks - 1, at = used; b >= 0; b--) {
+        const Block *blk = s->blocks + b;
+        at -= blk->hi - blk->lo;
+        if (blk->w == w && blk->lo == at) /* in place already */
+            continue;
+        memmove(t + at, blk->w->times + blk->lo, (blk->hi - blk->lo) * sizeof(double));
+        memmove(x + at, blk->w->states + blk->lo, (blk->hi - blk->lo) * sizeof(npy_int64));
+        for (npy_intp k = b * BLOCK; k < Py_MIN(s->K, (b + 1) * BLOCK); k++)
+            s->bound[k + 1] += at - blk->lo;
+    }
+    for (npy_intp i = 0; i < s->nworkers; i++)
+        tallied = Py_MAX(tallied, s->workers[i].tallied);
+    for (npy_intp k = tallied * BLOCK; k < s->K; k++)
+        tally(s, t + s->bound[k], x + s->bound[k], s->bound[k + 1] - s->bound[k] - 1);
+    *times = take_over(t, used, NPY_FLOAT64, sizeof(double));
+    *states = take_over(x, used, NPY_INT64, sizeof(npy_int64));
+    w->times = NULL;
+    w->states = NULL;
+    return *times == NULL || *states == NULL ? -1 : 0;
+}
+
 /* complete_sweep(words, iteration, keys, obs_s, obs_x, starts, groups, cum, total, n, mu,
                   ptrans, vcap, cap)
    -> (status, path, info, (virtual, kept, censored, series), stats, paths) */
@@ -748,13 +1190,12 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
         || PyArray_DIM(key_arr, 0) != PyArray_DIM(k_arr, 0) - 1
         || PyArray_DIM(p_arr, 0) != m.n + 1 || PyArray_DIM(p_arr, 1) != m.n + 1)
         Py_RETURN_NOTIMPLEMENTED;
-    const double *obs_s = (const double *)PyArray_DATA(s_arr);
-    const npy_int64 *obs_x = (const npy_int64 *)PyArray_DATA(x_arr);
     const npy_int64 *starts = (const npy_int64 *)PyArray_DATA(k_arr);
     const npy_int64 *keys = (const npy_int64 *)PyArray_DATA(key_arr);
     const npy_int64 *groups = (const npy_int64 *)PyArray_DATA(g_arr);
+    const npy_int64 *obs_x = (const npy_int64 *)PyArray_DATA(x_arr);
     const npy_intp K = PyArray_DIM(k_arr, 0) - 1, len = PyArray_DIM(s_arr, 0);
-    if (starts[0] != 0 || starts[K] != len)
+    if (starts[0] != 0 || starts[K] != len || len > UINT32_MAX) /* a slot holds a segment count */
         Py_RETURN_NOTIMPLEMENTED;
     npy_intp n_groups = 0;
     for (npy_intp k = 0; k < K; k++) {
@@ -768,115 +1209,101 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
         }
     }
 
-    const npy_intp n = m.n, n1 = n + 1, nwords = PyArray_DIM(w_arr, 0);
-    npy_intp dims[2] = {n, n}, paths = K + 1, capacity = len + cap + 1;
+    const npy_intp n = m.n, nwords = PyArray_DIM(w_arr, 0), nblocks = (K + BLOCK - 1) / BLOCK;
+    const npy_intp nworkers = Py_MAX(1, Py_MIN(Py_MIN(usable_cpus(), MAX_WORKERS), K / MIN_PATHS));
+    npy_intp dims[2] = {n, n}, paths = K + 1;
     PyArrayObject *b = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_INT64, 0);
     PyArrayObject *nt = (PyArrayObject *)PyArray_ZEROS(2, dims, NPY_INT64, 0);
     PyArrayObject *na = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_INT64, 0);
     PyArrayObject *r = (PyArrayObject *)PyArray_ZEROS(1, &n, NPY_FLOAT64, 0);
     PyArrayObject *bounds = (PyArrayObject *)PyArray_EMPTY(1, &paths, NPY_INT64, 0);
-    PyArrayObject *times = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_FLOAT64, 0);
-    PyArrayObject *states = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_INT64, 0);
-    /* the stream's words, then those of (iteration, keys[k]) */
-    uint32_t *words = PyMem_Malloc((nwords + 4) * sizeof(uint32_t));
-    Norm *norms = PyMem_Malloc(Py_MAX(n_groups, 1) * sizeof(Norm));
-    Chain chain = {(const double *)PyArray_DATA(p_arr), n1,
-                   PyMem_Malloc(16 * n1 * n1 * sizeof(double)), 1, 16, NULL, 0};
-    double *v = NULL;
-    npy_intp *jumps = NULL;
-    Sums sums = {NULL, 0, 0};
-    PyObject *result = NULL;
-    if (b == NULL || nt == NULL || na == NULL || r == NULL || bounds == NULL || times == NULL
-        || states == NULL || words == NULL || norms == NULL || chain.pow == NULL) {
+    /* the stream's words, then those of iteration */
+    uint32_t *words = malloc((nwords + 2) * sizeof(uint32_t));
+    Block *blocks = calloc(nblocks, sizeof(Block));
+    Worker workers[MAX_WORKERS];
+    PyObject *times = NULL, *states = NULL, *result = NULL;
+    memset(workers, 0, sizeof workers);
+    if (b == NULL || nt == NULL || na == NULL || r == NULL || bounds == NULL || words == NULL
+        || blocks == NULL) {
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         goto done;
     }
-    for (npy_intp i = 0; i < n1 * n1; i++)
-        chain.pow[i] = i % (n1 + 1) == 0 ? 1.0 : 0.0;
-    for (npy_intp g = 0; g < n_groups; g++)
-        norms[g].hi = -1;
-    npy_intp status, path = 0, info = 0, virtual = 0, kept = 0, censored = 0, computed = 0;
-    status = normalizers(&chain, &sums, mu, vcap, obs_s, obs_x, starts, groups, K, norms,
-                         &path, &info, &computed);
-    if (status < 0)
-        goto done;
-    if (status != 0)
-        goto failed;
-    npy_intp room = SHORT_ROWS;
-    for (npy_intp g = 0; g < n_groups; g++)
-        room = Py_MAX(room, norms[g].hi);
-    v = PyMem_Malloc(room * sizeof(double));
-    jumps = PyMem_Malloc(3 * room * sizeof(npy_intp));
-    if (v == NULL || jumps == NULL) {
+    memcpy(words, PyArray_DATA(w_arr), nwords * sizeof(uint32_t));
+    Sweep s = {
+        .obs_s = (const double *)PyArray_DATA(s_arr), .p = (const double *)PyArray_DATA(p_arr),
+        .obs_x = obs_x, .starts = starts, .keys = keys, .groups = groups, .words = words,
+        .m = m, .mu = mu, .vcap = vcap, .cap = cap, .K = K, .n_groups = n_groups,
+        .at_k = nwords + put_words(words + nwords, (npy_uint64)iteration),
+        .room = len / nworkers + cap + 1, .nblocks = nblocks, .nworkers = nworkers,
+        .B = (npy_int64 *)PyArray_DATA(b), .N = (npy_int64 *)PyArray_DATA(nt),
+        .NA = (npy_int64 *)PyArray_DATA(na), .bound = (npy_int64 *)PyArray_DATA(bounds),
+        .R = (double *)PyArray_DATA(r), .blocks = blocks, .workers = workers,
+        .stop_a = nblocks, .stop_b = nblocks,
+    };
+    for (npy_intp i = 0; i < nworkers; i++)
+        workers[i].s = &s;
+    s.bound[0] = 0;
+    pthread_mutex_init(&s.lock, NULL);
+    pthread_cond_init(&s.phase_a_done, NULL);
+    Py_BEGIN_ALLOW_THREADS
+    /* the caller is worker 0; a thread that does not start leaves its
+       blocks to the others */
+    pthread_t threads[MAX_WORKERS];
+    npy_intp started = 0;
+    while (started + 1 < nworkers
+           && pthread_create(threads + started, NULL, work_thread, workers + started + 1) == 0)
+        started++;
+    work(workers);
+    while (started > 0)
+        pthread_join(threads[--started], NULL);
+    Py_END_ALLOW_THREADS
+    pthread_cond_destroy(&s.phase_a_done);
+    pthread_mutex_destroy(&s.lock);
+    if (s.error) {
         PyErr_NoMemory();
         goto done;
     }
-    if (chain_steps(&chain, room) < 0)
-        goto done;
-    memcpy(words, PyArray_DATA(w_arr), nwords * sizeof(uint32_t));
-    const npy_intp at_k = nwords + put_words(words + nwords, (npy_uint64)iteration);
-    npy_int64 *B = (npy_int64 *)PyArray_DATA(b), *N = (npy_int64 *)PyArray_DATA(nt);
-    npy_int64 *NA = (npy_int64 *)PyArray_DATA(na), *bound = (npy_int64 *)PyArray_DATA(bounds);
-    double *R = (double *)PyArray_DATA(r);
-    npy_intp used = 0;
-    bound[0] = 0;
-    for (npy_intp k = 0; k < K; k++) {
-        if (used + 1 + cap > capacity) {
-            capacity = Py_MAX(2 * capacity, used + 1 + cap);
-            if (resize(times, capacity) < 0 || resize(states, capacity) < 0)
-                goto done;
-        }
-        double *t = (double *)PyArray_DATA(times) + used;
-        npy_int64 *x = (npy_int64 *)PyArray_DATA(states) + used;
-        const Buffers out = {t + 1, x + 1, cap};
-        const npy_intp a = starts[k], last = starts[k + 1] - a - 1;
-        npy_intp count = 0, len_k = at_k + put_words(words + at_k, (npy_uint64)keys[k]);
-        double end;
-        Pcg64 stream;
-        pcg64_seed(&stream, words, len_k);
-        status = complete_path(&stream, &chain, &sums, mu, vcap, &m, norms, obs_s + a,
-                               obs_x + a, groups + a, last, v, jumps, &out, &info, &count, &end,
-                               &virtual, &computed);
-        if (status < 0)
-            goto done;
-        if (status != 0) {
-            path = k;
-            goto failed;
-        }
-        kept += count;
-        censored += obs_x[a + last] != n;
-        /* the entry into the first state, then the jumps: tallied as
-           accumulate_statistics does, in path order, then jump order */
-        t[0] = 0.0;
-        x[0] = obs_x[a];
-        B[x[0]]++;
-        for (npy_intp j = 1; j <= count; j++) {
-            R[x[j - 1]] += t[j] - t[j - 1];
-            if (x[j] < n)
-                N[x[j - 1] * n + x[j]]++;
-            else
-                NA[x[j - 1]]++;
-        }
-        used += 1 + count;
-        bound[k + 1] = used;
+    /* the first failing block of phase A, else of phase B, and the
+       counters up to its failing path */
+    const npy_intp failed = Py_MIN(s.stop_a, s.stop_b);
+    const npy_intp limit = failed < nblocks ? blocks[failed].path + 1 : K;
+    npy_intp virtual = 0, kept = 0, censored = 0;
+    for (npy_intp i = 0; i <= Py_MIN(failed, nblocks - 1); i++) {
+        virtual += blocks[i].virtual;
+        kept += blocks[i].kept;
+        censored += blocks[i].censored;
     }
-    if (resize(times, used) < 0 || resize(states, used) < 0)
+    const npy_intp series = count_series(&s, 0, s.stop_a < nblocks ? limit : K)
+                            + count_series(&s, 1, limit);
+    if (failed < nblocks) {
+        result = Py_BuildValue("(inn(nnnn)OO)", blocks[failed].status, blocks[failed].path,
+                               blocks[failed].info, virtual, kept, censored, series, Py_None,
+                               Py_None);
         goto done;
-    result = Py_BuildValue("(inn(nnnn)(OOOO)(OOO))", 0, (npy_intp)0, (npy_intp)0, virtual, kept,
-                           censored, computed, b, nt, na, r, times, states, bounds);
-    goto done;
-failed:
-    result = Py_BuildValue("(inn(nnnn)OO)", (int)status, path, info, virtual, kept, censored,
-                           computed, Py_None, Py_None);
+    }
+    if (join_paths(&s, &times, &states) == 0)
+        result = Py_BuildValue("(inn(nnnn)(OOOO)(OOO))", 0, (npy_intp)0, (npy_intp)0, virtual,
+                               kept, censored, series, b, nt, na, r, times, states, bounds);
 done:
-    PyMem_Free(words);
-    PyMem_Free(norms);
-    PyMem_Free(chain.pow);
-    PyMem_Free(chain.steps);
-    PyMem_Free(sums.v);
-    PyMem_Free(v);
-    PyMem_Free(jumps);
+    for (npy_intp i = 0; i < MAX_WORKERS; i++) {
+        Worker *w = workers + i;
+        free(w->chain.pow);
+        free(w->chain.steps);
+        free(w->eager.slot);
+        free(w->eager.norm);
+        free(w->eager.sums.v);
+        free(w->lazy.slot);
+        free(w->lazy.norm);
+        free(w->lazy.sums.v);
+        free(w->words);
+        free(w->v);
+        free(w->jumps);
+        free(w->times);
+        free(w->states);
+    }
+    free(words);
+    free(blocks);
     Py_XDECREF(b);
     Py_XDECREF(nt);
     Py_XDECREF(na);

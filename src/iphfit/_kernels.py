@@ -29,9 +29,13 @@ order:
 - C: ``_ckernels.c``, compiled on the first import and cached in this
   package's ``__pycache__`` under a name keyed by the source, the
   compiler flags, the interpreter's extension suffix and the numpy
-  version (see ``build``);
-- pure Python: the bodies below as they are, if compiling or loading
-  the C file fails for any reason.
+  version (see ``build``).  Its ``complete_sweep`` releases the GIL and
+  completes the paths on up to one thread per usable CPU (at most 8, and
+  one per 64 paths), in blocks handed out as the threads free up; it
+  joins them in path order, so the thread count changes no output byte
+  and no counter;
+- pure Python: the bodies below as they are, on one thread, if compiling
+  or loading the C file fails for any reason.
 
 ``BACKEND`` names the one in use.  The C sweeps consume each bit stream
 exactly like the Python bodies do and compute every float the same way,
@@ -565,7 +569,7 @@ _PY_SWEEPS = (complete_sweep, simulate_sweep)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _C_SOURCE = os.path.join(_HERE, "_ckernels.c")
 # no -ffast-math or -march: the arithmetic must round as the Python bodies do
-_C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_C_FLAGS = ("-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
 
 
 def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):

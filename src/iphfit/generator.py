@@ -13,6 +13,7 @@ absorbing state is n+1.  Arrays are 0-based internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,9 @@ class SubIntensityMatrix:
     entries : array_like
         Square matrix of rates over the n transient states.  Construction
         only checks shape and finiteness; call :func:`validate_generator`
-        for the structural checks.
+        for the structural checks.  The entries are read-only, so
+        ``require_valid`` and ``exit_rates`` run those checks once per
+        matrix.
     """
 
     entries: np.ndarray
@@ -62,11 +65,15 @@ class SubIntensityMatrix:
         return np.maximum(-self.entries.sum(axis=1), 0.0)
 
     def require_valid(self) -> None:
-        report = validate_generator(self)
+        report = self._report
         if not report.ok:
             raise ValidationError(
                 "invalid sub-intensity matrix: " + "; ".join(report.violations)
             )
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return validate_generator(self)
 
     def __eq__(self, other):
         if not isinstance(other, SubIntensityMatrix):

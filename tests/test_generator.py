@@ -134,6 +134,31 @@ def test_exit_rates_requires_valid_generator():
         exit_rates(SubIntensityMatrix(np.array([[-1.0, -0.5], [0.2, -0.2]])))
 
 
+def test_invalid_matrix_raises_the_same_error_on_every_call():
+    m = SubIntensityMatrix(np.array([[-1.0, -0.5], [0.2, 0.3]]))
+    want = ("invalid sub-intensity matrix: negative off-diagonal rate at (1,2); "
+            "positive diagonal entry at (2,2); row 2 sums to 0.5 > 0")
+    for call in (m.exit_rates, m.require_valid) * 3:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == want
+
+
+def test_a_matrix_is_validated_once(monkeypatch, weibull_lam):
+    """The entries are read-only: the structural checks run on the first
+    call that needs them, and later calls reuse their report."""
+    import iphfit.generator as generator
+
+    checks = []
+    validate = generator.validate_generator
+    monkeypatch.setattr(generator, "validate_generator", lambda m: checks.append(m) or validate(m))
+    m = SubIntensityMatrix(weibull_lam.entries)
+    rates = [m.exit_rates().tolist() for _ in range(3)]
+    m.require_valid()
+    assert checks == [m]
+    assert rates == [(-weibull_lam.entries.sum(axis=1)).tolist()] * 3
+
+
 # ---------------------------------------------------------------------------
 # matrix exponential
 

@@ -7,11 +7,14 @@ statuses.  Each compiled sweep must give the same result as its
 SE-step sweep must seed each path's stream as ``RandomStream.generator()``
 does and give the statistics, paths and counters of a per-path loop over
 the exact sampler (``conftest.exact_path``); the simulation sweep must
-give the paths of a per-path loop over ``sim_path``.  The build tests
+give the paths of a per-path loop over ``sim_path``.  The compiled SE-step
+sweep must give the same bytes, counters and failure on any number of
+threads.  The build tests
 check the C backend's compile-once cache and its fallback to the Python
 bodies.
 """
 
+import dataclasses
 import os
 import re
 import shutil
@@ -31,14 +34,14 @@ from iphfit import (
     SubIntensityMatrix,
     _kernels,
 )
-from iphfit import estimator
+from iphfit import estimator, studies
 from iphfit.cli import main
 from iphfit.likelihood import accumulate_statistics
 from iphfit.paths import HOMOGENEOUS
 from iphfit.simulate import bridge_model, jump_model, simulate_paths
 from iphfit.studies import cohort_panel, fitted_absorption_sample, simulate_cohort, uniform_grid
 
-from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI, exact_path
+from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI, exact_path, panel_from_rows
 
 KERNELS = ("complete_sweep", "simulate_sweep")
 
@@ -364,6 +367,204 @@ def test_sweep_hands_other_inputs_to_python_body():
     for body in (_kernels.complete_sweep, _kernels.complete_sweep.py_func):
         with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
             body(words, 1, negative, obs_s, panel.flat_states0, panel.starts, groups, *rest, 64)
+
+
+# ---------------------------------------------------------------------------
+# the SE-step sweep on several workers: the compiled body completes a sweep
+# of at least 128 paths on up to one worker per usable CPU, and no output
+# byte, counter or failure may depend on how many
+
+several = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda _pid: ())(0)) < 2,
+    reason="one usable CPU: every sweep runs on one worker",
+)
+
+
+def _same(got, want):
+    """Equal results of two ``complete_sweep`` calls, array bytes and
+    dtypes included."""
+    assert got[:4] == want[:4]
+    if got[0] != 0:
+        assert got[4:] == want[4:] == (None, None)
+        return
+    for a, b in zip(got[4] + got[5], want[4] + want[5]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _irregular_panel(count, seed):
+    """A Gompertz panel shaped like the benchmark's irregular one: visits at
+    uniform gaps of 0.5 to 1.5 until a drop-out time between 20 and 60,
+    itself a visit; the first visit at or after absorption ends the path."""
+    cohort = simulate_cohort(GOMPERTZ_PI, SubIntensityMatrix(GOMPERTZ_LAM),
+                             ScalingFamily.gompertz(GOMPERTZ_BETA), np.inf, count,
+                             RandomStream(seed))
+    gen = np.random.default_rng(seed)
+    rows = []
+    for k in range(count):
+        path, dropout = cohort[k], gen.uniform(20.0, 60.0)
+        visits = [0.0]
+        while (v := visits[-1] + gen.uniform(0.5, 1.5)) < dropout:
+            visits.append(v)
+        visits.append(dropout)
+        seen = path.states[np.searchsorted(path.times, visits, side="right") - 1]
+        stop = int(np.argmax(seen == 4)) + 1 if seen[-1] == 4 else len(visits)
+        rows.append((f"c{k}", visits[:stop], seen[:stop]))
+    return panel_from_rows(3, rows)
+
+
+def _sweep_calls(monkeypatch):
+    """The ``complete_sweep`` calls of two-iteration fits on 400 paths of
+    each preset's first window (initialization's bridges and the SE-steps)
+    and on an irregular panel."""
+    calls = []
+    sweep = _kernels.complete_sweep
+
+    def record(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(_kernels, "complete_sweep", record)
+    for preset in (studies.GOMPERTZ_STUDY, studies.WEIBULL_STUDY):
+        family = ScalingFamily(preset.family, preset.beta)
+        horizon = preset.horizons[0]
+        cohort = simulate_cohort(preset.pi, preset.lam, family, horizon, 400, RandomStream(8))
+        cfg = dataclasses.replace(preset.fit_config(8), max_sem_iterations=2)
+        estimator.fit(cohort_panel(cohort, uniform_grid(horizon, preset.delta)), cfg)
+    estimator.fit(_irregular_panel(400, 9), estimator.FitConfig(family="gompertz",
+                                                                 max_sem_iterations=2))
+    return calls
+
+
+@compiled
+@several
+def test_sweep_bytes_do_not_depend_on_the_cpu_count(monkeypatch, ckernels):
+    """Every sweep of the fits, run on one usable CPU and then on all of
+    them: the same bytes and counters."""
+    calls = _sweep_calls(monkeypatch)
+    assert {args[1] == 0 for args in calls} == {True, False}
+    assert min(args[2].size for args in calls) >= 128  # each runs on two workers or more
+    every = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {min(every)})
+        alone = [ckernels.complete_sweep(*args) for args in calls]
+    finally:
+        os.sched_setaffinity(0, every)
+    for args, want in zip(calls, alone):
+        assert want[0] == 0
+        _same(ckernels.complete_sweep(*args), want)
+
+
+@compiled
+def test_sweep_repeats_its_bytes_with_shared_lazy_groups():
+    """Twenty identical calls on a panel whose x-to-x groups with mu delta
+    < 1 recur in many blocks of 32 paths, so that each worker computes
+    their series in its own store: the same bytes every time."""
+    family, panel = _study_panel(400, 60.0, 17)
+    cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
+    obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+    x, groups = panel.flat_states0, panel.groups
+    i = np.flatnonzero(groups >= 0)
+    lazy = (x[i] == x[i + 1]) & (mu * (obs_s[i + 1] - obs_s[i]) < 1.0)
+    block = (np.searchsorted(panel.starts, i[lazy], side="right") - 1) // 32
+    blocks_per_group = [np.unique(block[groups[i[lazy]] == g]).size for g in set(groups[i[lazy]])]
+    assert max(blocks_per_group) > 8
+    args = (_kernels.stream_words(4, 2), 3, panel.keys, obs_s, x, panel.starts, groups, cum,
+            total, 3, mu, ptrans, 1 << 16, 1 << 16)
+    first = _kernels.complete_sweep(*args)
+    assert first[0] == 0
+    assert first[3][3] > np.unique(groups[i[~lazy]]).size  # lazy series were computed
+    for _ in range(19):
+        _same(_kernels.complete_sweep(*args), first)
+
+
+# two transient states that swap, and a third without exit rate: a trap
+TRAP = SubIntensityMatrix(np.array([[-1.0, 0.5, 0.0], [0.5, -1.0, 0.2], [0.0, 0.0, 0.0]]))
+
+
+def _trap_sweep(special, late):
+    """The arguments of a ``complete_sweep`` call on 4,096 paths of TRAP,
+    128 blocks of 32, with room for 10 jumps per path.  Path k < ``late``
+    is observed at 0, 0.5 and 1.0 in states 0, 0 and absorbed, later ones
+    at 0, 0.3 and 0.9, so each path's first segment is an x-to-x one with
+    mu delta < 1 and the later paths have groups of their own, unless
+    ``special[k]`` names another shape: "swaps" (the first segment, then
+    21 swaps between 0 and 1 at gaps of 0.5, then absorption: more jumps
+    than there is room for), "dead end" (0, then the trap at 1.0,
+    censored) or "impossible" (the trap, then 0).  Segments with the same
+    gap and endpoints share a group."""
+    shapes = {
+        "swaps": ([0.0, 0.5] + [1.0 + 0.5 * j for j in range(22)], [0, 0] + [1, 0] * 10 + [1, 3]),
+        "dead end": ([0.0, 1.0], [0, 2]),
+        "impossible": ([0.0, 1.0, 1.5], [2, 0, 3]),
+    }
+    obs_s, obs_x, starts = [], [], [0]
+    for k in range(4096):
+        s, x = shapes.get(special.get(k), ([0.0, 0.5, 1.0], [0, 0, 3]) if k < late
+                          else ([0.0, 0.3, 0.9], [0, 0, 3]))
+        obs_s += s
+        obs_x += x
+        starts.append(len(obs_s))
+    obs_s, obs_x = np.array(obs_s), np.array(obs_x, dtype=np.int64)
+    codes = {}
+    groups = np.array([
+        -1 if i + 1 in starts else codes.setdefault(
+            (obs_s[i + 1] - obs_s[i], obs_x[i], obs_x[i + 1]), len(codes))
+        for i in range(obs_s.size)
+    ], dtype=np.int64)
+    cum, total, mu, ptrans = bridge_model(TRAP)
+    return (_kernels.stream_words(6), 1, np.arange(4096, dtype=np.int64), obs_s, obs_x,
+            np.array(starts, dtype=np.int64), groups, cum, total, 3, mu, ptrans, 1 << 16, 10)
+
+
+def _failure(special, late=4096):
+    """The sweep's (status, path, info), checked equal, counters included,
+    on the Python body and on ten calls of the compiled body, whose blocks
+    fall to the workers differently each time."""
+    args = _trap_sweep(special, late)
+    want = _kernels.complete_sweep(*args)
+    for _ in range(10 if hasattr(_kernels.complete_sweep, "py_func") else 0):
+        _same(_kernels.complete_sweep(*args), want)
+    if hasattr(_kernels.complete_sweep, "py_func"):
+        _same(want, _kernels.complete_sweep.py_func(*args))
+    return want[:3]
+
+
+def test_sweep_failure_order_on_several_workers():
+    """The first failing path in path order wins, with the counters of a
+    sequential sweep, however the blocks fall to the workers.  The cases
+    sit in late blocks, which every worker has started by then, each
+    failure where another worker is likely to pass it."""
+    assert _failure({}) == (0, 0, 0)
+    # an impossible pair in a late block comes before any draw, so before
+    # an overflow in an early block; the groups of the paths after it
+    # do not count
+    assert _failure({10: "swaps", 3199: "impossible"}, late=3200) == (1, 3199, 0)
+    # of two draw failures in different blocks, the earlier wins, even
+    # when the later one, at the end of the next block, fails after it
+    assert _failure({3115: "dead end", 3167: "swaps"}) == (3, 3115, 1)
+    assert _failure({3115: "swaps", 3167: "dead end"})[:2] == (2, 3115)
+    # an overflow at a path whose lazy group the blocks before and after it
+    # share, at the end of its block, with a lazy group only the paths
+    # after it need
+    assert _failure({3199: "swaps"}, late=3200)[:2] == (2, 3199)
+    for path in (33, 1000, 3150):
+        assert _failure({path: "swaps"})[:2] == (2, path)
+
+
+@compiled
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_no_thread_outlives_a_sweep():
+    """The workers a sweep starts are joined before it returns, whether it
+    completes or fails."""
+    family, panel = _study_panel(400, 60.0, 3)
+    cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
+    obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+    args = (_kernels.stream_words(7), 2, panel.keys, obs_s, panel.flat_states0, panel.starts,
+            panel.groups, cum, total, 3, mu, ptrans, 1 << 16)
+    before = len(os.listdir("/proc/self/task"))
+    for cap in (1 << 16, 2):
+        assert _kernels.complete_sweep(*args, cap)[0] == (0 if cap > 2 else 2)
+        assert len(os.listdir("/proc/self/task")) == before
 
 
 # ---------------------------------------------------------------------------
