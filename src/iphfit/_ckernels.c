@@ -3,14 +3,15 @@
  *
  * complete_sweep completes every path of a panel; the estimator calls it
  * for each SE-step and for the final-segment bridges of initialization.
- * It first computes the normalizer of every bridge group (series), then
- * draws each segment exactly from its endpoint-conditioned law by
- * uniformization (bridge) and runs a censored path on to absorption
- * (run_chain).  simulate_sweep draws each path's initial state (one
- * next_double) and runs run_chain to the horizon; the studies and the CLI
- * call it for a simulated cohort and for each goodness-of-fit sample.
+ * It draws each segment exactly from its endpoint-conditioned law by
+ * uniformization (bridge), computing the normalizer of the segment's
+ * bridge group (series) at the first segment that needs it, and runs a
+ * censored path on to absorption (run_chain).  simulate_sweep draws each
+ * path's initial state (one next_double) and runs run_chain to the
+ * horizon; the studies and the CLI call it for a simulated cohort and for
+ * each goodness-of-fit sample.
  * The helpers below mirror those of _kernels.py (_jump, _run_chain,
- * _Chain.power, _series, _draw_count, _bridge, _normalizers,
+ * _Chain.power, _Chain.steps, _series, _draw_count, _bridge,
  * _complete_path) step for step, and compute each float with the same
  * operations in the same order, so both give the same bits.  A forward
  * jump draws (1/rate) * random_standard_exponential and, when it lands
@@ -37,25 +38,26 @@
  * complete_sweep releases the GIL and completes its paths on up to
  * min(usable CPUs, MAX_WORKERS, K / MIN_PATHS) workers, the caller one of
  * them, in blocks of BLOCK paths that each worker takes from a shared
- * counter as it frees up.  Every path draws from its own stream, so no
- * draw depends on which worker makes it, and the rules below make every
- * output byte and counter those of one worker going through the paths in
- * order:
- *  - Phase A: each worker computes the normalizers its paths need, except
- *    lazy x-to-x ones, in its own Chain and Store (Norm table and Sums).
- *  - The barrier: no draw starts until every phase-A block is done, and
- *    after it no worker changes its phase-A Store, so each may read the
- *    others'.  An impossible pair or a virtual-jump cap overrun on any
- *    path ends the call there, before any draw.
- *  - Phase B: each worker draws its paths into its own buffers, and keeps
- *    the lazy series in a second Store of its own.  The worker that took
- *    blocks 0, 1, ... in a row sums their statistics as it goes.
+ * counter as it frees up, so each worker goes through its blocks in path
+ * order.  Every path draws from its own stream, so no draw depends on
+ * which worker makes it, and the rules below make every output byte and
+ * counter those of one worker going through the paths in order:
+ *  - Each worker keeps the normalizers it computed in one Store of its
+ *    own, which no other worker reads.  A group's normalizer is a fixed
+ *    function of its gap and endpoints, and so is a bridge's draw given
+ *    it; an x-to-x segment with mu delta < 1 whose worker has not computed
+ *    its normalizer draws R = 0 when u exp(mu delta) < 1, as it would with
+ *    the normalizer.
+ *  - The worker that took blocks 0, 1, ... in a row sums their statistics
+ *    as it goes.
+ *  - The first failing path in path order wins: a block past a failed one
+ *    is skipped, and a worker that fails takes no earlier block after.
  *  - The join, after every thread has ended: the blocks go end to end in
  *    path order, in the buffers of the worker that completed block 0,
  *    which become the output arrays; the other blocks' statistics are
- *    summed in path order, then jump order; the first failing path in
- *    path order wins, and the counters count what a sequential sweep does
- *    up to it (count_series).
+ *    summed in path order, then jump order; the counters count what a
+ *    sequential sweep does up to the failing path, each group's series
+ *    once, at the first path that needed it (count_series).
  * Workers allocate with malloc and realloc alone and call no Python API.
  * A sweep's segments of one group must share their gap and endpoint
  * states, as the estimator's do: then every worker computes the same
@@ -276,12 +278,11 @@ put_words(uint32_t *out, npy_uint64 v)
 
 /* relative truncation error of a normalizer series */
 #define SERIES_TOL 0x1p-53
-/* the step table's least rows: a series from x to x with q < 1 ends by r = 18 */
-#define SHORT_ROWS 20
 
 /* The uniformized chain of one sweep: P = I + G / mu over the n1 = n + 1
    states, the absorbing row the identity, its powers P^0 .. P^(rows - 1),
-   n1 x n1 each, computed on demand, and the step table of _Chain.steps. */
+   n1 x n1 each, and its step table for k < step_rows, both computed on
+   demand. */
 typedef struct {
     const double *p;
     npy_intp n1;
@@ -328,21 +329,24 @@ chain_power(Chain *c, npy_intp r)
 /* (P^r)_xy */
 #define POW(c, r, x, y) ((c)->pow[((r) * (c)->n1 + (x)) * (c)->n1 + (y)])
 
-/* The step table for k < rows, as _Chain.steps: steps[((k n1 + y) n1 + z)
-   n1 + c] is the running sum over c' <= c of P[z][c'] (P^k)[c'][y].  -1
-   on a failed allocation. */
+/* Extends the step table to k < rows, as _Chain.steps: steps[((k n1 + y)
+   n1 + z) n1 + c] is the running sum over c' <= c of P[z][c'] (P^k)[c'][y].
+   A row is a fixed function of P, so growing the table changes no bit.
+   -1 on a failed allocation. */
 static int
 chain_steps(Chain *c, npy_intp rows)
 {
-    const npy_intp n1 = c->n1;
+    const npy_intp n1 = c->n1, size = n1 * n1 * n1;
+    if (rows <= c->step_rows)
+        return 0;
     if (chain_power(c, rows - 1) < 0)
         return -1;
-    c->steps = malloc(rows * n1 * n1 * n1 * sizeof(double));
-    if (c->steps == NULL)
+    double *steps = realloc(c->steps, rows * size * sizeof(double));
+    if (steps == NULL)
         return -1;
-    c->step_rows = rows;
-    double *out = c->steps;
-    for (npy_intp k = 0; k < rows; k++)
+    c->steps = steps;
+    double *out = steps + c->step_rows * size;
+    for (npy_intp k = c->step_rows; k < rows; k++)
         for (npy_intp y = 0; y < n1; y++)
             for (npy_intp z = 0; z < n1; z++) {
                 double acc = c->p[z * n1] * POW(c, k, 0, y);
@@ -352,6 +356,7 @@ chain_steps(Chain *c, npy_intp rows)
                     *out++ = acc;
                 }
             }
+    c->step_rows = rows;
     return 0;
 }
 
@@ -660,9 +665,9 @@ resize(PyArrayObject *a, npy_intp size)
 
 typedef struct Sweep Sweep;
 
-/* The normalizers one worker computed in one phase: norm[0..used) in that
-   order (room for one per group), their running totals in sums, and
-   slot[g] = 1 + the index of group g's, 0 while it has none. */
+/* The normalizers one worker computed: norm[0..used) in that order (room
+   for one per group), their running totals in sums, and slot[g] = 1 + the
+   index of group g's, 0 while it has none. */
 typedef struct {
     uint32_t *slot;
     Norm *norm;
@@ -670,21 +675,19 @@ typedef struct {
     Sums sums;
 } Store;
 
-/* One worker: its chain, its normalizers of phase A (eager) and phase B
-   (lazy), its stream words and bridge scratch, and the paths it completed,
-   end to end in times and states.  tallied counts the leading blocks whose
-   statistics it summed as it went. */
+/* One worker: its chain, its normalizers, its stream words and bridge
+   scratch (v and jumps, room for step_rows virtual jumps), and the paths
+   it completed, end to end in times and states.  tallied counts the
+   leading blocks whose statistics it summed as it went. */
 typedef struct {
     Sweep *s;
     Chain chain;
-    Store eager, lazy;
-    npy_intp max_hi, tallied, used, room;
+    Store store;
+    npy_intp tallied, used, room;
     uint32_t *words;
     double *v, *times;
     npy_intp *jumps;
     npy_int64 *states;
-    /* every worker's phase-A store, as it stands after the barrier */
-    Store eager_of[MAX_WORKERS];
 } __attribute__((aligned(64))) Worker;
 
 /* A block of paths: how completing it ended (status, path and info at the
@@ -697,9 +700,8 @@ typedef struct {
 } Block;
 
 /* One call: its arguments, its output statistics and bounds, and what the
-   workers share.  next_a, done_a, next_b, stop_a, stop_b and error change
-   atomically; stop_a and stop_b are the first failing block of each phase,
-   nblocks while none has failed. */
+   workers share.  next, stop and error change atomically; stop is the
+   first failing block, nblocks while none has failed. */
 struct Sweep {
     const double *obs_s, *p;
     const npy_int64 *obs_x, *starts, *keys, *groups;
@@ -711,15 +713,14 @@ struct Sweep {
     double *R;
     Block *blocks;
     Worker *workers;
-    npy_intp next_a, done_a, next_b, stop_a, stop_b, error;
-    pthread_mutex_t lock;
-    pthread_cond_t phase_a_done;
+    npy_intp next, stop, error;
 };
 
 #define LOAD(p) __atomic_load_n(p, __ATOMIC_SEQ_CST)
 #define TAKE(p) __atomic_fetch_add(p, 1, __ATOMIC_SEQ_CST)
 
-/* The norm of group g in st, NULL if it has none. */
+/* The norm of group g in st, NULL if it has none (or st was never set
+   up: its worker's thread did not start). */
 static inline Norm *
 find(const Store *st, npy_intp g)
 {
@@ -747,7 +748,7 @@ stop_at(npy_intp *stop, npy_intp b)
         ;
 }
 
-/* The worker's chain (P^0 only), stream words, empty stores and path
+/* The worker's chain (P^0 only), stream words, empty store and path
    buffers, allocated by its own thread: what a thread frees stays in its
    own malloc arena, for the next sweep's thread to use.  -1 on a failed
    allocation. */
@@ -758,17 +759,14 @@ start(Worker *w)
     const npy_intp n1 = s->m.n + 1, n_groups = Py_MAX(s->n_groups, 1);
     w->chain = (Chain){s->p, n1, malloc(16 * n1 * n1 * sizeof(double)), 1, 16, NULL, 0};
     w->words = malloc((s->at_k + 2) * sizeof(uint32_t));
-    w->eager.slot = calloc(n_groups, sizeof(uint32_t));
-    w->eager.norm = malloc(n_groups * sizeof(Norm));
-    w->lazy.slot = calloc(n_groups, sizeof(uint32_t));
-    w->lazy.norm = malloc(n_groups * sizeof(Norm));
+    w->store.slot = calloc(n_groups, sizeof(uint32_t));
+    w->store.norm = malloc(n_groups * sizeof(Norm));
     w->room = s->room;
     w->times = malloc(w->room * sizeof(double));
     w->states = malloc(w->room * sizeof(npy_int64));
-    if (w->chain.pow == NULL || w->words == NULL || w->eager.slot == NULL
-        || w->eager.norm == NULL || w->lazy.slot == NULL || w->lazy.norm == NULL
-        || w->times == NULL || w->states == NULL || grow(&w->eager.sums, 0) < 0
-        || grow(&w->lazy.sums, 0) < 0)
+    if (w->chain.pow == NULL || w->words == NULL || w->store.slot == NULL
+        || w->store.norm == NULL || w->times == NULL || w->states == NULL
+        || grow(&w->store.sums, 0) < 0)
         return -1;
     for (npy_intp i = 0; i < n1 * n1; i++)
         w->chain.pow[i] = i % (n1 + 1) == 0 ? 1.0 : 0.0;
@@ -776,72 +774,34 @@ start(Worker *w)
     return 0;
 }
 
-/* Phase A for the paths [k0, k1): the normalizers they need, each group's
-   computed once in this worker, in path order, as _normalizers.  Returns
-   0, 1 (an impossible pair) or 4 with *path and *info at the first
-   failing segment, or -1 on a failed allocation. */
+/* The step table and bridge scratch for bridges of up to hi virtual
+   jumps; -1 on a failed allocation. */
 static int
-normalizers(Worker *w, npy_intp k0, npy_intp k1, npy_intp *path, npy_intp *info)
+reach(Worker *w, npy_intp hi)
 {
-    const Sweep *s = w->s;
-    const double *obs_s = s->obs_s;
-    const npy_int64 *obs_x = s->obs_x;
-    npy_intp k, i;
-    int status = 0;
-    for (k = k0; k < k1; k++) {
-        for (i = s->starts[k]; i < s->starts[k + 1] - 1; i++) {
-            Norm *g = find(&w->eager, s->groups[i]);
-            const double q = s->mu * (obs_s[i + 1] - obs_s[i]);
-            if (!(q <= (double)s->vcap)) { /* nan and inf too */
-                status = 4;
-                goto failed;
-            }
-            if (obs_x[i] == obs_x[i + 1] && q < 1.0)
-                continue;
-            if (g == NULL) {
-                g = add(&w->eager, s->groups[i], k);
-                status = series(&w->chain, &w->eager.sums, q, obs_x[i], obs_x[i + 1], s->vcap, g);
-                if (status != 0)
-                    goto failed;
-                w->max_hi = Py_MAX(w->max_hi, g->hi);
-            }
-            if (!(g->total > 0.0)) {
-                status = 1;
-                goto failed;
-            }
-        }
-    }
-    return 0;
-failed:
-    *path = k;
-    *info = i - s->starts[k];
-    return status;
-}
-
-/* The phase-A normalizer of group g and its running totals: this worker's,
-   or else the first other worker's that holds it.  Phase A computed the
-   group of every segment that is not a lazy x-to-x one, and every worker
-   computes the same bits. */
-static const Norm *
-eager_norm(const Worker *w, npy_intp g, const double **totals)
-{
-    const Store *st = &w->eager;
-    const Norm *norm = find(st, g);
-    for (npy_intp i = 0; norm == NULL; i++)
-        norm = find(st = w->eager_of + i, g);
-    *totals = st->sums.v + norm->at;
-    return norm;
+    if (hi <= w->chain.step_rows)
+        return 0;
+    double *v = realloc(w->v, hi * sizeof(double));
+    if (v != NULL)
+        w->v = v;
+    npy_intp *jumps = realloc(w->jumps, 3 * hi * sizeof(npy_intp));
+    if (jumps != NULL)
+        w->jumps = jumps;
+    if (v == NULL || jumps == NULL)
+        return -1;
+    return chain_steps(&w->chain, hi);
 }
 
 /* Completes path k, as _complete_path, into the worker's buffers after
-   its first entry at w->times[w->used]: bridge each segment (a segment
-   from x to x with q < 1 takes its normalizer from the worker's lazy
-   store: when it has none yet, R = 0 if u exp(q) < 1, else its series is
-   computed there), then run a censored path on to absorption.  Returns
-   the status (0 completed, 2 buffers full, 3 dead end, 5 out of floats,
-   -1 on a failed allocation) and sets *info to the segment it ended in
-   and *count to the jumps written.  Adds the virtual jumps drawn to
-   *virtual. */
+   its first entry at w->times[w->used]: bridge each segment, then run a
+   censored path on to absorption.  A segment whose group has no
+   normalizer in the worker's store yet fails with 4 if q = mu delta
+   passes vcap, takes R = 0 if it goes from x to x with q < 1 and u exp(q)
+   < 1, and otherwise has its series computed there (a zero total fails
+   with 1).  Returns the status (0 completed, 1 an impossible pair, 2
+   buffers full, 3 dead end, 4 past vcap, 5 out of floats, -1 on a failed
+   allocation) and sets *info to the segment it ended in and *count to the
+   jumps written.  Adds the virtual jumps drawn to *virtual. */
 static int
 complete_path(Worker *w, npy_intp k, npy_intp *info, npy_intp *count, npy_intp *virtual)
 {
@@ -850,36 +810,32 @@ complete_path(Worker *w, npy_intp k, npy_intp *info, npy_intp *count, npy_intp *
     const double *obs_s = s->obs_s + a;
     const npy_int64 *obs_x = s->obs_x + a, *groups = s->groups + a;
     const Buffers out = {w->times + w->used + 1, w->states + w->used + 1, s->cap};
+    Store *store = &w->store;
     Pcg64 st;
     pcg64_seed(&st, w->words, s->at_k + put_words(w->words + s->at_k, (npy_uint64)s->keys[k]));
     *count = 0;
     for (npy_intp seg = 0; seg < last; seg++) {
         const double s1 = obs_s[seg], s2 = obs_s[seg + 1], u = pcg64_next_double(&st);
-        const double q = s->mu * (s2 - s1);
-        const Norm *g;
-        const double *totals;
+        const npy_intp x = obs_x[seg], y = obs_x[seg + 1];
+        Norm *g = find(store, groups[seg]);
         *info = seg;
-        if (obs_x[seg] == obs_x[seg + 1] && q < 1.0) {
-            Norm *lazy = find(&w->lazy, groups[seg]);
-            if (lazy == NULL) {
-                if (u * exp(q) < 1.0)
-                    continue;
-                lazy = add(&w->lazy, groups[seg], k);
-                const int status = series(&w->chain, &w->lazy.sums, q, obs_x[seg],
-                                          obs_x[seg + 1], s->vcap, lazy);
-                if (status < 0)
-                    return -1;
-                /* not reached: such a walk ends by r = 18 */
-                if (status != 0 || lazy->hi > w->chain.step_rows)
-                    return 5;
-            }
-            g = lazy;
-            totals = w->lazy.sums.v + lazy->at;
-        } else {
-            g = eager_norm(w, groups[seg], &totals);
+        if (g == NULL) {
+            const double q = s->mu * (s2 - s1);
+            if (!(q <= (double)s->vcap)) /* nan and inf too */
+                return 4;
+            if (x == y && q < 1.0 && u * exp(q) < 1.0)
+                continue;
+            g = add(store, groups[seg], k);
+            const int status = series(&w->chain, &store->sums, q, x, y, s->vcap, g);
+            if (status != 0)
+                return status;
+            if (!(g->total > 0.0))
+                return 1;
+            if (reach(w, g->hi) < 0)
+                return -1;
         }
-        const int status = bridge(&st, &w->chain, totals, s->m.n, s1, s2, obs_x[seg],
-                                  obs_x[seg + 1], g, u, w->v, w->jumps, &out, count, virtual);
+        const int status = bridge(&st, &w->chain, store->sums.v + g->at, s->m.n, s1, s2, x, y,
+                                  g, u, w->v, w->jumps, &out, count, virtual);
         if (status != 0)
             return status;
     }
@@ -917,22 +873,6 @@ tally(const Sweep *s, const double *t, const npy_int64 *x, npy_intp count)
     }
 }
 
-/* Phase B's scratch and step table for bridges of fewer than rows
-   virtual jumps, and every worker's phase-A store; -1 on a failed
-   allocation. */
-static int
-ready_b(Worker *w, npy_intp rows)
-{
-    const Sweep *s = w->s;
-    for (npy_intp i = 0; i < s->nworkers; i++)
-        w->eager_of[i] = s->workers[i].eager;
-    w->v = malloc(rows * sizeof(double));
-    w->jumps = malloc(3 * rows * sizeof(npy_intp));
-    if (w->v == NULL || w->jumps == NULL)
-        return -1;
-    return chain_steps(&w->chain, rows);
-}
-
 /* Gives the worker's path buffers room for room entries; -1 on a failed
    allocation. */
 static int
@@ -950,9 +890,9 @@ widen(Worker *w, npy_intp room)
     return 0;
 }
 
-/* Phase B for block b: completes its paths in order into the worker's
-   buffers, up to the first that fails.  The worker that took every block
-   before this one sums the statistics as it goes. */
+/* Completes the paths of block b in order into the worker's buffers, up
+   to the first that fails.  The worker that took every block before this
+   one sums the statistics as it goes. */
 static void
 complete_block(Worker *w, npy_intp b)
 {
@@ -978,7 +918,7 @@ complete_block(Worker *w, npy_intp b)
             blk->status = status;
             blk->path = k;
             blk->info = info;
-            stop_at(&s->stop_b, b);
+            stop_at(&s->stop, b);
             break;
         }
         const npy_intp a = s->starts[k];
@@ -1001,51 +941,17 @@ complete_block(Worker *w, npy_intp b)
         w->tallied = b + 1;
 }
 
-/* One worker's part of the sweep: phase-A blocks while any are left, the
-   barrier, then phase-B blocks while any are left.  A block past a failed
-   one is skipped. */
+/* One worker's part of the sweep: blocks while any are left, skipping
+   those past a failed one. */
 static void
 work(Worker *w)
 {
     Sweep *s = w->s;
     if (start(w) < 0)
         __atomic_store_n(&s->error, 1, __ATOMIC_SEQ_CST);
-    for (npy_intp b; (b = TAKE(&s->next_a)) < s->nblocks;) {
-        if (b < LOAD(&s->stop_a) && !LOAD(&s->error)) {
-            Block *blk = s->blocks + b;
-            const int status = normalizers(w, b * BLOCK, Py_MIN(s->K, (b + 1) * BLOCK),
-                                           &blk->path, &blk->info);
-            if (status < 0) {
-                __atomic_store_n(&s->error, 1, __ATOMIC_SEQ_CST);
-            } else if (status > 0) {
-                blk->status = status;
-                stop_at(&s->stop_a, b);
-            }
-        }
-        if (__atomic_add_fetch(&s->done_a, 1, __ATOMIC_SEQ_CST) == s->nblocks) {
-            pthread_mutex_lock(&s->lock);
-            pthread_cond_broadcast(&s->phase_a_done);
-            pthread_mutex_unlock(&s->lock);
-        }
-    }
-    /* the barrier: no worker changes its phase-A tables after it */
-    pthread_mutex_lock(&s->lock);
-    while (LOAD(&s->done_a) < s->nblocks)
-        pthread_cond_wait(&s->phase_a_done, &s->lock);
-    pthread_mutex_unlock(&s->lock);
-    if (LOAD(&s->stop_a) < s->nblocks)
-        return;
-    npy_intp rows = SHORT_ROWS;
-    for (npy_intp i = 0; i < s->nworkers; i++)
-        rows = Py_MAX(rows, s->workers[i].max_hi);
-    for (npy_intp b; (b = TAKE(&s->next_b)) < s->nblocks;) {
-        if (b > LOAD(&s->stop_b) || LOAD(&s->error))
-            continue;
-        if (w->v == NULL && ready_b(w, rows) < 0)
-            __atomic_store_n(&s->error, 1, __ATOMIC_SEQ_CST);
-        else
+    for (npy_intp b; (b = TAKE(&s->next)) < s->nblocks;)
+        if (b < LOAD(&s->stop) && !LOAD(&s->error))
             complete_block(w, b);
-    }
 }
 
 static void *
@@ -1055,25 +961,23 @@ work_thread(void *w)
     return NULL;
 }
 
-/* How many series of the eager (lazy = 0) or lazy groups a sequential
-   sweep computes up to path limit - 1: each group a worker computed counts
-   once, if the first path that needed it is below limit. */
+/* How many series a sequential sweep computes up to path limit - 1: each
+   group a worker computed counts once, if the first path that needed it
+   is below limit. */
 static npy_intp
-count_series(const Sweep *s, int lazy, npy_intp limit)
+count_series(const Sweep *s, npy_intp limit)
 {
     const Worker *end = s->workers + s->nworkers;
     npy_intp count = 0;
-    for (const Worker *w = s->workers; w < end; w++) {
-        const Store *st = lazy ? &w->lazy : &w->eager;
-        for (const Norm *g = st->norm; g < st->norm + st->used; g++) {
+    for (const Worker *w = s->workers; w < end; w++)
+        for (const Norm *g = w->store.norm; g < w->store.norm + w->store.used; g++) {
             int earliest = g->first <= limit;
             for (const Worker *o = s->workers; earliest && o < end; o++) {
-                const Norm *other = o == w ? NULL : find(lazy ? &o->lazy : &o->eager, g->group);
+                const Norm *other = o == w ? NULL : find(&o->store, g->group);
                 earliest = other == NULL || other->first > g->first;
             }
             count += earliest;
         }
-    }
     return count;
 }
 
@@ -1239,13 +1143,11 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
         .B = (npy_int64 *)PyArray_DATA(b), .N = (npy_int64 *)PyArray_DATA(nt),
         .NA = (npy_int64 *)PyArray_DATA(na), .bound = (npy_int64 *)PyArray_DATA(bounds),
         .R = (double *)PyArray_DATA(r), .blocks = blocks, .workers = workers,
-        .stop_a = nblocks, .stop_b = nblocks,
+        .stop = nblocks,
     };
     for (npy_intp i = 0; i < nworkers; i++)
         workers[i].s = &s;
     s.bound[0] = 0;
-    pthread_mutex_init(&s.lock, NULL);
-    pthread_cond_init(&s.phase_a_done, NULL);
     Py_BEGIN_ALLOW_THREADS
     /* the caller is worker 0; a thread that does not start leaves its
        blocks to the others */
@@ -1258,15 +1160,12 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     while (started > 0)
         pthread_join(threads[--started], NULL);
     Py_END_ALLOW_THREADS
-    pthread_cond_destroy(&s.phase_a_done);
-    pthread_mutex_destroy(&s.lock);
     if (s.error) {
         PyErr_NoMemory();
         goto done;
     }
-    /* the first failing block of phase A, else of phase B, and the
-       counters up to its failing path */
-    const npy_intp failed = Py_MIN(s.stop_a, s.stop_b);
+    /* the first failing block and the counters up to its failing path */
+    const npy_intp failed = s.stop;
     const npy_intp limit = failed < nblocks ? blocks[failed].path + 1 : K;
     npy_intp virtual = 0, kept = 0, censored = 0;
     for (npy_intp i = 0; i <= Py_MIN(failed, nblocks - 1); i++) {
@@ -1274,8 +1173,7 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
         kept += blocks[i].kept;
         censored += blocks[i].censored;
     }
-    const npy_intp series = count_series(&s, 0, s.stop_a < nblocks ? limit : K)
-                            + count_series(&s, 1, limit);
+    const npy_intp series = count_series(&s, limit);
     if (failed < nblocks) {
         result = Py_BuildValue("(inn(nnnn)OO)", blocks[failed].status, blocks[failed].path,
                                blocks[failed].info, virtual, kept, censored, series, Py_None,
@@ -1290,12 +1188,9 @@ done:
         Worker *w = workers + i;
         free(w->chain.pow);
         free(w->chain.steps);
-        free(w->eager.slot);
-        free(w->eager.norm);
-        free(w->eager.sums.v);
-        free(w->lazy.slot);
-        free(w->lazy.norm);
-        free(w->lazy.sums.v);
+        free(w->store.slot);
+        free(w->store.norm);
+        free(w->store.sums.v);
         free(w->words);
         free(w->v);
         free(w->jumps);

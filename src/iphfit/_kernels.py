@@ -14,9 +14,11 @@ rate and ``P = I + G/mu`` over the n + 1 states, a bridge from x to y over
 a gap delta has ``R`` virtual jumps with ``P(R = r)`` proportional to
 ``Poisson(r; mu delta) (P^r)_xy``, at sorted uniform epochs, through states
 drawn forward given the endpoint; the jumps that change state are kept.
-``_Chain`` holds the powers of P, ``_series`` the normalizer of one gap
-and endpoint pair, ``_bridge`` draws one bridge and ``_complete_path`` one
-path; a censored path then runs on unconditioned to absorption.
+``_Chain`` holds the powers of P and the step table, ``_series`` the
+normalizer of one gap and endpoint pair (computed at the first segment
+that needs it, once per sweep), ``_bridge`` draws one bridge and
+``_complete_path`` one path; a censored path then runs on unconditioned
+to absorption.
 
 ``sim_path``, ``bridge_attempts`` and ``complete_panel_path`` run one path
 on a ``numpy.random.Generator`` handed in by the caller.  The last two
@@ -31,9 +33,9 @@ order:
   compiler flags, the interpreter's extension suffix and the numpy
   version (see ``build``).  Its ``complete_sweep`` releases the GIL and
   completes the paths on up to one thread per usable CPU (at most 8, and
-  one per 64 paths), in blocks handed out as the threads free up; it
-  joins them in path order, so the thread count changes no output byte
-  and no counter;
+  one per 64 paths), in blocks handed out as the threads free up, each
+  thread with normalizers of its own; it joins them in path order, so the
+  thread count changes no output byte, no counter and no failure;
 - pure Python: the bodies below as they are, on one thread, if compiling
   or loading the C file fails for any reason.
 
@@ -67,6 +69,8 @@ import sysconfig
 import tempfile
 
 import numpy as np
+
+from .likelihood import flat_statistics
 
 # numba is not a backend; bench/run.py reads this name
 HAVE_NUMBA = False
@@ -211,20 +215,20 @@ def stream_words(*ints):
 
 # relative truncation error of a bridge normalizer series
 _SERIES_TOL = 2.0**-53
-# the step table's least rows: a series from x to x with q < 1 ends by r = 18
-_SHORT_ROWS = 20
 
 
 class _Chain:
     """The uniformized chain of one sweep: ``P = I + G/mu`` over the n + 1
-    states, the absorbing row the identity, and its powers ``P^0, P^1,
-    ...``, computed on demand.  ``P^(j+1)[i, c]`` is the sum of ``P^j[i,
-    k] P[k, c]`` over k in ascending order, as in ``_ckernels.c``."""
+    states, the absorbing row the identity, its powers ``P^0, P^1, ...``
+    and its step table, both computed on demand.  ``P^(j+1)[i, c]`` is the
+    sum of ``P^j[i, k] P[k, c]`` over k in ascending order, as in
+    ``_ckernels.c``."""
 
     def __init__(self, ptrans):
         self.p = ptrans
         self.arrays = [np.eye(ptrans.shape[0])]
         self.pow = [self.arrays[0].tolist()]
+        self.table = []
 
     def power(self, r):
         """``P^r`` as nested lists, with every lower power."""
@@ -239,13 +243,17 @@ class _Chain:
         return self.pow[r]
 
     def steps(self, rows):
-        """The step table of the bridges, for k < ``rows``:
-        ``steps[k][y][z][c]`` is the running sum over c' <= c of ``P[z,
-        c'] (P^k)[c', y]``, the weights of the states a bridge to y enters
-        from z with k virtual jumps left."""
-        self.power(rows - 1)
-        pk = np.array(self.arrays[:rows]).transpose(0, 2, 1)  # [k, y, c]
-        return np.cumsum(self.p[None, None] * pk[:, :, None, :], axis=3).tolist()
+        """The step table of the bridges, extended to k < ``rows`` at
+        least: ``steps[k][y][z][c]`` is the running sum over c' <= c of
+        ``P[z, c'] (P^k)[c', y]``, the weights of the states a bridge to y
+        enters from z with k virtual jumps left.  A row is a fixed function
+        of P, so extending the table changes none."""
+        table = self.table
+        if len(table) < rows:
+            self.power(rows - 1)
+            pk = np.array(self.arrays[len(table):rows]).transpose(0, 2, 1)  # [k, y, c]
+            table += np.cumsum(self.p[None, None] * pk[:, :, None, :], axis=3).tolist()
+        return table
 
 
 def _series(chain, q, x, y, vcap):
@@ -365,51 +373,23 @@ def _bridge(gen, steps, n, s1, s2, x, y, norm, u, times, states, count):
     return 0, count, big_r
 
 
-def _normalizers(chain, mu, vcap, obs_s, obs_x, starts, groups):
-    """The bridge normalizers the paths need, each group's computed once,
-    in path order.  Returns ``(status, path, segment, norms, computed)``:
-    ``norms[g]`` is ``_series``' norm for group g; status 4
-    (q past ``vcap``, or from ``_series``) or 1 (a zero total: the pair is
-    impossible) names the first failing segment.  A segment from x to x
-    with q < 1 has a positive normalizer; its series waits for a draw that
-    needs it (see ``_complete_path``)."""
-    size = int(groups.max()) + 1 if groups.size else 0
-    norms = [None] * max(size, 0)
-    computed = 0
-    for k in range(starts.shape[0] - 1):
-        a, z = starts[k], starts[k + 1]
-        path_s, path_x = obs_s[a:z], obs_x[a:z]
-        for seg, g in enumerate(groups[a:z][:-1].tolist()):
-            q = float(mu * (path_s[seg + 1] - path_s[seg]))
-            if not q <= vcap:  # nan and inf too
-                return 4, k, seg, norms, computed
-            x, y = int(path_x[seg]), int(path_x[seg + 1])
-            if x == y and q < 1.0:
-                continue
-            if norms[g] is None:
-                status, norms[g] = _series(chain, q, x, y, vcap)
-                computed += 1
-                if status:
-                    return status, k, seg, norms, computed
-            if not norms[g][0][-1] > 0.0:
-                return 1, k, seg, norms, computed
-    return 0, 0, 0, norms, computed
-
-
-def _complete_path(
-    gen, chain, steps, norms, mu, vcap, obs_s, obs_x, groups, cum, total, n, times, states
-):
+def _complete_path(gen, chain, norms, mu, vcap, obs_s, obs_x, groups, cum, total, n, times,
+                   states):
     """Complete one path: bridge each segment with ``_bridge``, then run a
     censored path on to absorption.  Returns ``(status, info, count, end,
-    virtual, computed)``: status 0 (``end`` the absorption epoch), 2
-    buffers full, 3 a dead end in the censored run, 5 as ``_bridge``;
-    ``info`` is the segment it ended in, ``virtual`` the virtual jumps
-    drawn and ``computed`` the series it computed.
+    virtual, computed)``: status 0 (``end`` the absorption epoch), 1 an
+    impossible endpoint pair, 2 buffers full, 3 a dead end in the censored
+    run, 4 a bridge needing more than ``vcap`` virtual jumps, 5 as
+    ``_bridge``; ``info`` is the segment it ended in, ``virtual`` the
+    virtual jumps drawn and ``computed`` the series it computed.
 
-    A segment from x to x with ``q = mu * delta < 1`` whose group has no
-    normalizer yet takes R = 0 when its first uniform u has ``u * exp(q) <
-    1``: the normalizer is at most ``exp(q)``, and the mode's term is 1.
-    Otherwise its series is computed then, once for the group.
+    ``norms[g]`` is group g's normalizer, None until a segment needs it.
+    A segment whose group has none yet fails with 4 when ``q = mu * delta``
+    passes ``vcap``.  One from x to x with q < 1 takes R = 0 when its
+    first uniform u has ``u * exp(q) < 1``: the normalizer is at most
+    ``exp(q)``, and the mode's term is 1.  Otherwise its group's series is
+    computed then (a zero total fails with 1), and the step table extended
+    to its ``hi``.
     """
     count = virtual = computed = 0
     m = obs_s.shape[0] - 1
@@ -419,15 +399,20 @@ def _complete_path(
         u = gen.random()
         if norms[g] is None:
             q = mu * (s2 - s1)
-            if u * math.exp(q) < 1.0:
+            if not q <= vcap:  # nan and inf too
+                return 4, seg, 0, 0.0, virtual, computed
+            if x == y and q < 1.0 and u * math.exp(q) < 1.0:
                 continue
             status, norm = _series(chain, q, x, y, vcap)
             computed += 1
-            if status or norm[3] > len(steps):  # not reached: such a walk ends by r = 18
-                return 5, seg, 0, 0.0, virtual, computed
+            if status:
+                return status, seg, 0, 0.0, virtual, computed
+            if not norm[0][-1] > 0.0:
+                return 1, seg, 0, 0.0, virtual, computed
             norms[g] = norm
+            chain.steps(norm[3])
         status, count, big_r = _bridge(
-            gen, steps, n, s1, s2, x, y, norms[g], u, times, states, count
+            gen, chain.table, n, s1, s2, x, y, norms[g], u, times, states, count
         )
         virtual += big_r
         if status:
@@ -456,12 +441,12 @@ def complete_sweep(
     group of the segment from observation i to i + 1 (any value at a
     path's last observation): segments of one group share their gap and
     endpoint states, and so one normalizer.  ``ptrans`` is ``I + G/mu``
-    with ``mu`` the largest exit rate (see ``_bridge``).  First the
-    groups' normalizers are computed (``_normalizers``; an x-to-x group
-    with ``mu * delta < 1`` waits for a draw that needs it); then path k is
+    with ``mu`` the largest exit rate (see ``_bridge``).  Path k is
     completed by ``_complete_path`` with ``cap`` jumps of room, drawing
     from the PCG64 generator of ``SeedSequence(words +
-    stream_words(iteration, keys[k]))``, in path order.
+    stream_words(iteration, keys[k]))``, in path order; a group's
+    normalizer is computed at the first segment that needs it, and kept
+    for the rest of the sweep.
 
     Returns ``(status, path, info, work, stats, paths)``.  ``work`` is
     ``(virtual, kept, censored, series)``: the virtual jumps drawn, the
@@ -471,19 +456,15 @@ def complete_sweep(
     order, and ``paths`` is ``(times, states, bounds)``: path i is
     ``times[bounds[i]:bounds[i + 1]]``, starting with its entry into its
     first observed state at 0.0 and ending with its absorption.
-    Otherwise ``path`` is the failing k, ``info`` its segment, ``stats``
-    and ``paths`` are None, and ``status`` is 1 (an impossible endpoint
-    pair), 4 (a bridge needing more than ``vcap`` virtual jumps), both
-    found before any draw, or that of ``_complete_path``.
+    Otherwise ``path`` is the first failing k, ``info`` its segment,
+    ``stats`` and ``paths`` are None, ``status`` is that of
+    ``_complete_path`` (1 an impossible endpoint pair, 4 a bridge needing
+    more than ``vcap`` virtual jumps, or a draw's failure), and ``work``
+    counts up to that segment.
     """
     chain = _Chain(ptrans)
-    status, k, seg, norms, computed = _normalizers(
-        chain, mu, vcap, obs_s, obs_x, starts, groups
-    )
-    work = [0, 0, 0, computed]
-    if status:
-        return status, k, seg, tuple(work), None, None
-    steps = chain.steps(max([_SHORT_ROWS] + [norm[3] for norm in filter(None, norms)]))
+    norms = [None] * (int(groups.max()) + 1 if groups.size else 0)
+    work = [0, 0, 0, 0]
     tbuf = np.empty(cap, dtype=np.float64)
     sbuf = np.empty(cap, dtype=np.int64)
     pieces_t, pieces_s = [], []
@@ -491,7 +472,7 @@ def complete_sweep(
         a, z = starts[k], starts[k + 1]
         seed = np.random.SeedSequence(np.concatenate((words, stream_words(iteration, keys[k]))))
         status, info, count, _end, virtual, computed = _complete_path(
-            np.random.default_rng(seed), chain, steps, norms, mu, vcap, obs_s[a:z], obs_x[a:z],
+            np.random.default_rng(seed), chain, norms, mu, vcap, obs_s[a:z], obs_x[a:z],
             groups[a:z], cum, total, n, tbuf, sbuf,
         )
         work[0] += virtual
@@ -505,20 +486,11 @@ def complete_sweep(
     times = np.concatenate(pieces_t)
     states = np.concatenate(pieces_s)
     bounds = np.concatenate(([0], np.cumsum([p.size for p in pieces_t]))).astype(np.int64)
-    # one step per jump: drop the steps from a path's last entry to the next path
-    within = np.ones(times.size - 1, dtype=bool)
-    within[bounds[1:-1] - 1] = False
-    src, dst, hold = states[:-1][within], states[1:][within], np.diff(times)[within]
-    b = np.zeros(n, dtype=np.int64)
-    nt = np.zeros((n, n), dtype=np.int64)
-    na = np.zeros(n, dtype=np.int64)
-    r = np.zeros(n)
-    np.add.at(b, states[bounds[:-1]], 1)
-    np.add.at(r, src, hold)
-    into = dst < n
-    np.add.at(nt, (src[into], dst[into]), 1)
-    np.add.at(na, src[~into], 1)
-    return 0, 0, 0, tuple(work), (b, nt, na, r), (times, states, bounds)
+    # every path ends at its absorption, so none has a censored tail
+    stats = flat_statistics(times, states, bounds, times[bounds[1:] - 1], n)
+    return 0, 0, 0, tuple(work), (
+        stats.start_counts, stats.jump_counts, stats.absorption_counts, stats.occupation
+    ), (times, states, bounds)
 
 
 def simulate_sweep(words, keys, cum_pi, cum, total, n, horizon):

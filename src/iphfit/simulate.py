@@ -70,14 +70,12 @@ def bridge_model(m: SubIntensityMatrix) -> tuple[np.ndarray, np.ndarray, float, 
     and its row zero, so that row of P is the identity; ``P = I`` when mu
     is 0.  A chain that jumps at rate mu by P is the chain of G.
     """
-    rates = _rates(m)
+    cum, total = jump_model(m)
     n = m.n
-    cum = np.ascontiguousarray(np.cumsum(rates, axis=1))
-    total = np.ascontiguousarray(cum[:, -1].copy())
     mu = float(total.max())
     ptrans = np.eye(n + 1)
     if mu > 0.0:
-        ptrans[:n] = rates / mu
+        ptrans[:n] = _rates(m) / mu
         ptrans[np.arange(n), np.arange(n)] = 1.0 - total / mu
     return cum, total, mu, ptrans
 
@@ -143,7 +141,7 @@ def simulate_paths(m, pi, family: ScalingFamily, horizon: float, rng: RandomStre
     times, states, bounds, ends = _kernels.simulate_sweep(*args, hom_horizon)
     jumps = np.ones(times.size, dtype=bool)
     jumps[bounds[:-1]] = False
-    times[jumps] = family.g(times[jumps])
+    times[jumps] = family._g(times[jumps])  # finite and >= 0 by construction
     last = bounds[1:] - 1
     ends = np.where(states[last] == m.n, times[last], horizon)
     return FlatPaths(m.n, times, states, bounds, ends, INHOMOGENEOUS)

@@ -229,7 +229,7 @@ def _reference_sweep(panel, lam, family, rng, iteration):
     and ``accumulate_statistics`` over them.  Also returns every bridge's
     virtual-jump count, and the numbers of distinct (interval, state pair)
     segments of the panel: all of them, and those whose normalizer a sweep
-    computes before any draw (all but x to x with ``mu * delta < 1``)."""
+    always computes (all but x to x with ``mu * delta < 1``)."""
     mu = bridge_model(lam)[2]
     completed, counts = [], []
     for k in range(panel.K):
@@ -481,26 +481,30 @@ def test_sweep_repeats_its_bytes_with_shared_lazy_groups():
 TRAP = SubIntensityMatrix(np.array([[-1.0, 0.5, 0.0], [0.5, -1.0, 0.2], [0.0, 0.0, 0.0]]))
 
 
-def _trap_sweep(special, late):
+def _trap_sweep(special, late, cap=10):
     """The arguments of a ``complete_sweep`` call on 4,096 paths of TRAP,
-    128 blocks of 32, with room for 10 jumps per path.  Path k < ``late``
-    is observed at 0, 0.5 and 1.0 in states 0, 0 and absorbed, later ones
-    at 0, 0.3 and 0.9, so each path's first segment is an x-to-x one with
-    mu delta < 1 and the later paths have groups of their own, unless
-    ``special[k]`` names another shape: "swaps" (the first segment, then
-    21 swaps between 0 and 1 at gaps of 0.5, then absorption: more jumps
-    than there is room for), "dead end" (0, then the trap at 1.0,
-    censored) or "impossible" (the trap, then 0).  Segments with the same
-    gap and endpoints share a group."""
+    128 blocks of 32, with room for ``cap`` jumps per path.  Path k <
+    ``late`` is observed at 0, 0.5 and 1.0 in states 0, 0 and absorbed,
+    later ones at 0, 0.3 and 0.9, so each path's first segment is an
+    x-to-x one with mu delta < 1 and the later paths have groups of their
+    own, unless ``special[k]`` gives its epochs and states or names
+    another shape: "swaps" (the first segment, then 21 swaps between 0 and
+    1 at gaps of 0.5, then absorption: more jumps than 10), "dead end" (0,
+    then the trap at 1.0, censored), "impossible" (the trap, then 0) or
+    "far" (0, then absorbed after a gap past the virtual-jump cap).
+    Segments with the same gap and endpoints share a group."""
     shapes = {
+        "early": ([0.0, 0.5, 1.0], [0, 0, 3]),
+        "late": ([0.0, 0.3, 0.9], [0, 0, 3]),
         "swaps": ([0.0, 0.5] + [1.0 + 0.5 * j for j in range(22)], [0, 0] + [1, 0] * 10 + [1, 3]),
         "dead end": ([0.0, 1.0], [0, 2]),
         "impossible": ([0.0, 1.0, 1.5], [2, 0, 3]),
+        "far": ([0.0, 1e5], [0, 3]),
     }
     obs_s, obs_x, starts = [], [], [0]
     for k in range(4096):
-        s, x = shapes.get(special.get(k), ([0.0, 0.5, 1.0], [0, 0, 3]) if k < late
-                          else ([0.0, 0.3, 0.9], [0, 0, 3]))
+        shape = special.get(k, "early" if k < late else "late")
+        s, x = shapes[shape] if isinstance(shape, str) else shape
         obs_s += s
         obs_x += x
         starts.append(len(obs_s))
@@ -513,14 +517,14 @@ def _trap_sweep(special, late):
     ], dtype=np.int64)
     cum, total, mu, ptrans = bridge_model(TRAP)
     return (_kernels.stream_words(6), 1, np.arange(4096, dtype=np.int64), obs_s, obs_x,
-            np.array(starts, dtype=np.int64), groups, cum, total, 3, mu, ptrans, 1 << 16, 10)
+            np.array(starts, dtype=np.int64), groups, cum, total, 3, mu, ptrans, 1 << 16, cap)
 
 
-def _failure(special, late=4096):
+def _failure(special, late=4096, cap=10):
     """The sweep's (status, path, info), checked equal, counters included,
     on the Python body and on ten calls of the compiled body, whose blocks
     fall to the workers differently each time."""
-    args = _trap_sweep(special, late)
+    args = _trap_sweep(special, late, cap)
     want = _kernels.complete_sweep(*args)
     for _ in range(10 if hasattr(_kernels.complete_sweep, "py_func") else 0):
         _same(_kernels.complete_sweep(*args), want)
@@ -535,20 +539,60 @@ def test_sweep_failure_order_on_several_workers():
     sit in late blocks, which every worker has started by then, each
     failure where another worker is likely to pass it."""
     assert _failure({}) == (0, 0, 0)
-    # an impossible pair in a late block comes before any draw, so before
-    # an overflow in an early block; the groups of the paths after it
-    # do not count
-    assert _failure({10: "swaps", 3199: "impossible"}, late=3200) == (1, 3199, 0)
+    # an overflow in an early block comes before an impossible pair or a
+    # gap past the virtual-jump cap in a late block, and each of those
+    # fails alone; the groups of the paths after the failing one do not
+    # count
+    assert _failure({10: "swaps", 3199: "impossible"}, late=3200) == (2, 10, 11)
+    assert _failure({3199: "impossible"}, late=3200) == (1, 3199, 0)
+    assert _failure({3115: "swaps", 3190: "far"})[:2] == (2, 3115)
+    assert _failure({3190: "far"}) == (4, 3190, 0)
     # of two draw failures in different blocks, the earlier wins, even
     # when the later one, at the end of the next block, fails after it
     assert _failure({3115: "dead end", 3167: "swaps"}) == (3, 3115, 1)
     assert _failure({3115: "swaps", 3167: "dead end"})[:2] == (2, 3115)
-    # an overflow at a path whose lazy group the blocks before and after it
-    # share, at the end of its block, with a lazy group only the paths
-    # after it need
+    # an overflow at a path whose x-to-x group with mu delta < 1 the
+    # blocks before and after it share, at the end of its block, with such
+    # a group only the paths after it need
     assert _failure({3199: "swaps"}, late=3200)[:2] == (2, 3199)
     for path in (33, 1000, 3150):
         assert _failure({path: "swaps"})[:2] == (2, path)
+
+
+# from path 2000 on, every 7th path ends with a gap longer than any before
+# it, of 2 to 43.9, so that its normalizer needs more virtual jumps than
+# any before it
+LONG_GAPS = {k: ([0.0, 0.5, 0.5 + (k - 1900) / 50], [0, 0, 3]) for k in range(2000, 4096, 7)}
+
+
+def test_sweep_grows_its_step_table_mid_sweep():
+    """The step table grows as the late paths' longer gaps need more
+    virtual jumps: the same bytes and counters on both bodies and however
+    the blocks fall to the workers."""
+    _cum, _total, mu, ptrans = bridge_model(TRAP)
+    chain = _kernels._Chain(ptrans)
+    hi = [_kernels._series(chain, mu * (s[2] - s[1]), x[1], x[2], 1 << 16)[1][3]
+          for s, x in [([0.0, 0.5, 1.0], [0, 0, 3]), ([0.0, 0.3, 0.9], [0, 0, 3])]
+          + list(LONG_GAPS.values())]
+    assert max(hi[:2]) < hi[2] < hi[-1] and hi[2:] == sorted(hi[2:])
+    assert _failure(LONG_GAPS, cap=64) == (0, 0, 0)
+
+
+@compiled
+@several
+def test_grown_step_table_does_not_depend_on_the_cpu_count(ckernels):
+    """Ten sweeps of ``test_sweep_grows_its_step_table_mid_sweep`` on one
+    usable CPU and ten on all of them: the same bytes and counters."""
+    args = _trap_sweep(LONG_GAPS, 4096, 64)
+    want = _kernels.complete_sweep.py_func(*args)
+    every = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {min(every)})
+        alone = [ckernels.complete_sweep(*args) for _ in range(10)]
+    finally:
+        os.sched_setaffinity(0, every)
+    for got in alone + [ckernels.complete_sweep(*args) for _ in range(10)]:
+        _same(got, want)
 
 
 @compiled
