@@ -23,7 +23,6 @@ from .generator import (
     InitialDistribution,
     SubIntensityMatrix,
     ValidationReport,
-    exit_rates,
     matrix_exponential,
     validate_generator,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "check_absorbable",
     "ecdf",
     "empirical_pi",
-    "exit_rates",
     "fit",
     "gd_solve",
     "initialize",

@@ -46,7 +46,7 @@ from .likelihood import (
     mle_generator,
 )
 from .paths import HOMOGENEOUS, ContinuousPath, FlatPaths, PanelObservationSet, RandomStream
-from .scaling import GOMPERTZ, IDENTITY, WEIBULL, ScalingFamily, _check_times
+from .scaling import GOMPERTZ, IDENTITY, WEIBULL, ScalingFamily
 from .simulate import bridge_model, check_absorbable
 
 # jumps kept per completed path, and virtual jumps per bridge
@@ -158,12 +158,12 @@ class _PanelArrays:
     are per-path views of them, split on first access.  ``keys`` holds
     each path's stream key, its index k.  ``data`` is the panel itself.
 
-    The times are checked once, here.  ``epochs`` are the distinct
-    observation times, ``flat_times == epochs[epoch_index]``, so a sweep
-    maps only those.  ``groups[i]`` numbers the distinct (calendar
-    interval, observed state pair) of the segment from observation i to
-    i + 1, -1 at a path's last observation: the bridges of one group share
-    their normalizer within a sweep.
+    ``epochs`` are the distinct observation times, ``flat_times ==
+    epochs[epoch_index]``, so a sweep maps only those.  ``groups[i]``
+    numbers the distinct (calendar interval, observed state pair) of the
+    segment from observation i to i + 1, -1 at a path's last observation:
+    the bridges of one group share their normalizer within a sweep, which
+    looks it up by this number alone.
     """
 
     def __init__(self, data: PanelObservationSet):
@@ -183,18 +183,13 @@ class _PanelArrays:
         self.K = len(data)
         self.keys = np.arange(self.K, dtype=np.int64)
         self.epochs, self.epoch_index = np.unique(self.flat_times, return_inverse=True)
-        _check_times(self.epochs, allow_zero=True)
         seg = np.ones(self.flat_times.size, dtype=bool)
         seg[self.starts[1:] - 1] = False
         i = np.flatnonzero(seg)
         e, x, size = self.epoch_index, self.flat_states0, self.n + 1
         code = ((e[i] * self.epochs.size + e[i + 1]) * size + x[i]) * size + x[i + 1]
-        # numbered by first appearance, so a sweep reads its normalizers in order
-        _codes, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        rank = np.empty(first.size, dtype=np.int64)
-        rank[np.argsort(first, kind="stable")] = np.arange(first.size)
         self.groups = np.full(self.flat_times.size, -1, dtype=np.int64)
-        self.groups[i] = rank[inverse]
+        self.groups[i] = np.unique(code, return_inverse=True)[1]
 
     @cached_property
     def times(self) -> list[np.ndarray]:
@@ -375,7 +370,7 @@ def sem_iteration(
     update_beta = cfg.family != IDENTITY
     if update_beta and beta_hat is None:
         raise ValidationError(f"beta_hat is required for the {cfg.family} family")
-    family = ScalingFamily(cfg.family, beta_hat) if update_beta else ScalingFamily.identity()
+    family = ScalingFamily(cfg.family, beta_hat) if update_beta else ScalingFamily(IDENTITY)
     try:
         stats, paths, work = _complete_all(panel, lam_hat, family, rng, iteration_index)
         new_lam = mle_generator(stats, panel.K)[1]

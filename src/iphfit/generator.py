@@ -165,19 +165,6 @@ class InitialDistribution:
         return np.array_equal(self.probabilities, other.probabilities)
 
 
-def exit_rates(m: SubIntensityMatrix) -> np.ndarray:
-    """Rates into the absorbing state: minus the row sums of ``m``.
-
-    Examples
-    --------
-    >>> exit_rates(SubIntensityMatrix([[-3.0, 0.1], [0.01, -0.1]]))
-    array([2.9 , 0.09])
-    """
-    if not isinstance(m, SubIntensityMatrix):
-        m = SubIntensityMatrix(m)
-    return m.exit_rates()
-
-
 def matrix_exponential(m: SubIntensityMatrix | np.ndarray, t: float) -> np.ndarray:
     """Evaluate ``exp(t * m)`` for a square matrix and ``t >= 0``.
 

@@ -196,13 +196,6 @@ def mle_generator(
 # density / CDF kernel
 
 
-def _check_homogeneous(s) -> np.ndarray:
-    s_arr = np.asarray(s, dtype=float)
-    if not (s_arr >= 0.0).all():
-        raise ValidationError("homogeneous times must be >= 0")
-    return s_arr
-
-
 def _split_overflow(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """``s`` with its non-finite entries (an overflowed g_inv) read as 0,
     and their mask, None when every entry is finite."""
@@ -310,7 +303,7 @@ class _AbsorptionKernel:
 
     def _projection(self, coeff: np.ndarray, right: np.ndarray, s) -> np.ndarray:
         """pi . exp(sL) . right at checked times, 0 where s overflowed."""
-        s_arr, over = _split_overflow(_check_homogeneous(s))
+        s_arr, over = _split_overflow(np.asarray(s, dtype=float))
         out = self._eig_eval(coeff, s_arr) if self._eig_ok else self._expm_eval(right, s_arr)
         return out if over is None else np.where(over, 0.0, out)
 

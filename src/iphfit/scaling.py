@@ -68,21 +68,6 @@ class ScalingFamily:
             raise ValidationError(f"beta must be positive and finite, got {beta!r}")
         object.__setattr__(self, "beta", beta)
 
-    @classmethod
-    def gompertz(cls, beta: float) -> "ScalingFamily":
-        return cls(GOMPERTZ, beta)
-
-    @classmethod
-    def weibull(cls, beta: float) -> "ScalingFamily":
-        return cls(WEIBULL, beta)
-
-    @classmethod
-    def identity(cls) -> "ScalingFamily":
-        return cls(IDENTITY)
-
-    def with_beta(self, beta: float) -> "ScalingFamily":
-        return ScalingFamily(self.kind, beta)
-
     # -- scaling function and its accumulated form ---------------------
 
     def h(self, t):

@@ -32,7 +32,7 @@ from conftest import CLINIC_LAM, GOMPERTZ_BETA, GOMPERTZ_LAM, WEIBULL_LAM
 COUNT = 20_000
 PY_COUNT = 2_000
 REJECTION_COUNT = 5_000
-FAMILY = ScalingFamily.gompertz(GOMPERTZ_BETA)
+FAMILY = ScalingFamily("gompertz", GOMPERTZ_BETA)
 # the longest transformed gap of the Gompertz T = 60 grid: (59, 60]
 LARGEST_GAP = float(FAMILY.g_inv(60.0) - FAMILY.g_inv(59.0))
 

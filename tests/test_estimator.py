@@ -142,7 +142,7 @@ def test_statistics_match_per_path_sums(gompertz_pi, gompertz_lam):
     assert _stats_bytes(accumulate_statistics(naive)) == want
     # the identity family keeps the homogeneous epochs
     simulated = replace(
-        simulate_paths(gompertz_lam, gompertz_pi, ScalingFamily.identity(), 20.0,
+        simulate_paths(gompertz_lam, gompertz_pi, ScalingFamily("identity"), 20.0,
                        RandomStream(84), 200),
         timeline=HOMOGENEOUS,
     )
@@ -385,7 +385,7 @@ def test_sweep_maps_times_as_the_checked_calls(gompertz_pi, gompertz_lam):
     panel = estimator._PanelArrays(make_panel(gompertz_pi, gompertz_lam, fam, 30.0, 0.7, 40, 85))
     assert panel.epochs.size < panel.flat_times.size
     for family in (fam, ScalingFamily(WEIBULL, 3.0), ScalingFamily(WEIBULL, 0.7),
-                   ScalingFamily.identity()):
+                   ScalingFamily("identity")):
         (mapped,) = family._terms(panel.epochs, g_inv_only=True)
         want = np.asarray(family.g_inv(panel.flat_times), dtype=float)
         assert mapped[panel.epoch_index].tobytes() == want.tobytes()
@@ -462,7 +462,7 @@ def test_fit_identity_family_is_the_homogeneous_fit(monkeypatch):
     monkeypatch.setattr(estimator, "sem_iteration", counted)
     lam = SubIntensityMatrix(np.array([[-0.8, 0.3], [0.2, -0.6]]))
     pi = InitialDistribution(np.array([0.6, 0.4]))
-    data = make_panel(pi, lam, ScalingFamily.identity(), 8.0, 0.5, 20, 86)
+    data = make_panel(pi, lam, ScalingFamily("identity"), 8.0, 0.5, 20, 86)
     cfg = FitConfig(family=IDENTITY)
     result = fit(data, cfg, RandomStream(86))
     assert sweeps == list(range(1, cfg.homog_iterations + 1))
@@ -475,7 +475,7 @@ def test_fit_identity_family_is_the_homogeneous_fit(monkeypatch):
 def test_fit_homogeneous_consistency():
     lam = SubIntensityMatrix(np.array([[-0.8, 0.3], [0.2, -0.6]]))
     pi = InitialDistribution(np.array([0.6, 0.4]))
-    data = make_panel(pi, lam, ScalingFamily.identity(), 8.0, 0.5, 300, 87)
+    data = make_panel(pi, lam, ScalingFamily("identity"), 8.0, 0.5, 300, 87)
     cfg = FitConfig(family=IDENTITY, homog_iterations=60, homog_tail_average=10)
     result = fit(data, cfg, RandomStream(87))
     assert result.beta_hat is None
@@ -488,7 +488,7 @@ def test_fit_homogeneous_consistency():
 def test_fit_homogeneous_single_sweep_equals_iteration():
     lam = SubIntensityMatrix(np.array([[-0.8, 0.3], [0.2, -0.6]]))
     pi = InitialDistribution(np.array([0.6, 0.4]))
-    data = make_panel(pi, lam, ScalingFamily.identity(), 8.0, 0.5, 60, 88)
+    data = make_panel(pi, lam, ScalingFamily("identity"), 8.0, 0.5, 60, 88)
     cfg = FitConfig(family=IDENTITY, homog_iterations=1, homog_tail_average=1)
     result = fit(data, cfg, RandomStream(88))
     rng = RandomStream(88)

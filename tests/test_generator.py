@@ -11,7 +11,6 @@ from iphfit import (
     NumericalError,
     SubIntensityMatrix,
     ValidationError,
-    exit_rates,
     matrix_exponential,
     validate_generator,
 )
@@ -113,25 +112,25 @@ def test_initial_distribution_invariants():
 
 
 def test_exit_rates_two_state(weibull_lam):
-    np.testing.assert_allclose(exit_rates(weibull_lam), [2.9, 0.09], atol=1e-15)
+    np.testing.assert_allclose(weibull_lam.exit_rates(), [2.9, 0.09], atol=1e-15)
 
 
 def test_exit_rates_scalar():
     np.testing.assert_allclose(
-        exit_rates(SubIntensityMatrix(np.array([[-1.0]]))), [1.0]
+        SubIntensityMatrix(np.array([[-1.0]])).exit_rates(), [1.0]
     )
 
 
 def test_exit_rates_clinic_matrix(clinic_lam):
     # published entries are rounded to 4 decimals, hence the loose atol
     np.testing.assert_allclose(
-        exit_rates(clinic_lam), [0.0923, 0.0635, 0.1083], atol=1.5e-4
+        clinic_lam.exit_rates(), [0.0923, 0.0635, 0.1083], atol=1.5e-4
     )
 
 
 def test_exit_rates_requires_valid_generator():
     with pytest.raises(ValidationError):
-        exit_rates(SubIntensityMatrix(np.array([[-1.0, -0.5], [0.2, -0.2]])))
+        SubIntensityMatrix(np.array([[-1.0, -0.5], [0.2, -0.2]])).exit_rates()
 
 
 def test_invalid_matrix_raises_the_same_error_on_every_call():

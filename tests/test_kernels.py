@@ -216,7 +216,7 @@ def test_sweep_streams_match_random_stream(ckernels, seed):
 
 def _study_panel(count, horizon, seed):
     """A Gompertz panel with absorbed and censored paths."""
-    family = ScalingFamily.gompertz(GOMPERTZ_BETA)
+    family = ScalingFamily("gompertz", GOMPERTZ_BETA)
     stream = RandomStream(seed)
     cohort = simulate_cohort(GOMPERTZ_PI, SubIntensityMatrix(GOMPERTZ_LAM), family, horizon,
                              count, stream)
@@ -396,7 +396,7 @@ def _irregular_panel(count, seed):
     uniform gaps of 0.5 to 1.5 until a drop-out time between 20 and 60,
     itself a visit; the first visit at or after absorption ends the path."""
     cohort = simulate_cohort(GOMPERTZ_PI, SubIntensityMatrix(GOMPERTZ_LAM),
-                             ScalingFamily.gompertz(GOMPERTZ_BETA), np.inf, count,
+                             ScalingFamily("gompertz", GOMPERTZ_BETA), np.inf, count,
                              RandomStream(seed))
     gen = np.random.default_rng(seed)
     rows = []
@@ -595,6 +595,69 @@ def test_grown_step_table_does_not_depend_on_the_cpu_count(ckernels):
         _same(got, want)
 
 
+def _on_every_body(args):
+    """The Python body's result of ``complete_sweep(*args)``, checked equal
+    to the compiled body's on all usable CPUs and on one."""
+    want = getattr(_kernels.complete_sweep, "py_func", _kernels.complete_sweep)(*args)
+    if hasattr(_kernels.complete_sweep, "py_func"):
+        _same(_kernels.complete_sweep(*args), want)
+        every = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {min(every)})
+            alone = _kernels.complete_sweep(*args)
+        finally:
+            os.sched_setaffinity(0, every)
+        _same(alone, want)
+    return want
+
+
+def test_bridge_reads_the_last_row_of_its_step_table():
+    """A chain that moves one state up at a time, bridged from state 0 to
+    state 2 over mu delta = 1e-20: the normalizer's only nonzero term is
+    r = 2 = hi, so R = hi on every path and each bridge reads row hi - 1 of
+    the step table, which a draw of R below hi never does."""
+    lam = SubIntensityMatrix(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]]))
+    cum, total, mu, ptrans = bridge_model(lam)
+    delta = 1e-20 / mu
+    chain = _kernels._Chain(ptrans)
+    status, (sums, m, lo, hi) = _kernels._series(chain, mu * delta, 0, 2, 1 << 16)
+    assert status == 0 and (m, lo, hi) == (0, 0, 2) and sums[:2] == [0.0, 0.0] < sums[2:]
+    count = 200
+    args = (_kernels.stream_words(9), 1, np.arange(count, dtype=np.int64),
+            np.tile([0.0, delta], count), np.tile(np.array([0, 2], dtype=np.int64), count),
+            np.arange(0, 2 * count + 1, 2, dtype=np.int64),
+            np.tile(np.array([0, -1], dtype=np.int64), count), cum, total, 3, mu, ptrans,
+            1 << 16, 1 << 16)
+    status, _path, _info, (virtual, _kept, censored, series), stats, _paths = _on_every_body(args)
+    assert (status, virtual, censored, series) == (0, 2 * count, count, 1)
+    assert stats[1][0, 1] == stats[1][1, 2] == count  # both virtual jumps kept
+
+
+@pytest.mark.parametrize("shape", ["gompertz", "irregular"])
+def test_sweep_reads_group_ids_only_as_keys(shape):
+    """A random bijection of a sweep's bridge group ids changes no byte and
+    no counter, on either body and on any number of CPUs."""
+    if shape == "gompertz":
+        family, panel = _study_panel(300, 60.0, 23)
+    else:
+        family = ScalingFamily("gompertz", GOMPERTZ_BETA)
+        panel = estimator._PanelArrays(_irregular_panel(150, 24))
+    cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
+    obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+    groups = panel.groups
+    shuffled = groups.copy()
+    ids = groups >= 0
+    shuffled[ids] = np.random.default_rng(25).permutation(groups.max() + 1)[groups[ids]]
+    assert not np.array_equal(shuffled, groups)
+    results = [
+        _on_every_body((_kernels.stream_words(26), 2, panel.keys, obs_s, panel.flat_states0,
+                        panel.starts, g, cum, total, 3, mu, ptrans, 1 << 16, 1 << 16))
+        for g in (groups, shuffled)
+    ]
+    assert results[0][0] == 0
+    _same(results[1], results[0])
+
+
 @compiled
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 def test_no_thread_outlives_a_sweep():
@@ -691,7 +754,7 @@ def test_cohort_matches_simulate_inhomogeneous(horizon):
     per-path route's: a generator and sim_path's Python body per path,
     then g over the path's own jump epochs."""
     lam = SubIntensityMatrix(GOMPERTZ_LAM)
-    family = ScalingFamily.gompertz(GOMPERTZ_BETA)
+    family = ScalingFamily("gompertz", GOMPERTZ_BETA)
     cum, total = jump_model(lam)
     hom = horizon if horizon in (0.0, np.inf) else float(family.g_inv(horizon))
     cohort = simulate_cohort(GOMPERTZ_PI, lam, family, horizon, 200, RandomStream(205), (2, 1))
@@ -710,7 +773,7 @@ def test_cohort_matches_simulate_inhomogeneous(horizon):
 def test_simulation_checks_absorbability_of_drawn_states():
     """An infinite horizon needs absorption reachable from every state a
     path starts in; a trapped state no path can start in is no error."""
-    family = ScalingFamily.identity()
+    family = ScalingFamily("identity")
     # state 3 has no exit; state 2 leads to it, state 1 exits directly
     lam = SubIntensityMatrix(np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
     stream = RandomStream(4)
@@ -771,7 +834,7 @@ def test_compiled_sweeps_take_the_calls_runs_make(monkeypatch, ckernels):
             return _kernel(*args)
 
         monkeypatch.setattr(_kernels, name, record)
-    family = ScalingFamily.gompertz(GOMPERTZ_BETA)
+    family = ScalingFamily("gompertz", GOMPERTZ_BETA)
     lam = SubIntensityMatrix(GOMPERTZ_LAM)
     cohort = simulate_cohort(GOMPERTZ_PI, lam, family, 10.0, 30, RandomStream(5))
     estimator.fit(cohort_panel(cohort, uniform_grid(10.0, 1.0)),

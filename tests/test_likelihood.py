@@ -143,7 +143,7 @@ def test_mle_simulation_consistency(weibull_lam, weibull_pi):
     # the identity family keeps the homogeneous epochs; path k draws from
     # RandomStream(62).substream(k)
     c = simulate_cohort(
-        weibull_pi, weibull_lam, ScalingFamily.identity(), np.inf, 100_000, RandomStream(62),
+        weibull_pi, weibull_lam, ScalingFamily("identity"), np.inf, 100_000, RandomStream(62),
         key_prefix=(),
     )
     stats = flat_statistics(c.times, c.states, c.bounds, c.end_times, c.n)

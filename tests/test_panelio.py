@@ -552,7 +552,7 @@ def test_format_beta_trace_rows():
 def test_format_path_dump(weibull_lam, weibull_pi):
     # the identity family keeps the homogeneous epochs
     path = dataclasses.replace(
-        simulate_paths(weibull_lam, weibull_pi, ScalingFamily.identity(), 5.0, RandomStream(98), 1),
+        simulate_paths(weibull_lam, weibull_pi, ScalingFamily("identity"), 5.0, RandomStream(98), 1),
         timeline="homogeneous",
     )
     text = format_path_dump(path)

@@ -25,7 +25,7 @@ from iphfit.studies import cohort_panel, simulate_cohort
 ONE_STATE = SubIntensityMatrix(np.array([[-1.0]]))
 POINT_MASS = InitialDistribution(np.array([1.0]))
 # the identity family keeps the chain's own (homogeneous) epochs
-CHAIN = ScalingFamily.identity()
+CHAIN = ScalingFamily("identity")
 
 
 def _state_at(path, t):
@@ -41,7 +41,7 @@ def _state_at(path, t):
 def test_exponential_absorption_mean():
     # path k draws from root.substream(k)
     cohort = simulate_cohort(
-        POINT_MASS, ONE_STATE, ScalingFamily.identity(), np.inf, 100_000, RandomStream(11),
+        POINT_MASS, ONE_STATE, ScalingFamily("identity"), np.inf, 100_000, RandomStream(11),
         key_prefix=(),
     )
     assert abs(cohort.end_times.mean() - 1.0) <= 0.02
@@ -50,7 +50,7 @@ def test_exponential_absorption_mean():
 def test_initial_state_frequencies(weibull_lam, weibull_pi):
     # horizon 0 keeps only the initial draw, which is all this oracle needs
     cohort = simulate_cohort(
-        weibull_pi, weibull_lam, ScalingFamily.identity(), 0.0, 100_000, RandomStream(12),
+        weibull_pi, weibull_lam, ScalingFamily("identity"), 0.0, 100_000, RandomStream(12),
         key_prefix=(),
     )
     starts = cohort.states[cohort.bounds[:-1]] + 1
@@ -135,7 +135,7 @@ def test_identity_equals_homogeneous(gompertz_lam, gompertz_pi):
 
 
 def test_weibull_epochs_are_cube_roots(weibull_lam, weibull_pi):
-    fam = ScalingFamily.weibull(3.0)
+    fam = ScalingFamily("weibull", 3.0)
     rng = RandomStream(22, (9,))
     hom = simulate_paths(weibull_lam, weibull_pi, CHAIN, fam.g_inv(5.0), rng, 50)
     inh = simulate_paths(weibull_lam, weibull_pi, fam, 5.0, rng, 50)
@@ -150,11 +150,11 @@ def test_weibull_epochs_are_cube_roots(weibull_lam, weibull_pi):
 
 
 def test_transform_of_samples_oracle(gompertz_lam, gompertz_pi):
-    fam = ScalingFamily.gompertz(0.1019)
+    fam = ScalingFamily("gompertz", 0.1019)
     root = RandomStream(23)
     rho, tau = (
         simulate_cohort(gompertz_pi, gompertz_lam, f, np.inf, 100_000, root, key_prefix=()).end_times
-        for f in (ScalingFamily.identity(), fam)
+        for f in (ScalingFamily("identity"), fam)
     )
     hom_means = np.log1p(0.1019 * rho) / 0.1019
     inh_means = tau
@@ -164,7 +164,7 @@ def test_transform_of_samples_oracle(gompertz_lam, gompertz_pi):
 
 
 def test_censored_end_time_is_horizon(gompertz_lam, gompertz_pi):
-    fam = ScalingFamily.gompertz(0.1019)
+    fam = ScalingFamily("gompertz", 0.1019)
     paths = simulate_paths(gompertz_lam, gompertz_pi, fam, 3.0, RandomStream(24), 200)
     censored = ~paths.absorbed
     assert censored.any()
@@ -234,7 +234,7 @@ def test_discretize_agrees_with_state_lookup(gompertz_lam, gompertz_pi):
 def test_cohort_panel_agrees_with_state_lookup(gompertz_lam, gompertz_pi):
     """A whole cohort observed at once, against each path's own states:
     absorbed and censored paths, on a grid that runs past the horizon."""
-    fam = ScalingFamily.gompertz(0.1019)
+    fam = ScalingFamily("gompertz", 0.1019)
     cohort = simulate_cohort(gompertz_pi, gompertz_lam, fam, 30.0, 300, RandomStream(32))
     grid = np.arange(0.0, 36.0, 1.5)
     panel = cohort_panel(cohort, grid)
