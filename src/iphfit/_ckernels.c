@@ -466,8 +466,9 @@ draw_count(const double *s, const Norm *g, double target)
 
 /* Puts the values of the ascending ranks ranks[0] < ... < ranks[nr - 1]
    of v[lo..hi) in those places, as sorting v[lo..hi) would.  On 2,000
-   paths bridged 0 -> 1 -> 2 under the Gompertz Lambda at mu delta = 162, a
-   full sort took 18% longer per sweep (qsort above 16 values) or 7% (Shell). */
+   paths bridged 0 -> 1 -> 2 under the Gompertz Lambda at mu delta = 162 (2
+   CPUs), a full sort made a sweep 18% slower (qsort above 16 values), a
+   Shell sort 7%. */
 static void
 select_ranks(double *v, npy_intp lo, npy_intp hi, const npy_intp *ranks, npy_intp nr)
 {

@@ -16,8 +16,29 @@ import pytest
 import byte_ledger
 from iphfit import _kernels
 
+
+def mismatch(ledger: dict) -> list[str]:
+    """The environment keys whose value here differs from the ledger's,
+    as ``key: ledger value != value here``."""
+    here = byte_ledger.environment()
+    return [
+        f"{key}: {want!r} != {here.get(key)!r}"
+        for key, want in ledger["environment"].items() if here.get(key) != want
+    ]
+
+
+def differences(ledger: dict, names) -> list[str]:
+    """Each file of the entries ``names`` whose hash is not the ledger's,
+    as ``entry/file``, or missing or extra on one side."""
+    out = []
+    for name in names:
+        got, want = byte_ledger.entry(name), ledger["files"][name]
+        out += [f"{name}/{f}" for f in sorted(set(got) | set(want)) if got.get(f) != want.get(f)]
+    return out
+
+
 LEDGER = json.loads(byte_ledger.LEDGER.read_text())
-MISMATCH = byte_ledger.mismatch(LEDGER)
+MISMATCH = mismatch(LEDGER)
 PYTHON_SUBSET = tuple(n for n in byte_ledger.ENTRIES if not n.startswith("study/gompertz/"))
 
 pytestmark = [
@@ -39,7 +60,7 @@ def test_ledger_lists_every_entry():
 
 @compiled
 def test_ledger_holds_on_all_cpus():
-    assert byte_ledger.differences(LEDGER, byte_ledger.ENTRIES) == []
+    assert differences(LEDGER, byte_ledger.ENTRIES) == []
 
 
 @compiled
@@ -47,7 +68,7 @@ def test_ledger_holds_on_one_cpu():
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
-        bad = byte_ledger.differences(LEDGER, byte_ledger.ENTRIES)
+        bad = differences(LEDGER, byte_ledger.ENTRIES)
     finally:
         os.sched_setaffinity(0, cpus)
     assert bad == []
@@ -57,4 +78,4 @@ def test_ledger_holds_on_python_bodies(monkeypatch):
     for name in ("complete_sweep", "simulate_sweep"):
         kernel = getattr(_kernels, name)
         monkeypatch.setattr(_kernels, name, getattr(kernel, "py_func", kernel))
-    assert byte_ledger.differences(LEDGER, PYTHON_SUBSET) == []
+    assert differences(LEDGER, PYTHON_SUBSET) == []
