@@ -50,12 +50,11 @@
  *    the normalizer.
  *  - The first failing path in path order wins: a block past a failed one
  *    is skipped, and a worker that fails takes no earlier block after.
- *  - The join, after every thread has ended: the blocks go end to end in
- *    path order, in the buffers of the worker that completed block 0,
- *    which become the output arrays; then every path's statistics are
- *    summed there, in path order, then jump order; the counters count what
- *    a sequential sweep does up to the failing path, each group's series
- *    once, at the first path that needed it (count_series).
+ *  - The join, after every thread has ended: the blocks are copied end
+ *    to end in path order into new arrays; then every path's statistics
+ *    are summed there, in path order, then jump order; the counters count
+ *    what a sequential sweep does up to the failing path, each group's
+ *    series once, at the first path that needed it (count_series).
  * Workers allocate with malloc and realloc alone and call no Python API.
  * A sweep's segments of one group must share their gap and endpoint
  * states, as the estimator's do: then every worker computes the same
@@ -988,75 +987,33 @@ usable_cpus(void)
     return cpus > 0 ? cpus : 1;
 }
 
-static void
-free_buffer(PyObject *capsule)
-{
-    free(PyCapsule_GetPointer(capsule, NULL));
-}
-
-/* A 1-d array of size items of the given type and item size on data,
-   shrunk to fit, which frees data when it goes; NULL with an error set
-   (and data freed) if that fails. */
-static PyObject *
-take_over(void *data, npy_intp size, int type, size_t item)
-{
-    void *fit = realloc(data, size * item);
-    if (fit != NULL)
-        data = fit;
-    PyObject *base = PyCapsule_New(data, NULL, free_buffer);
-    if (base == NULL) {
-        free(data);
-        return NULL;
-    }
-    PyObject *a = PyArray_SimpleNewFromData(1, &size, type, data);
-    if (a == NULL) {
-        Py_DECREF(base);
-        return NULL;
-    }
-    if (PyArray_SetBaseObject((PyArrayObject *)a, base) < 0) { /* it took base */
-        Py_DECREF(a);
-        return NULL;
-    }
-    return a;
-}
-
-/* The paths of a sweep that did not fail, in *times and *states, with
-   s->bound made global and the statistics summed over them in path order.
-   The blocks go end to end in path order, last first, into the buffers of
-   the worker that completed block 0, which become the arrays: its own
-   blocks move up, and so leave room for the others'.  -1 with an error set
-   if that fails.  In place, so the join holds no second copy of the paths;
-   copying into fresh arrays was no faster on replayed irregular-panel sweeps. */
+/* The paths of a sweep that did not fail, in *times and *states: the
+   blocks copied end to end in path order into new arrays, s->bound made
+   global and the statistics summed over them in path order.  -1 with an
+   error set if that fails. */
 static int
 join_paths(Sweep *s, PyObject **times, PyObject **states)
 {
-    Worker *w = s->blocks[0].w;
     npy_intp used = 0;
     for (npy_intp b = 0; b < s->nblocks; b++)
         used += s->blocks[b].hi - s->blocks[b].lo;
-    if (used > w->room && widen(w, used) < 0) {
-        PyErr_NoMemory();
+    *times = PyArray_EMPTY(1, &used, NPY_FLOAT64, 0);
+    *states = PyArray_EMPTY(1, &used, NPY_INT64, 0);
+    if (*times == NULL || *states == NULL)
         return -1;
-    }
-    double *t = w->times;
-    npy_int64 *x = w->states;
-    for (npy_intp b = s->nblocks - 1, at = used; b >= 0; b--) {
+    double *t = (double *)PyArray_DATA((PyArrayObject *)*times);
+    npy_int64 *x = (npy_int64 *)PyArray_DATA((PyArrayObject *)*states);
+    for (npy_intp b = 0, at = 0; b < s->nblocks; b++) {
         const Block *blk = s->blocks + b;
-        at -= blk->hi - blk->lo;
-        if (blk->w == w && blk->lo == at) /* in place already */
-            continue;
-        memmove(t + at, blk->w->times + blk->lo, (blk->hi - blk->lo) * sizeof(double));
-        memmove(x + at, blk->w->states + blk->lo, (blk->hi - blk->lo) * sizeof(npy_int64));
+        memcpy(t + at, blk->w->times + blk->lo, (blk->hi - blk->lo) * sizeof(double));
+        memcpy(x + at, blk->w->states + blk->lo, (blk->hi - blk->lo) * sizeof(npy_int64));
         for (npy_intp k = b * BLOCK; k < Py_MIN(s->K, (b + 1) * BLOCK); k++)
             s->bound[k + 1] += at - blk->lo;
+        at += blk->hi - blk->lo;
     }
     for (npy_intp k = 0; k < s->K; k++)
         tally(s, t + s->bound[k], x + s->bound[k], s->bound[k + 1] - s->bound[k] - 1);
-    *times = take_over(t, used, NPY_FLOAT64, sizeof(double));
-    *states = take_over(x, used, NPY_INT64, sizeof(npy_int64));
-    w->times = NULL;
-    w->states = NULL;
-    return *times == NULL || *states == NULL ? -1 : 0;
+    return 0;
 }
 
 /* complete_sweep(words, iteration, keys, obs_s, obs_x, starts, groups, cum, total, n, mu,
@@ -1203,7 +1160,7 @@ done:
 }
 
 /* simulate_sweep(words, keys, cum_pi, cum, total, n, horizon)
-   -> (times, states, bounds, ends) */
+   -> (times, states, bounds) */
 static PyObject *
 simulate_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1220,7 +1177,7 @@ simulate_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
         Py_RETURN_NOTIMPLEMENTED;
     const npy_int64 *keys = (const npy_int64 *)PyArray_DATA(key_arr);
     const double *cum_pi = (const double *)PyArray_DATA(pi_arr);
-    npy_intp K = PyArray_DIM(key_arr, 0);
+    const npy_intp K = PyArray_DIM(key_arr, 0);
     for (npy_intp k = 0; k < K; k++)
         if (keys[k] < 0)
             Py_RETURN_NOTIMPLEMENTED;
@@ -1228,20 +1185,18 @@ simulate_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     const npy_intp nwords = PyArray_DIM(w_arr, 0);
     npy_intp paths = K + 1, capacity = 4 * K + 64;
     PyArrayObject *bounds = (PyArrayObject *)PyArray_EMPTY(1, &paths, NPY_INT64, 0);
-    PyArrayObject *ends = (PyArrayObject *)PyArray_EMPTY(1, &K, NPY_FLOAT64, 0);
     PyArrayObject *times = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_FLOAT64, 0);
     PyArrayObject *states = (PyArrayObject *)PyArray_EMPTY(1, &capacity, NPY_INT64, 0);
     /* the stream's words, then those of keys[k] */
     uint32_t *words = PyMem_Malloc((nwords + 2) * sizeof(uint32_t));
     PyObject *result = NULL;
-    if (bounds == NULL || ends == NULL || times == NULL || states == NULL || words == NULL) {
+    if (bounds == NULL || times == NULL || states == NULL || words == NULL) {
         if (words == NULL)
             PyErr_NoMemory();
         goto done;
     }
     memcpy(words, PyArray_DATA(w_arr), nwords * sizeof(uint32_t));
     npy_int64 *bound = (npy_int64 *)PyArray_DATA(bounds);
-    double *end = (double *)PyArray_DATA(ends);
     npy_intp used = 0;
     bound[0] = 0;
     for (npy_intp k = 0; k < K; k++) {
@@ -1255,7 +1210,6 @@ simulate_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
             first++;
         npy_intp state = first, count = 0;
         double t = 0.0;
-        int status;
         for (;;) {
             if (used + 1 + count >= capacity) {
                 capacity *= 2;
@@ -1265,23 +1219,20 @@ simulate_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
             const Buffers out = {(double *)PyArray_DATA(times) + used + 1,
                                  (npy_int64 *)PyArray_DATA(states) + used + 1,
                                  capacity - used - 1};
-            status = run_chain(&bg, &m, &state, &t, horizon, &out, &count);
-            if (status != 0)
+            if (run_chain(&bg, &m, &state, &t, horizon, &out, &count) != 0)
                 break;
         }
         ((double *)PyArray_DATA(times))[used] = 0.0;
         ((npy_int64 *)PyArray_DATA(states))[used] = first;
         used += 1 + count;
         bound[k + 1] = used;
-        end[k] = status == 1 ? t : horizon;
     }
     if (resize(times, used) < 0 || resize(states, used) < 0)
         goto done;
-    result = Py_BuildValue("(OOOO)", times, states, bounds, ends);
+    result = Py_BuildValue("(OOO)", times, states, bounds);
 done:
     PyMem_Free(words);
     Py_XDECREF(bounds);
-    Py_XDECREF(ends);
     Py_XDECREF(times);
     Py_XDECREF(states);
     return result;

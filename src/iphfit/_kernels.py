@@ -376,12 +376,12 @@ def _bridge(gen, steps, n, s1, s2, x, y, norm, u, times, states, count):
 def _complete_path(gen, chain, norms, mu, vcap, obs_s, obs_x, groups, cum, total, n, times,
                    states):
     """Complete one path: bridge each segment with ``_bridge``, then run a
-    censored path on to absorption.  Returns ``(status, info, count, end,
-    virtual, computed)``: status 0 (``end`` the absorption epoch), 1 an
-    impossible endpoint pair, 2 buffers full, 3 a dead end in the censored
-    run, 4 a bridge needing more than ``vcap`` virtual jumps, 5 as
-    ``_bridge``; ``info`` is the segment it ended in, ``virtual`` the
-    virtual jumps drawn and ``computed`` the series it computed.
+    censored path on to absorption.  Returns ``(status, info, count,
+    virtual, computed)``: status 0, 1 an impossible endpoint pair, 2
+    buffers full, 3 a dead end in the censored run, 4 a bridge needing
+    more than ``vcap`` virtual jumps, 5 as ``_bridge``; ``info`` is the
+    segment it ended in, ``virtual`` the virtual jumps drawn and
+    ``computed`` the series it computed.
 
     ``norms[g]`` is group g's normalizer, None until a segment needs it.
     A segment whose group has none yet fails with 4 when ``q = mu * delta``
@@ -400,15 +400,15 @@ def _complete_path(gen, chain, norms, mu, vcap, obs_s, obs_x, groups, cum, total
         if norms[g] is None:
             q = mu * (s2 - s1)
             if not q <= vcap:  # nan and inf too
-                return 4, seg, 0, 0.0, virtual, computed
+                return 4, seg, 0, virtual, computed
             if x == y and q < 1.0 and u * math.exp(q) < 1.0:
                 continue
             status, norm = _series(chain, q, x, y, vcap)
             computed += 1
             if status:
-                return status, seg, 0, 0.0, virtual, computed
+                return status, seg, 0, virtual, computed
             if not norm[0][-1] > 0.0:
-                return 1, seg, 0, 0.0, virtual, computed
+                return 1, seg, 0, virtual, computed
             norms[g] = norm
             chain.steps(norm[3])
         status, count, big_r = _bridge(
@@ -416,18 +416,18 @@ def _complete_path(gen, chain, norms, mu, vcap, obs_s, obs_x, groups, cum, total
         )
         virtual += big_r
         if status:
-            return status, seg, 0, 0.0, virtual, computed
+            return status, seg, 0, virtual, computed
     if obs_x[m] == n:
-        return 0, m, count, times[count - 1], virtual, computed
+        return 0, m, count, virtual, computed
     # censored: continue unconditioned from the last observed state
-    status, count, _state, t = _run_chain(
+    status, count, _state, _t = _run_chain(
         gen, cum, total, n, obs_x[m], obs_s[m], np.inf, times, states, count
     )
     if status == 1:
-        return 0, m, count, t, virtual, computed
+        return 0, m, count, virtual, computed
     if status == 2:  # no exit rate: a dead end
-        return 3, m, 0, 0.0, virtual, computed
-    return 2, m, 0, 0.0, virtual, computed
+        return 3, m, 0, virtual, computed
+    return 2, m, 0, virtual, computed
 
 
 def complete_sweep(
@@ -471,7 +471,7 @@ def complete_sweep(
     for k in range(starts.shape[0] - 1):
         a, z = starts[k], starts[k + 1]
         seed = np.random.SeedSequence(np.concatenate((words, stream_words(iteration, keys[k]))))
-        status, info, count, _end, virtual, computed = _complete_path(
+        status, info, count, virtual, computed = _complete_path(
             np.random.default_rng(seed), chain, norms, mu, vcap, obs_s[a:z], obs_x[a:z],
             groups[a:z], cum, total, n, tbuf, sbuf,
         )
@@ -503,15 +503,13 @@ def simulate_sweep(words, keys, cum_pi, cum, total, n, horizon):
     ``sim_path`` runs it, until absorption or the horizon.  The buffers
     grow as long as a path needs.
 
-    Returns ``(times, states, bounds, ends)``: path k is
+    Returns ``(times, states, bounds)``: path k is
     ``times[bounds[k]:bounds[k + 1]]`` and ``states[...]``, its entry into
-    its initial state at 0.0, then its jumps; ``ends[k]`` is its
-    absorption epoch, or ``horizon`` when it is not absorbed.
+    its initial state at 0.0, then its jumps.
     """
     times = np.empty(4 * keys.shape[0] + 64, dtype=np.float64)
     states = np.empty(times.shape[0], dtype=np.int64)
     bounds = np.zeros(keys.shape[0] + 1, dtype=np.int64)
-    ends = np.empty(keys.shape[0], dtype=np.float64)
     used = 0
     for k in range(keys.shape[0]):
         gen = np.random.default_rng(
@@ -532,8 +530,7 @@ def simulate_sweep(words, keys, cum_pi, cum, total, n, horizon):
         states[used] = first
         used += 1 + count
         bounds[k + 1] = used
-        ends[k] = t if status == 1 else horizon
-    return times[:used].copy(), states[:used].copy(), bounds, ends
+    return times[:used].copy(), states[:used].copy(), bounds
 
 
 # the Python bodies, kept before the module rebinds their names

@@ -84,10 +84,10 @@ class FitConfig:
             raise ValidationError(
                 f"unknown family {self.family!r}; expected one of {_FAMILIES}"
             )
-        if not (self.eta > 0.0 and self.e_ell > 0.0):
-            raise ValidationError("eta and e_ell must be positive")
-        if not (0.0 < self.beta_min <= self.beta0):
-            raise ValidationError("need beta0 >= beta_min > 0")
+        if not (0.0 < self.eta < np.inf and 0.0 < self.e_ell < np.inf):
+            raise ValidationError("eta and e_ell must be positive and finite")
+        if not (0.0 < self.beta_min <= self.beta0 < np.inf):
+            raise ValidationError("need finite beta0 >= beta_min > 0")
         if self.max_sem_iterations < 1 or self.gd_max_steps < 1:
             raise ValidationError("iteration caps must be positive")
         if not (1 <= self.homog_tail_average <= self.homog_iterations):

@@ -509,10 +509,10 @@ def gd_solve(
         If a gradient evaluates to a non-finite value.
     """
     beta0, eta, e_ell, beta_min = map(float, (beta0, eta, e_ell, beta_min))
-    if eta <= 0.0 or e_ell <= 0.0:
-        raise ValidationError("eta and e_ell must be positive")
-    if beta_min <= 0.0 or beta0 < beta_min:
-        raise ValidationError("need beta0 >= beta_min > 0")
+    if not (0.0 < eta < np.inf and 0.0 < e_ell < np.inf):
+        raise ValidationError("eta and e_ell must be positive and finite")
+    if not 0.0 < beta_min <= beta0 < np.inf:
+        raise ValidationError("need finite beta0 >= beta_min > 0")
     if int(max_steps) < 1:
         raise ValidationError("max_steps must be at least 1")
     ell_prev, grad = _evaluate(obj, beta0, stacklevel=3)

@@ -3,8 +3,8 @@
 A family supplies a positive scaling function ``h(t)`` (the generator at
 calendar time t is ``h(t) * L``), its accumulated version
 ``g_inv(t) = int_0^t h(s) ds`` mapping calendar time to operational time,
-the inverse map ``g``, and the two beta-derivatives needed by the score of
-the absorption-time likelihood.
+the inverse map ``g``, and (through ``_terms``) the two beta-derivatives
+needed by the score of the absorption-time likelihood.
 
 Families
 --------
@@ -101,26 +101,6 @@ class ScalingFamily:
         if self.kind == GOMPERTZ:
             return np.log1p(self.beta * arr) / self.beta
         return arr ** (1.0 / self.beta)
-
-    # -- beta-derivatives for the score ---------------------------------
-
-    def dh_dbeta(self, t):
-        """Pointwise derivative of h with respect to beta.
-
-        gompertz: t exp(beta t); weibull: t^(beta-1) (1 + beta log t),
-        continuously extended to 0 at t = 0 when beta > 1; identity: 0.
-        """
-        arr = _check_times(t, allow_zero=self.kind != WEIBULL or self.beta > 1.0)
-        return _scalar_like(t, self._terms(arr)[2])
-
-    def int_dh_dbeta(self, t):
-        """Accumulated derivative int_0^t dh/dbeta(s) ds.
-
-        gompertz: t exp(beta t)/beta - (exp(beta t) - 1)/beta^2;
-        weibull: t^beta log t, which -> 0 as t -> 0 for every beta > 0
-        (defined as 0 at t = 0 by continuity); identity: 0.
-        """
-        return _scalar_like(t, self._terms(_check_times(t, allow_zero=True))[3])
 
     def _terms(self, arr: np.ndarray, g_inv_only: bool = False, log_t=None) -> tuple:
         """``(g_inv, h, dh/dbeta, int_dh_dbeta)`` at times already checked.

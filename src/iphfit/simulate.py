@@ -136,9 +136,9 @@ def simulate_paths(m, pi, family: ScalingFamily, horizon: float, rng: RandomStre
     if np.isinf(hom_horizon):
         # the initial draws alone: absorption must be reachable from each
         # (not np.unique, which without flags imports numpy.ma)
-        _times, states, bounds, _ends = _kernels.simulate_sweep(*args, 0.0)
+        _times, states, bounds = _kernels.simulate_sweep(*args, 0.0)
         check_absorbable(m, np.flatnonzero(np.bincount(states[bounds[:-1]])))
-    times, states, bounds, ends = _kernels.simulate_sweep(*args, hom_horizon)
+    times, states, bounds = _kernels.simulate_sweep(*args, hom_horizon)
     jumps = np.ones(times.size, dtype=bool)
     jumps[bounds[:-1]] = False
     times[jumps] = family._g(times[jumps])  # finite and >= 0 by construction

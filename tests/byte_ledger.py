@@ -1,12 +1,15 @@
 """The byte ledger: the sha256 of every file that a fixed set of runs writes.
 
     PYTHONPATH=src python tests/byte_ledger.py --write
+    PYTHONPATH=src python tests/byte_ledger.py --check
 
-recomputes every entry on the loaded kernel backend and rewrites
-``byte_ledger.json`` next to this file.  ``test_byte_ledger.py`` checks the
-entries against it and never rewrites it.  A change that moves bytes on
-purpose regenerates the ledger with this script and says which files moved
-and why.
+``--write`` recomputes every entry on the loaded kernel backend and
+rewrites ``byte_ledger.json`` next to this file.  ``--check`` recomputes
+them and prints each environment key that differs from the ledger's and
+each ``entry/file`` whose sha256 moved; it exits 1 if a file moved.
+``test_byte_ledger.py`` makes the same comparison and never rewrites the
+ledger.  A change that moves bytes on purpose regenerates the ledger with
+``--write`` and says which files moved and why.
 
 The entries are ``write_study`` of both presets at seeds 10-12 and the six
 files of ``test_kernels._cli_run`` (simulate, fit with ``--dump-paths``,
@@ -64,11 +67,39 @@ def entry(name: str) -> dict:
         return _hashes(root)
 
 
+def mismatch(ledger: dict) -> list[str]:
+    """The environment keys whose value here differs from the ledger's,
+    as ``key: ledger value != value here``."""
+    here = environment()
+    return [
+        f"{key}: {want!r} != {here.get(key)!r}"
+        for key, want in ledger["environment"].items() if here.get(key) != want
+    ]
+
+
+def differences(ledger: dict, names) -> list[str]:
+    """Each file of the entries ``names`` whose hash is not the ledger's,
+    as ``entry/file``, or missing or extra on one side."""
+    out = []
+    for name in names:
+        got, want = entry(name), ledger["files"][name]
+        out += [f"{name}/{f}" for f in sorted(set(got) | set(want)) if got.get(f) != want.get(f)]
+    return out
+
+
 def main(argv) -> int:
-    if argv != ["--write"]:
+    if argv not in (["--write"], ["--check"]):
         print(__doc__, file=sys.stderr)
         return 2
     warnings.filterwarnings("ignore", "density underflow at observation", RuntimeWarning)
+    if argv == ["--check"]:
+        ledger = json.loads(LEDGER.read_text())
+        for line in mismatch(ledger):
+            print(f"environment {line}")
+        moved = differences(ledger, ENTRIES)
+        for line in moved:
+            print(f"moved {line}")
+        return 1 if moved else 0
     ledger = {"environment": environment(), "files": {n: entry(n) for n in ENTRIES}}
     LEDGER.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     return 0

@@ -14,28 +14,8 @@ import os
 import pytest
 
 import byte_ledger
+from byte_ledger import differences, mismatch
 from iphfit import _kernels
-
-
-def mismatch(ledger: dict) -> list[str]:
-    """The environment keys whose value here differs from the ledger's,
-    as ``key: ledger value != value here``."""
-    here = byte_ledger.environment()
-    return [
-        f"{key}: {want!r} != {here.get(key)!r}"
-        for key, want in ledger["environment"].items() if here.get(key) != want
-    ]
-
-
-def differences(ledger: dict, names) -> list[str]:
-    """Each file of the entries ``names`` whose hash is not the ledger's,
-    as ``entry/file``, or missing or extra on one side."""
-    out = []
-    for name in names:
-        got, want = byte_ledger.entry(name), ledger["files"][name]
-        out += [f"{name}/{f}" for f in sorted(set(got) | set(want)) if got.get(f) != want.get(f)]
-    return out
-
 
 LEDGER = json.loads(byte_ledger.LEDGER.read_text())
 MISMATCH = mismatch(LEDGER)

@@ -520,3 +520,7 @@ def test_fit_config_validation():
         FitConfig(family=IDENTITY, homog_iterations=5, homog_tail_average=6)
     with pytest.raises(ValidationError):
         FitConfig(family=GOMPERTZ, seed=-1)
+    for field in ("beta0", "eta", "e_ell", "beta_min"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                FitConfig(family=GOMPERTZ, **{field: value})

@@ -674,6 +674,44 @@ def test_no_thread_outlives_a_sweep():
         assert len(os.listdir("/proc/self/task")) == before
 
 
+@pytest.mark.parametrize("body", ["c", "c on one cpu", "python"])
+def test_sweep_outputs_do_not_alias_a_later_call(body):
+    """The arrays a ``complete_sweep`` and a ``simulate_sweep`` call return,
+    statistics included, keep their bytes through a second call of each on
+    other inputs, and hold ``bounds[-1]`` entries: no output shares memory
+    that a later call writes."""
+    if body != "python" and _kernels.BACKEND != "c":
+        pytest.skip("the C kernels are not in use")
+    complete, simulate = (k if body != "python" else getattr(k, "py_func", k)
+                          for k in (_kernels.complete_sweep, _kernels.simulate_sweep))
+    cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
+
+    def sweeps(count, seed):
+        family, panel = _study_panel(count, 60.0, seed)
+        obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+        status, *_, stats, paths = complete(
+            _kernels.stream_words(seed), 2, panel.keys, obs_s, panel.flat_states0, panel.starts,
+            panel.groups, cum, total, 3, mu, ptrans, 1 << 16, 1 << 16,
+        )
+        assert status == 0
+        simulated = simulate(_kernels.stream_words(seed), np.arange(count, dtype=np.int64),
+                             np.cumsum(GOMPERTZ_PI), *GOMPERTZ, 3, np.inf)
+        return (*stats, *paths, *simulated)
+
+    every = os.sched_getaffinity(0)
+    try:
+        if body == "c on one cpu":
+            os.sched_setaffinity(0, {min(every)})
+        first = sweeps(400, 3)
+        kept = [a.tobytes() for a in first]
+        sweeps(300, 4)
+    finally:
+        os.sched_setaffinity(0, every)
+    for times, states, bounds in (first[4:7], first[7:]):
+        assert times.size == states.size == bounds[-1]
+    assert [a.tobytes() for a in first] == kept
+
+
 # ---------------------------------------------------------------------------
 # the simulation sweep
 
@@ -732,14 +770,13 @@ def test_simulate_sweep_matches_per_path_loop(case):
     if hasattr(kernel, "py_func"):
         for a, b in zip(got, kernel.py_func(*args)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    times, states, bounds, ends = got
+    times, states, bounds = got
     assert bounds.tolist()[:1] == [0] and bounds.size == count + 1
     want = _reference_paths(seed, prefix, keys, cum_pi, cum, total, n, horizon)
-    for k, (t, x, end) in enumerate(want):
+    for k, (t, x, _end) in enumerate(want):
         a, b = bounds[k], bounds[k + 1]
         assert times[a:b].tobytes() == t.tobytes()
         assert states[a:b].tolist() == x
-        assert ends[k] == end
     if SIMULATION_CASES[case][0] is SWAPPING:
         assert times.size > 4 * count + 64
     if case == 4:

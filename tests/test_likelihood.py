@@ -551,3 +551,7 @@ def test_gd_argument_validation():
         gd_solve(obj, beta0=1.0, eta=0.1, e_ell=-1.0)
     with pytest.raises(ValidationError):
         gd_solve(obj, beta0=1e-6, eta=0.1, e_ell=0.1)  # below beta_min
+    for field in ("beta0", "eta", "e_ell", "beta_min"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                gd_solve(obj, **{"beta0": 1.0, "eta": 0.1, "e_ell": 0.1, field: value})

@@ -422,6 +422,7 @@ def test_readme_config_block_lists_every_estimation_setting(tmp_path):
         ("[model]\nn = 2\n\n[study]\ndelt = 0.5\n", r"\[study\] unknown key 'delt'"),
         ("[model]\nn = 2\n\n[study]\npath = 10\n", r"\[study\] unknown key 'path'"),
         ("[model]\nn = 2\n\n[estimaton]\neta = 5\n", r"unknown section \[estimaton\]"),
+        ("[model]\nn = 2\n\n[estimation]\ne_ell = inf\n", "finite"),
     ],
 )
 def test_read_config_errors(tmp_path, text, fragment):

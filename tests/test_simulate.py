@@ -124,14 +124,15 @@ def test_identity_equals_homogeneous(gompertz_lam, gompertz_pi):
         gompertz_lam, gompertz_pi, ScalingFamily(IDENTITY), 30.0, RandomStream(21, (4,)), 50
     )
     cum, total = jump_model(gompertz_lam)
-    times, states, bounds, ends = _kernels.simulate_sweep(
+    times, states, bounds = _kernels.simulate_sweep(
         _kernels.stream_words(21, 4), np.arange(50, dtype=np.int64),
         np.cumsum(gompertz_pi.probabilities), cum, total, 3, 30.0,
     )
     assert inh.times.tobytes() == times.tobytes()
     np.testing.assert_array_equal(inh.states, states)
     np.testing.assert_array_equal(inh.bounds, bounds)
-    assert inh.end_times.tobytes() == ends.tobytes()
+    last = bounds[1:] - 1
+    assert inh.end_times.tobytes() == np.where(states[last] == 3, times[last], 30.0).tobytes()
 
 
 def test_weibull_epochs_are_cube_roots(weibull_lam, weibull_pi):
