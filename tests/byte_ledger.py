@@ -5,19 +5,23 @@
 
 ``--write`` recomputes every entry on the loaded kernel backend and
 rewrites ``byte_ledger.json`` next to this file.  ``--check`` recomputes
-them and prints each environment key that differs from the ledger's and
-each ``entry/file`` whose sha256 moved; it exits 1 if a file moved.
+them and prints each environment key that differs from the ledger's,
+each ``entry/file`` whose sha256 moved and each ``entry/work`` whose
+counters moved; it exits 1 if any of them moved.
 ``test_byte_ledger.py`` makes the same comparison and never rewrites the
 ledger.  A change that moves bytes on purpose regenerates the ledger with
 ``--write`` and says which files moved and why.
 
 The entries are ``write_study`` of both presets at seeds 10-12 and the six
 files of ``test_kernels._cli_run`` (simulate, fit with ``--dump-paths``,
-gof).  The ledger also records the environment it was made in: float
-results, and so the bytes, may differ under another Python, numpy, libc
-or machine.
+gof).  For each study entry the ledger also records its ``work``: the
+``SweepWork`` counters summed over every sweep of every window, so that a
+change which keeps the bytes but not the work done shows too.  The ledger
+also records the environment it was made in: float results, and so the
+bytes, may differ under another Python, numpy, libc or machine.
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -53,18 +57,31 @@ def _hashes(root: pathlib.Path) -> dict:
     }
 
 
-def entry(name: str) -> dict:
-    """The sha256 of each file the run ``name`` writes, by relative path."""
+def _work(outcome) -> dict:
+    """The ``SweepWork`` of every sweep of a study, summed field by field."""
+    works = [r.work for h in outcome.horizons for r in h.result.trace]
+    return {
+        f.name: sum(getattr(w, f.name) for w in works)
+        for f in dataclasses.fields(works[0])
+    }
+
+
+def entry(name: str) -> tuple[dict, dict | None]:
+    """The sha256 of each file the run ``name`` writes, by relative path,
+    and the summed work of its sweeps (None for the CLI run)."""
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp) / "run"
         if name == "cli":
             from test_kernels import _cli_run
 
             _cli_run(root)
+            work = None
         else:
             _, preset, seed = name.split("/")
-            write_study(run_study(PRESETS[preset], int(seed.removeprefix("seed"))), root)
-        return _hashes(root)
+            outcome = run_study(PRESETS[preset], int(seed.removeprefix("seed")))
+            write_study(outcome, root)
+            work = _work(outcome)
+        return _hashes(root), work
 
 
 def mismatch(ledger: dict) -> list[str]:
@@ -79,11 +96,14 @@ def mismatch(ledger: dict) -> list[str]:
 
 def differences(ledger: dict, names) -> list[str]:
     """Each file of the entries ``names`` whose hash is not the ledger's,
-    as ``entry/file``, or missing or extra on one side."""
+    as ``entry/file``, or missing or extra on one side, and ``entry/work``
+    where the summed work is not the ledger's."""
     out = []
     for name in names:
-        got, want = entry(name), ledger["files"][name]
+        (got, work), want = entry(name), ledger["files"][name]
         out += [f"{name}/{f}" for f in sorted(set(got) | set(want)) if got.get(f) != want.get(f)]
+        if work != ledger["work"].get(name):
+            out.append(f"{name}/work")
     return out
 
 
@@ -100,7 +120,12 @@ def main(argv) -> int:
         for line in moved:
             print(f"moved {line}")
         return 1 if moved else 0
-    ledger = {"environment": environment(), "files": {n: entry(n) for n in ENTRIES}}
+    runs = {n: entry(n) for n in ENTRIES}
+    ledger = {
+        "environment": environment(),
+        "files": {n: files for n, (files, _) in runs.items()},
+        "work": {n: work for n, (_, work) in runs.items() if work is not None},
+    }
     LEDGER.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -1,4 +1,5 @@
-"""Every file of the ledgered runs keeps the sha256 in ``byte_ledger.json``.
+"""Every file of the ledgered runs keeps the sha256 in ``byte_ledger.json``,
+and every study its summed sweep work.
 
 The runs are recomputed on the compiled sweeps at all usable CPUs and at
 one, and on the Python bodies (``py_func``) for the Weibull studies and
@@ -36,6 +37,7 @@ compiled = pytest.mark.skipif(
 def test_ledger_lists_every_entry():
     assert sorted(LEDGER["files"]) == sorted(byte_ledger.ENTRIES)
     assert len(LEDGER["files"]["cli"]) == 6
+    assert sorted(LEDGER["work"]) == sorted(n for n in byte_ledger.ENTRIES if n != "cli")
 
 
 @compiled
