@@ -27,13 +27,11 @@
  * complete_sweep) come back as flat arrays.
  *
  * Each sweep is a module function taking its Python body's positional
- * arguments.  It returns NotImplemented for a call it does not take as is
- * (another argument count, dtype or layout, a state, key or group out of
- * range), and _kernels.build hands that call, as any with a keyword, to
- * the Python body, so every call gives the same result whichever body
- * runs it.  Arguments are checked before any pointer is used or memory
- * allocated; a real error returns NULL with an exception set.
- * simulate_sweep holds the GIL throughout.
+ * arguments, and _kernels.build runs every call of the sweep here.  The
+ * arguments are checked before any pointer is used or memory allocated:
+ * another argument count, dtype, layout or sign raises TypeError, a state,
+ * group or offset out of range ValueError, and a negative stream key the
+ * Python body's ValueError.  simulate_sweep holds the GIL throughout.
  *
  * complete_sweep releases the GIL and completes its paths on up to
  * min(usable CPUs, MAX_WORKERS, K / MIN_PATHS) workers, the caller one of
@@ -49,12 +47,12 @@
  *    its normalizer draws R = 0 when u exp(mu delta) < 1, as it would with
  *    the normalizer.
  *  - The first failing path in path order wins: a block past a failed one
- *    is skipped, and a worker that fails takes no earlier block after.
+ *    is skipped, and a worker that fails takes no earlier block after.  A
+ *    failed sweep returns that path's status and segment alone.
  *  - The join, after every thread has ended: the blocks are copied end
  *    to end in path order into new arrays; then every path's statistics
- *    are summed there, in path order, then jump order; the counters count
- *    what a sequential sweep does up to the failing path, each group's
- *    series once, at the first path that needed it (count_series).
+ *    are summed there, in path order, then jump order; each group's
+ *    series counts once, however many workers computed it (count_series).
  * Workers allocate with malloc and realloc alone and call no Python API.
  * A sweep's segments of one group must share their gap and endpoint
  * states, as the estimator's do: then every worker computes the same
@@ -358,11 +356,11 @@ chain_steps(Chain *c, npy_intp rows)
 }
 
 /* The normalizer of one bridge group, as _series' norm: the mode m, the
-   bounds of the walk and where its running totals start in its Sums; the
-   group, and 1 + the first path that needed it. */
+   bounds of the walk and where its running totals start in its Sums; and
+   the group. */
 typedef struct {
     double total;
-    npy_intp m, lo, hi, at, group, first;
+    npy_intp m, lo, hi, at, group;
 } Norm;
 
 /* The running totals of normalizer series, end to end. */
@@ -575,7 +573,7 @@ bridge(Pcg64 *st, const Chain *c, const double *totals, npy_intp n, double s1, d
     return 0;
 }
 
-/* ---- argument checks: each returns 0 (or NULL), with no error set, to decline ---- */
+/* ---- argument checks: each returns 0 (or NULL), with no error set, to refuse ---- */
 
 static int
 as_index(PyObject *obj, npy_intp *out)
@@ -631,6 +629,12 @@ as_model(PyObject *cum_obj, PyObject *total_obj, PyObject *n_obj, Model *m)
 }
 
 /* ---- the sweeps: args are those of the Python body ---- */
+
+/* the messages of a refused call: a TypeError, a ValueError, and the
+   Python body's ValueError */
+#define BAD_CALL "the sweep does not take this argument count, type, dtype, layout or sign"
+#define OUT_OF_RANGE "an observed state, bridge group or path offset is out of range"
+#define NEGATIVE_KEY "stream keys must be non-negative"
 
 /* Every observed state but the last is transient; a lone observation is
    too (the Python body would read times[-1]). */
@@ -690,11 +694,11 @@ typedef struct {
 } __attribute__((aligned(64))) Worker;
 
 /* A block of paths: how completing it ended (status, path and info at the
-   first failing path; the counters up to it) and where its paths lie in
-   its worker's buffers. */
+   first failing path), the virtual jumps its paths drew and where they lie
+   in its worker's buffers. */
 typedef struct {
     int status;
-    npy_intp path, info, virtual, kept, censored, lo, hi;
+    npy_intp path, info, virtual, lo, hi;
     Worker *w;
 } Block;
 
@@ -726,13 +730,12 @@ find(const Store *st, npy_intp g)
     return st->slot != NULL && st->slot[g] != 0 ? st->norm + st->slot[g] - 1 : NULL;
 }
 
-/* A new norm in st for group g, first needed by path k. */
+/* A new norm in st for group g. */
 static Norm *
-add(Store *st, npy_intp g, npy_intp k)
+add(Store *st, npy_intp g)
 {
     Norm *out = st->norm + st->used++;
     out->group = g;
-    out->first = k + 1;
     st->slot[g] = (uint32_t)st->used;
     return out;
 }
@@ -824,7 +827,7 @@ complete_path(Worker *w, npy_intp k, npy_intp *info, npy_intp *count, npy_intp *
                 return 4;
             if (x == y && q < 1.0 && u * exp(q) < 1.0)
                 continue;
-            g = add(store, groups[seg], k);
+            g = add(store, groups[seg]);
             const int status = series(&w->chain, &store->sums, q, x, y, s->vcap, g);
             if (status != 0)
                 return status;
@@ -896,7 +899,7 @@ complete_block(Worker *w, npy_intp b)
 {
     Sweep *s = w->s;
     Block *blk = s->blocks + b;
-    npy_intp virtual = 0, kept = 0, censored = 0;
+    npy_intp virtual = 0;
     blk->w = w;
     blk->lo = w->used;
     for (npy_intp k = b * BLOCK; k < Py_MIN(s->K, (b + 1) * BLOCK); k++) {
@@ -918,19 +921,12 @@ complete_block(Worker *w, npy_intp b)
             stop_at(&s->stop, b);
             break;
         }
-        const npy_intp a = s->starts[k];
-        double *t = w->times + w->used;
-        npy_int64 *x = w->states + w->used;
-        t[0] = 0.0;
-        x[0] = s->obs_x[a];
-        kept += count;
-        censored += s->obs_x[s->starts[k + 1] - 1] != s->m.n;
+        w->times[w->used] = 0.0;
+        w->states[w->used] = s->obs_x[s->starts[k]];
         w->used += 1 + count;
         s->bound[k + 1] = w->used;
     }
     blk->virtual = virtual;
-    blk->kept = kept;
-    blk->censored = censored;
     blk->hi = w->used;
 }
 
@@ -954,22 +950,18 @@ work_thread(void *w)
     return NULL;
 }
 
-/* How many series a sequential sweep computes up to path limit - 1: each
-   group a worker computed counts once, if the first path that needed it
-   is below limit. */
+/* How many series a sequential sweep computes: each group a worker
+   computed counts once, at the first worker that computed it. */
 static npy_intp
-count_series(const Sweep *s, npy_intp limit)
+count_series(const Sweep *s)
 {
-    const Worker *end = s->workers + s->nworkers;
     npy_intp count = 0;
-    for (const Worker *w = s->workers; w < end; w++)
+    for (const Worker *w = s->workers; w < s->workers + s->nworkers; w++)
         for (const Norm *g = w->store.norm; g < w->store.norm + w->store.used; g++) {
-            int earliest = g->first <= limit;
-            for (const Worker *o = s->workers; earliest && o < end; o++) {
-                const Norm *other = o == w ? NULL : find(&o->store, g->group);
-                earliest = other == NULL || other->first > g->first;
-            }
-            count += earliest;
+            const Worker *o = s->workers;
+            while (o < w && find(&o->store, g->group) == NULL)
+                o++;
+            count += o == w;
         }
     return count;
 }
@@ -1018,12 +1010,13 @@ join_paths(Sweep *s, PyObject **times, PyObject **states)
 
 /* complete_sweep(words, iteration, keys, obs_s, obs_x, starts, groups, cum, total, n, mu,
                   ptrans, vcap, cap)
-   -> (status, path, info, (virtual, kept, censored, series), stats, paths) */
+   -> (status, path, info, (virtual, series), stats, paths); work, stats and paths are None
+   when it fails */
 static PyObject *
 complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 14)
-        Py_RETURN_NOTIMPLEMENTED;
+        return PyErr_Format(PyExc_TypeError, BAD_CALL);
     PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1);
     PyArrayObject *key_arr = as_array(args[2], NPY_INT64, 1);
     PyArrayObject *s_arr = as_array(args[3], NPY_FLOAT64, 1);
@@ -1037,28 +1030,32 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     if (w_arr == NULL || key_arr == NULL || s_arr == NULL || x_arr == NULL || k_arr == NULL
         || g_arr == NULL || p_arr == NULL || !as_index(args[1], &iteration)
         || !as_model(args[7], args[8], args[9], &m) || !as_double(args[10], &mu)
-        || !as_index(args[12], &vcap) || !as_index(args[13], &cap)
-        || iteration < 0 || vcap < 0 || cap < 0
+        || !as_index(args[12], &vcap) || !as_index(args[13], &cap) || vcap < 0 || cap < 0
         || PyArray_DIM(x_arr, 0) != PyArray_DIM(s_arr, 0)
-        || PyArray_DIM(g_arr, 0) != PyArray_DIM(s_arr, 0) || PyArray_DIM(k_arr, 0) < 2
+        || PyArray_DIM(g_arr, 0) != PyArray_DIM(s_arr, 0)
         || PyArray_DIM(key_arr, 0) != PyArray_DIM(k_arr, 0) - 1
         || PyArray_DIM(p_arr, 0) != m.n + 1 || PyArray_DIM(p_arr, 1) != m.n + 1)
-        Py_RETURN_NOTIMPLEMENTED;
+        return PyErr_Format(PyExc_TypeError, BAD_CALL);
+    if (iteration < 0)
+        return PyErr_Format(PyExc_ValueError, NEGATIVE_KEY);
     const npy_int64 *starts = (const npy_int64 *)PyArray_DATA(k_arr);
     const npy_int64 *keys = (const npy_int64 *)PyArray_DATA(key_arr);
     const npy_int64 *groups = (const npy_int64 *)PyArray_DATA(g_arr);
     const npy_int64 *obs_x = (const npy_int64 *)PyArray_DATA(x_arr);
     const npy_intp K = PyArray_DIM(k_arr, 0) - 1, len = PyArray_DIM(s_arr, 0);
-    if (starts[0] != 0 || starts[K] != len || len > UINT32_MAX) /* a slot holds a segment count */
-        Py_RETURN_NOTIMPLEMENTED;
+    /* a slot holds a segment count */
+    if (K < 1 || starts[0] != 0 || starts[K] != len || len > UINT32_MAX)
+        return PyErr_Format(PyExc_ValueError, OUT_OF_RANGE);
     npy_intp n_groups = 0;
     for (npy_intp k = 0; k < K; k++) {
-        if (keys[k] < 0 || starts[k + 1] <= starts[k]
+        if (keys[k] < 0)
+            return PyErr_Format(PyExc_ValueError, NEGATIVE_KEY);
+        if (starts[k + 1] <= starts[k]
             || !valid_path(obs_x + starts[k], starts[k + 1] - starts[k], m.n))
-            Py_RETURN_NOTIMPLEMENTED;
+            return PyErr_Format(PyExc_ValueError, OUT_OF_RANGE);
         for (npy_intp i = starts[k]; i < starts[k + 1] - 1; i++) {
             if (groups[i] < 0)
-                Py_RETURN_NOTIMPLEMENTED;
+                return PyErr_Format(PyExc_ValueError, OUT_OF_RANGE);
             n_groups = Py_MAX(n_groups, groups[i] + 1);
         }
     }
@@ -1114,25 +1111,18 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
         PyErr_NoMemory();
         goto done;
     }
-    /* the first failing block and the counters up to its failing path */
-    const npy_intp failed = s.stop;
-    const npy_intp limit = failed < nblocks ? blocks[failed].path + 1 : K;
-    npy_intp virtual = 0, kept = 0, censored = 0;
-    for (npy_intp i = 0; i <= Py_MIN(failed, nblocks - 1); i++) {
-        virtual += blocks[i].virtual;
-        kept += blocks[i].kept;
-        censored += blocks[i].censored;
-    }
-    const npy_intp series = count_series(&s, limit);
-    if (failed < nblocks) {
-        result = Py_BuildValue("(inn(nnnn)OO)", blocks[failed].status, blocks[failed].path,
-                               blocks[failed].info, virtual, kept, censored, series, Py_None,
-                               Py_None);
+    if (s.stop < nblocks) {
+        const Block *failed = blocks + s.stop;
+        result = Py_BuildValue("(innOOO)", failed->status, failed->path, failed->info, Py_None,
+                               Py_None, Py_None);
         goto done;
     }
+    npy_intp virtual = 0;
+    for (npy_intp i = 0; i < nblocks; i++)
+        virtual += blocks[i].virtual;
     if (join_paths(&s, &times, &states) == 0)
-        result = Py_BuildValue("(inn(nnnn)(OOOO)(OOO))", 0, (npy_intp)0, (npy_intp)0, virtual,
-                               kept, censored, series, b, nt, na, r, times, states, bounds);
+        result = Py_BuildValue("(inn(nn)(OOOO)(OOO))", 0, (npy_intp)0, (npy_intp)0, virtual,
+                               count_series(&s), b, nt, na, r, times, states, bounds);
 done:
     for (npy_intp i = 0; i < MAX_WORKERS; i++) {
         Worker *w = workers + i;
@@ -1165,7 +1155,7 @@ static PyObject *
 simulate_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 7)
-        Py_RETURN_NOTIMPLEMENTED;
+        return PyErr_Format(PyExc_TypeError, BAD_CALL);
     PyArrayObject *w_arr = as_array(args[0], NPY_UINT32, 1);
     PyArrayObject *key_arr = as_array(args[1], NPY_INT64, 1);
     PyArrayObject *pi_arr = as_array(args[2], NPY_FLOAT64, 1);
@@ -1174,13 +1164,13 @@ simulate_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     if (w_arr == NULL || key_arr == NULL || pi_arr == NULL
         || !as_model(args[3], args[4], args[5], &m) || !as_double(args[6], &horizon)
         || PyArray_DIM(pi_arr, 0) != m.n)
-        Py_RETURN_NOTIMPLEMENTED;
+        return PyErr_Format(PyExc_TypeError, BAD_CALL);
     const npy_int64 *keys = (const npy_int64 *)PyArray_DATA(key_arr);
     const double *cum_pi = (const double *)PyArray_DATA(pi_arr);
     const npy_intp K = PyArray_DIM(key_arr, 0);
     for (npy_intp k = 0; k < K; k++)
         if (keys[k] < 0)
-            Py_RETURN_NOTIMPLEMENTED;
+            return PyErr_Format(PyExc_ValueError, NEGATIVE_KEY);
 
     const npy_intp nwords = PyArray_DIM(w_arr, 0);
     npy_intp paths = K + 1, capacity = 4 * K + 64;
@@ -1298,9 +1288,9 @@ stream_draws(PyObject *Py_UNUSED(module), PyObject *args)
 
 static PyMethodDef module_methods[] = {
     {"complete_sweep", (PyCFunction)(void (*)(void))complete_sweep, METH_FASTCALL,
-     "The SE-step sweep, or NotImplemented for a call it declines."},
+     "The SE-step sweep: complete_sweep of _kernels.py, compiled."},
     {"simulate_sweep", (PyCFunction)(void (*)(void))simulate_sweep, METH_FASTCALL,
-     "The simulation sweep, or NotImplemented for a call it declines."},
+     "The simulation sweep: simulate_sweep of _kernels.py, compiled."},
     {"stream_draws", stream_draws, METH_VARARGS,
      "stream_draws(words, count): draws from the sweeps' stream for these entropy words."},
     {NULL, NULL, 0, NULL},

@@ -41,10 +41,11 @@ order:
 
 ``BACKEND`` names the one in use.  The C sweeps consume each bit stream
 exactly like the Python bodies do and compute every float the same way,
-so both backends produce bitwise-identical paths.  A compiled sweep
-exposes its Python body as ``py_func``, which runs Python throughout, and
-hands it any call the C body does not take as is: one with a keyword, or
-one the C body declines by returning ``NotImplemented``.
+so both backends produce bitwise-identical paths.  A compiled sweep runs
+every call on its C body, which takes its Python body's positional
+arguments and raises ``TypeError`` or ``ValueError`` for any it does not
+take (see ``_ckernels.c``); it exposes its Python body as ``py_func``,
+which runs Python throughout.
 
 Conventions inside this module only: states are 0-based, the absorbing
 state has index n, and ``cum[x]`` holds the cumulative rates out of x over
@@ -448,39 +449,34 @@ def complete_sweep(
     normalizer is computed at the first segment that needs it, and kept
     for the rest of the sweep.
 
-    Returns ``(status, path, info, work, stats, paths)``.  ``work`` is
-    ``(virtual, kept, censored, series)``: the virtual jumps drawn, the
-    jumps in the completed paths, the completed paths whose last
-    observation is transient, and the normalizers computed.  Status 0:
-    ``stats`` is ``(B, N_xy, N_x, R_x)`` summed in path order, then jump
-    order, and ``paths`` is ``(times, states, bounds)``: path i is
-    ``times[bounds[i]:bounds[i + 1]]``, starting with its entry into its
-    first observed state at 0.0 and ending with its absorption.
-    Otherwise ``path`` is the first failing k, ``info`` its segment,
-    ``stats`` and ``paths`` are None, ``status`` is that of
-    ``_complete_path`` (1 an impossible endpoint pair, 4 a bridge needing
-    more than ``vcap`` virtual jumps, or a draw's failure), and ``work``
-    counts up to that segment.
+    Returns ``(status, path, info, work, stats, paths)``.  Status 0:
+    ``work`` is ``(virtual, series)``, the virtual jumps drawn and the
+    normalizers computed; ``stats`` is ``(B, N_xy, N_x, R_x)`` summed in
+    path order, then jump order; and ``paths`` is ``(times, states,
+    bounds)``: path i is ``times[bounds[i]:bounds[i + 1]]``, starting with
+    its entry into its first observed state at 0.0 and ending with its
+    absorption.  Otherwise ``path`` is the first failing k, ``info`` its
+    segment, ``status`` that of ``_complete_path`` (1 an impossible
+    endpoint pair, 4 a bridge needing more than ``vcap`` virtual jumps, or
+    a draw's failure), and ``work``, ``stats`` and ``paths`` are None.
     """
     chain = _Chain(ptrans)
     norms = [None] * (int(groups.max()) + 1 if groups.size else 0)
-    work = [0, 0, 0, 0]
+    virtual = series = 0
     tbuf = np.empty(cap, dtype=np.float64)
     sbuf = np.empty(cap, dtype=np.int64)
     pieces_t, pieces_s = [], []
     for k in range(starts.shape[0] - 1):
         a, z = starts[k], starts[k + 1]
         seed = np.random.SeedSequence(np.concatenate((words, stream_words(iteration, keys[k]))))
-        status, info, count, virtual, computed = _complete_path(
+        status, info, count, drawn, computed = _complete_path(
             np.random.default_rng(seed), chain, norms, mu, vcap, obs_s[a:z], obs_x[a:z],
             groups[a:z], cum, total, n, tbuf, sbuf,
         )
-        work[0] += virtual
-        work[3] += computed
         if status != 0:
-            return status, k, info, tuple(work), None, None
-        work[1] += count
-        work[2] += int(obs_x[a:z][-1] != n)
+            return status, k, info, None, None, None
+        virtual += drawn
+        series += computed
         pieces_t.append(np.concatenate(([0.0], tbuf[:count])))
         pieces_s.append(np.concatenate((obs_x[a:a + 1], sbuf[:count])))
     times = np.concatenate(pieces_t)
@@ -488,7 +484,7 @@ def complete_sweep(
     bounds = np.concatenate(([0], np.cumsum([p.size for p in pieces_t]))).astype(np.int64)
     # every path ends at its absorption, so none has a censored tail
     stats = flat_statistics(times, states, bounds, times[bounds[1:] - 1], n)
-    return 0, 0, 0, tuple(work), (
+    return 0, 0, 0, (virtual, series), (
         stats.start_counts, stats.jump_counts, stats.absorption_counts, stats.occupation
     ), (times, states, bounds)
 
@@ -561,9 +557,8 @@ def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
         c_body = getattr(module, py_body.__name__)
 
         @functools.wraps(py_body)
-        def sweep(*args, **kwargs):
-            result = NotImplemented if kwargs else c_body(*args)
-            return py_body(*args, **kwargs) if result is NotImplemented else result
+        def sweep(*args):
+            return c_body(*args)
 
         sweep.py_func = py_body
         return sweep

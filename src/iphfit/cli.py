@@ -1,9 +1,8 @@
 """Command-line surface: simulate, fit, gof, study.
 
 Exit status taxonomy: 0 success, 2 input or configuration error,
-3 estimation failure, 4 internal numerical failure.  The environment
-variable ``IPHFIT_SEED`` supplies a default seed; precedence is
-``--seed`` flag, then config file, then the environment, then 0.
+3 estimation failure, 4 internal numerical failure.  The seed is the
+``--seed`` flag, then the config file's ``[estimation] seed``, then 0.
 All commands are batch: fixed inputs in, files out, bitwise reproducible
 for a fixed seed and config.
 """
@@ -40,20 +39,11 @@ from .studies import (
     write_study,
 )
 
-SEED_ENV_VAR = "IPHFIT_SEED"
-
-
 def _resolve_seed(flag_seed: int | None, cfg: RunConfig | None) -> int:
     if flag_seed is not None:
         return flag_seed
     if cfg is not None and cfg.seed is not None:
         return cfg.seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer")
     return 0
 
 
@@ -135,7 +125,7 @@ def cmd_fit(args) -> int:
     if args.dump_paths and result.completed is not None:
         panelio._atomic_write(
             os.path.join(args.out, "paths.csv"),
-            panelio.format_path_dump(result.completed),
+            panelio.format_path_dump(result.completed, panel.ids),
         )
     return 0
 

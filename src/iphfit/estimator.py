@@ -132,7 +132,7 @@ class FitResult:
     termination: str  # single-update-converged | max-iterations
     trace: tuple[IterationRecord, ...]
     config: FitConfig
-    completed: tuple[ContinuousPath, ...] | None = None
+    completed: FlatPaths | None = None  # the last sweep's paths, homogeneous timeline
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,9 @@ def _sweep(
     if status == 0:
         times, states, bounds = flat
         paths = FlatPaths(panel.n, times, states, bounds, times[bounds[1:] - 1], HOMOGENEOUS)
-        return SufficientStatistics(*stats), paths, SweepWork(*work)
+        censored = int(np.count_nonzero(obs_x[starts[1:] - 1] != panel.n))
+        work = SweepWork(work[0], times.size - keys.size, censored, work[1])
+        return SufficientStatistics(*stats), paths, work
     k = keys[j]
     if status == 3:
         raise StructuralError(
@@ -443,7 +445,7 @@ def fit(
         termination=termination,
         trace=tuple(trace),
         config=cfg,
-        completed=step.completed if keep_completed else None,
+        completed=step.paths if keep_completed else None,
     )
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, PanelFormatError, ValidationError
 from .estimator import FitConfig, FitResult
 from .generator import InitialDistribution, SubIntensityMatrix
-from .paths import PanelObservationSet
+from .paths import FlatPaths, PanelObservationSet
 from .scaling import GOMPERTZ, IDENTITY, WEIBULL
 from .simulate import uniform_grid
 
@@ -607,10 +607,13 @@ def format_beta_trace(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_path_dump(paths) -> str:
-    """Diagnostic CSV of reconstructed continuous paths."""
+def format_path_dump(paths: FlatPaths, ids) -> str:
+    """Diagnostic CSV of reconstructed continuous paths, path k under the
+    id ``ids[k]``, with 1-based states."""
     lines = ["path_id,epoch,state,timeline_tag"]
-    for idx, p in enumerate(paths):
-        for t, x in zip(p.times, p.states):
-            lines.append(f"p{idx},{_G17 % t},{int(x)},{p.timeline}")
+    times, states = paths.times.tolist(), (paths.states + 1).tolist()
+    bounds = paths.bounds.tolist()
+    for k, path_id in enumerate(ids):
+        for j in range(bounds[k], bounds[k + 1]):
+            lines.append(f"{path_id},{_G17 % times[j]},{states[j]},{paths.timeline}")
     return "\n".join(lines) + "\n"

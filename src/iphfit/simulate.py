@@ -149,8 +149,8 @@ def simulate_paths(m, pi, family: ScalingFamily, horizon: float, rng: RandomStre
 
 def uniform_grid(horizon: float, delta: float) -> np.ndarray:
     """Observation epochs 0, delta, 2*delta, ... capped at the horizon."""
-    if delta <= 0 or horizon <= 0:
-        raise ValidationError("grid needs positive delta and horizon")
+    if not (0.0 < delta < np.inf and 0.0 < horizon < np.inf):
+        raise ValidationError("grid needs finite, positive delta and horizon")
     count = int(np.floor(horizon / delta + 1e-9))
     grid = np.arange(count + 1, dtype=float) * delta
     if grid[-1] > horizon:  # float slop in count*delta

@@ -10,7 +10,6 @@ import shutil
 import sys
 
 import iphfit
-from iphfit.cli import SEED_ENV_VAR
 
 # the directory that holds the imported ``iphfit`` package
 PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(iphfit.__file__)))
@@ -38,11 +37,9 @@ def command(target=None):
 def env():
     """The child environment.
 
-    ``PYTHONPATH`` starts with the absolute package directory.  The seed
-    variable is dropped so that a value in the caller's shell cannot
-    pick which seed a run without ``--seed`` uses.
+    ``PYTHONPATH`` starts with the absolute package directory.
     """
-    child = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+    child = dict(os.environ)
     inherited = child.get("PYTHONPATH")
     child["PYTHONPATH"] = (
         PACKAGE_PARENT + os.pathsep + inherited if inherited else PACKAGE_PARENT

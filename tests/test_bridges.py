@@ -167,7 +167,7 @@ def test_sweep_bridges_follow_the_conditional_law(name):
     kernel = _kernels.complete_sweep
     paths, work = _sweep(lam, a, b, delta, COUNT, kernel)
     assert case_z(name, paths) <= 5.0
-    assert work[3] == 1  # one normalizer for the one group
+    assert work[1] == 1  # one normalizer for the one group
     if not hasattr(kernel, "py_func"):
         return
     py_paths, py_work = _sweep(lam, a, b, delta, PY_COUNT, kernel.py_func)
@@ -176,7 +176,7 @@ def test_sweep_bridges_follow_the_conditional_law(name):
     assert py_paths[0].tobytes() == paths[0][:head].tobytes()
     assert py_paths[1].tobytes() == paths[1][:head].tobytes()
     assert py_paths[2].tobytes() == paths[2][:PY_COUNT + 1].tobytes()
-    assert py_work[3] == 1
+    assert py_work[1] == 1
 
 
 @pytest.mark.parametrize("name", FEASIBLE)

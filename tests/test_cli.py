@@ -7,7 +7,7 @@ import pytest
 
 import _cli
 from iphfit import read_panel, read_report, read_sample, write_sample
-from iphfit.cli import SEED_ENV_VAR, main
+from iphfit.cli import main
 from iphfit.panelio import read_truth_times
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -121,6 +121,19 @@ def test_simulate_rejects_a_zero_grid_setting(tmp_path, capsys, line, zero):
     assert "positive delta and horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line,bad",
+    [("horizon = 30", "horizon = inf"), ("horizon = 30", "horizon = nan"),
+     ("delta = 1", "delta = nan"), ("delta = 1", "delta = inf")],
+)
+def test_simulate_rejects_a_non_finite_grid_setting(tmp_path, capsys, line, bad):
+    config = tmp_path / "run.ini"
+    config.write_text(GOMPERTZ_INI.replace(line, bad))
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "finite, positive delta and horizon" in capsys.readouterr().err
+
+
 def test_fit_report_contents(workspace):
     _, _, panel, fitdir = workspace
     report = read_report(fitdir / "report.txt")
@@ -134,6 +147,28 @@ def test_fit_report_contents(workspace):
     dump = (fitdir / "paths.csv").read_text().splitlines()
     assert dump[0] == "path_id,epoch,state,timeline_tag"
     assert len(dump) > 50
+
+
+def test_fit_dump_labels_paths_by_their_ids(workspace, tmp_path):
+    """Paths named other than ``p<k>`` dump under their own ids, with the
+    paths of the same panel named ``p<k>``."""
+    _, config, panel, fitdir = workspace
+    named = tmp_path / "named.csv"
+    named.write_text("".join(
+        "patient-" + line[1:] if line.startswith("p") and line[1].isdigit() else line
+        for line in panel.read_text().splitlines(keepends=True)
+    ))
+    ids = read_panel(named, 3).ids
+    assert ids[:2] == ("patient-0", "patient-1") and len(ids) == 50
+    out = tmp_path / "fit"
+    argv = ["fit", "--panel", str(named), "--config", str(config), "--out", str(out)]
+    assert main(argv + ["--dump-paths"]) == 0
+    rows = (out / "paths.csv").read_text().splitlines()
+    want = (fitdir / "paths.csv").read_text().splitlines()
+    assert rows[0] == want[0] and len(rows) == len(want)
+    assert [r.split(",", 1)[1] for r in rows[1:]] == [w.split(",", 1)[1] for w in want[1:]]
+    dumped = [r.split(",", 1)[0] for r in rows[1:]]
+    assert sorted(set(dumped), key=dumped.index) == list(ids)
 
 
 def test_fit_rerun_is_byte_identical(workspace, tmp_path):
@@ -334,7 +369,7 @@ def test_overflowing_beta_ascent_exit_code(tmp_path, capsys):
     assert "numerical error: non-finite gradient at beta=1" in capsys.readouterr().err
 
 
-def test_seed_precedence(workspace, tmp_path, monkeypatch):
+def test_seed_precedence(workspace, tmp_path):
     _, config, panel, _ = workspace
     # flag beats config: different seed changes the simulated panel
     alt = tmp_path / "alt.csv"
@@ -345,17 +380,14 @@ def test_seed_precedence(workspace, tmp_path, monkeypatch):
         == 0
     )
     assert alt.read_bytes() != panel.read_bytes()
-    # env var is used when neither flag nor config provide a seed
+    # the seed is 0 when neither flag nor config provide one
     noseed = tmp_path / "noseed.ini"
     noseed.write_text(GOMPERTZ_INI.replace("seed = 11\n", ""))
-    env1 = tmp_path / "env1.csv"
-    env2 = tmp_path / "env2.csv"
-    monkeypatch.setenv(SEED_ENV_VAR, "123")
-    assert main(["simulate", "--config", str(noseed), "--out", str(env1)]) == 0
-    assert main(["simulate", "--config", str(noseed), "--out", str(env2)]) == 0
-    assert env1.read_bytes() == env2.read_bytes()
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    assert main(["simulate", "--config", str(noseed), "--out", str(env1)]) == 2
+    zero = tmp_path / "zero.csv"
+    implicit = tmp_path / "implicit.csv"
+    assert main(["simulate", "--config", str(noseed), "--out", str(zero), "--seed", "0"]) == 0
+    assert main(["simulate", "--config", str(noseed), "--out", str(implicit)]) == 0
+    assert implicit.read_bytes() == zero.read_bytes() != panel.read_bytes()
 
 
 def test_study_smoke(tmp_path):
@@ -416,6 +448,15 @@ def test_study_config_needs_no_model_section(tmp_path):
     assert (keys["paths"], keys["beta0"]) == ("40", "2")
     keys = _study_report(tmp_path, "[model]\nbeta0 = 2.5\n\n[study]\npaths = 40\n")
     assert (keys["paths"], keys["beta0"]) == ("40", "2.5")
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_study_config_rejects_a_non_finite_delta(tmp_path, capsys, delta):
+    config = tmp_path / "overrides.ini"
+    config.write_text(f"[study]\npaths = 40\ndelta = {delta}\n")
+    argv = ["study", "--name", "weibull", "--out", str(tmp_path / "s"), "--config", str(config)]
+    assert main(argv) == 2
+    assert "finite, positive delta and horizon" in capsys.readouterr().err
 
 
 def test_study_config_rejects_settings_a_preset_does_not_take(tmp_path, capsys):

@@ -16,7 +16,6 @@ bodies.
 
 import dataclasses
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -38,7 +37,7 @@ from iphfit import estimator, studies
 from iphfit.cli import main
 from iphfit.likelihood import accumulate_statistics
 from iphfit.paths import HOMOGENEOUS
-from iphfit.simulate import bridge_model, jump_model, simulate_paths
+from iphfit.simulate import bridge_model, jump_model
 from iphfit.studies import cohort_panel, fitted_absorption_sample, simulate_cohort, uniform_grid
 
 from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI, exact_path, panel_from_rows
@@ -288,8 +287,8 @@ def test_sweep_matches_per_path_loop(monkeypatch):
 
 @compiled
 def test_sweep_overflows_where_python_body_does():
-    """Per-path buffers of 0 to 127 jumps: the same path overflows, with
-    the same counters, or every path fits."""
+    """Per-path buffers of 0 to 127 jumps: the same path overflows, or
+    every path fits, with the same counters."""
     family, panel = _study_panel(30, 10.0, 5)
     cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
     obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
@@ -321,52 +320,47 @@ def test_sweep_reports_a_dead_end_with_full_buffers():
 
 
 @compiled
-def test_sweep_hands_other_inputs_to_python_body():
-    """Other dtypes or layouts, a key vector longer than the panel, an
-    offset vector past it, an int mu or a keyword argument run the Python
-    body; so do a negative key, which the Python body refuses, and a
-    missing argument, for which it raises its own TypeError."""
+def test_sweep_refuses_other_inputs():
+    """Other dtypes or layouts, a key vector longer than the panel, an int
+    mu or a negative cap raise TypeError on the compiled body; an offset
+    vector past the panel, a state or a group out of range raise
+    ValueError, and so does a negative key or iteration, with the Python
+    body's message.  A missing argument raises TypeError on both bodies."""
     family, panel = _study_panel(5, 10.0, 3)
     cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
     obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
     words = _kernels.stream_words(9)
-    keys, groups = panel.keys, panel.groups
-    past = panel.starts.copy()
+    keys, x, starts, groups = panel.keys, panel.flat_states0, panel.starts, panel.groups
+    past = starts.copy()
     past[-1] += 1
-    strided = np.repeat(groups, 2)[::2]
-    for args in [
-        (words.astype(np.int64), keys, panel.flat_states0, panel.starts, groups, mu),
-        (words, keys.astype(np.int32), panel.flat_states0, panel.starts, groups, mu),
-        (words, np.append(keys, 9), panel.flat_states0, panel.starts, groups, mu),
-        (words, keys, panel.flat_states0.astype(np.int32), panel.starts, groups, mu),
-        (words, keys, panel.flat_states0, past, groups, mu),
-        (words, keys, panel.flat_states0, panel.starts, groups.astype(np.int32), mu),
-        (words, keys, panel.flat_states0, panel.starts, strided, mu),
-        (words, keys, panel.flat_states0, panel.starts, groups, 1),
-    ]:
-        w, k, x, st, g, m = args
-        rest = (cum, total, 3, m, ptrans, 1 << 16, 64)
-        got = _kernels.complete_sweep(w, 1, k, obs_s, x, st, g, *rest)
-        want = _kernels.complete_sweep.py_func(w, 1, k, obs_s, x, st, g, *rest)
-        assert got[:4] == want[:4] and got[0] == 0
-        for a, b in zip(got[4] + got[5], want[4] + want[5]):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    rest = (cum, total, 3, mu, ptrans, 1 << 16)
-    args = (words, 1, keys, obs_s, panel.flat_states0, panel.starts, groups, *rest)
-    got = _kernels.complete_sweep(*args, cap=64)
-    want = _kernels.complete_sweep.py_func(*args, 64)
-    assert got[:4] == want[:4] and got[0] == 0
-    for a, b in zip(got[4] + got[5], want[4] + want[5]):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    with pytest.raises(TypeError) as py_error:
-        _kernels.complete_sweep.py_func(*args)
-    with pytest.raises(TypeError, match=f"^{re.escape(str(py_error.value))}$"):
-        _kernels.complete_sweep(*args)
+    wrong_state, wrong_group = x.copy(), groups.copy()
+    wrong_state[0] = 3  # absorbed before the path's last observation
+    wrong_group[0] = -1
     negative = keys.copy()
     negative[2] = -1
-    for body in (_kernels.complete_sweep, _kernels.complete_sweep.py_func):
+
+    def call(body=_kernels.complete_sweep, w=words, it=1, k=keys, xs=x, st=starts, g=groups,
+             m=mu, cap=64):
+        return body(w, it, k, obs_s, xs, st, g, cum, total, 3, m, ptrans, 1 << 16, cap)
+
+    assert call()[0] == 0
+    for bad in [{"w": words.astype(np.int64)}, {"k": keys.astype(np.int32)},
+                {"k": np.append(keys, 9)}, {"xs": x.astype(np.int32)},
+                {"g": groups.astype(np.int32)}, {"g": np.repeat(groups, 2)[::2]}, {"m": 1},
+                {"cap": -1}]:
+        with pytest.raises(TypeError, match="^the sweep does not take "):
+            call(**bad)
+    for bad in [{"st": past}, {"xs": wrong_state}, {"g": wrong_group}]:
+        with pytest.raises(ValueError, match="^an observed state, bridge group or path offset"):
+            call(**bad)
+    for bad in [{"k": negative}, {"it": -1}]:
         with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
-            body(words, 1, negative, obs_s, panel.flat_states0, panel.starts, groups, *rest, 64)
+            call(**bad)
+    for body in (_kernels.complete_sweep, _kernels.complete_sweep.py_func):
+        with pytest.raises(TypeError):
+            body(words, 1, keys, obs_s, x, starts, groups, cum, total, 3, mu, ptrans, 1 << 16)
+        with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
+            call(body, k=negative)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +379,7 @@ def _same(got, want):
     dtypes included."""
     assert got[:4] == want[:4]
     if got[0] != 0:
-        assert got[4:] == want[4:] == (None, None)
+        assert got[3:] == want[3:] == (None, None, None)
         return
     for a, b in zip(got[4] + got[5], want[4] + want[5]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -472,7 +466,7 @@ def test_sweep_repeats_its_bytes_with_shared_lazy_groups():
             total, 3, mu, ptrans, 1 << 16, 1 << 16)
     first = _kernels.complete_sweep(*args)
     assert first[0] == 0
-    assert first[3][3] > np.unique(groups[i[~lazy]]).size  # lazy series were computed
+    assert first[3][1] > np.unique(groups[i[~lazy]]).size  # lazy series were computed
     for _ in range(19):
         _same(_kernels.complete_sweep(*args), first)
 
@@ -521,9 +515,10 @@ def _trap_sweep(special, late, cap=10):
 
 
 def _failure(special, late=4096, cap=10):
-    """The sweep's (status, path, info), checked equal, counters included,
-    on the Python body and on ten calls of the compiled body, whose blocks
-    fall to the workers differently each time."""
+    """The sweep's (status, path, info), checked equal, with the counters
+    of a completed sweep, on the Python body and on ten calls of the
+    compiled body, whose blocks fall to the workers differently each
+    time."""
     args = _trap_sweep(special, late, cap)
     want = _kernels.complete_sweep(*args)
     for _ in range(10 if hasattr(_kernels.complete_sweep, "py_func") else 0):
@@ -534,15 +529,14 @@ def _failure(special, late=4096, cap=10):
 
 
 def test_sweep_failure_order_on_several_workers():
-    """The first failing path in path order wins, with the counters of a
-    sequential sweep, however the blocks fall to the workers.  The cases
+    """The first failing path in path order wins, however the blocks fall
+    to the workers.  The cases
     sit in late blocks, which every worker has started by then, each
     failure where another worker is likely to pass it."""
     assert _failure({}) == (0, 0, 0)
     # an overflow in an early block comes before an impossible pair or a
     # gap past the virtual-jump cap in a late block, and each of those
-    # fails alone; the groups of the paths after the failing one do not
-    # count
+    # fails alone
     assert _failure({10: "swaps", 3199: "impossible"}, late=3200) == (2, 10, 11)
     assert _failure({3199: "impossible"}, late=3200) == (1, 3199, 0)
     assert _failure({3115: "swaps", 3190: "far"})[:2] == (2, 3115)
@@ -628,8 +622,8 @@ def test_bridge_reads_the_last_row_of_its_step_table():
             np.arange(0, 2 * count + 1, 2, dtype=np.int64),
             np.tile(np.array([0, -1], dtype=np.int64), count), cum, total, 3, mu, ptrans,
             1 << 16, 1 << 16)
-    status, _path, _info, (virtual, _kept, censored, series), stats, _paths = _on_every_body(args)
-    assert (status, virtual, censored, series) == (0, 2 * count, count, 1)
+    status, _path, _info, (virtual, series), stats, _paths = _on_every_body(args)
+    assert (status, virtual, series) == (0, 2 * count, 1)
     assert stats[1][0, 1] == stats[1][1, 2] == count  # both virtual jumps kept
 
 
@@ -825,65 +819,31 @@ def test_simulation_checks_absorbability_of_drawn_states():
 
 
 @compiled
-def test_simulate_sweep_hands_other_inputs_to_python_body():
-    """int32 keys, int64 words, an int horizon, a cum_pi of another length
-    or a keyword argument run the Python body; so do a negative key, which
-    it refuses, and a missing argument, for which it raises its own
-    TypeError."""
+def test_simulate_sweep_refuses_other_inputs():
+    """int32 keys, int64 words, an int horizon or a cum_pi of another
+    length raise TypeError on the compiled body, and a negative key
+    ValueError with the Python body's message.  A missing argument raises
+    TypeError on both bodies."""
     cum, total = GOMPERTZ
     words = _kernels.stream_words(8, 2)
     keys = np.arange(40, dtype=np.int64)
     cum_pi = np.cumsum(GOMPERTZ_PI)
     kernel = _kernels.simulate_sweep
-    for args in [
+    for w, k, c, h in [
         (words, keys.astype(np.int32), cum_pi, 50.0),
         (words.astype(np.int64), keys, cum_pi, 50.0),
         (words, keys, cum_pi, 50),
         (words, keys, np.append(cum_pi, 1.0), 50.0),
     ]:
-        w, k, c, h = args
-        got, want = kernel(w, k, c, cum, total, 3, h), kernel.py_func(w, k, c, cum, total, 3, h)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    got = kernel(words, keys, cum_pi, cum, total, 3, horizon=50.0)
-    for a, b in zip(got, kernel.py_func(words, keys, cum_pi, cum, total, 3, 50.0)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    with pytest.raises(TypeError) as py_error:
-        kernel.py_func(words, keys, cum_pi, cum, total, 3)
-    with pytest.raises(TypeError, match=f"^{re.escape(str(py_error.value))}$"):
-        kernel(words, keys, cum_pi, cum, total, 3)
+        with pytest.raises(TypeError, match="^the sweep does not take "):
+            kernel(w, k, c, cum, total, 3, h)
     negative = keys.copy()
     negative[5] = -1
     for body in (kernel, kernel.py_func):
+        with pytest.raises(TypeError):
+            body(words, keys, cum_pi, cum, total, 3)
         with pytest.raises(ValueError, match="^stream keys must be non-negative$"):
             body(words, negative, cum_pi, cum, total, 3, 50.0)
-
-
-@compiled
-def test_compiled_sweeps_take_the_calls_runs_make(monkeypatch, ckernels):
-    """The calls of a small Gompertz fit (initialization and SE-steps) and
-    of ``simulate_paths`` (finite and infinite horizon), replayed on the
-    compiled module: it takes each one, so none of them runs Python."""
-    calls = {name: [] for name in KERNELS}
-    for name in KERNELS:
-        def record(*args, _kernel=getattr(_kernels, name), _calls=calls[name]):
-            _calls.append(args)
-            return _kernel(*args)
-
-        monkeypatch.setattr(_kernels, name, record)
-    family = ScalingFamily("gompertz", GOMPERTZ_BETA)
-    lam = SubIntensityMatrix(GOMPERTZ_LAM)
-    cohort = simulate_cohort(GOMPERTZ_PI, lam, family, 10.0, 30, RandomStream(5))
-    estimator.fit(cohort_panel(cohort, uniform_grid(10.0, 1.0)),
-                  estimator.FitConfig(family="gompertz", max_sem_iterations=2))
-    for horizon in (np.inf, 30.0):
-        simulate_paths(lam, GOMPERTZ_PI, family, horizon, RandomStream(6), 20)
-    assert {args[1] == 0 for args in calls["complete_sweep"]} == {True, False}
-    assert {args[-1] == np.inf for args in calls["simulate_sweep"]} == {True, False}
-    for name in KERNELS:
-        for args in calls[name]:
-            assert getattr(ckernels, name)(*args) is not NotImplemented
-
 
 CLI_INI = """[model]
 n = 3

@@ -556,8 +556,8 @@ def test_format_path_dump(weibull_lam, weibull_pi):
         simulate_paths(weibull_lam, weibull_pi, ScalingFamily("identity"), 5.0, RandomStream(98), 1),
         timeline="homogeneous",
     )
-    text = format_path_dump(path)
+    text = format_path_dump(path, ["a-1"])
     lines = text.splitlines()
     assert lines[0] == "path_id,epoch,state,timeline_tag"
-    assert all(ln.startswith("p0,") for ln in lines[1:])
+    assert all(ln.startswith("a-1,") for ln in lines[1:])
     assert all(ln.endswith(",homogeneous") for ln in lines[1:])
