@@ -39,6 +39,7 @@ from .studies import (
     write_study,
 )
 
+
 def _resolve_seed(flag_seed: int | None, cfg: RunConfig | None) -> int:
     if flag_seed is not None:
         return flag_seed

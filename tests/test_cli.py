@@ -150,8 +150,8 @@ def test_fit_report_contents(workspace):
 
 
 def test_fit_dump_labels_paths_by_their_ids(workspace, tmp_path):
-    """Paths named other than ``p<k>`` dump under their own ids, with the
-    paths of the same panel named ``p<k>``."""
+    """A panel whose ids are not ``p<k>`` dumps its paths under those ids;
+    the rows are otherwise those of the same panel named ``p<k>``."""
     _, config, panel, fitdir = workspace
     named = tmp_path / "named.csv"
     named.write_text("".join(

@@ -530,9 +530,9 @@ def _failure(special, late=4096, cap=10):
 
 def test_sweep_failure_order_on_several_workers():
     """The first failing path in path order wins, however the blocks fall
-    to the workers.  The cases
-    sit in late blocks, which every worker has started by then, each
-    failure where another worker is likely to pass it."""
+    to the workers.  The cases sit in late blocks, which every worker has
+    started by then, each failure where another worker is likely to pass
+    it."""
     assert _failure({}) == (0, 0, 0)
     # an overflow in an early block comes before an impossible pair or a
     # gap past the virtual-jump cap in a late block, and each of those
