@@ -133,6 +133,7 @@ class FitResult:
     trace: tuple[IterationRecord, ...]
     config: FitConfig
     completed: FlatPaths | None = None  # the last sweep's paths, homogeneous timeline
+    init_work: SweepWork | None = None  # initialization's sweep, None when it ran none
 
 
 @dataclass(frozen=True)
@@ -235,43 +236,55 @@ def initialize(
     observation points), and beta0 is refined by ascent on those times.
     With no absorbed paths the refinement is skipped with a warning.
     """
+    return _initialize(data, cfg, rng, beta_trace)[:3]
+
+
+def _initialize(
+    data: PanelObservationSet | _PanelArrays,
+    cfg: FitConfig,
+    rng: RandomStream,
+    beta_trace: list | None = None,
+) -> tuple[InitialDistribution, SubIntensityMatrix, float, SweepWork | None]:
+    """:func:`initialize`, with the work of its sweep (None when it ran
+    none)."""
     panel = data if isinstance(data, _PanelArrays) else _PanelArrays(data)
     pi_hat = empirical_pi(panel.data)
     lam0 = mle_generator(_naive_statistics(panel), panel.K)[1]
     if cfg.family == IDENTITY:
-        return pi_hat, lam0, cfg.beta0
-    times = _init_absorption_times(panel, lam0, rng)
+        return pi_hat, lam0, cfg.beta0, None
+    times, work = _init_absorption_times(panel, lam0, rng)
     if times.size == 0:
         warnings.warn(
             "no absorbed paths: keeping beta0 unrefined", RuntimeWarning
         )
-        return pi_hat, lam0, cfg.beta0
+        return pi_hat, lam0, cfg.beta0, work
     obj = BetaObjective(cfg.family, pi_hat, lam0, times)
     beta_hat, _steps = gd_solve(
         obj, cfg.beta0, cfg.eta, cfg.e_ell, cfg.beta_min, cfg.gd_max_steps,
         trace=beta_trace,
     )
-    return pi_hat, lam0, beta_hat
+    return pi_hat, lam0, beta_hat, work
 
 
 def _init_absorption_times(
     panel: _PanelArrays, lam0: SubIntensityMatrix, rng: RandomStream
-) -> np.ndarray:
+) -> tuple[np.ndarray, SweepWork | None]:
     """Latent absorption epochs for absorbed paths, bridged on the raw
-    timeline under the naive generator: one sweep over the absorbed
-    paths' last two observations, path k drawing from
-    ``rng.substream(0, k)``."""
+    timeline under the naive generator, and the work of their sweep: one
+    sweep over the absorbed paths' last two observations, path k drawing
+    from ``rng.substream(0, k)``.  With no absorbed path no sweep runs,
+    and the work is None."""
     keys = np.flatnonzero(panel.absorbed)
     if keys.size == 0:
-        return np.empty(0)
+        return np.empty(0), None
     last = panel.starts[keys + 1]
     rows = np.column_stack((last - 2, last - 1)).ravel()
     starts = np.arange(0, rows.size + 1, 2)
-    _stats, paths, _work = _sweep(
+    _stats, paths, work = _sweep(
         panel, keys, panel.flat_times[rows], panel.flat_states0[rows], starts,
         panel.groups[rows], lam0, rng, 0,
     )
-    return paths.end_times
+    return paths.end_times, work
 
 
 def _sweep(
@@ -417,7 +430,7 @@ def fit(
         rng = RandomStream(cfg.seed)
     panel = _PanelArrays(data)
     absorbed_paths = int(panel.absorbed.sum())
-    pi_hat, lam_hat, beta_hat = initialize(panel, cfg, rng, beta_trace=beta_trace)
+    pi_hat, lam_hat, beta_hat, init_work = _initialize(panel, cfg, rng, beta_trace)
     homogeneous = cfg.family == IDENTITY
     if homogeneous:
         beta_hat = None
@@ -446,6 +459,7 @@ def fit(
         trace=tuple(trace),
         config=cfg,
         completed=step.paths if keep_completed else None,
+        init_work=init_work,
     )
 
 

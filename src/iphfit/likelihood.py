@@ -11,28 +11,34 @@ The absorption-time density of the time-scaled model at calendar time t is
 Both reduce to products ``pi . exp(sL) . v`` evaluated for many s; these go
 through an eigendecomposition of L when it is numerically trustworthy and
 otherwise fall back to per-point expm calls.  Every construction probes
-the eigen side at four points (one vectorised evaluation per coefficient
-vector) against a uniformization reference, within 1e-11 relative; the
+the eigen side at four points (the three coefficient vectors of one set of
+columns) against a uniformization reference, within 1e-11 relative; the
 reference is numpy alone, so a kernel on the eigen route never loads
 scipy.
 
-The eigen side builds its tables of exp(s w_j) one eigenvalue column at a
-time into a C-contiguous complex array, which each product with a complex
-coefficient vector reads without a cast; the values are those of
-``exp(multiply.outer(s, w))``.  Where g_inv(t) overflowed to +inf the
-kernel itself gives density 0, survival 0 and ratio nan.
+The eigen side is real arithmetic, one eigenvalue column at a time: each
+conjugate pair is one column ``2 Re(c e^(sw))`` in cos and sin, the
+dominant eigenvalue, which is real, is a constant after the shift by it,
+and every other column costs one exp.  The density factor, the ratio
+numerator and the survival are elementwise float64 sums over the columns
+in a fixed order, so their bits do not depend on a BLAS kernel.  Where
+g_inv(t) overflowed to +inf the kernel itself gives density 0, survival 0
+and ratio nan.
 
-The beta objective is evaluated in one pass per beta: the family's four
-terms (h, g_inv and the two beta-derivatives) and the kernel's density and
-score ratio are computed once and shared by the log-likelihood and its
-score.  What does not depend on beta is done once, when the objective is
-built: the absorption times are checked there, and Weibull's log t taken.
-A gradient ascent whose update lands on an earlier beta fails at once,
-since a deterministic update then cycles for ever.
+The beta objective is evaluated in one pass per beta: the family's terms
+(g_inv, the accumulated beta-derivative of h, and the sums of log h and
+of its beta-derivative in closed form) and the kernel's density and score
+ratio are computed once and shared by the log-likelihood and its score.
+What does not depend on beta is done once, when the objective is built:
+the absorption times are checked there, and log t, the sum of t and the
+sum of log t taken.  Each part is checked once, on its sum.  The gradient
+ascent backtracks a step that would lower the log-likelihood, and an
+update that lands on an earlier beta fails at once.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -225,7 +231,18 @@ class _AbsorptionKernel:
     A non-finite s is a g_inv(t) that overflowed float64, where the
     density has long underflown: there the density and the survival are
     0 and the ratio nan.  The other times are evaluated as if those were
-    0, so their values do not depend on the overflow."""
+    0, so their values do not depend on the overflow.
+
+    On the eigen route ``pi exp(sL) v = sum_j c_j exp(s w_j)`` with
+    ``c = (pi V) * (V^-1 v)``, and the sum is real.  It is evaluated as
+    ``exp(s w_max) * sum_j Re(c_j exp(s (w_j - w_max)))`` over columns: the
+    eigenvalue w_max with the largest real part is real for a
+    sub-intensity matrix, so its column is the constant ``c``; a real
+    eigenvalue is one ``exp``; a conjugate pair is one column with the
+    coefficient ``c_j + conj(c_k)`` of both, ``e^(sa) (p cos sb - q sin
+    sb)`` for ``w_j - w_max = a + ib`` and that coefficient ``p + iq``.
+    The columns are added in a fixed order, in float64 and elementwise.
+    """
 
     def __init__(self, pi: InitialDistribution, lam: SubIntensityMatrix):
         self._exit = lam.exit_rates()  # validates lam
@@ -240,18 +257,62 @@ class _AbsorptionKernel:
         try:
             w, v = np.linalg.eig(self._arr)
             vinv = np.linalg.inv(v)
-            self._w = w
-            self._w_shifted = w - w.real.max()
             left = self._pi @ v
-            self._c_exit = left * (vinv @ self._exit.astype(complex))
-            self._c_rate = left * w * (vinv @ self._exit.astype(complex))
-            self._c_one = left * (vinv @ self._ones.astype(complex))
+            r_exit = vinv @ self._exit
+            # rows: density factor, ratio numerator, survival
+            self._columns(w, left * np.stack((r_exit, w * r_exit, vinv @ self._ones)))
             self._eig_ok = self._probe()
         except np.linalg.LinAlgError:
             self._eig_ok = False
 
+    def _columns(self, w: np.ndarray, coeff: np.ndarray) -> None:
+        """The columns of the eigenvalues ``w`` with coefficient rows
+        ``coeff``: ``_shift`` is w_max, ``_const`` the summed real parts of
+        the columns whose shifted exponent is 0, and ``_cols`` one ``(a, b,
+        p, q)`` per other column, ``p`` and ``q`` the real and imaginary
+        parts of its coefficient in each row (b = 0 for a real
+        eigenvalue).  ``_phase_cap`` bounds s where s * b could overflow."""
+        self._shift = float(w.real.max())
+        const = np.zeros(3)
+        self._cols = []
+        for j in range(w.size):
+            if w[j].imag < 0.0:
+                continue  # LAPACK puts it right after its exact conjugate
+            c = coeff[:, j]
+            if w[j].imag > 0.0:
+                c = c + np.conj(coeff[:, j + 1])
+            a, b = float(w[j].real) - self._shift, float(w[j].imag)
+            if b == 0.0 and a == 0.0:
+                const += c.real
+            else:
+                self._cols.append((a, b, tuple(c.real.tolist()), tuple(c.imag.tolist())))
+        self._const = tuple(const.tolist())
+        pairs = [b for _a, b, _p, _q in self._cols if b]
+        self._phase_cap = 1e300 / max(pairs) if pairs else np.inf
+
+    def _shifted(self, s: np.ndarray, rows: tuple[int, ...]) -> list[np.ndarray]:
+        """``sum_j Re(c_j exp(s (w_j - w_max)))`` for each coefficient row
+        in ``rows`` (0 density factor, 1 ratio numerator, 2 survival), at
+        finite times s >= 0: the columns in order, then the constant."""
+        phase = s
+        if self._phase_cap < np.inf and not s.sum() < self._phase_cap:
+            phase = np.minimum(s, self._phase_cap)  # there e^(sa) is 0, so is the column
+        sums = None
+        for a, b, p, q in self._cols:
+            e = np.exp(s * a)
+            if b:
+                sb = phase * b
+                cos, sin = e * np.cos(sb), e * np.sin(sb)
+                terms = [p[r] * cos - q[r] * sin for r in rows]
+            else:
+                terms = [p[r] * e for r in rows]
+            sums = terms if sums is None else [acc + term for acc, term in zip(sums, terms)]
+        if sums is None:
+            return [np.full(s.shape, self._const[r]) for r in rows]
+        return [acc + self._const[r] for acc, r in zip(sums, rows)]
+
     def _probe(self) -> bool:
-        """Whether the eigen side matches the matrix exponential, within
+        """Whether the eigen route matches the matrix exponential, within
         1e-11 relative, at four points spanning the slowest decay.
 
         The reference is uniformization (numpy alone, so no BLAS helper
@@ -262,12 +323,12 @@ class _AbsorptionKernel:
         Poisson weights are constants; the rows ``pi P^k`` (k < 64) double
         with each squaring of P, and the Poisson(5) tail beyond them is
         below 1e-40.  pi L exp(sL) exit is taken as pi exp(sL) (L exit).
+        The eigen side is the three rows of one ``_shifted`` call.
         """
         rate = max(float(-self._arr.diagonal().min()), 1e-12)
-        got = np.column_stack(
-            [self._eig_eval(c, _PROBE_MEANS / rate)
-             for c in (self._c_exit, self._c_rate, self._c_one)]
-        )
+        s = _PROBE_MEANS / rate
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got = np.column_stack(self._shifted(s, (0, 1, 2))) * np.exp(s * self._shift)[:, None]
         rows, power = self._pi[None, :], np.eye(self._arr.shape[0]) + self._arr / rate
         while rows.shape[0] < _PROBE_TERMS:
             rows = np.vstack((rows, rows @ power))
@@ -276,67 +337,52 @@ class _AbsorptionKernel:
         ref = _PROBE_WEIGHTS @ (rows @ right)
         return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(np.abs(ref), 1e-3))
 
-    @staticmethod
-    def _table(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """exp(s w_j) as a C-contiguous complex array of shape
-        ``s.shape + w.shape``, filled one eigenvalue at a time (an outer
-        product over the 2- or 3-wide last axis runs one inner loop per
-        time).  Real eigenvalues are exponentiated as reals and then cast,
-        so each ``@`` with the complex coefficients reads the table as it
-        stands.  The values and the layout are those of
-        ``exp(multiply.outer(s, w))``: the products' last bits may depend
-        on the layout, and a fit's bytes on those bits."""
-        table = np.empty(s.shape + w.shape, dtype=w.dtype)
-        for j, wj in enumerate(w.tolist()):  # Python scalars multiply faster
-            np.multiply(s, wj, out=table[..., j])
-        np.exp(table, out=table)
-        return table if w.dtype.kind == "c" else table.astype(complex)
-
-    def _eig_eval(self, coeff: np.ndarray, s: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            return (self._table(s, self._w) @ coeff).real
-
     def _expm_eval(self, right: np.ndarray, s: np.ndarray) -> np.ndarray:
         flat = np.atleast_1d(s)
         out = np.array([self._pi @ matrix_exponential(self._arr, si) @ right for si in flat])
         return out.reshape(np.shape(s))
 
-    def _projection(self, coeff: np.ndarray, right: np.ndarray, s) -> np.ndarray:
-        """pi . exp(sL) . right at checked times, 0 where s overflowed."""
+    def _projection(self, row: int, right: np.ndarray, s) -> np.ndarray:
+        """pi . exp(sL) . right at checked times, 0 where s overflowed;
+        ``row`` is its coefficient row on the eigen route."""
         s_arr, over = _split_overflow(np.asarray(s, dtype=float))
-        out = self._eig_eval(coeff, s_arr) if self._eig_ok else self._expm_eval(right, s_arr)
+        if self._eig_ok:
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                out = self._shifted(s_arr, (row,))[0] * np.exp(s_arr * self._shift)
+        else:
+            out = self._expm_eval(right, s_arr)
         return out if over is None else np.where(over, 0.0, out)
 
     def density_factor(self, s):
         """pi . exp(sL) . exit  (the phase-type density at s)."""
-        return self._projection(self._c_exit, self._exit, s)
+        return self._projection(0, self._exit, s)
 
     def survival(self, s):
         """pi . exp(sL) . 1."""
-        return self._projection(self._c_one, self._ones, s)
+        return self._projection(2, self._ones, s)
 
     def density_and_ratio(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``density_factor(s)`` and the ratio pi.L.exp(sL).exit /
         pi.exp(sL).exit at a vector s of times >= 0, the ratio stable
         under density underflow.
 
-        On the eigendecomposition route the ratio cancels the common
-        factor exp(s * w_max) before exponentiating, so it stays finite for
-        s far beyond the point where the density itself underflows (it
-        tends to the dominant eigenvalue); it is nan only where its
-        denominator is 0.  The expm route computes one matrix exponential
-        per point for both and divides directly, so its ratio may be nan
-        once the density underflows.
+        On the eigendecomposition route both come from the same shifted
+        columns: the ratio is the quotient of two shifted sums, so it
+        stays finite for s far beyond the point where the density itself
+        underflows (it tends to the dominant eigenvalue), and is nan only
+        where its denominator is 0; the density is that denominator times
+        exp(s * w_max).  The expm route computes one matrix exponential per
+        point for both and divides directly, so its ratio may be nan once
+        the density underflows.
         """
         s, over = _split_overflow(s)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
             if self._eig_ok:
-                shifted = self._table(s, self._w_shifted)
-                den = (shifted @ self._c_exit).real
-                ratio = (shifted @ self._c_rate).real / den
+                den, num = self._shifted(s, (0, 1))
+                ratio = num / den
                 if not den.all():
                     ratio[den == 0.0] = np.nan
-                a = (self._table(s, self._w) @ self._c_exit).real
+                a = den * np.exp(s * self._shift)
             else:
                 exps = [matrix_exponential(self._arr, si) for si in s]
                 a = np.array([self._pi @ e @ self._exit for e in exps])
@@ -394,7 +440,7 @@ class BetaObjective:
     lam: SubIntensityMatrix
     absorption_times: np.ndarray
     _kernel: _AbsorptionKernel = field(init=False, repr=False, compare=False)
-    _log_t: np.ndarray = field(init=False, repr=False, compare=False)
+    _fixed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pi = _wrap_pi(self.pi)
@@ -406,11 +452,13 @@ class BetaObjective:
         if not np.all(np.isfinite(times)) or np.any(times <= 0.0):
             raise ValidationError("absorption times must be finite and > 0")
         times.setflags(write=False)
+        log_t = np.log(times)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "absorption_times", times)
         object.__setattr__(self, "_kernel", _AbsorptionKernel(pi, lam))
-        object.__setattr__(self, "_log_t", np.log(times))
+        # the arguments of ScalingFamily._objective_terms after beta
+        object.__setattr__(self, "_fixed", (times, log_t, float(times.sum()), float(log_t.sum())))
 
     def family_at(self, beta: float) -> ScalingFamily:
         return ScalingFamily(self.family, beta)
@@ -431,30 +479,33 @@ def _evaluate(
     """``(loglik, score)`` at beta in one pass over the absorption sample.
 
     The family's terms and the kernel's density and ratio are computed once
-    and shared; the times, and Weibull's log t, were computed and checked
-    when ``obj`` was built.  Where g_inv(t) overflows float64 the kernel
-    gives density 0 and ratio nan, so the log-likelihood is -inf and the
-    score nan, each after its warning.  A part not asked for is None and
-    raises no warning.  ``stacklevel`` points the underflow warnings at the
-    caller of the public function.
+    and shared; what does not depend on beta was computed when ``obj`` was
+    built.  Each part is checked once, as a sum: only a non-finite sum
+    looks for its first offending observation.  Where g_inv(t) overflows
+    float64 the kernel gives density 0 and ratio nan, so the
+    log-likelihood is -inf and the score nan, each after its warning; a
+    non-finite sum with no such observation is returned as it is.  A part
+    not asked for is None and raises no warning.  ``stacklevel`` points
+    the underflow warnings at the caller of the public function.
     """
-    t = obj.absorption_times
-    g_inv, h, dh, int_dh = obj.family_at(beta)._terms(t, log_t=obj._log_t)
-    a, ratio = obj._kernel.density_and_ratio(g_inv)
     ell = grad = None
-    if loglik:
-        if (a > 0.0).all() and np.isfinite(a).all():
-            ell = float(np.log(h).sum() + np.log(a).sum())
-        else:
-            bad = int(np.flatnonzero(~np.isfinite(a) | (a <= 0.0))[0])
-            _underflow_warning("density", bad, float(t[bad]), stacklevel)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g_inv, int_dh, sum_log_h, sum_dlog_h = obj.family_at(beta)._objective_terms(*obj._fixed)
+        a, ratio = obj._kernel.density_and_ratio(g_inv)
+        if loglik:
+            ell = float(sum_log_h + np.log(a).sum())
+        if score:
+            grad = float(sum_dlog_h + (int_dh * ratio).sum())
+    t = obj.absorption_times
+    if loglik and not math.isfinite(ell):
+        bad = np.flatnonzero(~np.isfinite(a) | (a <= 0.0))
+        if bad.size:
+            _underflow_warning("density", int(bad[0]), float(t[bad[0]]), stacklevel)
             ell = -np.inf
-    if score:
-        if np.isfinite(ratio).all():
-            grad = float((dh / h).sum() + (int_dh * ratio).sum())
-        else:
-            bad = int(np.flatnonzero(~np.isfinite(ratio))[0])
-            _underflow_warning("score", bad, float(t[bad]), stacklevel)
+    if score and not math.isfinite(grad):
+        bad = np.flatnonzero(~np.isfinite(ratio))
+        if bad.size:
+            _underflow_warning("score", int(bad[0]), float(t[bad[0]]), stacklevel)
             grad = float("nan")
     return ell, grad
 
@@ -491,20 +542,25 @@ def gd_solve(
     max_steps: int = 100_000,
     trace: list | None = None,
 ) -> tuple[float, int]:
-    """Fixed-step gradient ascent on the beta log-likelihood.
+    """Gradient ascent on the beta log-likelihood, fixed-step while the
+    steps climb.
 
     Updates ``beta <- max(beta_min, beta + eta * grad)`` until the change
     in log-likelihood between consecutive iterates drops below ``e_ell``.
-    Returns ``(beta_hat, updates_performed)``.  When ``trace`` is given,
-    appends one ``(step, beta, loglik, grad)`` tuple per update.
+    The first update is taken as it stands; a later one that would lower
+    the log-likelihood below the previous update's is not taken: eta is
+    halved for the rest of the ascent and the update retried from the
+    same point (Armijo-style backtracking), which ends at the latest when
+    the step no longer moves beta.  Returns ``(beta_hat,
+    updates_performed)``.  When ``trace`` is given, appends one ``(step,
+    beta, loglik, grad)`` tuple per update taken.
 
     Raises
     ------
     NonConvergenceError
         If ``max_steps`` updates pass without meeting the criterion, or at
         once when an update that does not meet it lands on an earlier
-        beta: the update is deterministic, so the ascent then cycles for
-        ever (the trace rides on the exception).
+        beta (the trace rides on the exception).
     NumericalError
         If a gradient evaluates to a non-finite value.
     """
@@ -522,8 +578,13 @@ def gd_solve(
     for step in range(1, int(max_steps) + 1):
         if not np.isfinite(grad):
             raise NumericalError(f"non-finite gradient at beta={beta:g}")
-        beta = max(beta_min, beta + eta * grad)
-        ell, grad = _evaluate(obj, beta, stacklevel=3)
+        while True:
+            trial = max(beta_min, beta + eta * grad)
+            ell, trial_grad = _evaluate(obj, trial, stacklevel=3)
+            if step == 1 or not ell < ell_prev:
+                break
+            eta *= 0.5
+        beta, grad = trial, trial_grad
         local_trace.append((step, beta, ell, grad))
         if abs(ell - ell_prev) < e_ell:
             return beta, step

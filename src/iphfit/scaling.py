@@ -4,7 +4,8 @@ A family supplies a positive scaling function ``h(t)`` (the generator at
 calendar time t is ``h(t) * L``), its accumulated version
 ``g_inv(t) = int_0^t h(s) ds`` mapping calendar time to operational time,
 the inverse map ``g``, and (through ``_terms``) the two beta-derivatives
-needed by the score of the absorption-time likelihood.
+needed by the score of the absorption-time likelihood, which
+``_objective_terms`` evaluates in the form the beta objective sums.
 
 Families
 --------
@@ -19,6 +20,7 @@ returns +inf (the downstream likelihood reports the underflow).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,16 +104,15 @@ class ScalingFamily:
             return np.log1p(self.beta * arr) / self.beta
         return arr ** (1.0 / self.beta)
 
-    def _terms(self, arr: np.ndarray, g_inv_only: bool = False, log_t=None) -> tuple:
+    def _terms(self, arr: np.ndarray, g_inv_only: bool = False) -> tuple:
         """``(g_inv, h, dh/dbeta, int_dh_dbeta)`` at times already checked.
 
-        The one place each family's formulas are written.  The terms share
-        exp(beta t) and expm1(beta t) (gompertz) or t^beta, t^(beta-1) and
-        log t (weibull).  ``g_inv_only`` makes ``(g_inv,)`` alone.
-        ``log_t``, when given, is ``log(arr)`` at times all > 0, which the
-        weibull terms then reuse; otherwise log t is taken as 0 at t = 0,
-        which gives both of its terms their limit 0 there.  Overflow gives
-        inf or nan without a warning; the callers check.
+        The pointwise formulas of each family.  The terms share exp(beta t)
+        and expm1(beta t) (gompertz) or t^beta, t^(beta-1) and log t
+        (weibull); log t is taken as 0 at t = 0, which gives both of its
+        terms their limit 0 there.  ``g_inv_only`` makes ``(g_inv,)``
+        alone.  Overflow gives inf or nan without a warning; the callers
+        check.
         """
         b = self.beta
         if self.kind == IDENTITY:
@@ -129,8 +130,31 @@ class ScalingFamily:
             pb = arr**b
             if g_inv_only:
                 return (pb,)
-            if log_t is None:
-                log_t = np.log(np.where(arr > 0.0, arr, 1.0))
+            log_t = np.log(np.where(arr > 0.0, arr, 1.0))
             p1 = arr ** (b - 1.0)
             h = np.ones_like(arr) if b == 1.0 else b * p1
             return pb, h, p1 * (1.0 + b * log_t), pb * log_t
+
+    def _objective_terms(self, t: np.ndarray, log_t: np.ndarray, sum_t: float,
+                         sum_log_t: float) -> tuple:
+        """``(g_inv, int_dh_dbeta, sum log h, sum dh/dbeta / h)`` over
+        absorption times ``t``, all > 0, for the beta objective.
+
+        ``log_t``, ``sum_t`` and ``sum_log_t`` are log t, the sum of t and
+        the sum of log t, which do not depend on beta.  The two sums are
+        closed forms: gompertz log h = beta t and dh/dbeta / h = t; weibull
+        log h = log beta + (beta - 1) log t and dh/dbeta / h = 1 / beta +
+        log t.  Weibull's g_inv is exp(beta log t).  Overflow gives inf or
+        nan, with numpy's warnings unless the caller silences them; the
+        callers check.
+        """
+        b = self.beta
+        if self.kind == IDENTITY:
+            return t, np.zeros_like(t), 0.0, 0.0
+        if self.kind == GOMPERTZ:
+            m1 = np.expm1(b * t)
+            g_inv = m1 / b
+            return g_inv, (t * (m1 + 1.0) - g_inv) / b, b * sum_t, sum_t
+        g_inv = np.exp(b * log_t)
+        sum_log_h = t.size * math.log(b) + (b - 1.0) * sum_log_t
+        return g_inv, g_inv * log_t, sum_log_h, t.size / b + sum_log_t

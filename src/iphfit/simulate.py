@@ -147,11 +147,23 @@ def simulate_paths(m, pi, family: ScalingFamily, horizon: float, rng: RandomStre
     return FlatPaths(m.n, times, states, bounds, ends, INHOMOGENEOUS)
 
 
+# the most points uniform_grid makes: observing K paths on it takes K times
+# this many int64 words
+_GRID_LIMIT = 1_000_000
+
+
 def uniform_grid(horizon: float, delta: float) -> np.ndarray:
-    """Observation epochs 0, delta, 2*delta, ... capped at the horizon."""
+    """Observation epochs 0, delta, 2*delta, ... capped at the horizon,
+    at most ``_GRID_LIMIT`` of them."""
     if not (0.0 < delta < np.inf and 0.0 < horizon < np.inf):
         raise ValidationError("grid needs finite, positive delta and horizon")
-    count = int(np.floor(horizon / delta + 1e-9))
+    steps = horizon / delta  # may overflow to inf, which the limit refuses too
+    if not steps < _GRID_LIMIT:
+        raise ValidationError(
+            f"grid of horizon {horizon:g} with delta {delta:g} has more than the "
+            f"limit of {_GRID_LIMIT} points"
+        )
+    count = int(np.floor(steps + 1e-9))
     grid = np.arange(count + 1, dtype=float) * delta
     if grid[-1] > horizon:  # float slop in count*delta
         grid[-1] = horizon

@@ -134,6 +134,22 @@ def test_simulate_rejects_a_non_finite_grid_setting(tmp_path, capsys, line, bad)
     assert "finite, positive delta and horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "horizon,delta", [("30", "1e-300"), ("1000", "1e-9"), ("1000", "1e-310")]
+)
+def test_simulate_refuses_a_grid_beyond_its_point_limit(tmp_path, capsys, horizon, delta):
+    # checked before the grid is made: 1e-9 over 1000 is 10^12 points, and
+    # 1000 / 1e-310 overflows to inf
+    config = tmp_path / "run.ini"
+    config.write_text(
+        GOMPERTZ_INI.replace("horizon = 30", f"horizon = {horizon}")
+        .replace("delta = 1", f"delta = {delta}")
+    )
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "limit of 1000000 points" in capsys.readouterr().err
+
+
 def test_fit_report_contents(workspace):
     _, _, panel, fitdir = workspace
     report = read_report(fitdir / "report.txt")

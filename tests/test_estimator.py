@@ -29,7 +29,7 @@ from iphfit import _kernels, estimator
 from iphfit.errors import NumericalError, StarvedStateError, StructuralError
 from iphfit.likelihood import accumulate_statistics, flat_statistics
 from iphfit.simulate import simulate_paths
-from iphfit.studies import cohort_panel, simulate_cohort, uniform_grid
+from iphfit.studies import GOMPERTZ_STUDY, cohort_panel, run_study, simulate_cohort, uniform_grid
 
 from conftest import exact_path, panel_from_rows as _panel
 
@@ -231,7 +231,7 @@ def test_init_absorption_times_match_bridge_sample(monkeypatch, gompertz_pi, gom
     sweep = _kernels.complete_sweep
     for body in (sweep, getattr(sweep, "py_func", sweep)):
         monkeypatch.setattr(_kernels, "complete_sweep", body)
-        got = estimator._init_absorption_times(panel, lam0, rng)
+        got = estimator._init_absorption_times(panel, lam0, rng)[0]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -375,6 +375,34 @@ def test_fit_trace_carries_each_sweeps_work(small_gompertz_fit):
         assert rec.work.virtual_jumps > 0 and rec.work.series > 0
         assert rec.work.censored == censored
         assert rec.work.jumps_kept >= data.absorbed_count()
+
+
+def test_fit_carries_the_work_of_initialization(monkeypatch, gompertz_pi, gompertz_lam):
+    """``init_work`` is the work of initialization's sweep, the same on
+    either body of the sweep, and None for the identity family, which runs
+    no such sweep."""
+    fam = ScalingFamily(GOMPERTZ, 0.1019)
+    data = make_panel(gompertz_pi, gompertz_lam, fam, 30.0, 1.0, 80, 83)
+    cfg = replace(GOMPERTZ_CFG, max_sem_iterations=1)
+    sweep = _kernels.complete_sweep
+    works = []
+    for body in (sweep, getattr(sweep, "py_func", sweep)):
+        monkeypatch.setattr(_kernels, "complete_sweep", body)
+        work = fit(data, cfg, RandomStream(83)).init_work
+        assert isinstance(work, estimator.SweepWork)
+        assert work.virtual_jumps > 0 and work.series > 0
+        assert work.censored == 0 and work.jumps_kept >= data.absorbed_count()
+        works.append(work)
+    assert works[0] == works[1]
+    homogeneous = replace(cfg, family=IDENTITY, homog_iterations=2, homog_tail_average=1)
+    assert fit(data, homogeneous, RandomStream(83)).init_work is None
+
+
+def test_gompertz_fit_holds_at_three_thousand_paths():
+    """At K = 3000 the fixed step eta = 1e-6 overshoots: without
+    backtracking, initialization's ascent cycled between 1e-5 and 0.0377."""
+    outcome = run_study(GOMPERTZ_STUDY, seed=10, paths=3000, horizons=(60.0,))
+    assert abs(outcome.horizons[0].result.beta_hat - 0.1019) <= 0.015
 
 
 def test_sweep_maps_times_as_the_checked_calls(gompertz_pi, gompertz_lam):

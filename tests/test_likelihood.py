@@ -415,9 +415,7 @@ def _expm_probe(kern: _AbsorptionKernel) -> bool:
     lam, pi, ex, ones = kern._arr, kern._pi, kern._exit, kern._ones
     rate = max(float(-lam.diagonal().min()), 1e-12)
     probes = np.array([0.0, 0.1, 1.0, 5.0]) / rate
-    got = np.column_stack(
-        [kern._eig_eval(c, probes) for c in (kern._c_exit, kern._c_rate, kern._c_one)]
-    )
+    got = np.column_stack(kern._shifted(probes, (0, 1, 2))) * np.exp(probes * kern._shift)[:, None]
     ref = np.array(
         [[pi @ e @ ex, pi @ lam @ e @ ex, pi @ e @ ones]
          for e in (scipy.linalg.expm(s * lam) for s in probes)]
@@ -541,6 +539,22 @@ def test_gd_cycle_fails_fast():
     # the score is negative there for these times
     obj = BetaObjective(GOMPERTZ, POINT_MASS, ONE_STATE, np.array([3.0, 4.0, 5.0]))
     assert gd_solve(obj, beta0=0.5, eta=10.0, e_ell=1e-9) == (1e-5, 2)
+
+
+def test_gd_backtracks_an_update_that_would_lower_the_loglik():
+    # eta = 1 from 0.3 overshoots to 1.02, which the first update may do;
+    # the second would clamp to beta_min and lower the log-likelihood, so
+    # eta halves and the update lands on 0.264; every later update climbs
+    obj = BetaObjective(GOMPERTZ, POINT_MASS, ONE_STATE, np.array([0.5, 1.0, 1.5]))
+    trace = []
+    beta, steps = gd_solve(obj, beta0=0.3, eta=1.0, e_ell=1e-9, trace=trace)
+    first_beta, _ell, first_grad = trace[0][1:]
+    assert first_grad < 0.0 and first_beta + first_grad < 1e-5
+    assert trace[1][1] == first_beta + 0.5 * first_grad
+    ells = [row[2] for row in trace]
+    assert all(later >= earlier for earlier, later in zip(ells, ells[1:]))
+    assert steps == len(trace) and beta == trace[-1][1]
+    assert abs(beta - 0.5997) < 1e-3  # where the score changes sign
 
 
 def test_gd_argument_validation():

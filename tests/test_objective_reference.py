@@ -1,15 +1,18 @@
 """The beta objective against a frozen reference of its arithmetic.
 
-The reference below computes the objective the plain way:
-``multiply.outer`` tables cast to complex inside each ``@``, Weibull's
-``log t`` taken at every call, the ``t > 0`` masking of the family
-terms, and the overflow rule (density 0, ratio nan where ``g_inv``
-overflows) applied by each caller.  Every case must give the same
-log-likelihood and score bits (nan-aware), the same kernel arrays, and
-the same warnings, so a faster evaluation of the objective cannot move
-a fit.
+The reference below computes the objective the plain way: one eigen
+column at a time as a whole expression, summed in the kernel's column
+order and then the constant, each caller applying the overflow rule
+(density 0, ratio nan where ``g_inv`` overflows) and checking its
+arrays before it sums them; Weibull's ``log t`` taken at every call and
+the family's two sums in their closed forms.  Every case must give the
+same log-likelihood and score bits (nan-aware), the same kernel arrays,
+and the same warnings, so a faster evaluation of the objective cannot
+move a fit.  The columns themselves are checked against the matrix
+exponential in ``test_eigen_route.py``.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -40,29 +43,54 @@ JORDAN_LAM = SubIntensityMatrix(np.array([[-1.0, 1.0], [0.0, -1.0]]))
 # the reference
 
 
-def ref_terms(kind, b, arr):
-    """``(g_inv, h, dh/dbeta, int_dh_dbeta)`` with the t > 0 masking."""
+def ref_terms(kind, b, t):
+    """``(g_inv, int_dh_dbeta, sum log h, sum dh/dbeta / h)`` at t > 0."""
     if kind == IDENTITY:
-        return arr.copy(), np.ones_like(arr), np.zeros_like(arr), np.zeros_like(arr)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return t.copy(), np.zeros_like(t), 0.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
         if kind == GOMPERTZ:
-            bt = b * arr
-            m1 = np.expm1(bt)
-            e = np.exp(bt)
-            dh = arr * e
-            return m1 / b, e, dh, dh / b - m1 / (b * b)
-        pb = arr**b
-        pos = arr > 0.0
-        p1 = arr ** (b - 1.0)
-        log_t = np.log(arr)
-        h = np.ones_like(arr) if b == 1.0 else np.where(pos, b * p1, 0.0)
-        dh = np.where(pos, p1 * (1.0 + b * log_t), 0.0)
-        return pb, h, dh, np.where(pos, pb * log_t, 0.0)
+            m1 = np.expm1(b * t)
+            g_inv = m1 / b
+            sum_t = float(t.sum())
+            return g_inv, (t * (m1 + 1.0) - g_inv) / b, b * sum_t, sum_t
+        log_t = np.log(t)
+        g_inv = np.exp(b * log_t)
+        sum_log_t = float(log_t.sum())
+        return (g_inv, g_inv * log_t, t.size * math.log(b) + (b - 1.0) * sum_log_t,
+                t.size / b + sum_log_t)
 
 
-def ref_eig_eval(kern, coeff, s):
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return (np.exp(np.multiply.outer(s, kern._w)) @ coeff).real
+def ref_pointwise(fam, t):
+    """``(g_inv, h)`` at t >= 0 as the public density and CDF take them."""
+    b = fam.beta
+    if fam.kind == IDENTITY:
+        return t.copy(), np.ones_like(t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if fam.kind == GOMPERTZ:
+            return np.expm1(b * t) / b, np.exp(b * t)
+        h = np.ones_like(t) if b == 1.0 else np.where(t > 0.0, b * t ** (b - 1.0), 0.0)
+        return t**b, h
+
+
+def ref_column(kern, row, a, b, p, q, s):
+    """One column of coefficient row ``row`` at finite s >= 0."""
+    e = np.exp(s * a)
+    if not b:
+        return p[row] * e
+    phase = np.minimum(s, 1e300 / max(col[1] for col in kern._cols))
+    return p[row] * (e * np.cos(phase * b)) - q[row] * (e * np.sin(phase * b))
+
+
+def ref_shifted(kern, row, s):
+    total = None
+    for a, b, p, q in kern._cols:
+        col = ref_column(kern, row, a, b, p, q, s)
+        total = col if total is None else total + col
+    return np.full(s.shape, kern._const[row]) if total is None else total + kern._const[row]
+
+
+def ref_eig_eval(kern, row, s):
+    return ref_shifted(kern, row, s) * np.exp(s * kern._shift)
 
 
 def ref_expm_eval(kern, right, s):
@@ -73,14 +101,12 @@ def ref_expm_eval(kern, right, s):
 
 def ref_density_and_ratio(kern, s):
     if kern._eig_ok:
-        shift = kern._w.real.max()
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            e = np.exp(np.multiply.outer(s, kern._w - shift))
-            num = (e @ kern._c_rate).real
-            den = (e @ kern._c_exit).real
+        den = ref_shifted(kern, 0, s)
+        num = ref_shifted(kern, 1, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
             nz = den != 0.0
             ratio = np.where(nz, num / np.where(nz, den, 1.0), np.nan)
-        return ref_eig_eval(kern, kern._c_exit, s), ratio
+        return den * np.exp(s * kern._shift), ratio
     exps = [matrix_exponential(kern._arr, si) for si in s]
     a = np.array([kern._pi @ e @ kern._exit for e in exps])
     b = np.array([kern._pi @ kern._arr @ e @ kern._exit for e in exps])
@@ -98,7 +124,7 @@ def ref_kernel_arrays(obj, beta):
 
 def ref_evaluate(obj, beta):
     t = obj.absorption_times
-    _g_inv, h, dh, int_dh = ref_terms(obj.family, float(beta), t)
+    _g_inv, int_dh, sum_log_h, sum_dlog_h = ref_terms(obj.family, float(beta), t)
     a, ratio = ref_kernel_arrays(obj, beta)
     bad = np.nonzero(~np.isfinite(a) | (a <= 0.0))[0]
     if bad.size:
@@ -106,43 +132,45 @@ def ref_evaluate(obj, beta):
                       RuntimeWarning)
         ell = -np.inf
     else:
-        ell = float(np.log(h).sum() + np.log(a).sum())
+        ell = float(sum_log_h + np.log(a).sum())
     bad = np.nonzero(~np.isfinite(ratio))[0]
     if bad.size:
         warnings.warn(f"score underflow at observation {int(bad[0])} (t={t[bad[0]]:g})",
                       RuntimeWarning)
         grad = float("nan")
     else:
-        grad = float((dh / h).sum() + (int_dh * ratio).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = float(sum_dlog_h + (int_dh * ratio).sum())
     return ell, grad
 
 
 def ref_iph_density(pi, lam, fam, t):
     obj = BetaObjective(IDENTITY, pi, lam, np.ones(1))  # for its kernel
     t_arr = np.asarray(t, dtype=float)
-    s = ref_terms(fam.kind, fam.beta, t_arr)[0]
+    s, h = ref_pointwise(fam, t_arr)
     finite = np.isfinite(s)
     out = np.zeros(s.shape)
     if np.any(finite):
         masked = np.where(finite, s, 0.0)
         if obj._kernel._eig_ok:
-            df = ref_eig_eval(obj._kernel, obj._kernel._c_exit, masked)
+            df = ref_eig_eval(obj._kernel, 0, masked)
         else:
             df = ref_expm_eval(obj._kernel, obj._kernel._exit, masked)
-        vals = ref_terms(fam.kind, fam.beta, t_arr)[1] * df
-        out = np.where(finite, np.maximum(vals, 0.0), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = h * df
+        out = np.where(finite & (df != 0.0), np.maximum(vals, 0.0), 0.0)
     return float(out) if np.ndim(t) == 0 else out
 
 
 def ref_iph_cdf(pi, lam, fam, t):
     obj = BetaObjective(IDENTITY, pi, lam, np.ones(1))
-    s = ref_terms(fam.kind, fam.beta, np.asarray(t, dtype=float))[0]
+    s = ref_pointwise(fam, np.asarray(t, dtype=float))[0]
     finite = np.isfinite(s)
     out = np.ones(s.shape)
     if np.any(finite):
         masked = np.where(finite, s, 0.0)
         if obj._kernel._eig_ok:
-            surv = ref_eig_eval(obj._kernel, obj._kernel._c_one, masked)
+            surv = ref_eig_eval(obj._kernel, 2, masked)
         else:
             surv = ref_expm_eval(obj._kernel, obj._kernel._ones, masked)
         out = np.where(finite, np.clip(1.0 - surv, 0.0, 1.0), 1.0)
@@ -177,7 +205,8 @@ def _assert_same_objective(obj, betas):
         want, want_warned = _recorded(ref_evaluate, obj, beta)
         assert _bits(got) == _bits(want), (obj.family, beta, got, want)
         assert got_warned == want_warned, (obj.family, beta)
-        g_inv = obj.family_at(beta)._terms(obj.absorption_times)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_inv = obj.family_at(beta)._objective_terms(*obj._fixed)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             arrays = obj._kernel.density_and_ratio(g_inv)
@@ -195,12 +224,12 @@ def _absorption_times(preset, count, seed):
 def test_preset_objectives_match_reference(preset):
     times = _absorption_times(preset, 1000, 31)
     betas = [1e-5] + [preset.beta * f for f in (0.5, 0.9, 1.0, 1.01, 1.5, 3.0, 5.0, 9.0)]
-    # the gompertz generator has complex eigenvalues and the weibull one
-    # real ones: each family is evaluated on both kinds of table
+    # the gompertz generator has a complex pair and the weibull one real
+    # eigenvalues: each family is evaluated on both kinds of column
     for model in (GOMPERTZ_STUDY, WEIBULL_STUDY):
         obj = BetaObjective(preset.family, model.pi, model.lam, times)
         assert obj._kernel._eig_ok
-        assert obj._kernel._w.dtype.kind == ("c" if model is GOMPERTZ_STUDY else "f")
+        assert any(b for _a, b, _p, _q in obj._kernel._cols) == (model is GOMPERTZ_STUDY)
         _assert_same_objective(obj, betas)
 
 
