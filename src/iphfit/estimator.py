@@ -41,13 +41,14 @@ from .generator import InitialDistribution, SubIntensityMatrix
 from .likelihood import (
     BetaObjective,
     SufficientStatistics,
+    _mle_rates,
     flat_statistics,
     gd_solve,
     mle_generator,
 )
 from .paths import HOMOGENEOUS, ContinuousPath, FlatPaths, PanelObservationSet, RandomStream
 from .scaling import GOMPERTZ, IDENTITY, WEIBULL, ScalingFamily
-from .simulate import bridge_model, check_absorbable
+from .simulate import _bridge_table, _check_absorbable, bridge_model
 
 # jumps kept per completed path, and virtual jumps per bridge
 _PATH_CAP = 1 << 16
@@ -282,7 +283,7 @@ def _init_absorption_times(
     starts = np.arange(0, rows.size + 1, 2)
     _stats, paths, work = _sweep(
         panel, keys, panel.flat_times[rows], panel.flat_states0[rows], starts,
-        panel.groups[rows], lam0, rng, 0,
+        panel.groups[rows], bridge_model(lam0), rng, 0,
     )
     return paths.end_times, work
 
@@ -294,21 +295,22 @@ def _sweep(
     obs_x: np.ndarray,
     starts: np.ndarray,
     groups: np.ndarray,
-    lam: SubIntensityMatrix,
+    model: tuple,
     rng: RandomStream,
     iteration: int,
-) -> tuple[SufficientStatistics, FlatPaths, SweepWork]:
-    """Complete the panel paths ``keys`` with one ``complete_sweep`` call.
+) -> tuple[tuple, FlatPaths, SweepWork]:
+    """Complete the panel paths ``keys`` with one ``complete_sweep`` call
+    under the chain ``model`` of :func:`bridge_model`.
 
     Path j of the call is observed at ``obs_s[starts[j]:starts[j + 1]]``
     in the 0-based states ``obs_x[...]``: the last observations of panel
     path ``keys[j]``, which draws from ``rng.substream(iteration,
     keys[j])``; ``groups`` are the panel's bridge groups of those
-    observations.  Returns the pooled statistics, the completed
-    trajectories and the work counters; a failure raises the error naming
-    the panel path and segment.
+    observations.  Returns the pooled statistics ``(B, N_xy, N_x, R_x)``,
+    the completed trajectories and the work counters; a failure raises the
+    error naming the panel path and segment.
     """
-    cum, total, mu, ptrans = bridge_model(lam)
+    cum, total, mu, ptrans = model
     status, j, seg, work, stats, flat = _kernels.complete_sweep(
         _kernels.stream_words(rng.seed, *rng.key), iteration, keys, obs_s, obs_x, starts,
         groups, cum, total, panel.n, mu, ptrans, _VIRTUAL_CAP, _PATH_CAP,
@@ -318,7 +320,7 @@ def _sweep(
         paths = FlatPaths(panel.n, times, states, bounds, times[bounds[1:] - 1], HOMOGENEOUS)
         censored = int(np.count_nonzero(obs_x[starts[1:] - 1] != panel.n))
         work = SweepWork(work[0], times.size - keys.size, censored, work[1])
-        return SufficientStatistics(*stats), paths, work
+        return stats, paths, work
     k = keys[j]
     if status == 3:
         raise StructuralError(
@@ -347,21 +349,22 @@ def _complete_all(
     family: ScalingFamily,
     rng: RandomStream,
     iteration: int,
-) -> tuple[SufficientStatistics, FlatPaths, SweepWork]:
+) -> tuple[tuple, FlatPaths, SweepWork]:
     """SE-step: reconstruct every path on the homogeneous timeline.
 
-    One sweep completes every path once, in panel order, path k drawing
-    from the stream of ``rng.substream(iteration, k)``.  Only the distinct
-    observation epochs go through ``g_inv``, unchecked: ``_PanelArrays``
-    checked them.  Returns the pooled statistics, the completed
-    trajectories and the work counters.
+    ``lam`` is checked here, once; the reachability check and the bridge
+    chain read its entries and exit rates.  One sweep completes every path
+    once, in panel order, path k drawing from the stream of
+    ``rng.substream(iteration, k)``.  Only the distinct observation epochs
+    go through ``g_inv``, unchecked: ``_PanelArrays`` checked them.
+    Returns what ``_sweep`` returns.
     """
+    entries, exit_rates = lam.entries, lam.exit_rates()
     if panel.censored_last:
-        check_absorbable(lam, panel.censored_last)
-    (epochs_s,) = family._terms(panel.epochs, g_inv_only=True)
+        _check_absorbable(entries, exit_rates, panel.censored_last)
     return _sweep(
-        panel, panel.keys, epochs_s[panel.epoch_index], panel.flat_states0, panel.starts,
-        panel.groups, lam, rng, iteration,
+        panel, panel.keys, family._g_inv(panel.epochs)[panel.epoch_index], panel.flat_states0,
+        panel.starts, panel.groups, _bridge_table(entries, exit_rates), rng, iteration,
     )
 
 
@@ -388,12 +391,10 @@ def sem_iteration(
     family = ScalingFamily(cfg.family, beta_hat) if update_beta else ScalingFamily(IDENTITY)
     try:
         stats, paths, work = _complete_all(panel, lam_hat, family, rng, iteration_index)
-        new_lam = mle_generator(stats, panel.K)[1]
-        if not update_beta:
-            return SemIterationResult(
-                new_lam, None, 0, family._g(paths.end_times), paths, work
-            )
+        new_lam = SubIntensityMatrix(_mle_rates(*stats[1:]))
         abs_cal = family._g(paths.end_times)
+        if not update_beta:
+            return SemIterationResult(new_lam, None, 0, abs_cal, paths, work)
         obj = BetaObjective(cfg.family, pi_hat, new_lam, abs_cal)
         new_beta, gd_updates = gd_solve(
             obj, beta_hat, cfg.eta, cfg.e_ell, cfg.beta_min, cfg.gd_max_steps,

@@ -45,7 +45,7 @@ class SubIntensityMatrix:
         only checks shape and finiteness; call :func:`validate_generator`
         for the structural checks.  The entries are read-only, so
         ``require_valid`` and ``exit_rates`` run those checks once per
-        matrix.
+        matrix, and the exit rates are computed once too.
     """
 
     entries: np.ndarray
@@ -60,9 +60,16 @@ class SubIntensityMatrix:
         return self.entries.shape[0]
 
     def exit_rates(self) -> np.ndarray:
-        """Rates into the absorbing state: negated row sums, clipped at zero."""
+        """Rates into the absorbing state: negated row sums, clipped at
+        zero (read-only)."""
         self.require_valid()
-        return np.maximum(-self.entries.sum(axis=1), 0.0)
+        return self._exit
+
+    @cached_property
+    def _exit(self) -> np.ndarray:
+        out = np.maximum(-self.entries.sum(axis=1), 0.0)
+        out.setflags(write=False)
+        return out
 
     def require_valid(self) -> None:
         report = self._report
@@ -108,23 +115,19 @@ def validate_generator(m: SubIntensityMatrix | np.ndarray) -> ValidationReport:
     ('negative off-diagonal rate at (1,2)',)
     """
     arr = m.entries if isinstance(m, SubIntensityMatrix) else _as_square_array(m)
-    n = arr.shape[0]
-    violations: list[str] = []
-    warnings: list[str] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if arr[i, j] > 0.0:
-                    violations.append(f"positive diagonal entry at ({i + 1},{i + 1})")
-            elif arr[i, j] < 0.0:
-                violations.append(f"negative off-diagonal rate at ({i + 1},{j + 1})")
+    diagonal = np.eye(arr.shape[0], dtype=bool)
+    violations = [
+        f"positive diagonal entry at ({i + 1},{i + 1})" if i == j
+        else f"negative off-diagonal rate at ({i + 1},{j + 1})"
+        for i, j in zip(*np.nonzero(np.where(diagonal, arr > 0.0, arr < 0.0)))
+    ]
     row_sums = arr.sum(axis=1)
-    scale = np.maximum(1.0, np.abs(arr).max(axis=1))
-    for i in range(n):
-        if row_sums[i] > _ROWSUM_SLACK * scale[i]:
-            violations.append(f"row {i + 1} sums to {row_sums[i]:g} > 0")
-        elif not np.any(arr[i] != 0.0):
-            warnings.append(f"state {i + 1} is absorbing-in-disguise")
+    over = row_sums > _ROWSUM_SLACK * np.maximum(1.0, np.abs(arr).max(axis=1))
+    violations += [f"row {i + 1} sums to {row_sums[i]:g} > 0" for i in np.flatnonzero(over)]
+    warnings = [
+        f"state {i + 1} is absorbing-in-disguise"
+        for i in np.flatnonzero(~over & ~(arr != 0.0).any(axis=1))
+    ]
     return ValidationReport(
         ok=not violations, violations=tuple(violations), warnings=tuple(warnings)
     )

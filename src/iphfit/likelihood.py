@@ -13,8 +13,8 @@ through an eigendecomposition of L when it is numerically trustworthy and
 otherwise fall back to per-point expm calls.  Every construction probes
 the eigen side at four points (the three coefficient vectors of one set of
 columns) against a uniformization reference, within 1e-11 relative; the
-reference is numpy alone, so a kernel on the eigen route never loads
-scipy.
+reference is numpy alone, a few small matrix products into one
+preallocated table, so a kernel on the eigen route never loads scipy.
 
 The eigen side is real arithmetic, one eigenvalue column at a time: each
 conjugate pair is one column ``2 Re(c e^(sw))`` in cos and sin, the
@@ -27,13 +27,14 @@ and ratio nan.
 
 The beta objective is evaluated in one pass per beta: the family's terms
 (g_inv, the accumulated beta-derivative of h, and the sums of log h and
-of its beta-derivative in closed form) and the kernel's density and score
-ratio are computed once and shared by the log-likelihood and its score.
-What does not depend on beta is done once, when the objective is built:
-the absorption times are checked there, and log t, the sum of t and the
-sum of log t taken.  Each part is checked once, on its sum.  The gradient
-ascent backtracks a step that would lower the log-likelihood, and an
-update that lands on an earlier beta fails at once.
+of its beta-derivative in closed form, with no family object built) and
+the kernel's density and score ratio are computed once and shared by the
+log-likelihood and its score.  What does not depend on beta is done once,
+when the objective is built: the absorption times are checked there, and
+log t, the sum of t and the sum of log t taken.  Each part is checked
+once, on its sum.  The gradient ascent backtracks a step that would lower
+the log-likelihood, and an update that lands on an earlier beta fails at
+once.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import (
 )
 from .generator import InitialDistribution, SubIntensityMatrix, matrix_exponential
 from .paths import HOMOGENEOUS, ContinuousPath
-from .scaling import IDENTITY, ScalingFamily
+from .scaling import ScalingFamily, _checked_beta, _objective_terms
 
 # ---------------------------------------------------------------------------
 # sufficient statistics and MLEs
@@ -184,18 +185,19 @@ def mle_generator(
         raise ValidationError(
             f"start counts sum to {int(stats.start_counts.sum())}, expected K={K}"
         )
-    zero = np.nonzero(stats.occupation <= 0.0)[0]
+    lam = _mle_rates(stats.jump_counts, stats.absorption_counts, stats.occupation)
+    return InitialDistribution(stats.start_counts / K), SubIntensityMatrix(lam)
+
+
+def _mle_rates(jumps: np.ndarray, absorptions: np.ndarray, occupation: np.ndarray) -> np.ndarray:
+    """The entries of :func:`mle_generator`'s Lambda from counts that hold
+    its checks; a state with no occupation raises ``StarvedStateError``."""
+    zero = np.flatnonzero(occupation <= 0.0)
     if zero.size:
         raise StarvedStateError(int(zero[0]) + 1)
-    n = stats.n
-    rates = stats.jump_counts / stats.occupation[:, None]
-    exit_hat = stats.absorption_counts / stats.occupation
-    lam = rates.copy()
-    lam[np.eye(n, dtype=bool)] = -(rates.sum(axis=1) + exit_hat)
-    return (
-        InitialDistribution(stats.start_counts / K),
-        SubIntensityMatrix(lam),
-    )
+    lam = jumps / occupation[:, None]
+    np.fill_diagonal(lam, -(lam.sum(axis=1) + absorptions / occupation))
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +322,25 @@ class _AbsorptionKernel:
         (non-negative, rows summing to at most one),
         ``exp(sL) = sum_k Poisson(k; rate s) P^k``.  The probe points are
         ``s = m / rate`` for the fixed means in ``_PROBE_MEANS``, so the
-        Poisson weights are constants; the rows ``pi P^k`` (k < 64) double
-        with each squaring of P, and the Poisson(5) tail beyond them is
-        below 1e-40.  pi L exp(sL) exit is taken as pi exp(sL) (L exit).
-        The eigen side is the three rows of one ``_shifted`` call.
+        Poisson weights are constants.  The rows ``pi P^k`` (k < 64) fill
+        one preallocated table, rows ``k..2k - 1`` as rows ``0..k - 1``
+        times ``P^k`` with P squared after each of the six products; the
+        Poisson(5) tail beyond them is below 1e-40.  pi L exp(sL) exit is
+        taken as pi exp(sL) (L exit).  The eigen side is the three rows of
+        one ``_shifted`` call.
         """
+        n = self._arr.shape[0]
         rate = max(float(-self._arr.diagonal().min()), 1e-12)
         s = _PROBE_MEANS / rate
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            got = np.column_stack(self._shifted(s, (0, 1, 2))) * np.exp(s * self._shift)[:, None]
-        rows, power = self._pi[None, :], np.eye(self._arr.shape[0]) + self._arr / rate
-        while rows.shape[0] < _PROBE_TERMS:
-            rows = np.vstack((rows, rows @ power))
-            power = power @ power
+            got = np.array(self._shifted(s, (0, 1, 2))) * np.exp(s * self._shift)
+        rows = np.empty((_PROBE_TERMS, n))
+        rows[0], power, k = self._pi, np.eye(n) + self._arr / rate, 1
+        while k < _PROBE_TERMS:
+            np.matmul(rows[:k], power, out=rows[k:2 * k])
+            power, k = power @ power, 2 * k
         right = np.column_stack((self._exit, self._arr @ self._exit, self._ones))
-        ref = _PROBE_WEIGHTS @ (rows @ right)
+        ref = (_PROBE_WEIGHTS @ (rows @ right)).T  # a row per coefficient row, as got
         return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(np.abs(ref), 1e-3))
 
     def _expm_eval(self, right: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -445,7 +451,7 @@ class BetaObjective:
     def __post_init__(self):
         pi = _wrap_pi(self.pi)
         lam = _wrap_lam(self.lam)
-        ScalingFamily(self.family, 1.0)  # validates the kind
+        _checked_beta(self.family, 1.0)  # validates the kind
         times = np.asarray(self.absorption_times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValidationError("absorption times must be a non-empty vector")
@@ -457,11 +463,8 @@ class BetaObjective:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "absorption_times", times)
         object.__setattr__(self, "_kernel", _AbsorptionKernel(pi, lam))
-        # the arguments of ScalingFamily._objective_terms after beta
+        # the arguments of _objective_terms after the kind and beta
         object.__setattr__(self, "_fixed", (times, log_t, float(times.sum()), float(log_t.sum())))
-
-    def family_at(self, beta: float) -> ScalingFamily:
-        return ScalingFamily(self.family, beta)
 
 
 def _underflow_warning(kind: str, index: int, t: float, stacklevel: int) -> None:
@@ -490,7 +493,9 @@ def _evaluate(
     """
     ell = grad = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g_inv, int_dh, sum_log_h, sum_dlog_h = obj.family_at(beta)._objective_terms(*obj._fixed)
+        g_inv, int_dh, sum_log_h, sum_dlog_h = _objective_terms(
+            obj.family, _checked_beta(obj.family, beta), *obj._fixed
+        )
         a, ratio = obj._kernel.density_and_ratio(g_inv)
         if loglik:
             ell = float(sum_log_h + np.log(a).sum())

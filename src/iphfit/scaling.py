@@ -3,9 +3,9 @@
 A family supplies a positive scaling function ``h(t)`` (the generator at
 calendar time t is ``h(t) * L``), its accumulated version
 ``g_inv(t) = int_0^t h(s) ds`` mapping calendar time to operational time,
-the inverse map ``g``, and (through ``_terms``) the two beta-derivatives
-needed by the score of the absorption-time likelihood, which
-``_objective_terms`` evaluates in the form the beta objective sums.
+the inverse map ``g``, and, through ``_objective_terms``, the
+beta-derivatives needed by the score of the absorption-time likelihood,
+in the form the beta objective sums.
 
 Families
 --------
@@ -49,6 +49,19 @@ def _scalar_like(t, arr: np.ndarray):
     return float(arr) if np.isscalar(t) or np.ndim(t) == 0 else arr
 
 
+def _checked_beta(kind: str, beta) -> float:
+    """``beta`` as a float, once ``kind`` names a family and ``beta`` is
+    positive and finite (identity ignores it)."""
+    if kind not in _KINDS:
+        raise ValidationError(
+            f"unknown scaling family {kind!r}; expected one of {_KINDS}"
+        )
+    beta = float(beta)
+    if kind != IDENTITY and not (math.isfinite(beta) and beta > 0.0):
+        raise ValidationError(f"beta must be positive and finite, got {beta!r}")
+    return beta
+
+
 @dataclass(frozen=True)
 class ScalingFamily:
     """One member of a time-scaling family: a kind plus its shape parameter.
@@ -61,14 +74,7 @@ class ScalingFamily:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(
-                f"unknown scaling family {self.kind!r}; expected one of {_KINDS}"
-            )
-        beta = float(self.beta)
-        if self.kind != IDENTITY and not (np.isfinite(beta) and beta > 0.0):
-            raise ValidationError(f"beta must be positive and finite, got {beta!r}")
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _checked_beta(self.kind, self.beta))
 
     # -- scaling function and its accumulated form ---------------------
 
@@ -80,12 +86,11 @@ class ScalingFamily:
         density handles it), beta = 1 gives h identically 1.
         """
         arr = _check_times(t, allow_zero=self.kind != WEIBULL or self.beta >= 1.0)
-        return _scalar_like(t, self._terms(arr)[1])
+        return _scalar_like(t, self._h(arr))
 
     def g_inv(self, t):
         """Operational time g_inv(t) = int_0^t h(s) ds; increasing, 0 at 0."""
-        (s,) = self._terms(_check_times(t, allow_zero=True), g_inv_only=True)
-        return _scalar_like(t, s)
+        return _scalar_like(t, self._g_inv(_check_times(t, allow_zero=True)))
 
     def g(self, s):
         """Calendar time for operational time s; inverse of :meth:`g_inv`."""
@@ -96,65 +101,55 @@ class ScalingFamily:
             raise ValidationError("operational times must be non-negative")
         return _scalar_like(s, self._g(arr))
 
+    # -- the same at times already checked: overflow gives inf without a
+    # warning, the callers check
+
+    def _h(self, arr: np.ndarray) -> np.ndarray:
+        b = self.beta
+        if self.kind == IDENTITY or (self.kind == WEIBULL and b == 1.0):
+            return np.ones_like(arr)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if self.kind == GOMPERTZ:
+                return np.exp(b * arr)
+            return b * arr ** (b - 1.0)
+
+    def _g_inv(self, arr: np.ndarray) -> np.ndarray:
+        if self.kind == IDENTITY:
+            return arr.copy()
+        with np.errstate(over="ignore"):
+            if self.kind == GOMPERTZ:
+                return np.expm1(self.beta * arr) / self.beta
+            return arr**self.beta
+
     def _g(self, arr: np.ndarray) -> np.ndarray:
-        """:meth:`g` at operational times already checked."""
         if self.kind == IDENTITY:
             return arr.copy()
         if self.kind == GOMPERTZ:
             return np.log1p(self.beta * arr) / self.beta
         return arr ** (1.0 / self.beta)
 
-    def _terms(self, arr: np.ndarray, g_inv_only: bool = False) -> tuple:
-        """``(g_inv, h, dh/dbeta, int_dh_dbeta)`` at times already checked.
 
-        The pointwise formulas of each family.  The terms share exp(beta t)
-        and expm1(beta t) (gompertz) or t^beta, t^(beta-1) and log t
-        (weibull); log t is taken as 0 at t = 0, which gives both of its
-        terms their limit 0 there.  ``g_inv_only`` makes ``(g_inv,)``
-        alone.  Overflow gives inf or nan without a warning; the callers
-        check.
-        """
-        b = self.beta
-        if self.kind == IDENTITY:
-            terms = (arr.copy(), np.ones_like(arr), np.zeros_like(arr), np.zeros_like(arr))
-            return terms[:1] if g_inv_only else terms
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if self.kind == GOMPERTZ:
-                bt = b * arr
-                m1 = np.expm1(bt)
-                if g_inv_only:
-                    return (m1 / b,)
-                e = np.exp(bt)
-                dh = arr * e
-                return m1 / b, e, dh, dh / b - m1 / (b * b)
-            pb = arr**b
-            if g_inv_only:
-                return (pb,)
-            log_t = np.log(np.where(arr > 0.0, arr, 1.0))
-            p1 = arr ** (b - 1.0)
-            h = np.ones_like(arr) if b == 1.0 else b * p1
-            return pb, h, p1 * (1.0 + b * log_t), pb * log_t
+def _objective_terms(kind: str, b: float, t: np.ndarray, log_t: np.ndarray, sum_t: float,
+                     sum_log_t: float) -> tuple:
+    """``(g_inv, int_dh_dbeta, sum log h, sum dh/dbeta / h)`` of the family
+    ``kind`` at the checked ``b`` over absorption times ``t``, all > 0, for
+    the beta objective.
 
-    def _objective_terms(self, t: np.ndarray, log_t: np.ndarray, sum_t: float,
-                         sum_log_t: float) -> tuple:
-        """``(g_inv, int_dh_dbeta, sum log h, sum dh/dbeta / h)`` over
-        absorption times ``t``, all > 0, for the beta objective.
-
-        ``log_t``, ``sum_t`` and ``sum_log_t`` are log t, the sum of t and
-        the sum of log t, which do not depend on beta.  The two sums are
-        closed forms: gompertz log h = beta t and dh/dbeta / h = t; weibull
-        log h = log beta + (beta - 1) log t and dh/dbeta / h = 1 / beta +
-        log t.  Weibull's g_inv is exp(beta log t).  Overflow gives inf or
-        nan, with numpy's warnings unless the caller silences them; the
-        callers check.
-        """
-        b = self.beta
-        if self.kind == IDENTITY:
-            return t, np.zeros_like(t), 0.0, 0.0
-        if self.kind == GOMPERTZ:
-            m1 = np.expm1(b * t)
-            g_inv = m1 / b
-            return g_inv, (t * (m1 + 1.0) - g_inv) / b, b * sum_t, sum_t
-        g_inv = np.exp(b * log_t)
-        sum_log_h = t.size * math.log(b) + (b - 1.0) * sum_log_t
-        return g_inv, g_inv * log_t, sum_log_h, t.size / b + sum_log_t
+    ``log_t``, ``sum_t`` and ``sum_log_t`` are log t, the sum of t and the
+    sum of log t, which do not depend on beta.  The two sums are closed
+    forms: gompertz log h = beta t and dh/dbeta / h = t; weibull log h =
+    log beta + (beta - 1) log t and dh/dbeta / h = 1 / beta + log t.
+    int_0^t dh/dbeta is gompertz (t h(t) - g_inv(t)) / beta and weibull
+    g_inv(t) log t, and Weibull's g_inv is exp(beta log t).  Overflow
+    gives inf or nan, with numpy's warnings unless the caller silences
+    them; the callers check.
+    """
+    if kind == IDENTITY:
+        return t, np.zeros_like(t), 0.0, 0.0
+    if kind == GOMPERTZ:
+        m1 = np.expm1(b * t)
+        g_inv = m1 / b
+        return g_inv, (t * (m1 + 1.0) - g_inv) / b, b * sum_t, sum_t
+    g_inv = np.exp(b * log_t)
+    sum_log_h = t.size * math.log(b) + (b - 1.0) * sum_log_t
+    return g_inv, g_inv * log_t, sum_log_h, t.size / b + sum_log_t

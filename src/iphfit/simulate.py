@@ -41,24 +41,13 @@ def _as_pi(pi, n: int) -> InitialDistribution:
     return pi
 
 
-def _rates(m: SubIntensityMatrix) -> np.ndarray:
-    """The (n, n + 1) table of off-diagonal rates (self entry zeroed), then
-    the exit rate, of each transient state."""
-    n = m.n
-    rates = np.zeros((n, n + 1))
-    rates[:, :n] = np.where(np.eye(n, dtype=bool), 0.0, m.entries)
-    rates[:, n] = m.exit_rates()
-    return rates
-
-
 def jump_model(m: SubIntensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative-rate table for the kernels: (cum, total).
 
     ``cum[x]`` accumulates the n off-diagonal rates of x (self entry
     zeroed) followed by its exit rate; ``total[x] == cum[x, -1]``.
     """
-    cum = np.ascontiguousarray(np.cumsum(_rates(m), axis=1))
-    return cum, np.ascontiguousarray(cum[:, -1].copy())
+    return _bridge_table(m.entries, m.exit_rates())[:2]
 
 
 def bridge_model(m: SubIntensityMatrix) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -70,12 +59,22 @@ def bridge_model(m: SubIntensityMatrix) -> tuple[np.ndarray, np.ndarray, float, 
     and its row zero, so that row of P is the identity; ``P = I`` when mu
     is 0.  A chain that jumps at rate mu by P is the chain of G.
     """
-    cum, total = jump_model(m)
-    n = m.n
+    return _bridge_table(m.entries, m.exit_rates())
+
+
+def _bridge_table(lam: np.ndarray, exit_rates: np.ndarray) -> tuple:
+    """:func:`bridge_model` of the checked entries ``lam`` and their exit
+    rates."""
+    n = lam.shape[0]
+    rates = np.zeros((n, n + 1))
+    rates[:, :n] = np.where(np.eye(n, dtype=bool), 0.0, lam)
+    rates[:, n] = exit_rates
+    cum = np.cumsum(rates, axis=1)
+    total = cum[:, -1].copy()
     mu = float(total.max())
     ptrans = np.eye(n + 1)
     if mu > 0.0:
-        ptrans[:n] = _rates(m) / mu
+        ptrans[:n] = rates / mu
         ptrans[np.arange(n), np.arange(n)] = 1.0 - total / mu
     return cum, total, mu, ptrans
 
@@ -83,29 +82,23 @@ def bridge_model(m: SubIntensityMatrix) -> tuple[np.ndarray, np.ndarray, float, 
 def check_absorbable(m: SubIntensityMatrix, start_states0) -> None:
     """Raise unless absorption is reachable from every state reachable
     from ``start_states0`` (0-based) along positive-rate edges."""
-    arr = m.entries
-    n = m.n
-    edges = arr > 0.0
+    _check_absorbable(m.entries, m.exit_rates(), start_states0)
+
+
+def _check_absorbable(lam: np.ndarray, exit_rates: np.ndarray, start_states0) -> None:
+    """:func:`check_absorbable` of the checked entries ``lam`` and their
+    exit rates: n rounds of boolean reachability, forward from the start
+    states and backward from the states with an exit rate."""
+    n = lam.shape[0]
+    edges = lam > 0.0
     np.fill_diagonal(edges, False)
     reach = np.zeros(n, dtype=bool)
-    stack = [int(s) for s in start_states0]
-    for s in stack:
-        reach[s] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(edges[i])[0]:
-            if not reach[j]:
-                reach[j] = True
-                stack.append(int(j))
-    can_absorb = m.exit_rates() > 0.0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if not can_absorb[i] and np.any(edges[i] & can_absorb):
-                can_absorb[i] = True
-                changed = True
-    bad = np.nonzero(reach & ~can_absorb)[0]
+    reach[np.asarray(start_states0, dtype=np.int64)] = True
+    can_absorb = exit_rates > 0.0
+    for _ in range(n):
+        reach = reach | (reach @ edges)
+        can_absorb = can_absorb | (edges @ can_absorb)
+    bad = np.flatnonzero(reach & ~can_absorb)
     if bad.size:
         states = ", ".join(str(i + 1) for i in bad)
         raise StructuralError(

@@ -15,12 +15,15 @@ ledger.  A change that moves bytes on purpose regenerates the ledger with
 The entries are ``write_study`` of both presets at seeds 10-12 and the six
 files of ``test_kernels._cli_run`` (simulate, fit with ``--dump-paths``,
 gof).  For each study entry the ledger also records its ``work``: the
-``SweepWork`` counters summed over every sweep of every window, so that a
-change which keeps the bytes but not the work done shows too.  The ledger
+``SweepWork`` counters summed over every sweep of every window, and the
+number of beta-objective evaluations of the study's ascents (every call of
+``likelihood._evaluate``, backtracked trials included), so that a change
+which keeps the bytes but not the work done shows too.  The ledger
 also records the environment it was made in: float results, and so the
 bytes, may differ under another Python, numpy, libc or machine.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -32,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from iphfit import run_study, write_study
+from iphfit import likelihood, run_study, write_study
 from iphfit.studies import PRESETS
 
 LEDGER = pathlib.Path(__file__).with_name("byte_ledger.json")
@@ -57,13 +60,33 @@ def _hashes(root: pathlib.Path) -> dict:
     }
 
 
-def _work(outcome) -> dict:
-    """The ``SweepWork`` of every sweep of a study, summed field by field."""
+def _work(outcome, evaluations: int) -> dict:
+    """The ``SweepWork`` of every sweep of a study, summed field by field,
+    and its count of objective evaluations."""
     works = [r.work for h in outcome.horizons for r in h.result.trace]
-    return {
+    work = {
         f.name: sum(getattr(w, f.name) for w in works)
         for f in dataclasses.fields(works[0])
     }
+    work["objective_evaluations"] = evaluations
+    return work
+
+
+@contextlib.contextmanager
+def _counted_evaluations():
+    """Count the calls of ``likelihood._evaluate`` made inside the block,
+    in the one-element list it yields."""
+    evaluate, count = likelihood._evaluate, [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return evaluate(*args, **kwargs)
+
+    likelihood._evaluate = counted
+    try:
+        yield count
+    finally:
+        likelihood._evaluate = evaluate
 
 
 def entry(name: str) -> tuple[dict, dict | None]:
@@ -78,9 +101,10 @@ def entry(name: str) -> tuple[dict, dict | None]:
             work = None
         else:
             _, preset, seed = name.split("/")
-            outcome = run_study(PRESETS[preset], int(seed.removeprefix("seed")))
+            with _counted_evaluations() as evaluations:
+                outcome = run_study(PRESETS[preset], int(seed.removeprefix("seed")))
             write_study(outcome, root)
-            work = _work(outcome)
+            work = _work(outcome, evaluations[0])
         return _hashes(root), work
 
 

@@ -4,7 +4,8 @@
 each case here checks the density factor, the ratio numerator, the
 survival and the ratio against one ``matrix_exponential`` per time, within
 1e-12 relative, and the objective's log-likelihood and score against sums
-of those with the family's pointwise ``_terms``.  The cases cover a complex
+of those with the family's pointwise h and g_inv and the closed-form
+beta-derivatives of ``_derivatives``.  The cases cover a complex
 pair (Gompertz preset), real eigenvalues (Weibull preset), two complex
 pairs (six states), the constant column alone (one state), the identity
 family, and a Coxian with equal rates, which stays on the expm route.
@@ -15,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _derivatives import dh_dbeta, int_dh_dbeta
 from iphfit import (
     GOMPERTZ,
     IDENTITY,
@@ -27,6 +29,7 @@ from iphfit import (
     matrix_exponential,
 )
 from iphfit.likelihood import _AbsorptionKernel, _evaluate
+from iphfit.scaling import _objective_terms
 from iphfit.simulate import simulate_paths
 from iphfit.studies import GOMPERTZ_STUDY, WEIBULL_STUDY
 
@@ -130,9 +133,13 @@ def test_ratio_past_the_phase_overflow_is_the_dominant_eigenvalue(name):
     _close(ratio, np.full(2, slowest))
 
 
+def _terms(fam, times):
+    return fam.g_inv(times), fam.h(times), dh_dbeta(fam, times), int_dh_dbeta(fam, times)
+
+
 def _oracle_objective(kind, pi, lam, times, beta):
     fam = ScalingFamily(kind, beta)
-    g_inv, h, dh, int_dh = fam._terms(times)
+    g_inv, h, dh, int_dh = _terms(fam, times)
     density, numerator, _survival = oracle(pi, lam, g_inv)
     return (np.sum(np.log(h)) + np.sum(np.log(density)),
             np.sum(dh / h) + np.sum(int_dh * numerator / density))
@@ -170,8 +177,9 @@ def test_family_sums_match_the_pointwise_terms():
     for kind, beta in [(GOMPERTZ, 0.1019), (GOMPERTZ, 0.9), (WEIBULL, 0.5), (WEIBULL, 3.0),
                        (IDENTITY, 1.0)]:
         fam = ScalingFamily(kind, beta)
-        g_inv, h, dh, int_dh = fam._terms(times)
-        got = fam._objective_terms(times, log_t, float(times.sum()), float(log_t.sum()))
+        g_inv, h, dh, int_dh = _terms(fam, times)
+        got = _objective_terms(kind, fam.beta, times, log_t, float(times.sum()),
+                               float(log_t.sum()))
         _close(got[0], g_inv)
         np.testing.assert_allclose(got[1], int_dh, rtol=1e-12, atol=1e-300)
         assert abs(got[2] - np.log(h).sum()) <= 1e-12 * max(1.0, abs(got[2]))

@@ -294,7 +294,7 @@ def _check_errors_name_path(monkeypatch):
     # a censored path running into a state without exit, past the
     # reachability check
     monkeypatch.setattr(estimator, "_PATH_CAP", 1 << 16)
-    monkeypatch.setattr(estimator, "check_absorbable", lambda lam, states: None)
+    monkeypatch.setattr(estimator, "_check_absorbable", lambda lam, exit_rates, states: None)
     trap = SubIntensityMatrix(np.array([[-1.0, 0.5], [0.0, 0.0]]))
     data = _panel(2, [("a", [0, 1], [1, 3]), ("b", [0, 1], [1, 1])])
     with pytest.raises(
@@ -414,7 +414,7 @@ def test_sweep_maps_times_as_the_checked_calls(gompertz_pi, gompertz_lam):
     assert panel.epochs.size < panel.flat_times.size
     for family in (fam, ScalingFamily(WEIBULL, 3.0), ScalingFamily(WEIBULL, 0.7),
                    ScalingFamily("identity")):
-        (mapped,) = family._terms(panel.epochs, g_inv_only=True)
+        mapped = family._g_inv(panel.epochs)
         want = np.asarray(family.g_inv(panel.flat_times), dtype=float)
         assert mapped[panel.epoch_index].tobytes() == want.tobytes()
         assert family._g(want).tobytes() == np.asarray(family.g(want), dtype=float).tobytes()

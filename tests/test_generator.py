@@ -98,6 +98,41 @@ def test_validate_positive_row_sum_fails():
     assert any("row 1" in v for v in report.violations)
 
 
+def _loop_report(arr):
+    """The checks of ``validate_generator`` entry by entry, in plain
+    loops: (violations, warnings)."""
+    n = arr.shape[0]
+    violations, warnings = [], []
+    for i in range(n):
+        for j in range(n):
+            if i == j and arr[i, j] > 0.0:
+                violations.append(f"positive diagonal entry at ({i + 1},{i + 1})")
+            elif i != j and arr[i, j] < 0.0:
+                violations.append(f"negative off-diagonal rate at ({i + 1},{j + 1})")
+    for i in range(n):
+        row_sum = arr[i].sum()
+        if row_sum > 1e-9 * max(1.0, max(abs(x) for x in arr[i])):
+            violations.append(f"row {i + 1} sums to {row_sum:g} > 0")
+        elif all(x == 0.0 for x in arr[i]):
+            warnings.append(f"state {i + 1} is absorbing-in-disguise")
+    return tuple(violations), tuple(warnings)
+
+
+def test_validate_matches_a_loop_over_the_entries():
+    """Random matrices of 1 to 5 states with entries of either sign or
+    zero, zero rows among them: the same violations and warnings, in the
+    same order, as the entry-by-entry loops."""
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        arr = rng.choice([-1.0, 0.0, 0.0, 1.0], size=(n, n)) * rng.uniform(0.1, 2.0, (n, n))
+        arr[rng.uniform(size=n) < 0.2] = 0.0
+        report = validate_generator(arr)
+        want = _loop_report(arr)
+        assert (report.violations, report.warnings) == want
+        assert report.ok == (not want[0])
+
+
 def test_initial_distribution_invariants():
     pi = InitialDistribution(np.array([0.25, 0.75]))
     assert pi.n == 2

@@ -35,7 +35,7 @@ from iphfit import (
 )
 from iphfit import estimator, studies
 from iphfit.cli import main
-from iphfit.likelihood import accumulate_statistics
+from iphfit.likelihood import SufficientStatistics, accumulate_statistics
 from iphfit.paths import HOMOGENEOUS
 from iphfit.simulate import bridge_model, jump_model
 from iphfit.studies import cohort_panel, fitted_absorption_sample, simulate_cohort, uniform_grid
@@ -271,7 +271,7 @@ def test_sweep_matches_per_path_loop(monkeypatch):
             continue
         monkeypatch.setattr(_kernels, "complete_sweep", body)
         got, flat, work = estimator._complete_all(panel, lam, family, rng, 6)
-        assert _stats_bytes(got) == _stats_bytes(stats)
+        assert _stats_bytes(SufficientStatistics(*got)) == _stats_bytes(stats)
         assert len(paths) == panel.K
         assert flat.end_times.tolist() == [p.end_time for p in paths]
         assert flat.times.tobytes() == np.concatenate([p.times for p in paths]).tobytes()

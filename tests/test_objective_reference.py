@@ -32,6 +32,7 @@ from iphfit import (
     matrix_exponential,
 )
 from iphfit.likelihood import _evaluate
+from iphfit.scaling import _objective_terms
 from iphfit.simulate import simulate_paths
 from iphfit.studies import GOMPERTZ_STUDY, WEIBULL_STUDY
 
@@ -206,7 +207,7 @@ def _assert_same_objective(obj, betas):
         assert _bits(got) == _bits(want), (obj.family, beta, got, want)
         assert got_warned == want_warned, (obj.family, beta)
         with np.errstate(over="ignore", invalid="ignore"):
-            g_inv = obj.family_at(beta)._objective_terms(*obj._fixed)[0]
+            g_inv = _objective_terms(obj.family, beta, *obj._fixed)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             arrays = obj._kernel.density_and_ratio(g_inv)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _derivatives import dh_dbeta, int_dh_dbeta
 from iphfit import GOMPERTZ, IDENTITY, WEIBULL, ScalingFamily, ValidationError
 
 BETAS = (0.05, 0.1019, 1.0, 3.0)
@@ -13,16 +14,6 @@ def all_families():
         out.append(ScalingFamily(GOMPERTZ, b))
         out.append(ScalingFamily(WEIBULL, b))
     return out
-
-
-def dh_dbeta(fam, t):
-    """dh/dbeta at t, as the score reads it from ``_terms``."""
-    return fam._terms(np.asarray(t, dtype=float))[2]
-
-
-def int_dh_dbeta(fam, t):
-    """int_0^t dh/dbeta ds, as the score reads it from ``_terms``."""
-    return fam._terms(np.asarray(t, dtype=float))[3]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -80,6 +82,55 @@ def test_check_absorbable_names_state():
     with pytest.raises(StructuralError) as exc:
         check_absorbable(m, [1])
     assert "2" in str(exc.value)
+
+
+def _search_unabsorbable(lam, starts):
+    """The reference for ``check_absorbable``: the states reachable from
+    ``starts`` (0-based) along positive off-diagonal rates from which no
+    state with an exit rate is reachable, by a plain breadth-first search
+    each way."""
+    n = lam.shape[0]
+    out = [[j for j in range(n) if j != i and lam[i, j] > 0.0] for i in range(n)]
+    into = [[i for i in range(n) if j in out[i]] for j in range(n)]
+
+    def closure(seeds, edges):
+        seen, queue = set(seeds), deque(seeds)
+        while queue:
+            for j in edges[queue.popleft()]:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        return seen
+
+    exits = [i for i in range(n) if -lam[i].sum() > 0.0]
+    return sorted(closure(starts, out) - closure(exits, into))
+
+
+def test_check_absorbable_matches_a_search():
+    """Random sparse generators of 1 to 7 states, many with states that
+    cannot reach absorption: the check raises exactly when the search
+    finds such a reachable state, and names them all in order."""
+    rng = np.random.default_rng(31)
+    raised = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 8))
+        off = rng.uniform(0.1, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.5))
+        np.fill_diagonal(off, 0.0)
+        exit_rates = rng.uniform(0.1, 1.0, n) * (rng.uniform(size=n) < 0.3)
+        lam = off - np.diag(off.sum(axis=1) + exit_rates)
+        starts = sorted({int(x) for x in rng.integers(0, n, size=int(rng.integers(0, 4)))})
+        want = _search_unabsorbable(lam, starts)
+        if not want:
+            check_absorbable(SubIntensityMatrix(lam), starts)
+            continue
+        raised += 1
+        with pytest.raises(StructuralError) as err:
+            check_absorbable(SubIntensityMatrix(lam), starts)
+        assert str(err.value) == (
+            "absorption is unreachable from reachable state(s) "
+            + ", ".join(str(i + 1) for i in want)
+        )
+    assert 100 <= raised <= 300, raised
 
 
 def test_holding_time_law(weibull_lam, weibull_pi):
