@@ -1,15 +1,21 @@
 /*
- * The two sweeps of _kernels.py, compiled.
+ * The three functions of _kernels.py, compiled: two sweeps and the panel
+ * tokenizer.
  *
  * complete_sweep completes every path of a panel; the estimator calls it
  * for each SE-step and for the final-segment bridges of initialization.
  * It draws each segment exactly from its endpoint-conditioned law by
  * uniformization (bridge), computing the normalizer of the segment's
  * bridge group (series) at the first segment that needs it, and runs a
- * censored path on to absorption (run_chain).  simulate_sweep draws each
+ * censored path on to absorption (run_chain).  The normalizer of a group
+ * with one segment in the sweep, as on a panel of irregular visits, is
+ * walked only until that segment's draw is certain (lazy_count), which
+ * gives the R that the whole series gives.  simulate_sweep draws each
  * path's initial state (one next_double) and runs run_chain to the
  * horizon; the studies and the CLI call it for a simulated cohort and for
- * each goodness-of-fit sample.
+ * each goodness-of-fit sample.  tokenize_panel splits a panel file in its
+ * canonical form into columns for panelio.read_panel, and refuses any
+ * other bytes, which panelio then reads with the csv module.
  * The helpers below mirror those of _kernels.py (_jump, _run_chain,
  * _Chain.power, _Chain.steps, _series, _draw_count, _bridge,
  * _complete_path) step for step, and compute each float with the same
@@ -26,12 +32,14 @@
  * random bits here.  The paths (and the sufficient statistics of
  * complete_sweep) come back as flat arrays.
  *
- * Each sweep is a module function taking its Python body's positional
- * arguments, and _kernels.build runs every call of the sweep here.  The
- * arguments are checked before any pointer is used or memory allocated:
- * another argument count, dtype, layout or sign raises TypeError, a state,
- * group or offset out of range ValueError, and a negative stream key the
- * Python body's ValueError.  simulate_sweep holds the GIL throughout.
+ * Each function is a module function taking its Python body's positional
+ * arguments, and _kernels.build runs every call of it here.  The
+ * arguments of a sweep are checked before any pointer is used (the check
+ * also counts the segments of each bridge group, into the one array it
+ * allocates): another argument count, dtype, layout or sign raises
+ * TypeError, a state, group or offset out of range ValueError, and a
+ * negative stream key the Python body's ValueError.  simulate_sweep and
+ * tokenize_panel hold the GIL throughout.
  *
  * complete_sweep releases the GIL and completes its paths on up to
  * min(usable CPUs, MAX_WORKERS, K / MIN_PATHS) workers, the caller one of
@@ -52,7 +60,8 @@
  *  - The join, after every thread has ended: the blocks are copied end
  *    to end in path order into new arrays; then every path's statistics
  *    are summed there, in path order, then jump order; each group's
- *    series counts once, however many workers computed it (count_series).
+ *    series counts once, however many workers computed it, and a group of
+ *    one segment, which one worker walks, once (count_series).
  * Workers allocate with malloc and realloc alone and call no Python API.
  * A sweep's segments of one group must share their gap and endpoint
  * states, as the estimator's do: then every worker computes the same
@@ -391,14 +400,53 @@ push(Sums *s, double total)
     return 0;
 }
 
+/* A bridge's virtual-jump count drawn while its normalizer is walked, for
+   a group with one segment: u the segment's uniform, mass an upper bound
+   on the sum of the Poisson ratios w_r of the walk (with slack for
+   rounding), visited the sum of those walked, next the first running
+   total not yet decided, and R the count once it is certain, -1 until
+   then. */
+typedef struct {
+    double u, mass, visited;
+    npy_intp next, R;
+} Lazy;
+
+/* After the term of weight w that the running totals s[0..len) end with:
+   1 with z->R set when the count is certain, else 0 (and always 0 for no
+   z).  With L = s[len - 1] and U = L + mass - visited, which bounds the
+   final total since every (P^r)_xy is at most 1, total j is the first
+   above the target u * total of draw_count if s[j] > u U, and not if
+   s[j] <= u L; each comparison holds for the rounded products too.  lo is
+   the lowest r walked so far, which maps total j to its r. */
+static inline int
+settle(Lazy *z, const double *s, npy_intp len, double w, npy_intp m, npy_intp lo)
+{
+    if (z == NULL)
+        return 0;
+    z->visited += w;
+    const double below = z->u * s[len - 1];
+    const double above = z->u * (s[len - 1] + (z->mass - z->visited));
+    for (; z->next < len; z->next++) {
+        if (s[z->next] > above) {
+            z->R = z->next <= m - lo ? m - z->next : z->next + lo;
+            return 1;
+        }
+        if (!(s[z->next] <= below))
+            return 0;
+    }
+    return 0;
+}
+
 /* The normalizer of a bridge from x to y over a gap with mu * delta = q,
    as _series: the terms w_r (P^r)_xy walked from the mode m = floor(q)
    with w_m = 1, down while the Poisson mass below could exceed SERIES_TOL
    times the running total, then up likewise, each running total appended
    to sums.  Returns 0, 4 when the walk would pass vcap virtual jumps, or
-   -1 on a failed allocation. */
+   -1 on a failed allocation.  With a lazy draw (not NULL), the walk ends
+   as soon as settle makes its count certain; out is then incomplete. */
 static int
-series(Chain *c, Sums *sums, double q, npy_intp x, npy_intp y, npy_intp vcap, Norm *out)
+series(Chain *c, Sums *sums, double q, npy_intp x, npy_intp y, npy_intp vcap, Norm *out,
+       Lazy *lazy)
 {
     if (!(q <= (double)vcap)) /* nan and inf too */
         return 4;
@@ -409,6 +457,8 @@ series(Chain *c, Sums *sums, double q, npy_intp x, npy_intp y, npy_intp vcap, No
     if (push(sums, total) < 0)
         return -1;
     npy_intp r = m;
+    if (settle(lazy, sums->v + at, sums->used - at, w, m, r))
+        return 0;
     if (r > 0) {
         const double down = 1.0 / q;
         while (r > 0 && w * (double)r > SERIES_TOL * total * (q - (double)r + 1.0)) {
@@ -417,9 +467,11 @@ series(Chain *c, Sums *sums, double q, npy_intp x, npy_intp y, npy_intp vcap, No
             total = total + w * POW(c, r, x, y);
             if (push(sums, total) < 0)
                 return -1;
+            if (settle(lazy, sums->v + at, sums->used - at, w, m, r))
+                return 0;
         }
     }
-    out->lo = r;
+    const npy_intp lo = r;
     w = 1.0;
     r = m;
     for (;;) {
@@ -437,8 +489,11 @@ series(Chain *c, Sums *sums, double q, npy_intp x, npy_intp y, npy_intp vcap, No
         total = total + w * POW(c, r, x, y);
         if (push(sums, total) < 0)
             return -1;
+        if (settle(lazy, sums->v + at, sums->used - at, w, m, lo))
+            return 0;
     }
     out->m = m;
+    out->lo = lo;
     out->hi = r;
     out->at = at;
     out->total = total;
@@ -509,21 +564,17 @@ select_ranks(double *v, npy_intp lo, npy_intp hi, const npy_intp *ranks, npy_int
     }
 }
 
-/* Draws the bridge from x at s1 to y at s2 as _bridge does, R from the
-   uniform u and the normalizer g with its running totals at totals, and
-   appends its kept jumps to out after *count.  v has room for R uniforms,
-   and jumps (for the kept jumps' indices, states and epoch ranks) for
-   3 R.  Returns 0, 2 when the buffers are full before a kept jump, or 5
-   when the floats run out; adds the virtual-jump count R to *virtual. */
+/* Draws the bridge from x at s1 to y at s2 with R virtual jumps as
+   _bridge does, and appends its kept jumps to out after *count.  The step
+   table has R rows at least; v has room for R uniforms, and jumps (for the
+   kept jumps' indices, states and epoch ranks) for 3 R.  Returns 0, 2 when
+   the buffers are full before a kept jump, or 5 when the floats run out. */
 static int
-bridge(Pcg64 *st, const Chain *c, const double *totals, npy_intp n, double s1, double s2,
-       npy_intp x, npy_intp y, const Norm *g, double u, double *v, npy_intp *jumps,
-       const Buffers *out, npy_intp *count, npy_intp *virtual)
+bridge(Pcg64 *st, const Chain *c, npy_intp n, double s1, double s2, npy_intp x, npy_intp y,
+       npy_intp R, double *v, npy_intp *jumps, const Buffers *out, npy_intp *count)
 {
     const double delta = s2 - s1;
-    const npy_intp R = draw_count(totals, g, u * g->total);
     const npy_intp n1 = c->n1;
-    *virtual += R;
     if (R == 0)
         return 0;
     for (npy_intp i = 0; i < R; i++)
@@ -679,14 +730,15 @@ typedef struct {
     Sums sums;
 } Store;
 
-/* One worker: its chain, its normalizers, its stream words and bridge
-   scratch (v and jumps, room for step_rows virtual jumps), and the paths
-   it completed, end to end in times and states. */
+/* One worker: its chain, its normalizers, the series it walked for
+   groups of one segment (lazy), its stream words and bridge scratch (v and
+   jumps, room for step_rows virtual jumps), and the paths it completed,
+   end to end in times and states. */
 typedef struct {
     Sweep *s;
     Chain chain;
     Store store;
-    npy_intp used, room;
+    npy_intp lazy, used, room;
     uint32_t *words;
     double *v, *times;
     npy_intp *jumps;
@@ -703,15 +755,17 @@ typedef struct {
 } Block;
 
 /* One call: its arguments, its output statistics and bounds, and what the
-   workers share.  next, stop and error change atomically; stop is the
-   first failing block, nblocks while none has failed. */
+   workers share.  uses[g] counts the segments of group g up to 2 (for g
+   below len).  next, stop and error change atomically; stop is the first
+   failing block, nblocks while none has failed. */
 struct Sweep {
     const double *obs_s, *p;
     const npy_int64 *obs_x, *starts, *keys, *groups;
     const uint32_t *words;
+    const uint8_t *uses;
     Model m;
     double mu;
-    npy_intp vcap, cap, K, n_groups, at_k, room, nblocks, nworkers;
+    npy_intp vcap, cap, K, len, n_groups, at_k, room, nblocks, nworkers;
     npy_int64 *B, *N, *NA, *bound;
     double *R;
     Block *blocks;
@@ -794,16 +848,50 @@ reach(Worker *w, npy_intp hi)
     return chain_steps(&w->chain, hi);
 }
 
+/* The virtual-jump count R of a bridge from x to y whose group has no
+   other segment in the sweep, drawn from its uniform u while series walks
+   the normalizer, so that the walk usually ends after a few terms: the R
+   that draw_count gives on the whole walk, which decides what settle
+   leaves open.  The running totals are dropped.  Returns 0, 1 for a zero
+   total, or -1 on a failed allocation; q must keep the walk short of
+   vcap (see complete_path). */
+static int
+lazy_count(Worker *w, double q, npy_intp x, npy_intp y, double u, npy_intp *R)
+{
+    Sums *sums = &w->store.sums;
+    const npy_intp m = (npy_intp)q, at = sums->used;
+    const double dm = (double)m;
+    /* sum_r w_r = e^q m! / q^m, and m! <= sqrt(2 pi m) (m / e)^m e^(1 / (12 m)) */
+    const double log_mass = m == 0 ? q
+        : q - dm + dm * log(dm / q) + 0.5 * log(2.0 * Py_MATH_PI * dm) + 1.0 / (12.0 * dm);
+    Lazy z = {u, exp(log_mass) * (1.0 + 0x1p-20), 0.0, 0, -1};
+    Norm g;
+    int status = series(&w->chain, sums, q, x, y, w->s->vcap, &g, &z);
+    w->lazy++;
+    if (status == 0 && z.R < 0) {
+        if (g.total > 0.0)
+            z.R = draw_count(sums->v + at, &g, u * g.total);
+        else
+            status = 1;
+    }
+    sums->used = at;
+    *R = z.R;
+    return status;
+}
+
 /* Completes path k, as _complete_path, into the worker's buffers after
    its first entry at w->times[w->used]: bridge each segment, then run a
    censored path on to absorption.  A segment whose group has no
    normalizer in the worker's store yet fails with 4 if q = mu delta
    passes vcap, takes R = 0 if it goes from x to x with q < 1 and u exp(q)
    < 1, and otherwise has its series computed there (a zero total fails
-   with 1).  Returns the status (0 completed, 1 an impossible pair, 2
-   buffers full, 3 dead end, 4 past vcap, 5 out of floats, -1 on a failed
-   allocation) and sets *info to the segment it ended in and *count to the
-   jumps written.  Adds the virtual jumps drawn to *virtual. */
+   with 1): by lazy_count if its group has no other segment and 4 q + 600
+   <= vcap, so that the walk cannot pass vcap (its weights reach 0 before
+   r = 4 q + 600), or else in full, into the store.  Returns the status (0
+   completed, 1 an impossible pair, 2 buffers full, 3 dead end, 4 past
+   vcap, 5 out of floats, -1 on a failed allocation) and sets *info to the
+   segment it ended in and *count to the jumps written.  Adds the virtual
+   jumps drawn to *virtual. */
 static int
 complete_path(Worker *w, npy_intp k, npy_intp *info, npy_intp *count, npy_intp *virtual)
 {
@@ -818,26 +906,37 @@ complete_path(Worker *w, npy_intp k, npy_intp *info, npy_intp *count, npy_intp *
     *count = 0;
     for (npy_intp seg = 0; seg < last; seg++) {
         const double s1 = obs_s[seg], s2 = obs_s[seg + 1], u = pcg64_next_double(&st);
-        const npy_intp x = obs_x[seg], y = obs_x[seg + 1];
-        Norm *g = find(store, groups[seg]);
+        const npy_intp x = obs_x[seg], y = obs_x[seg + 1], group = groups[seg];
+        const Norm *g = find(store, group);
+        npy_intp R;
         *info = seg;
-        if (g == NULL) {
+        if (g != NULL) {
+            R = draw_count(store->sums.v + g->at, g, u * g->total);
+        } else {
             const double q = s->mu * (s2 - s1);
             if (!(q <= (double)s->vcap)) /* nan and inf too */
                 return 4;
             if (x == y && q < 1.0 && u * exp(q) < 1.0)
                 continue;
-            g = add(store, groups[seg]);
-            const int status = series(&w->chain, &store->sums, q, x, y, s->vcap, g);
-            if (status != 0)
-                return status;
-            if (!(g->total > 0.0))
-                return 1;
-            if (reach(w, g->hi) < 0)
-                return -1;
+            if (group < s->len && s->uses[group] == 1 && 4.0 * q + 600.0 <= (double)s->vcap) {
+                const int status = lazy_count(w, q, x, y, u, &R);
+                if (status != 0)
+                    return status;
+            } else {
+                Norm *added = add(store, group);
+                const int status = series(&w->chain, &store->sums, q, x, y, s->vcap, added, NULL);
+                if (status != 0)
+                    return status;
+                if (!(added->total > 0.0))
+                    return 1;
+                R = draw_count(store->sums.v + added->at, added, u * added->total);
+            }
         }
-        const int status = bridge(&st, &w->chain, store->sums.v + g->at, s->m.n, s1, s2, x, y,
-                                  g, u, w->v, w->jumps, &out, count, virtual);
+        if (reach(w, R) < 0)
+            return -1;
+        *virtual += R;
+        const int status = bridge(&st, &w->chain, s->m.n, s1, s2, x, y, R, w->v, w->jumps,
+                                  &out, count);
         if (status != 0)
             return status;
     }
@@ -951,18 +1050,21 @@ work_thread(void *w)
 }
 
 /* How many series a sequential sweep computes: each group a worker
-   computed counts once, at the first worker that computed it. */
+   stored counts once, at the first worker that stored it, and each lazy
+   one (its group's only segment) once. */
 static npy_intp
 count_series(const Sweep *s)
 {
     npy_intp count = 0;
-    for (const Worker *w = s->workers; w < s->workers + s->nworkers; w++)
+    for (const Worker *w = s->workers; w < s->workers + s->nworkers; w++) {
+        count += w->lazy;
         for (const Norm *g = w->store.norm; g < w->store.norm + w->store.used; g++) {
             const Worker *o = s->workers;
             while (o < w && find(&o->store, g->group) == NULL)
                 o++;
             count += o == w;
         }
+    }
     return count;
 }
 
@@ -1046,18 +1148,29 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     /* a slot holds a segment count */
     if (K < 1 || starts[0] != 0 || starts[K] != len || len > UINT32_MAX)
         return PyErr_Format(PyExc_ValueError, OUT_OF_RANGE);
+    uint8_t *uses = calloc(len + 1, 1);
+    if (uses == NULL)
+        return PyErr_NoMemory();
     npy_intp n_groups = 0;
-    for (npy_intp k = 0; k < K; k++) {
+    const char *refused = NULL;
+    for (npy_intp k = 0; k < K && refused == NULL; k++) {
         if (keys[k] < 0)
-            return PyErr_Format(PyExc_ValueError, NEGATIVE_KEY);
-        if (starts[k + 1] <= starts[k]
-            || !valid_path(obs_x + starts[k], starts[k + 1] - starts[k], m.n))
-            return PyErr_Format(PyExc_ValueError, OUT_OF_RANGE);
-        for (npy_intp i = starts[k]; i < starts[k + 1] - 1; i++) {
-            if (groups[i] < 0)
-                return PyErr_Format(PyExc_ValueError, OUT_OF_RANGE);
-            n_groups = Py_MAX(n_groups, groups[i] + 1);
+            refused = NEGATIVE_KEY;
+        else if (starts[k + 1] <= starts[k]
+                 || !valid_path(obs_x + starts[k], starts[k + 1] - starts[k], m.n))
+            refused = OUT_OF_RANGE;
+        for (npy_intp i = starts[k]; i < starts[k + 1] - 1 && refused == NULL; i++) {
+            const npy_int64 g = groups[i];
+            if (g < 0)
+                refused = OUT_OF_RANGE;
+            else if (g < len && uses[g] < 2)
+                uses[g]++;
+            n_groups = Py_MAX(n_groups, g + 1);
         }
+    }
+    if (refused != NULL) {
+        free(uses);
+        return PyErr_Format(PyExc_ValueError, "%s", refused);
     }
 
     const npy_intp n = m.n, nwords = PyArray_DIM(w_arr, 0), nblocks = (K + BLOCK - 1) / BLOCK;
@@ -1084,7 +1197,8 @@ complete_sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     Sweep s = {
         .obs_s = (const double *)PyArray_DATA(s_arr), .p = (const double *)PyArray_DATA(p_arr),
         .obs_x = obs_x, .starts = starts, .keys = keys, .groups = groups, .words = words,
-        .m = m, .mu = mu, .vcap = vcap, .cap = cap, .K = K, .n_groups = n_groups,
+        .uses = uses, .m = m, .mu = mu, .vcap = vcap, .cap = cap, .K = K, .len = len,
+        .n_groups = n_groups,
         .at_k = nwords + put_words(words + nwords, (npy_uint64)iteration),
         .room = len / nworkers + cap + 1, .nblocks = nblocks, .nworkers = nworkers,
         .B = (npy_int64 *)PyArray_DATA(b), .N = (npy_int64 *)PyArray_DATA(nt),
@@ -1137,6 +1251,7 @@ done:
         free(w->times);
         free(w->states);
     }
+    free(uses);
     free(words);
     free(blocks);
     Py_XDECREF(b);
@@ -1228,6 +1343,255 @@ done:
     return result;
 }
 
+/* ---- the panel reader ---- */
+
+#define PANEL_HEADER "path_id,time,state"
+/* digits of a state: 18 fit in an int64 */
+#define STATE_DIGITS 18
+
+/* a byte of an id: printable ASCII but the quote and the comma */
+static inline int
+id_byte(unsigned char c)
+{
+    return c >= 0x21 && c <= 0x7e && c != '"' && c != ',';
+}
+
+static inline int
+is_digit(unsigned char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+static const char *
+skip_digits(const char *p, const char *end)
+{
+    while (p < end && is_digit((unsigned char)*p))
+        p++;
+    return p;
+}
+
+/* The end of the time at p, of the form [+-]?(digits[.digits*]|.digits)
+   ([eE][+-]?digits)?, or NULL if p does not start with one. */
+static const char *
+time_end(const char *p, const char *end)
+{
+    if (p < end && (*p == '+' || *p == '-'))
+        p++;
+    const char *whole = p;
+    p = skip_digits(p, end);
+    int digits = p > whole;
+    if (p < end && *p == '.') {
+        const char *frac = ++p;
+        p = skip_digits(p, end);
+        digits |= p > frac;
+    }
+    if (!digits)
+        return NULL;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        if (p < end && (*p == '+' || *p == '-'))
+            p++;
+        const char *exp = p;
+        p = skip_digits(p, end);
+        if (p == exp)
+            return NULL;
+    }
+    return p;
+}
+
+/* The distinct ids of a panel, numbered by first occurrence: id i is
+   len[i] bytes at start[i], and table, of size mask + 1 (a power of two),
+   holds 1 + the number of each id at a slot found by linear probing from
+   its hash, 0 in an empty slot. */
+typedef struct {
+    const char **start;
+    npy_intp *len;
+    npy_intp used, room;
+    npy_intp *table;
+    uint64_t mask;
+} Ids;
+
+/* FNV-1a */
+static inline uint64_t
+id_hash(const char *p, npy_intp len)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (npy_intp i = 0; i < len; i++)
+        h = (h ^ (unsigned char)p[i]) * 0x100000001b3ULL;
+    return h;
+}
+
+/* Doubles the table and the id arrays; -1 on a failed allocation. */
+static int
+ids_grow(Ids *ids)
+{
+    const npy_intp room = 2 * ids->room;
+    const uint64_t mask = 2 * ids->mask + 1;
+    const char **start = PyMem_Realloc(ids->start, room * sizeof(char *));
+    if (start != NULL)
+        ids->start = start;
+    npy_intp *len = PyMem_Realloc(ids->len, room * sizeof(npy_intp));
+    if (len != NULL)
+        ids->len = len;
+    npy_intp *table = PyMem_Calloc(mask + 1, sizeof(npy_intp));
+    if (start == NULL || len == NULL || table == NULL) {
+        PyMem_Free(table);
+        return -1;
+    }
+    for (npy_intp i = 0; i < ids->used; i++) {
+        uint64_t at = id_hash(ids->start[i], ids->len[i]) & mask;
+        while (table[at] != 0)
+            at = (at + 1) & mask;
+        table[at] = i + 1;
+    }
+    PyMem_Free(ids->table);
+    ids->table = table;
+    ids->mask = mask;
+    ids->room = room;
+    return 0;
+}
+
+/* The number of the id of len bytes at p, a new one if it is new; -1 on a
+   failed allocation.  The table stays at most half full. */
+static npy_intp
+id_number(Ids *ids, const char *p, npy_intp len)
+{
+    uint64_t at = id_hash(p, len) & ids->mask;
+    for (npy_intp i; (i = ids->table[at]) != 0; at = (at + 1) & ids->mask)
+        if (ids->len[i - 1] == len && memcmp(ids->start[i - 1], p, len) == 0)
+            return i - 1;
+    if (ids->used == ids->room) {
+        if (ids_grow(ids) < 0)
+            return -1;
+        return id_number(ids, p, len);
+    }
+    ids->start[ids->used] = p;
+    ids->len[ids->used] = len;
+    ids->table[at] = ++ids->used;
+    return ids->used - 1;
+}
+
+/* The rows of a panel file in the canonical form, into path, times and
+   states, and its ids: 1 if it is one, 0 if not, -1 with an error set.
+   After the header, each row is an id, a time and a state (an optional +
+   and 1 to STATE_DIGITS digits), separated by commas and ending in \n or
+   \r\n, the last one possibly at the end of the data. */
+static int
+read_rows(const char *p, const char *end, Ids *ids, npy_int64 *path, double *times,
+          npy_int64 *states, npy_intp rows)
+{
+    const npy_intp header = sizeof PANEL_HEADER - 1;
+    if (end - p < header || memcmp(p, PANEL_HEADER, header) != 0)
+        return 0;
+    p += header;
+    for (npy_intp row = 0;; row++) {
+        /* the end of the header or of the row before */
+        if (p == end)
+            return row == rows;
+        if (*p == '\r')
+            p++;
+        if (p == end || *p++ != '\n')
+            return 0;
+        if (p == end)
+            return row == rows;
+        if (row == rows)
+            return 0;
+        const char *id = p;
+        while (p < end && id_byte((unsigned char)*p))
+            p++;
+        if (p == id || p == end || *p != ',')
+            return 0;
+        const npy_intp k = id_number(ids, id, p - id);
+        if (k < 0) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        path[row] = k;
+        const char *time = ++p;
+        p = time_end(p, end);
+        if (p == NULL || p == end || *p != ',')
+            return 0;
+        /* float()'s own parser, which reads no locale */
+        char *stop;
+        times[row] = PyOS_string_to_double(time, &stop, NULL);
+        if (times[row] == -1.0 && PyErr_Occurred())
+            return -1;
+        if (stop != p)
+            return 0;
+        if (++p < end && *p == '+')
+            p++;
+        const char *digits = p;
+        npy_int64 state = 0;
+        for (; p < end && is_digit((unsigned char)*p); p++) {
+            if (p - digits == STATE_DIGITS)
+                return 0;
+            state = 10 * state + (*p - '0');
+        }
+        if (p == digits)
+            return 0;
+        states[row] = state;
+    }
+}
+
+/* tokenize_panel(data) -> (ids, path, times, states), or None unless the
+   bytes data are a panel file in the canonical form (see read_rows): ids
+   the distinct path ids as str, by first occurrence, and per row its id's
+   number, time and state.  Holds the GIL. */
+static PyObject *
+tokenize_panel(PyObject *Py_UNUSED(module), PyObject *data)
+{
+    if (!PyBytes_CheckExact(data))
+        return PyErr_Format(PyExc_TypeError, "tokenize_panel takes bytes");
+    const char *p = PyBytes_AS_STRING(data), *end = p + PyBytes_GET_SIZE(data);
+    /* a row for each line after the header */
+    npy_intp rows = 0;
+    for (const char *at = p; (at = memchr(at, '\n', end - at)) != NULL; at++)
+        rows++;
+    if (end > p && end[-1] != '\n')
+        rows++;
+    rows = Py_MAX(rows - 1, 0);
+    PyArrayObject *path = (PyArrayObject *)PyArray_EMPTY(1, &rows, NPY_INT64, 0);
+    PyArrayObject *times = (PyArrayObject *)PyArray_EMPTY(1, &rows, NPY_FLOAT64, 0);
+    PyArrayObject *states = (PyArrayObject *)PyArray_EMPTY(1, &rows, NPY_INT64, 0);
+    Ids ids = {PyMem_Malloc(64 * sizeof(char *)), PyMem_Malloc(64 * sizeof(npy_intp)), 0, 64,
+               PyMem_Calloc(128, sizeof(npy_intp)), 127};
+    PyObject *names = NULL, *result = NULL;
+    if (path == NULL || times == NULL || states == NULL || ids.start == NULL || ids.len == NULL
+        || ids.table == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        goto done;
+    }
+    const int status = read_rows(p, end, &ids, PyArray_DATA(path), PyArray_DATA(times),
+                                 PyArray_DATA(states), rows);
+    if (status < 0)
+        goto done;
+    if (status == 0) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+        goto done;
+    }
+    names = PyList_New(ids.used);
+    for (npy_intp i = 0; names != NULL && i < ids.used; i++) {
+        PyObject *name = PyUnicode_DecodeASCII(ids.start[i], ids.len[i], NULL);
+        if (name == NULL)
+            Py_CLEAR(names);
+        else
+            PyList_SET_ITEM(names, i, name);
+    }
+    if (names != NULL)
+        result = PyTuple_Pack(4, names, path, times, states);
+done:
+    PyMem_Free(ids.start);
+    PyMem_Free(ids.len);
+    PyMem_Free(ids.table);
+    Py_XDECREF(names);
+    Py_XDECREF(path);
+    Py_XDECREF(times);
+    Py_XDECREF(states);
+    return result;
+}
+
 static PyObject *
 u128_to_long(u128 v)
 {
@@ -1291,6 +1655,8 @@ static PyMethodDef module_methods[] = {
      "The SE-step sweep: complete_sweep of _kernels.py, compiled."},
     {"simulate_sweep", (PyCFunction)(void (*)(void))simulate_sweep, METH_FASTCALL,
      "The simulation sweep: simulate_sweep of _kernels.py, compiled."},
+    {"tokenize_panel", tokenize_panel, METH_O,
+     "The panel reader's tokenizer: tokenize_panel of _kernels.py, compiled."},
     {"stream_draws", stream_draws, METH_VARARGS,
      "stream_draws(words, count): draws from the sweeps' stream for these entropy words."},
     {NULL, NULL, 0, NULL},

@@ -1,4 +1,4 @@
-"""Jump-chain kernels.
+"""Jump-chain kernels, and the panel file tokenizer.
 
 The hot loops of trajectory simulation and Markov bridges live here.  Two
 kernels do the package's work, each over many paths in one call:
@@ -6,7 +6,9 @@ kernels do the package's work, each over many paths in one call:
 final-segment bridges of initialization) and ``simulate_sweep`` over a
 whole simulated cohort or goodness-of-fit sample.  Each derives one
 stream per path from entropy words and the path's key, as
-``RandomStream.generator()`` does.
+``RandomStream.generator()`` does.  A third function,
+``tokenize_panel``, splits a panel file in its canonical form into
+columns for ``panelio.read_panel``; its Python body refuses every file.
 
 ``complete_sweep`` draws every bridge exactly from its endpoint-conditioned
 law, by uniformization (Hobolth & Stone 2009): with ``mu`` the largest exit
@@ -18,15 +20,17 @@ drawn forward given the endpoint; the jumps that change state are kept.
 normalizer of one gap and endpoint pair (computed at the first segment
 that needs it, once per sweep), ``_bridge`` draws one bridge and
 ``_complete_path`` one path; a censored path then runs on unconditioned
-to absorption.
+to absorption.  The C body walks the normalizer of a group with one
+segment in the sweep only until that segment's R is certain, and draws
+the same R.
 
 ``sim_path``, ``bridge_attempts`` and ``complete_panel_path`` run one path
 on a ``numpy.random.Generator`` handed in by the caller.  The last two
 draw bridges by rejection: they are plain Python, kept as references for
 ``bridge_sample``, the tests and the benchmark.  The forward runs rest on
 one jump step, ``_jump``, and one loop, ``_run_chain``, which mirror the
-helpers of ``_ckernels.c``.  Two backends run the sweeps, tried in this
-order:
+helpers of ``_ckernels.c``.  Two backends run the sweeps and the
+tokenizer, tried in this order:
 
 - C: ``_ckernels.c``, compiled on the first import and cached in this
   package's ``__pycache__`` under a name keyed by the source, the
@@ -41,11 +45,12 @@ order:
 
 ``BACKEND`` names the one in use.  The C sweeps consume each bit stream
 exactly like the Python bodies do and compute every float the same way,
-so both backends produce bitwise-identical paths.  A compiled sweep runs
-every call on its C body, which takes its Python body's positional
-arguments and raises ``TypeError`` or ``ValueError`` for any it does not
-take (see ``_ckernels.c``); it exposes its Python body as ``py_func``,
-which runs Python throughout.
+so both backends produce bitwise-identical paths, and a file reads the
+same whether it is tokenized or not.  A compiled function runs every
+call on its C body, which takes its Python body's positional arguments
+and raises ``TypeError`` or ``ValueError`` for any it does not take (see
+``_ckernels.c``); it exposes its Python body as ``py_func``, which runs
+Python throughout.
 
 Conventions inside this module only: states are 0-based, the absorbing
 state has index n, and ``cum[x]`` holds the cumulative rates out of x over
@@ -529,8 +534,26 @@ def simulate_sweep(words, keys, cum_pi, cum, total, n, horizon):
     return times[:used].copy(), states[:used].copy(), bounds
 
 
+def tokenize_panel(data):
+    r"""The rows of the panel file ``data`` (bytes) in its canonical form:
+    ``(ids, path, times, states)``, or None for any other bytes.
+
+    The canonical form is the header ``path_id,time,state``, then rows of
+    an id (one or more bytes in 0x21-0x7E but the quote and the comma), a
+    time (``[+-]?(digits[.digits*]|.digits)([eE][+-]?digits)?``) and a
+    state (an optional ``+`` and 1-18 digits), separated by commas, each
+    row ending in ``\n`` or ``\r\n``, the last one possibly at the end of
+    the data.  ``ids`` are the distinct ids as str, in first-occurrence
+    order, and row i has the id ``ids[path[i]]``, the time ``times[i]``
+    (as ``float`` reads it) and the state ``states[i]`` (int64).  This
+    Python body returns None for every file, so that ``panelio`` reads it
+    with its ``csv`` reader; the compiled one tokenizes.
+    """
+    return None
+
+
 # the Python bodies, kept before the module rebinds their names
-_PY_SWEEPS = (complete_sweep, simulate_sweep)
+_PY_BODIES = (complete_sweep, simulate_sweep, tokenize_panel)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _C_SOURCE = os.path.join(_HERE, "_ckernels.c")
 # no -ffast-math or -march: the arithmetic must round as the Python bodies do
@@ -538,8 +561,8 @@ _C_FLAGS = ("-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
 
 
 def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
-    """The sweeps compiled from ``_ckernels.c``: ``("c", (complete_sweep,
-    simulate_sweep))``.
+    """The functions compiled from ``_ckernels.c``: ``("c", (complete_sweep,
+    simulate_sweep, tokenize_panel))``.
 
     The shared library is built with the compiler ``cc`` unless
     ``cache_dir`` already holds it under its key; concurrent builds each
@@ -551,19 +574,33 @@ def build(cc: str = "cc", cache_dir: str = os.path.join(_HERE, "__pycache__")):
     try:
         module = _load_c(cc, cache_dir)
     except (OSError, ImportError, subprocess.SubprocessError):
-        return "pure-python", _PY_SWEEPS
+        return "pure-python", _PY_BODIES
+    return "c", _bind(module)
+
+
+def _bind(module):
+    """The functions of the loaded library ``module``, each running every
+    call on its C body, with its Python body as ``py_func``."""
 
     def bind(py_body):
         c_body = getattr(module, py_body.__name__)
 
         @functools.wraps(py_body)
-        def sweep(*args):
+        def compiled(*args):
             return c_body(*args)
 
-        sweep.py_func = py_body
-        return sweep
+        compiled.py_func = py_body
+        return compiled
 
-    return "c", tuple(map(bind, _PY_SWEEPS))
+    return tuple(map(bind, _PY_BODIES))
+
+
+def _load_library(path: str):
+    """The extension module built at ``path``."""
+    spec = importlib.util.spec_from_file_location(f"{__package__}._ckernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_c(cc: str, cache_dir: str):
@@ -579,10 +616,7 @@ def _load_c(cc: str, cache_dir: str):
     if not os.path.exists(path):
         _compile_c(cc, path, suffix)
         _remove_stale(cache_dir, key, suffix)
-    spec = importlib.util.spec_from_file_location(f"{__package__}._ckernels", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_library(path)
 
 
 def _remove_stale(cache_dir: str, key: str, suffix: str) -> None:
@@ -597,7 +631,7 @@ def _remove_stale(cache_dir: str, key: str, suffix: str) -> None:
                 os.remove(os.path.join(cache_dir, name))
 
 
-def _compile_c(cc: str, path: str, suffix: str) -> None:
+def _compile_c(cc: str, path: str, suffix: str, flags=_C_FLAGS) -> None:
     includes = [sysconfig.get_paths()["include"], np.get_include()]
     library = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -607,7 +641,7 @@ def _compile_c(cc: str, path: str, suffix: str) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [cc, *_C_FLAGS, *(f"-I{d}" for d in includes), _C_SOURCE, library, "-lm", "-o", tmp],
+            [cc, *flags, *(f"-I{d}" for d in includes), _C_SOURCE, library, "-lm", "-o", tmp],
             check=True, capture_output=True, timeout=300,
         )
         os.replace(tmp, path)
@@ -616,4 +650,4 @@ def _compile_c(cc: str, path: str, suffix: str) -> None:
             os.remove(tmp)
 
 
-BACKEND, (complete_sweep, simulate_sweep) = build()
+BACKEND, (complete_sweep, simulate_sweep, tokenize_panel) = build()

@@ -379,20 +379,20 @@ class _AbsorptionKernel:
         where its denominator is 0; the density is that denominator times
         exp(s * w_max).  The expm route computes one matrix exponential per
         point for both and divides directly, so its ratio may be nan once
-        the density underflows.
+        the density underflows.  It sets no floating-point error state:
+        ``_evaluate``, its caller, ignores every one around it.
         """
         s, over = _split_overflow(s)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
-            if self._eig_ok:
-                den, num = self._shifted(s, (0, 1))
-                ratio = num / den
-                if not den.all():
-                    ratio[den == 0.0] = np.nan
-                a = den * np.exp(s * self._shift)
-            else:
-                exps = [matrix_exponential(self._arr, si) for si in s]
-                a = np.array([self._pi @ e @ self._exit for e in exps])
-                ratio = np.array([self._pi @ self._arr @ e @ self._exit for e in exps]) / a
+        if self._eig_ok:
+            den, num = self._shifted(s, (0, 1))
+            ratio = num / den
+            if not den.all():
+                ratio[den == 0.0] = np.nan
+            a = den * np.exp(s * self._shift)
+        else:
+            exps = [matrix_exponential(self._arr, si) for si in s]
+            a = np.array([self._pi @ e @ self._exit for e in exps])
+            ratio = np.array([self._pi @ self._arr @ e @ self._exit for e in exps]) / a
         if over is not None:
             a[over], ratio[over] = 0.0, np.nan
         return a, ratio
@@ -492,7 +492,7 @@ def _evaluate(
     the underflow warnings at the caller of the public function.
     """
     ell = grad = None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         g_inv, int_dh, sum_log_h, sum_dlog_h = _objective_terms(
             obj.family, _checked_beta(obj.family, beta), *obj._fixed
         )

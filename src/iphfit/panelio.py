@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigError, PanelFormatError, ValidationError
 from .estimator import FitConfig, FitResult
 from .generator import InitialDistribution, SubIntensityMatrix
@@ -46,6 +47,33 @@ def _atomic_write(path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {err}") from err
 
 
+def _read_bytes(file, error, what: str) -> bytes:
+    """The bytes of the file at ``file``; ``error`` names it as ``what``
+    when it cannot be read."""
+    try:
+        with open(file, "rb") as handle:
+            return handle.read()
+    except OSError as err:
+        raise error(f"cannot read {what}{file}: {err}") from err
+
+
+def _utf8(data: bytes, error) -> str:
+    """``data`` decoded as UTF-8, or ``error(message, line)`` naming the
+    line of the first byte that is not UTF-8 (lines end as a file opened
+    with ``newline=""`` ends them)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise error(f"byte {data[err.start]:#04x} is not UTF-8 text", line) from None
+
+
+def _line_error(error, file):
+    """An ``error`` naming ``file`` and a line, for ``_utf8``."""
+    return lambda message, line: error(f"{file}, line {line}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # panel files
 
@@ -62,19 +90,30 @@ def read_panel(file, n: int) -> PanelObservationSet:
     bad line, and at that line the first of: field count, empty id,
     malformed time, malformed state, negative or non-finite time, time not
     after the path's previous one, a row after the absorbing state, state
-    outside 1..n+1).  Once every record passes, a path that does not start
-    at time 0 raises without a line number.
+    outside 1..n+1), and so does a file that is not UTF-8 (naming the line
+    of its first bad byte).  Once every record passes, a path that does not
+    start at time 0 raises without a line number.
 
-    The rows are read into three columns of text and converted and checked
-    in bulk, then grouped by path into a :class:`PanelObservationSet`.
+    A file in the canonical form that ``write_panel`` writes (see
+    ``_kernels.tokenize_panel``) is split into its columns by the compiled
+    tokenizer; any other file, and every file on the pure-Python backend,
+    goes through the ``csv`` reader, which reads its rows into three
+    columns of text and converts them in bulk.  Both hand their columns to
+    one function, which checks them and groups them by path into a
+    :class:`PanelObservationSet`.  A text stream is read whole, and its
+    text is read as a file's.
     """
     if hasattr(file, "read"):
-        return _parse_panel(file, n)
-    try:
-        with open(file, "r", encoding="utf-8", newline="") as handle:
-            return _parse_panel(handle, n)
-    except OSError as err:
-        raise ValidationError(f"cannot read {file}: {err}") from err
+        text = file.read()
+        data = text.encode("ascii") if text.isascii() else None
+    else:
+        text, data = None, _read_bytes(file, ValidationError, "")
+    rows = _kernels.tokenize_panel(data) if data is not None else None
+    if rows is not None:
+        return _panel_of(n, *rows)
+    if text is None:
+        text = _utf8(data, PanelFormatError)
+    return _parse_panel(io.StringIO(text, newline=""), n)
 
 
 def _parse_panel(stream, n: int) -> PanelObservationSet:
@@ -103,7 +142,6 @@ def _parse_panel(stream, n: int) -> PanelObservationSet:
         else:
             stop = (len(raw_ids) + len(blanks) + 2, f"expected 3 fields, got {len(row)}")
             break
-    rows = len(raw_ids)
     ids = list(map(str.strip, raw_ids))
     times, bad_time = _convert(raw_times, float, float)
     try:
@@ -114,33 +152,56 @@ def _parse_panel(stream, n: int) -> PanelObservationSet:
         )
     # rows [0, good) have both numbers; paths are numbered by first occurrence
     good = min(bad_time, bad_state)
-    times, states = times[:good], states[:good]
     index = {pid: k for k, pid in enumerate(dict.fromkeys(ids[:good]))}
     path = np.fromiter(map(index.__getitem__, ids[:good]), np.int64, good)
+    rows = len(ids)
+    first = min(
+        (ids.index("") if "" in ids else np.inf, 1),
+        (bad_time if bad_time < rows else np.inf, 2),
+        (bad_state if bad_state < rows else np.inf, 3),
+    )
+    return _panel_of(n, list(index), path, times[:good], states[:good],
+                     first, (raw_times, raw_states), blanks, stop)
+
+
+def _panel_of(n, ids, path, times, states, first=(np.inf, 0), raw=None, blanks=(),
+              stop=None) -> PanelObservationSet:
+    """The observation set of a panel's rows, checked: ``ids`` are the
+    path ids by first occurrence, and row i (of those whose time and state
+    converted) has the id ``ids[path[i]]``, the time ``times[i]`` and the
+    state ``states[i]``.
+
+    Checks 4-7 run here.  ``first`` is the earliest row that fails checks
+    1-3 and the check, ``raw`` the rows' time and state texts (None: the
+    numbers' own), ``blanks`` the rows read before each blank record (for
+    the line numbers) and ``stop`` the line and message of a record that
+    ended the reading.
+    """
     order = np.argsort(path, kind="stable")  # by path, then by line
     same = path[order[1:]] == path[order[:-1]]
     after, before = order[1:][same], order[:-1][same]  # consecutive rows of a path
     # the earliest bad row, and at that row the first check it fails
     row, check = min(
-        (ids.index("") if "" in ids else rows, 1),
-        (bad_time, 2),
-        (bad_state, 3),
+        first,
         (_first_row(~np.isfinite(times) | (times < 0.0)), 4),
         (_first_row(times[after] <= times[before], after), 5),
         (_first_row(states[before] == n + 1, after), 6),
         (_first_row((states < 1) | (states > n + 1)), 7),
     )
-    if row < rows:
+    if row < np.inf:
+        pid = ids[path[row]] if row < path.size else ""
+        if raw is None:
+            time, state = repr(float(times[row])), str(int(states[row]))
+        else:
+            time, state = raw[0][row], raw[1][row]
         line = row + 2 + sum(1 for b in blanks if b <= row)
-        raise PanelFormatError(
-            _row_error(check, n, ids[row], raw_times[row], raw_states[row]), line=line
-        )
+        raise PanelFormatError(_row_error(check, n, pid, time, state), line=line)
     if stop:
         raise PanelFormatError(stop[1], line=stop[0])
     try:
         return PanelObservationSet(
-            n, list(index), times[order], states[order],
-            np.concatenate(([0], np.cumsum(np.bincount(path, minlength=len(index))))),
+            n, ids, times[order], states[order],
+            np.concatenate(([0], np.cumsum(np.bincount(path, minlength=len(ids))))),
         )
     except ValidationError as err:
         raise PanelFormatError(str(err)) from err
@@ -210,24 +271,20 @@ def write_panel(data: PanelObservationSet, file) -> None:
 
 def read_sample(file) -> np.ndarray:
     """One-column CSV of absorption times (header ``absorption_time``)."""
-    try:
-        with open(file, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if not header or header[0].strip() != "absorption_time":
-                raise PanelFormatError(
-                    "expected header absorption_time", line=1
-                )
-            vals = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or not row[0].strip():
-                    continue
-                try:
-                    vals.append(float(row[0]))
-                except ValueError:
-                    raise PanelFormatError(f"malformed value {row[0]!r}", line=lineno)
-    except OSError as err:
-        raise ValidationError(f"cannot read {file}: {err}") from err
+    data = _read_bytes(file, ValidationError, "")
+    text = _utf8(data, PanelFormatError)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if not header or header[0].strip() != "absorption_time":
+        raise PanelFormatError("expected header absorption_time", line=1)
+    vals = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or not row[0].strip():
+            continue
+        try:
+            vals.append(float(row[0]))
+        except ValueError:
+            raise PanelFormatError(f"malformed value {row[0]!r}", line=lineno)
     return np.asarray(vals, dtype=float)
 
 
@@ -293,11 +350,10 @@ class RunConfig:
 
 
 def _read_grid_file(path) -> np.ndarray:
+    data = _read_bytes(path, ConfigError, "times_file ")
+    text = _utf8(data, _line_error(ConfigError, f"times_file {path}"))
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            vals = [float(line) for line in handle if line.strip()]
-    except OSError as err:
-        raise ConfigError(f"cannot read times_file {path}: {err}") from err
+        vals = [float(line) for line in io.StringIO(text, newline=None) if line.strip()]
     except ValueError as err:
         raise ConfigError(f"malformed times_file {path}: {err}") from err
     return np.asarray(vals, dtype=float)
@@ -328,11 +384,10 @@ def _read_config(file, default_n: int | None = None) -> RunConfig:
     ``[model] n`` (and section): a study's override file needs neither,
     since the preset fixes the model."""
     parser = configparser.ConfigParser()
+    data = _read_bytes(file, ConfigError, "config ")
+    text = _utf8(data, _line_error(ConfigError, f"config {file}"))
     try:
-        with open(file, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {file}: {err}") from err
+        parser.read_file(io.StringIO(text, newline=None), source=os.fspath(file))
     except configparser.Error as err:
         raise ConfigError(f"malformed config {file}: {err}") from err
 
@@ -480,11 +535,9 @@ class FitReport:
 
 
 def read_report(file) -> FitReport:
-    try:
-        with open(file, "r", encoding="utf-8") as handle:
-            lines = [ln.rstrip("\n") for ln in handle]
-    except OSError as err:
-        raise ValidationError(f"cannot read report {file}: {err}") from err
+    data = _read_bytes(file, ValidationError, "report ")
+    text = _utf8(data, _line_error(ValidationError, f"report {file}"))
+    lines = [ln.rstrip("\n") for ln in io.StringIO(text, newline=None)]
     keys: dict[str, str] = {}
     sections: dict[str, list[str]] = {}
     current = None
@@ -554,11 +607,9 @@ def format_truth(
 
 def read_truth_times(file) -> np.ndarray:
     """Absorption-time block of a simulate run's truth report."""
-    try:
-        with open(file, "r", encoding="utf-8") as handle:
-            lines = [ln.strip() for ln in handle]
-    except OSError as err:
-        raise ValidationError(f"cannot read truth file {file}: {err}") from err
+    data = _read_bytes(file, ValidationError, "truth file ")
+    text = _utf8(data, _line_error(ValidationError, f"truth file {file}"))
+    lines = [ln.strip() for ln in io.StringIO(text, newline=None)]
     try:
         start = lines.index("[absorption_times]") + 1
     except ValueError:

@@ -57,7 +57,7 @@ def test_ledger_holds_on_one_cpu():
 
 
 def test_ledger_holds_on_python_bodies(monkeypatch):
-    for name in ("complete_sweep", "simulate_sweep"):
+    for name in ("complete_sweep", "simulate_sweep", "tokenize_panel"):
         kernel = getattr(_kernels, name)
         monkeypatch.setattr(_kernels, name, getattr(kernel, "py_func", kernel))
     assert differences(LEDGER, PYTHON_SUBSET) == []

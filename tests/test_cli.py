@@ -345,6 +345,34 @@ def test_validation_exit_codes(workspace, tmp_path):
     )
 
 
+@pytest.mark.parametrize("kind", ["panel", "sample", "config", "report"])
+def test_a_file_that_is_not_utf8_exits_2(workspace, tmp_path, capsys, kind):
+    """One byte 0xff on line 3 of a panel, sample, config or report file:
+    exit 2 with a message naming that line, not a traceback."""
+    root, config, panel, fitdir = workspace
+    sample = tmp_path / "sample.csv"
+    write_sample(read_truth_times(root / "panel.truth.txt"), sample)
+    files = {"panel": panel, "sample": sample, "config": config,
+             "report": fitdir / "report.txt"}
+    lines = files[kind].read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(b"\n".join(lines))
+    files[kind] = bad
+    out = tmp_path / "out"
+    if kind in ("panel", "config"):
+        argv = ["fit", "--panel", str(files["panel"]), "--config", str(files["config"]),
+                "--out", str(out)]
+    else:
+        source = ["--sample", str(files["sample"])] if kind == "sample" else [
+            "--panel", str(files["panel"])]
+        argv = ["gof", *source, "--fit", str(files["report"]), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 3: byte 0xff is not UTF-8 text" in err, err
+    assert not out.exists()
+
+
 def test_estimation_failure_exit_code(tmp_path, capsys):
     # state 2 never observed: its occupation is zero and the MLE is undefined
     config = tmp_path / "run.ini"

@@ -1,8 +1,9 @@
 """Mutated input files never end the command line in a traceback.
 
 A seeded property test: each example mutates one config, panel or report
-file (a value replaced, one character overwritten or inserted, a line
-dropped or repeated, the file cut short) and runs ``simulate``, ``fit``
+file (a value replaced, one character overwritten or inserted, among them
+a non-ASCII one and a byte that is not UTF-8, a line dropped or repeated,
+the file cut short) and runs ``simulate``, ``fit``
 or ``gof`` on it in-process.  Every run must return 0, 2, 3 or 4; an
 exception escaping ``main`` fails the example.  The base files are small
 and cap the SEM and ascent iterations, so one mutation cannot make a run
@@ -46,7 +47,8 @@ delta = 0.5
 EXITS = {0, 2, 3, 4}
 VALUES = ("0", "-1", "1", "2", "0.5", "1e-300", "1e-9", "1e300", "nan", "inf", "", "x",
           "gompertz", "homogeneous", "1, 0", "0.5; 0.5")
-CHARS = ("0", "9", "-", ".", "e", ",", ";", "=", " ", "\n", "x")
+# "\udcff" is written as the raw byte 0xff (surrogateescape): a file that is not UTF-8
+CHARS = ("0", "9", "-", ".", "e", ",", ";", "=", " ", "\n", "x", "\u00e9", "\udcff")
 
 MUTATIONS = st.one_of(
     st.tuples(st.just("value"), st.integers(0, 10_000), st.sampled_from(VALUES)),
@@ -109,7 +111,7 @@ def run_mutated(base, changed: str, mutation, command) -> None:
         paths = {}
         for name, text in base.items():
             paths[name] = os.path.join(work, name)
-            with open(paths[name], "w", encoding="utf-8") as handle:
+            with open(paths[name], "w", encoding="utf-8", errors="surrogateescape") as handle:
                 handle.write(mutate(text, mutation) if name == changed else text)
         run(command(work, paths))
 

@@ -42,7 +42,7 @@ from iphfit.studies import cohort_panel, fitted_absorption_sample, simulate_coho
 
 from conftest import GOMPERTZ_BETA, GOMPERTZ_LAM, GOMPERTZ_PI, exact_path, panel_from_rows
 
-KERNELS = ("complete_sweep", "simulate_sweep")
+KERNELS = ("complete_sweep", "simulate_sweep", "tokenize_panel")
 
 compiled = pytest.mark.skipif(
     _kernels.BACKEND == "pure-python", reason="the C kernels did not build or load"
@@ -650,6 +650,24 @@ def test_sweep_reads_group_ids_only_as_keys(shape):
     ]
     assert results[0][0] == 0
     _same(results[1], results[0])
+
+
+@pytest.mark.parametrize("iteration", [0, 1, 2])
+def test_one_segment_groups_draw_what_their_full_series_draws(iteration):
+    """On an irregular panel every bridge group has one segment, and the
+    compiled body walks each normalizer only as far as its draw needs: the
+    same bytes and counters as the Python body, which walks every series
+    in full, on all usable CPUs and on one."""
+    family = ScalingFamily("gompertz", GOMPERTZ_BETA)
+    panel = estimator._PanelArrays(_irregular_panel(300, 31 + iteration))
+    groups = panel.groups[panel.groups >= 0]
+    assert np.unique(groups).size == groups.size > 5000
+    cum, total, mu, ptrans = bridge_model(SubIntensityMatrix(GOMPERTZ_LAM))
+    obs_s = np.asarray(family.g_inv(panel.flat_times), dtype=float)
+    status, _path, _info, (virtual, series), _stats, _paths = _on_every_body(
+        (_kernels.stream_words(32), iteration, panel.keys, obs_s, panel.flat_states0,
+         panel.starts, panel.groups, cum, total, 3, mu, ptrans, 1 << 16, 1 << 16))
+    assert status == 0 and series > groups.size // 2 and virtual > series
 
 
 @compiled

@@ -208,7 +208,7 @@ def _assert_same_objective(obj, betas):
         assert got_warned == want_warned, (obj.family, beta)
         with np.errstate(over="ignore", invalid="ignore"):
             g_inv = _objective_terms(obj.family, beta, *obj._fixed)[0]
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(all="ignore"):  # as _evaluate calls it
             warnings.simplefilter("error")
             arrays = obj._kernel.density_and_ratio(g_inv)
         for a, b in zip(arrays, ref_kernel_arrays(obj, beta)):
